@@ -14,8 +14,7 @@ from .frames import (FrameBounds, UnitFrame, analysis, dual_synthesis, frame_bou
                      is_frame, normalize, synthesis)
 from .hull import quickhull
 from .polytope import (Facet, Polytope, PositiveFacetReport, build_polytope,
-                       covering_facet, is_omnidirectional, octant_grid,
-                       positive_facets)
+                       covering_facet, is_omnidirectional, positive_facets)
 from .solvers import (CappedConeProblem, SolveResult, lp_feasible,
                       min_linear_capped_cone)
 from .pbe import (DOMAIN_BALL, DOMAIN_BALL_POSITIVE, UNCONSTRAINED, BiasEstimate,
@@ -35,7 +34,7 @@ __all__ = [
     "frame_bounds", "is_frame", "dual_synthesis",
     "quickhull",
     "Facet", "Polytope", "PositiveFacetReport", "build_polytope",
-    "is_omnidirectional", "covering_facet", "positive_facets", "octant_grid",
+    "is_omnidirectional", "covering_facet", "positive_facets",
     "CappedConeProblem", "SolveResult", "min_linear_capped_cone", "lp_feasible",
     "DOMAIN_BALL", "DOMAIN_BALL_POSITIVE", "UNCONSTRAINED",
     "BiasEstimate", "StabilityReport", "alpha_X", "pbe_ball", "pbe_positive",

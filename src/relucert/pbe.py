@@ -56,8 +56,10 @@ class StabilityReport:
 
     A0 is a certified lower bound (the smallest facet sub-frame eigenvalue;
     every active set contains some facet vertex set). B0 is the largest
-    eigenvalue of the full frame operator. The forward image of the radius-r
-    ball stays within radius r * sqrt(B0) whenever the bias is non-positive.
+    eigenvalue of the full frame operator. `image_radius` = r * sqrt(B0)
+    bounds the forward image of the radius-r ball whenever the bias is
+    non-negative. For any bias b, r * sqrt(B0) + ||max(-b, 0)|| bounds it,
+    since 0 <= max(Wx - b, 0) <= max(Wx, 0) + max(-b, 0) entrywise.
     """
 
     A0: float

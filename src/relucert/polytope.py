@@ -22,7 +22,6 @@ TOL_INTERIOR = 1e-9
 TOL_MERGE = 1e-9
 TOL_TIE = 1e-12
 TOL_DISTINCT = 1e-10
-OCTANT_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -180,37 +179,47 @@ def covering_facet(poly: Polytope, x, tol_interior: float = TOL_INTERIOR,
     return int(candidates[0])
 
 
-def octant_grid(n: int, count: int = OCTANT_GRID_POINTS) -> np.ndarray:
-    """Deterministic covering grid of unit directions in the closed positive
-    orthant: uniform angles for n = 2, a Kronecker low-discrepancy lattice
-    pushed to the unit cube boundary and normalized for n >= 3."""
-    if n == 1:
-        return np.array([[1.0]])
-    if n == 2:
-        theta = np.linspace(0.0, np.pi / 2.0, count)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    phi = 2.0
-    for _ in range(64):
-        phi = (1.0 + phi) ** (1.0 / (n + 1))
-    alpha = phi ** -(np.arange(1, n + 1, dtype=float))
-    k = np.arange(1, count + 1, dtype=float)
-    p = np.mod(0.5 + np.outer(k, alpha), 1.0)
-    p = np.maximum(p, 1e-12)
-    q = p / np.max(p, axis=1)[:, None]
-    return q / np.linalg.norm(q, axis=1)[:, None]
-
-
-def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR,
-                    grid_points: int = OCTANT_GRID_POINTS,
-                    cone_tol: float = TOL_INTERIOR) -> PositiveFacetReport:
+def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> PositiveFacetReport:
     """Find the facets meeting the closed non-negative orthant and test
     whether their cones cover it.
 
     Facet membership is decided exactly per facet by LP feasibility of
     {c >= 0, sum c = 1, D c >= 0} where D has the facet vertices as columns.
-    Coverage is checked on a deterministic grid of orthant directions, each
-    of which must lie in some selected facet cone; additionally no selected
-    facet may pass through the origin.
+    Coverage is decided exactly by n more LPs, one per basis vector e_k:
+    the selected cones cover the orthant iff every e_k lies in cone(frame).
+
+    Why n LPs suffice. Every selected cone lies in cone(frame), so the union
+    of the selected cones never covers more of the orthant than
+    orthant & cone(frame). Conversely, take d != 0 in the orthant and in
+    cone(frame). Then d is a positive multiple of a hull point, so the ray
+    {s*d : s >= 0} meets the hull; let p = t*d be its farthest hull point
+    (t > 0). The hull is the intersection of its facet half-spaces, and
+    stepping past p leaves it, so some facet F through p has
+    <normal_F, d> > 0, hence offset_F = t <normal_F, d> > 0: the exit facet
+    always has positive offset. Its vertex set is every element on its
+    plane, so p lies in conv(F), and p lies in the orthant, so F is
+    selected and d = p / t lies in cone(F). The selected cones therefore
+    cover exactly orthant & cone(frame), which is the whole orthant iff each
+    e_k lies in the convex cone cone(frame).
+
+    - Flat hulls: the single facet is the whole hull (its offset is positive
+      by construction), so p lies in it directly and its cone is cone(frame).
+    - Negative-offset facets: the origin is outside the hull. Such a facet
+      is where a ray enters the hull, never where it leaves; if it meets the
+      orthant it is selected, and its cone, inside cone(frame), adds nothing
+      beyond orthant & cone(frame).
+    - Zero-offset facets pass through the origin. One that meets the orthant
+      is selected and makes the verdict False, whatever the coverage.
+
+    The verdict stays conservative: `nonneg_omnidirectional` is True only if
+    some facet is selected, the orthant lies in cone(frame) (at the LP's 1e-9
+    tolerance), and every selected offset is at least `tol_interior` away
+    from zero. When the hull is full-dimensional and the selected offsets
+    are all positive, the origin is strictly inside the hull (else the entry
+    facet of a ray through a selected hull point would be selected with
+    offset <= 0), so cone(frame) is R^n and the n LPs always pass. They
+    decide the verdict for flat hulls and for full-dimensional hulls whose
+    selected facets include negative offsets.
     """
     pts = poly.frame.elements
     selected = []
@@ -225,40 +234,8 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR,
             selected.append(j)
     vertex_union = sorted({v for j in selected for v in poly.facets[j].vertex_indices})
 
-    covered_all = False
-    if selected:
-        grid = octant_grid(poly.frame.n, grid_points)
-        covered = np.zeros(grid.shape[0], dtype=bool)
-        for j in selected:
-            if covered.all():
-                break
-            idx = list(poly.facets[j].vertex_indices)
-            cols = pts[idx].T
-            todo = np.nonzero(~covered)[0]
-            hit = _in_cone(cols, grid[todo], cone_tol)
-            covered[todo[hit]] = True
-        covered_all = bool(covered.all())
-
     away_from_origin = all(abs(poly.facets[j].offset) > tol_interior for j in selected)
-    nonneg = covered_all and away_from_origin and bool(selected)
+    nonneg = bool(selected) and away_from_origin and all(
+        lp_feasible(A_eq=pts.T, b_eq=e_k, nonneg_vars=True)
+        for e_k in np.eye(poly.frame.n))
     return PositiveFacetReport(tuple(selected), tuple(int(v) for v in vertex_union), nonneg)
-
-
-def _in_cone(cols: np.ndarray, directions: np.ndarray, tol: float) -> np.ndarray:
-    """Membership of each direction in the conical hull of the columns."""
-    n, k = cols.shape
-    if k == n:
-        try:
-            coeff = np.linalg.solve(cols, directions.T)
-            return np.all(coeff >= -tol, axis=0)
-        except np.linalg.LinAlgError:
-            pass
-    # redundant (or singular) generator set: least squares first, LP to settle
-    coeff, *_ = np.linalg.lstsq(cols, directions.T, rcond=None)
-    resid = np.linalg.norm(cols @ coeff - directions.T, axis=0)
-    hit = (resid <= tol) & np.all(coeff >= -tol, axis=0)
-    unsettled = np.nonzero(~hit)[0]
-    for row in unsettled:
-        if lp_feasible(A_eq=cols, b_eq=directions[row], nonneg_vars=True):
-            hit[row] = True
-    return hit

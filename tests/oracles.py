@@ -213,6 +213,55 @@ def quadrant_covered_by_cones_2d(generators: list[np.ndarray], samples: int = 10
     return bool(covered.all())
 
 
+def octant_grid(n: int, count: int = 10_000) -> np.ndarray:
+    """Deterministic covering grid of unit directions in the closed positive
+    orthant: uniform angles for n = 2, a Kronecker low-discrepancy lattice
+    pushed to the unit cube boundary and normalized for n >= 3."""
+    if n == 1:
+        return np.array([[1.0]])
+    if n == 2:
+        theta = np.linspace(0.0, np.pi / 2.0, count)
+        return np.column_stack([np.cos(theta), np.sin(theta)])
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (n + 1))
+    alpha = phi ** -(np.arange(1, n + 1, dtype=float))
+    k = np.arange(1, count + 1, dtype=float)
+    p = np.mod(0.5 + np.outer(k, alpha), 1.0)
+    p = np.maximum(p, 1e-12)
+    q = p / np.max(p, axis=1)[:, None]
+    return q / np.linalg.norm(q, axis=1)[:, None]
+
+
+def in_cone(cols: np.ndarray, directions: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Membership of each direction in the conical hull of the columns.
+
+    Caratheodory: a direction lies in the cone iff it is a non-negative
+    combination of some linearly independent columns, and any such set
+    extends to rank(cols) independent columns with zero weights. So every
+    rank-sized column subset is tried: the subset's least-squares
+    coefficients must be non-negative and reproduce the direction.
+    """
+    rank = int(np.linalg.matrix_rank(cols))
+    subsets = np.array(list(combinations(range(cols.shape[1]), rank)))
+    blocks = np.transpose(cols[:, subsets], (1, 0, 2))  # (subsets, n, rank)
+    blocks = blocks[np.linalg.matrix_rank(blocks) == rank]
+    coeff = np.linalg.pinv(blocks) @ directions.T  # (subsets, rank, count)
+    resid = np.linalg.norm(blocks @ coeff - directions.T, axis=1)
+    hit = (resid <= tol) & np.all(coeff >= -tol, axis=1)
+    return hit.any(axis=0)
+
+
+def orthant_grid_covered(cones: list[np.ndarray], n: int, count: int = 10_000) -> bool:
+    """Sampled coverage: every octant_grid direction lies in one of the cones
+    (each given by its generators as columns)."""
+    grid = octant_grid(n, count)
+    covered = np.zeros(grid.shape[0], dtype=bool)
+    for cols in cones:
+        covered |= in_cone(cols, grid)
+    return bool(covered.all())
+
+
 def facet_cone_instances(n: int, count: int, seed: int, m: int = 20):
     """Capped-cone problems exactly as the bias estimation poses them:
     facet vertex columns of random omnidirectional frames, objective taken

@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -254,9 +257,103 @@ def test_one_dimensional_frame():
 
 def test_octant_grid_shapes():
     for n in (2, 3, 4):
-        grid = rc.octant_grid(n, 2500)
+        grid = oracles.octant_grid(n, 2500)
         assert grid.shape == (2500, n)
         assert np.all(grid >= 0.0)
         assert np.allclose(np.linalg.norm(grid, axis=1), 1.0, atol=1e-12)
     # deterministic
-    assert np.array_equal(rc.octant_grid(3, 500), rc.octant_grid(3, 500))
+    assert np.array_equal(oracles.octant_grid(3, 500), oracles.octant_grid(3, 500))
+
+
+def _hexagon_around_basis(scale):
+    """Six unit vectors on a circle about (1,1,1)/3 in the plane x+y+z = 1,
+    its radius `scale` times the distance to e_1: a flat hull whose cone
+    just misses (scale < 1) or just contains (scale > 1) the basis vectors."""
+    c = np.ones(3) / 3.0
+    e1 = np.eye(3)[0]
+    a = (e1 - c) / np.linalg.norm(e1 - c)
+    b = np.cross(np.ones(3) / np.sqrt(3.0), a)
+    radius = np.linalg.norm(e1 - c) * scale
+    t = np.arange(6) * np.pi / 3.0
+    pts = c + radius * (np.cos(t)[:, None] * a + np.sin(t)[:, None] * b)
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+def test_positive_facets_flat_cone_missing_basis_vector(capsys, tmp_path):
+    from relucert import io as fio
+    from relucert.cli import main
+    from relucert.errors import NotNonnegOmnidirectional
+
+    weights = _hexagon_around_basis(1.0 - 1e-5)
+    frame, _, _ = rc.normalize(weights)
+    poly = rc.build_polytope(frame)
+    assert not poly.full_dimensional and poly.num_facets == 1
+    report = rc.positive_facets(poly)
+    assert report.facet_indices == (0,)
+    # the cone misses a 1e-5 sliver around e_1, which a sampled grid skips
+    assert not report.nonneg_omnidirectional
+    with pytest.raises(NotNonnegOmnidirectional):
+        rc.pbe_positive(frame, poly, report, 1.0)
+
+    w = tmp_path / "w.csv"
+    b = tmp_path / "b.csv"
+    w.write_text(fio.format_matrix(weights))
+    b.write_text(",".join(["-0.1"] * 6) + "\n")
+    code = main(["certify", str(w), "--bias", str(b), "--domain", "ball+"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert json.loads(err)["error"] == "NotNonnegOmnidirectional"
+
+    twin, _, _ = rc.normalize(_hexagon_around_basis(1.0 + 1e-5))
+    assert rc.positive_facets(rc.build_polytope(twin)).nonneg_omnidirectional
+
+
+def _cube(n):
+    return np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+
+
+def _cell24():
+    """The 24-cell's vertices: every permutation of (+-1, +-1, 0, 0)."""
+    rows = []
+    for i, j in itertools.combinations(range(4), 2):
+        for si, sj in itertools.product((1.0, -1.0), repeat=2):
+            v = np.zeros(4)
+            v[i], v[j] = si, sj
+            rows.append(v)
+    return np.array(rows)
+
+
+def _arc(theta):
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+ORTHANT_CASES = {
+    "mercedes": rc.mercedes_benz(),
+    "icosahedron": rc.icosahedron(),
+    **{f"basis{n}": np.eye(n) for n in (2, 3, 4, 5)},
+    "half-circle-4": _arc([0.4, 1.2, 2.2, 2.9]),
+    "half-circle-8": _arc(np.linspace(0.2, np.pi - 0.2, 8)),
+    "cube3": _cube(3),
+    "cube4": _cube(4),
+    "cell24": _cell24(),
+    "sphere-3x5": rc.random_sphere(3, 5, 1),
+    "sphere-3x8": rc.random_sphere(3, 8, 1),
+    "sphere-4x8": rc.random_sphere(4, 8, 2),
+    # origin outside the hull: an entry facet of negative offset is selected
+    "entry-covered": np.array([[1.0, 0.0], [0.0, 1.0], [0.8, 0.6]]),
+    "entry-missing-e2": np.array([[1.0, 0.0], [0.8, 0.6], [0.6, 0.8]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORTHANT_CASES))
+def test_positive_facets_exact_matches_grid_oracle(name):
+    frame, _, _ = rc.normalize(ORTHANT_CASES[name])
+    poly = rc.build_polytope(frame)
+    report = rc.positive_facets(poly)
+    cones = [frame.elements[list(poly.facets[j].vertex_indices)].T
+             for j in report.facet_indices]
+    covered = bool(cones) and oracles.orthant_grid_covered(cones, frame.n)
+    away = all(abs(poly.facets[j].offset) > 1e-9 for j in report.facet_indices)
+    if report.nonneg_omnidirectional:
+        assert covered
+    assert report.nonneg_omnidirectional == (covered and away)
