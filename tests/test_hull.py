@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import relucert as rc
-from relucert.errors import AtOrigin, DegenerateHull, NotOmnidirectional
+from relucert import io as fio
+from relucert.cli import main
+from relucert.errors import (AtOrigin, DegenerateHull, NotNonnegOmnidirectional,
+                             NotOmnidirectional)
 
 import oracles
 from conftest import random_omnidirectional
@@ -280,10 +283,6 @@ def _hexagon_around_basis(scale):
 
 
 def test_positive_facets_flat_cone_missing_basis_vector(capsys, tmp_path):
-    from relucert import io as fio
-    from relucert.cli import main
-    from relucert.errors import NotNonnegOmnidirectional
-
     weights = _hexagon_around_basis(1.0 - 1e-5)
     frame, _, _ = rc.normalize(weights)
     poly = rc.build_polytope(frame)
