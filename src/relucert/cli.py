@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius", type=float, default=1.0,
                        help="input ball radius (default 1.0)")
         p.add_argument("--tol", type=float, default=TOL_SOLVER,
-                       help="cone solver tolerance (default 1e-9)")
+                       help="largest dual infeasibility a cone program may leave (default 1e-9)")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
 
     p = sub.add_parser("pbe", help="estimate an upper bias and report it")

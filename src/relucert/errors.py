@@ -50,13 +50,13 @@ class NotNonnegOmnidirectional(RelucertError):
 
 
 class NotConverged(RelucertError):
-    """The iterative solver did not reach the requested accuracy."""
+    """A solver ran out of steps or missed the requested accuracy."""
 
-    def __init__(self, max_iters: int, residual: float | None = None):
-        self.max_iters = max_iters
+    def __init__(self, iterations: int, residual: float):
+        self.iterations = iterations
         self.residual = residual
-        detail = f" (residual {residual:.3e})" if residual is not None else ""
-        super().__init__(f"solver did not converge within {max_iters} iterations{detail}")
+        super().__init__(f"solver did not converge after {iterations} iterations "
+                         f"(residual {residual:.3e})")
 
 
 class SolverFailed(RelucertError):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _linalg
 from .errors import DimensionMismatch, NotAFrame, ZeroRow
 
 TOL_UNIT = 1e-12
@@ -142,12 +141,13 @@ def subframe_operator(frame: UnitFrame, subset=None) -> np.ndarray:
 
 
 def frame_bounds(frame: UnitFrame, subset=None, tol_rank: float = TOL_RANK) -> FrameBounds:
-    """Optimal frame bounds of a sub-collection via a Jacobi eigensolver.
+    """Optimal frame bounds of a sub-collection: the extreme eigenvalues of
+    its frame operator (LAPACK's symmetric eigensolver).
 
     Raises NotAFrame when the smallest eigenvalue is zero relative to the
     largest, i.e. the sub-collection does not span R^n.
     """
-    eig = _linalg.jacobi_eigenvalues(subframe_operator(frame, subset))
+    eig = np.linalg.eigvalsh(subframe_operator(frame, subset))
     lower, upper = float(eig[0]), float(eig[-1])
     if lower < tol_rank * max(upper, np.finfo(float).tiny):
         raise NotAFrame(f"sub-collection is rank deficient (eigenvalue range [{lower:.3e}, {upper:.3e}])")
@@ -156,7 +156,7 @@ def frame_bounds(frame: UnitFrame, subset=None, tol_rank: float = TOL_RANK) -> F
 
 def is_frame(frame: UnitFrame, subset=None, tol_rank: float = TOL_RANK) -> bool:
     """True iff the sub-collection spans R^n, decided on the frame operator spectrum."""
-    eig = _linalg.jacobi_eigenvalues(subframe_operator(frame, subset))
+    eig = np.linalg.eigvalsh(subframe_operator(frame, subset))
     return bool(eig[0] >= tol_rank * max(eig[-1], np.finfo(float).tiny))
 
 
@@ -165,11 +165,17 @@ def dual_synthesis(frame: UnitFrame, subset=None, tol_rank: float = TOL_RANK) ->
 
     Column k is the inverse sub-frame operator applied to the k-th selected
     element, so that for every x:  sum_k <x, x_{i_k}> * column_k == x.
-    The inverse goes through Cholesky; a failed pivot signals NotAFrame.
+    The operator must pass Cholesky with every squared pivot above `tol_rank`
+    times its largest diagonal entry; otherwise NotAFrame is raised.
     """
     idx = check_indices(subset, frame.m) if subset is not None else tuple(range(frame.m))
     sub = frame.elements[list(idx)]
-    lower = _linalg.cholesky_spd(sub.T @ sub, pivot_rel_tol=tol_rank)
-    if lower is None:
+    op = sub.T @ sub
+    floor = tol_rank * max(float(np.max(np.diag(op))), np.finfo(float).tiny)
+    try:
+        lower = np.linalg.cholesky(op)
+    except np.linalg.LinAlgError:
+        raise NotAFrame("sub-frame operator is not positive definite") from None
+    if float(np.min(np.diag(lower))) ** 2 <= floor:
         raise NotAFrame("sub-frame operator is not positive definite")
-    return _linalg.solve_cholesky(lower, sub.T)
+    return np.linalg.solve(op, sub.T)

@@ -20,7 +20,7 @@ from .errors import (NotConverged, NotNonnegOmnidirectional, NotOmnidirectional,
                      OrphanVertex, SolverFailed)
 from .frames import UnitFrame, frame_bounds
 from .polytope import Polytope, PositiveFacetReport, is_omnidirectional
-from .solvers import MAX_ITERS, TOL_SOLVER, CappedConeProblem, min_linear_capped_cone
+from .solvers import TOL_SOLVER, CappedConeProblem, min_linear_capped_cone
 
 DOMAIN_BALL = "ball"
 DOMAIN_BALL_POSITIVE = "ball+"
@@ -69,29 +69,33 @@ class StabilityReport:
 
 def alpha_X(poly: Polytope) -> np.ndarray:
     """Smallest correlation of each element with the vertices of its facets."""
-    gram = poly.frame.elements @ poly.frame.elements.T
-    out = np.full(poly.frame.m, np.inf)
-    for facet in poly.facets:
-        idx = list(facet.vertex_indices)
-        block_min = gram[np.ix_(idx, idx)].min(axis=1)
-        out[idx] = np.minimum(out[idx], block_min)
+    out = _facet_block_min(poly, range(poly.num_facets))
     orphans = np.nonzero(np.isinf(out))[0]
     if orphans.size:
         raise OrphanVertex(int(orphans[0]))
     return out
 
 
+def _facet_block_min(poly: Polytope, facet_indices) -> np.ndarray:
+    """alpha_X over the given facets only; +inf on elements of none of them."""
+    gram = poly.frame.elements @ poly.frame.elements.T
+    out = np.full(poly.frame.m, np.inf)
+    for j in facet_indices:
+        idx = list(poly.facets[j].vertex_indices)
+        out[idx] = np.minimum(out[idx], gram[np.ix_(idx, idx)].min(axis=1))
+    return out
+
+
 def pbe_ball(frame: UnitFrame, poly: Polytope, radius: float = 1.0,
-             tol: float = TOL_SOLVER, max_iters: int = MAX_ITERS) -> BiasEstimate:
+             tol: float = TOL_SOLVER) -> BiasEstimate:
     """Upper bias on the ball of the given radius for an omnidirectional frame."""
     if not is_omnidirectional(poly):
         raise NotOmnidirectional("bias estimation on the ball needs an omnidirectional frame")
-    return _estimate(frame, poly, range(poly.num_facets), DOMAIN_BALL, radius, tol, max_iters)
+    return _estimate(frame, poly, range(poly.num_facets), DOMAIN_BALL, radius, tol)
 
 
 def pbe_positive(frame: UnitFrame, poly: Polytope, report: PositiveFacetReport,
-                 radius: float = 1.0, tol: float = TOL_SOLVER,
-                 max_iters: int = MAX_ITERS) -> BiasEstimate:
+                 radius: float = 1.0, tol: float = TOL_SOLVER) -> BiasEstimate:
     """Upper bias on the non-negative part of the ball.
 
     Only facets meeting the non-negative orthant take part; elements on none
@@ -100,16 +104,23 @@ def pbe_positive(frame: UnitFrame, poly: Polytope, report: PositiveFacetReport,
     if not report.nonneg_omnidirectional:
         raise NotNonnegOmnidirectional(
             "the selected facet cones do not cover the non-negative orthant")
-    return _estimate(frame, poly, report.facet_indices, DOMAIN_BALL_POSITIVE,
-                     radius, tol, max_iters)
+    return _estimate(frame, poly, report.facet_indices, DOMAIN_BALL_POSITIVE, radius, tol)
 
 
-def _estimate(frame, poly, facet_indices, domain, radius, tol, max_iters) -> BiasEstimate:
+def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
+    """Shared body of `pbe_ball` and `pbe_positive`.
+
+    Each facet's cone-program value is lowered by eps / |offset|, where eps
+    is the solver's dual infeasibility, so alpha_S is a lower bound whatever
+    the rounding: with g = c + G d* >= -eps, every y = D d in the capped cone
+    has <x_i, y> = g.d - <D d*, y> >= -eps * sum(d) - ||D d*||. Every vertex
+    lies on the facet plane <normal, .> = offset, so
+    sum(d) = <normal, y> / offset <= ||y|| / |offset| <= 1 / |offset|.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     m = frame.m
     pts = frame.elements
-    gram = pts @ pts.T
 
     facet_indices = list(facet_indices)
     adjacency: list[list[int]] = [[] for _ in range(m)]
@@ -117,32 +128,29 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol, max_iters) -> Bia
         for i in poly.facets[j].vertex_indices:
             adjacency[i].append(j)
 
-    a_x = np.full(m, UNCONSTRAINED)
+    a_x = _facet_block_min(poly, facet_indices)
     a_s = np.full(m, np.nan)
     a_b = np.full(m, UNCONSTRAINED)
-    unconstrained = np.array([not adj for adj in adjacency])
+    unconstrained = np.isinf(a_x)
     if domain == DOMAIN_BALL and unconstrained.any():
         raise OrphanVertex(int(np.nonzero(unconstrained)[0][0]))
 
     for i in range(m):
         if unconstrained[i]:
             continue
-        corr = min(float(gram[np.ix_([i], list(poly.facets[j].vertex_indices))].min())
-                   for j in adjacency[i])
-        a_x[i] = corr
-        if corr >= 0.0:
+        if a_x[i] >= 0.0:
             a_b[i] = 0.0
             continue
         best = np.inf
         for j in adjacency[i]:
-            idx = list(poly.facets[j].vertex_indices)
-            problem = CappedConeProblem(D=pts[idx].T, c=gram[i, idx],
-                                        tol=tol, max_iters=max_iters)
+            facet = poly.facets[j]
+            verts = pts[list(facet.vertex_indices)]
+            problem = CappedConeProblem(D=verts.T, c=verts @ pts[i], tol=tol)
             try:
                 result = min_linear_capped_cone(problem)
             except NotConverged as exc:
                 raise SolverFailed(i, j) from exc
-            best = min(best, result.value)
+            best = min(best, result.value - result.kkt_residual / abs(facet.offset))
         a_s[i] = best
         a_b[i] = best
 

@@ -13,19 +13,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .frames import TOL_RANK, TOL_UNIT, TOL_ZERO_ROW
+from .layer import TOL_ACTIVE, TOL_MARGIN, VERIFY_TOL
+from .polytope import TOL_INTERIOR, TOL_PLANE
+from .solvers import TOL_SOLVER
+
 SCHEMA = "relucert-report/1"
 UNCONSTRAINED_SENTINEL = "unconstrained"
 
 TOLERANCES = {
-    "unit_row": 1e-12,
-    "zero_row": 1e-12,
-    "rank": 1e-9,
-    "plane": 1e-9,
-    "interior": 1e-9,
-    "solver": 1e-9,
-    "active": 1e-12,
-    "margin": 1e-12,
-    "reconstruction": 1e-8,
+    "unit_row": TOL_UNIT,
+    "zero_row": TOL_ZERO_ROW,
+    "rank": TOL_RANK,
+    "plane": TOL_PLANE,
+    "interior": TOL_INTERIOR,
+    "solver": TOL_SOLVER,
+    "active": TOL_ACTIVE,
+    "margin": TOL_MARGIN,
+    "reconstruction": VERIFY_TOL,
 }
 
 

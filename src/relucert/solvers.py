@@ -4,20 +4,29 @@ Two work horses live here: linear minimization over the capped cone
 {d >= 0, ||D d||_2 <= 1} (used per facet by the bias estimation) and a dense
 phase-1 simplex deciding LP feasibility. Problem sizes are tiny (tens of
 variables at most), so robustness beats asymptotics throughout.
+
+The cone program is solved exactly. With c = D^T x, Moreau's decomposition
+(1962) gives min {<x, y> : y in K = cone(D), ||y|| <= 1} = -||P_K(-x)||, and
+P_K(-x) = D d* for the non-negative least-squares solution
+d* = argmin_{d >= 0} d^T G d + 2 c^T d, G = D^T D. Lawson and Hanson's
+active-set method (Solving Least Squares Problems, 1974) finds d* in finitely
+many steps. Its dual infeasibility is returned with the value, so a caller
+can turn the value into a bound that holds whatever the rounding did.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotConverged
 
 TOL_SOLVER = 1e-9
-MAX_ITERS = 100_000
-_SUPPORT_LIMIT = 200_000  # cap on enumerated supports in the exact fallback
+# a free generator enters the active set only if it lowers the objective by
+# more than rounding noise; a column in the span of the active set has a
+# zero gradient entry up to rounding and must not enter (singular block)
+_TOL_ENTER = 1e-14
 
 
 @dataclass(frozen=True)
@@ -31,7 +40,6 @@ class CappedConeProblem:
     D: np.ndarray
     c: np.ndarray
     tol: float = TOL_SOLVER
-    max_iters: int = MAX_ITERS
 
     def __post_init__(self):
         d = np.asarray(self.D, dtype=float)
@@ -56,154 +64,65 @@ class SolveResult:
 
 
 def min_linear_capped_cone(problem: CappedConeProblem) -> SolveResult:
-    """Solve the capped-cone program to `problem.tol` accuracy in the value.
+    """Solve the capped-cone program exactly (see the module docstring).
 
-    Projected gradient (clip to the non-negative orthant, then rescale onto
-    the norm cap) with backtracking drives the iterate near the optimum; an
-    exact stationary-point solve on the identified support then pins the
-    minimizer down. If the KKT residual still exceeds the tolerance, every
-    support up to size n is enumerated, which is exact for this problem.
+    Lawson-Hanson NNLS on the Gram form yields d*; the result is
+    `value` = -sqrt(d*^T G d*), `argmin` = d* scaled onto the cap (0 at the
+    apex), `iterations` = active-set steps, and `kkt_residual` =
+    max(0, -min(c + G d*)), the dual infeasibility: c + G d* = D^T lam with
+    lam = x + D d*. Needing more than 3k steps (the inner loop is bounded by
+    k, so only cycling can reach that), or a residual above `problem.tol`,
+    raises NotConverged.
     """
-    D, c, tol = problem.D, problem.c, problem.tol
-    n, k = D.shape
-    if np.min(c) >= 0.0:
-        # apex optimum: the gradient lies in the normal cone at d = 0
-        return SolveResult(0.0, np.zeros(k), 0.0, 0)
-    if k == 1:
-        # single generator: either stay at the apex or run to the cap
-        d = np.array([1.0])
-        return SolveResult(float(c[0]), d, 0.0, 0)
-
+    D, c = problem.D, problem.c
+    k = c.shape[0]
     gram = D.T @ D
-    step = 1.0 / float(np.trace(gram))  # trace bounds the largest eigenvalue
-
-    start = int(np.argmin(c))
     d = np.zeros(k)
-    d[start] = 1.0
-    value = float(c[start])
-
-    iterations = 0
-    stall = 0
-    for _ in range(problem.max_iters):
-        iterations += 1
-        trial = step
-        moved = False
-        for _ in range(60):
-            cand = _project(D, d - trial * c)
-            gain = float(c @ cand) - value
-            # objective is linear, so sufficient decrease == any decrease
-            if gain < 0.0:
-                moved = True
-                break
-            trial *= 0.5
-        if not moved:
+    passive = np.zeros(k, dtype=bool)  # generators free to move; d > 0 there
+    steps = 0
+    descent = -c  # -(c + G d): positive entries lower the objective
+    while steps <= 3 * k:
+        free = np.nonzero(~passive & (descent > _TOL_ENTER))[0]
+        if free.size == 0:
             break
-        d = cand
-        value += gain
-        step = min(trial * 2.0, 1e6)
-        if -gain < 1e-14 * (1.0 + abs(value)):
-            stall += 1
-            if stall >= 20:
-                break
-        else:
-            stall = 0
+        j = free[np.argmax(descent[free])]
+        passive[j] = True
+        s = _passive_solve(gram, c, passive)
+        steps += 1
+        if s[j] <= 0.0:
+            # in exact arithmetic an entering generator gets a positive
+            # weight (the key step of Lawson and Hanson's proof); where
+            # rounding denies it, its descent was noise and d is optimal
+            # to that accuracy
+            passive[j] = False
+            break
+        while (s[passive] <= 0.0).any():
+            # walk from d towards s until the first blocking weight hits zero
+            blocking = np.nonzero(passive & (s <= 0.0))[0]
+            ratio = d[blocking] / (d[blocking] - s[blocking])
+            d = d + float(np.min(ratio)) * (s - d)
+            passive[blocking[np.argmin(ratio)]] = False
+            passive &= d > 0.0
+            d[~passive] = 0.0
+            s = _passive_solve(gram, c, passive)
+            steps += 1
+        d = s
+        descent = -(c + gram @ d)
 
-    best_d, best_value = _polish(gram, c, d, value)
-    residual = _kkt_residual(gram, c, D, best_d)
-    if residual > max(tol, 1e-10):
-        # the scan is exact, so any feasible value it cannot beat is optimal
-        cand = _enumerate_supports(gram, c, n, k)
-        if cand is not None and cand[1] <= best_value + 1e-15:
-            best_d, best_value = cand
-            residual = _kkt_residual(gram, c, D, best_d)
-    if residual > max(tol, 1e-7):
-        raise NotConverged(problem.max_iters, residual)
-    return SolveResult(best_value, best_d, residual, iterations)
-
-
-def _project(D: np.ndarray, v: np.ndarray) -> np.ndarray:
-    u = np.maximum(v, 0.0)
-    s = float(np.linalg.norm(D @ u))
-    if s > 1.0:
-        u = u / s
-    return u
-
-
-def _stationary_on_support(gram: np.ndarray, c: np.ndarray, support) -> tuple[np.ndarray, float] | None:
-    """Exact KKT point with the given positive support and the cap active."""
-    idx = list(support)
-    sub = gram[np.ix_(idx, idx)]
-    try:
-        w = np.linalg.solve(sub, -c[idx])
-    except np.linalg.LinAlgError:
-        return None
-    if np.min(w) < -1e-12:
-        return None
-    w = np.maximum(w, 0.0)
-    quad = float(w @ sub @ w)
-    if quad <= 0.0:
-        return None
-    t = 1.0 / np.sqrt(quad)
-    d = np.zeros(c.shape[0])
-    d[idx] = t * w
-    return d, float(c @ d)
+    residual = max(0.0, float(np.max(descent)))
+    if steps > 3 * k or residual > problem.tol:
+        raise NotConverged(steps, residual)
+    norm = float(np.sqrt(max(float(d @ gram @ d), 0.0)))
+    if norm == 0.0:
+        return SolveResult(0.0, np.zeros(k), residual, steps)
+    return SolveResult(-norm, d / norm, residual, steps)
 
 
-def _polish(gram, c, d, value) -> tuple[np.ndarray, float]:
-    best_d, best_value = d, value
-    support = np.nonzero(d > 1e-10 * max(1.0, float(np.max(d))))[0]
-    if support.size:
-        cand = _stationary_on_support(gram, c, support)
-        if cand is not None and cand[1] <= best_value:
-            best_d, best_value = cand
-    if best_value > 0.0:
-        best_d, best_value = np.zeros(c.shape[0]), 0.0
-    return best_d, best_value
-
-
-def _enumerate_supports(gram, c, n, k) -> tuple[np.ndarray, float] | None:
-    """Exact minimum by scanning all supports of size <= n.
-
-    Some optimal point uses at most n generators (conic Caratheodory), and on
-    its support the stationarity system is the one `_stationary_on_support`
-    solves, so the scan always contains an optimum.
-    """
-    total = sum(_comb(k, s) for s in range(1, min(k, n) + 1))
-    if total > _SUPPORT_LIMIT:
-        return None
-    best = (np.zeros(k), 0.0)
-    for size in range(1, min(k, n) + 1):
-        for support in combinations(range(k), size):
-            cand = _stationary_on_support(gram, c, support)
-            if cand is not None and cand[1] < best[1]:
-                best = cand
-    return best
-
-
-def _comb(k: int, s: int) -> int:
-    out = 1
-    for i in range(s):
-        out = out * (k - i) // (i + 1)
-    return out
-
-
-def _kkt_residual(gram, c, D, d) -> float:
-    """Max violation of primal feasibility, stationarity, dual feasibility
-    and complementarity at d (cap multiplier fitted by least squares)."""
-    nonneg = max(0.0, -float(np.min(d)))
-    cap = float(np.linalg.norm(D @ d))
-    primal = max(nonneg, cap - 1.0)
-    active = d > 1e-11
-    if not active.any():
-        return max(primal, -float(np.min(c)))
-    g = gram @ d
-    denom = float(g[active] @ g[active])
-    lam = max(0.0, -float(c[active] @ g[active]) / (2.0 * denom)) if denom > 0 else 0.0
-    mu = c + 2.0 * lam * g
-    stationarity = float(np.max(np.abs(mu[active])))
-    dual = max(0.0, -float(np.min(mu[~active]))) if (~active).any() else 0.0
-    complementarity = lam * abs(cap - 1.0)
-    return max(primal, stationarity, dual, complementarity)
+def _passive_solve(gram: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Unconstrained minimizer over the passive generators, zero elsewhere."""
+    s = np.zeros(c.shape[0])
+    s[passive] = np.linalg.solve(gram[np.ix_(passive, passive)], -c[passive])
+    return s
 
 
 def lp_feasible(A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,

@@ -8,7 +8,7 @@ with the library paths it validates.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -287,6 +287,22 @@ def facet_cone_instances(n: int, count: int, seed: int, m: int = 20):
                     if len(out) >= count:
                         return out
     return out
+
+
+def cube(n: int) -> np.ndarray:
+    """The 2^n corners of the n-cube, (+-1, ..., +-1)."""
+    return np.array(list(product([-1.0, 1.0], repeat=n)))
+
+
+def cell24() -> np.ndarray:
+    """The 24-cell's vertices: every permutation of (+-1, +-1, 0, 0)."""
+    rows = []
+    for i, j in combinations(range(4), 2):
+        for si, sj in product((1.0, -1.0), repeat=2):
+            v = np.zeros(4)
+            v[i], v[j] = si, sj
+            rows.append(v)
+    return np.array(rows)
 
 
 def sample_ball(rng: np.random.Generator, n: int, count: int, radius: float = 1.0) -> np.ndarray:

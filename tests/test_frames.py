@@ -110,7 +110,7 @@ def test_frame_bounds_singleton_not_a_frame(mb):
 
 def test_frame_bounds_eigen_oracles():
     rng = np.random.default_rng(31)
-    for n in (2, 3):
+    for n in (1, 2, 3):
         for _ in range(20):
             frame, _, _ = rc.normalize(rng.standard_normal((n + 3, n)))
             bounds = rc.frame_bounds(frame)
@@ -168,6 +168,13 @@ def test_dual_synthesis_tight_frame_scaling(mb):
 def test_dual_synthesis_not_a_frame(mb):
     with pytest.raises(NotAFrame):
         rc.dual_synthesis(mb.frame, (2,))
+    # rank-one pairs: an exactly singular operator, whose factorization
+    # fails, and a nearly singular one, whose last pivot falls below tol_rank
+    for rows in ([[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [np.cos(1e-6), np.sin(1e-6)]]):
+        frame, _, _ = rc.normalize(np.array(rows))
+        assert not rc.is_frame(frame)
+        with pytest.raises(NotAFrame):
+            rc.dual_synthesis(frame)
 
 
 def test_canonical_reconstruction_random_frames():

@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import numpy as np
@@ -307,21 +306,6 @@ def test_positive_facets_flat_cone_missing_basis_vector(capsys, tmp_path):
     assert rc.positive_facets(rc.build_polytope(twin)).nonneg_omnidirectional
 
 
-def _cube(n):
-    return np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
-
-
-def _cell24():
-    """The 24-cell's vertices: every permutation of (+-1, +-1, 0, 0)."""
-    rows = []
-    for i, j in itertools.combinations(range(4), 2):
-        for si, sj in itertools.product((1.0, -1.0), repeat=2):
-            v = np.zeros(4)
-            v[i], v[j] = si, sj
-            rows.append(v)
-    return np.array(rows)
-
-
 def _arc(theta):
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
@@ -332,9 +316,9 @@ ORTHANT_CASES = {
     **{f"basis{n}": np.eye(n) for n in (2, 3, 4, 5)},
     "half-circle-4": _arc([0.4, 1.2, 2.2, 2.9]),
     "half-circle-8": _arc(np.linspace(0.2, np.pi - 0.2, 8)),
-    "cube3": _cube(3),
-    "cube4": _cube(4),
-    "cell24": _cell24(),
+    "cube3": oracles.cube(3),
+    "cube4": oracles.cube(4),
+    "cell24": oracles.cell24(),
     "sphere-3x5": rc.random_sphere(3, 5, 1),
     "sphere-3x8": rc.random_sphere(3, 8, 1),
     "sphere-4x8": rc.random_sphere(4, 8, 2),

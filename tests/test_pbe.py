@@ -77,6 +77,23 @@ def test_alpha_sphere_matches_arc_sweep_2d():
         assert est.alpha_B[i] == pytest.approx(best, abs=1e-6)
 
 
+def test_alpha_sphere_below_sampled_facet_minima():
+    # alpha_S is a lower bound on every adjacent facet's cone minimum, so it
+    # never exceeds a feasible sampled value on any of them
+    for n, m, seed in ((4, 12, 63), (5, 14, 64)):
+        frame, _, _ = rc.normalize(random_omnidirectional(n, m, seed))
+        poly = rc.build_polytope(frame)
+        est = rc.pbe_ball(frame, poly, 1.0)
+        assert not np.isnan(est.alpha_S).all()
+        for i in np.nonzero(~np.isnan(est.alpha_S))[0]:
+            for j in poly.facets_of_vertex(i):
+                idx = list(poly.facets[j].vertex_indices)
+                cols = frame.elements[idx].T
+                sampled = oracles.cone_sample_min(cols, cols.T @ frame.elements[i],
+                                                  samples=2000, seed=int(i))
+                assert est.alpha_S[i] <= sampled + 1e-12, (n, i, j)
+
+
 def test_radius_scaling_multiplies(mb):
     est2 = rc.pbe_ball(mb.frame, mb.poly, 2.0)
     assert np.allclose(est2.alpha_scaled, 2.0 * est2.alpha_B)

@@ -103,6 +103,37 @@ def test_capped_cone_scale_covariance():
         assert np.max(np.abs(scaled.argmin - base.argmin)) <= 1e-8
 
 
+def _merged_facet_instances(points):
+    """Cone programs on every facet of a frame with coplanar merges (k > n
+    generators), one objective per frame element that has a negative entry."""
+    frame, _, _ = rc.normalize(points)
+    poly = rc.build_polytope(frame)
+    out = []
+    for facet in poly.facets:
+        cols = frame.elements[list(facet.vertex_indices)].T
+        out.extend((cols, cols.T @ x) for x in frame.elements if np.min(cols.T @ x) < 0.0)
+    return out
+
+
+def test_capped_cone_matches_scipy_nnls():
+    # Moreau: the minimum is -||P_K(-x)|| with P_K(-x) = D d*, d* the NNLS
+    # solution of min_{d >= 0} ||D d + x||; x is recovered from c = D^T x
+    optimize = pytest.importorskip("scipy.optimize")
+    instances = [inst for n in (3, 4, 5, 6)
+                 for inst in oracles.facet_cone_instances(n, 40, seed=530 + n)]
+    merged = _merged_facet_instances(oracles.cell24()) + _merged_facet_instances(oracles.cube(4))
+    assert merged and all(cols.shape[1] > cols.shape[0] for cols, _ in merged)
+    for k, (cols, c) in enumerate(instances + merged):
+        res = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=c))
+        x = np.linalg.lstsq(cols.T, c, rcond=None)[0]
+        want = -np.linalg.norm(cols @ optimize.nnls(cols, -x)[0])
+        assert abs(res.value - want) <= 1e-12, f"instance {k}"
+        assert res.kkt_residual <= 1e-12, f"instance {k}"
+        assert np.min(res.argmin) >= 0.0
+        assert np.linalg.norm(cols @ res.argmin) <= 1.0 + 1e-12
+        assert res.iterations <= 3 * cols.shape[1]
+
+
 def test_lp_feasible_simplex_examples():
     ones = np.ones((1, 2))
     assert rc.lp_feasible(A_eq=ones, b_eq=[1.0], A_ineq=np.eye(2), b_ineq=np.zeros(2))
