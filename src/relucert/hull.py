@@ -61,6 +61,28 @@ def _null_direction(q: np.ndarray) -> np.ndarray:
     return residuals[:, j] / norms[j]
 
 
+def make_plane(pts: np.ndarray, verts: tuple[int, ...], interior: np.ndarray):
+    """Unit normal and offset of the hyperplane through the n points
+    `pts[verts]`, the normal pointing away from `interior`.
+
+    The normal is the last right-singular vector of the (n-1) x n matrix of
+    differences. By Cauchy-Binet the product of its singular values is the
+    norm of the cofactor normal, the simplex's scaled (n-1)-volume, so a
+    simplex with that product at most 1e-14 is degenerate.
+    """
+    sub = pts[list(verts)]
+    _, sing, vt = np.linalg.svd(sub[1:] - sub[0])
+    if float(np.prod(sing)) <= 1e-14:
+        raise DegenerateHull("facet simplex is degenerate")
+    normal = vt[-1]
+    side = float(normal @ interior - normal @ sub[0])
+    if abs(side) <= 1e-13:
+        raise DegenerateHull("hull is too flat to orient facets")
+    if side > 0:
+        normal = -normal
+    return normal, float(np.mean(sub @ normal))
+
+
 def quickhull(points: np.ndarray, tol: float = TOL_HULL):
     """Enumerate the hull facets of `points` (one point per row).
 
@@ -84,29 +106,10 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
 
     interior = pts[chosen].mean(axis=0)
 
-    def make_plane(verts: tuple[int, ...]):
-        sub = pts[list(verts)]
-        diffs = sub[1:] - sub[0]
-        normal = np.empty(n)
-        sign = 1.0
-        for j in range(n):
-            normal[j] = sign * float(np.linalg.det(np.delete(diffs, j, axis=1)))
-            sign = -sign
-        norm = float(np.linalg.norm(normal))
-        if norm <= 1e-14:
-            raise DegenerateHull("facet simplex is degenerate")
-        normal /= norm
-        side = float(normal @ interior - normal @ sub[0])
-        if abs(side) <= 1e-13:
-            raise DegenerateHull("hull is too flat to orient facets")
-        if side > 0:
-            normal = -normal
-        return normal, float(np.mean(sub @ normal))
-
     facets: list[_Facet] = []
     for leave in range(n + 1):
         verts = tuple(sorted(v for t, v in enumerate(chosen) if t != leave))
-        normal, offset = make_plane(verts)
+        normal, offset = make_plane(pts, verts, interior)
         facets.append(_Facet(verts, normal, offset))
     ridge_owner: dict = {}
     for f in facets:
@@ -168,7 +171,7 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
         submap: dict = {}
         for ridge, nb in horizon:
             verts = tuple(sorted(ridge | {apex}))
-            normal, offset = make_plane(verts)
+            normal, offset = make_plane(pts, verts, interior)
             nf = _Facet(verts, normal, offset)
             nf.neighbors[ridge] = nb
             nb.neighbors[ridge] = nf

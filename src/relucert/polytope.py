@@ -4,6 +4,12 @@ The polytope is the convex hull of the unit-norm frame elements. Facet
 vertex sets are the work horses of the bias estimation: whenever a facet
 misses the origin its vertices span R^n, and when the origin is strictly
 inside the hull the facet cones tile the whole space.
+
+Quickhull's simplicial facets become polytope facets by a merge over the
+ridge graph: simplices that share a ridge and a hyperplane are joined, and
+the same ridge map checks that the simplicial hull is closed (every ridge on
+exactly two simplices), which is what makes the tiling true rather than
+assumed.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ TOL_INTERIOR = 1e-9
 TOL_MERGE = 1e-9
 TOL_TIE = 1e-12
 TOL_DISTINCT = 1e-10
+MERGE_BLOCK = 32  # facets per (m x block) product: bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -72,9 +79,10 @@ class PositiveFacetReport:
 def build_polytope(frame: UnitFrame, tol_plane: float = TOL_PLANE) -> Polytope:
     """Enumerate the facets of the convex hull of the frame elements.
 
-    Simplicial quickhull output lying on one hyperplane (within `tol_plane`)
-    is merged into a single facet, and each facet's vertex set is extended to
-    every element on its hyperplane. If the elements span only a hyperplane
+    Simplicial quickhull output is checked for closure, ridge-adjacent
+    simplices on one hyperplane are merged into a single facet, and each
+    facet's vertex set is extended to every element within `tol_plane` of its
+    hyperplane (see `_merge_coplanar`). If the elements span only a hyperplane
     that misses the origin, the whole point set is emitted as a single flat
     facet; a hyperplane through the origin (or a lower-dimensional span)
     raises DegenerateHull.
@@ -97,10 +105,7 @@ def build_polytope(frame: UnitFrame, tol_plane: float = TOL_PLANE) -> Polytope:
     facets = []
     incidence = np.zeros((len(merged), m), dtype=bool)
     for j, (verts, normal, offset) in enumerate(merged):
-        dots = pts @ normal
-        if float(np.max(dots)) > offset + tol_plane:
-            raise DegenerateHull("hull facet certificate failed")
-        facets.append(Facet(verts, _readonly(normal), float(offset)))
+        facets.append(Facet(verts, _readonly(normal), offset))
         incidence[j, list(verts)] = True
     return Polytope(frame, tuple(facets), _readonly(incidence), True)
 
@@ -121,32 +126,81 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _merge_coplanar(raw, pts: np.ndarray, tol_plane: float):
-    """Group simplicial facets sharing a hyperplane, then pull in every point
-    on that hyperplane (a facet owns all elements on its supporting plane)."""
-    groups: list[dict] = []
-    for verts, normal, offset in raw:
-        for g in groups:
-            if (np.max(np.abs(normal - g["normal"])) <= TOL_MERGE
-                    and abs(offset - g["offset"]) <= TOL_MERGE):
-                g["members"].append((verts, normal, offset))
-                break
-        else:
-            groups.append({"normal": normal, "offset": offset,
-                           "members": [(verts, normal, offset)]})
+    """Merge the simplicial facets that share a hyperplane, then give each
+    merged facet every element on its plane.
+
+    The simplices of one facet are connected through the ridges they share,
+    so only ridge neighbours are compared: two are coplanar when their
+    normals and offsets agree within TOL_MERGE (sup norm), and each
+    connected component of that relation becomes one facet. A lone simplex
+    keeps its plane; a larger component takes its summed normal,
+    renormalized, and the mean offset of its vertices. Building the ridge
+    map also checks closure: every ridge must belong to exactly two
+    simplices, or the facet cones would not tile space. Raises
+    DegenerateHull when closure or a facet certificate (no element above
+    the plane by more than `tol_plane`) fails.
+    """
+    verts = np.array([v for v, _, _ in raw])
+    normals = np.array([nv for _, nv, _ in raw])
+    offsets = np.array([off for _, _, off in raw])
+    a, b = _ridge_pairs(raw)
+    same = ((np.max(np.abs(normals[a] - normals[b]), axis=1) <= TOL_MERGE)
+            & (np.abs(offsets[a] - offsets[b]) <= TOL_MERGE))
+    root = _components(len(raw), a[same], b[same])
+    roots = np.flatnonzero(root == np.arange(len(raw)))
+    rank = np.zeros(len(raw), dtype=int)
+    rank[roots] = np.arange(len(roots))
+    group = rank[root]
+    planes = normals[roots]
+    plane_offsets = offsets[roots]
+    summed = np.zeros_like(planes)
+    np.add.at(summed, group, normals)
+    for g in np.flatnonzero(np.bincount(group) > 1):
+        normal = summed[g] / np.linalg.norm(summed[g])
+        union = np.flatnonzero(np.bincount(verts[group == g].ravel(), minlength=len(pts)))
+        planes[g] = normal
+        plane_offsets[g] = float(np.mean(pts[union] @ normal))
+
     merged = []
-    for g in groups:
-        members = g["members"]
-        if len(members) == 1:
-            normal, offset = g["normal"], g["offset"]
-        else:
-            normal = np.sum([mm[1] for mm in members], axis=0)
-            normal = normal / np.linalg.norm(normal)
-            union = sorted({v for mm in members for v in mm[0]})
-            offset = float(np.mean(pts[union] @ normal))
-        on_plane = np.nonzero(np.abs(pts @ normal - offset) <= tol_plane)[0]
-        merged.append((tuple(int(v) for v in on_plane), normal, float(offset)))
+    for start in range(0, len(roots), MERGE_BLOCK):
+        block = slice(start, start + MERGE_BLOCK)
+        dots = pts @ planes[block].T
+        if np.any(np.max(dots, axis=0) > plane_offsets[block] + tol_plane):
+            raise DegenerateHull("hull facet certificate failed")
+        on_plane = np.abs(dots - plane_offsets[block]) <= tol_plane
+        for col, normal, offset in zip(on_plane.T, planes[block], plane_offsets[block]):
+            merged.append((tuple(np.flatnonzero(col).tolist()), normal, float(offset)))
     merged.sort(key=lambda item: item[0])
     return merged
+
+
+def _ridge_pairs(raw):
+    """The two simplices (indices into `raw`) on each ridge, as index arrays
+    (a, b). A ridge is a simplex's sorted vertex tuple minus one vertex;
+    raises DegenerateHull unless every ridge has exactly two owners."""
+    owners: dict = {}
+    for j, (verts, _, _) in enumerate(raw):
+        for k in range(len(verts)):
+            owners.setdefault(verts[:k] + verts[k + 1:], []).append(j)
+    if any(len(pair) != 2 for pair in owners.values()):
+        raise DegenerateHull("hull is not closed: a ridge does not have exactly two facets")
+    pairs = np.array(list(owners.values()))
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Connected-component label of each of `count` nodes under the edges
+    (a[k], b[k]): the smallest node index of its component."""
+    label = np.arange(count)
+    while True:
+        low = np.minimum(label[a], label[b])
+        nxt = label.copy()
+        np.minimum.at(nxt, a, low)
+        np.minimum.at(nxt, b, low)
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            return label
+        label = nxt
 
 
 def is_omnidirectional(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> bool:

@@ -111,6 +111,51 @@ def hull_facets(points: np.ndarray, tol: float = 1e-9):
     return sorted((v, nrm, off) for v, (nrm, off) in found.items())
 
 
+def merge_coplanar_scan(raw, pts: np.ndarray, tol_plane: float, tol_merge: float = 1e-9):
+    """Group simplicial facets sharing a hyperplane, then pull in every point
+    on that hyperplane (a facet owns all elements on its supporting plane).
+
+    The greedy scan the library used before its ridge-graph merge: every
+    simplex is compared with the first member of every group found so far,
+    whether or not they are adjacent.
+    """
+    groups: list[dict] = []
+    for verts, normal, offset in raw:
+        for g in groups:
+            if (np.max(np.abs(normal - g["normal"])) <= tol_merge
+                    and abs(offset - g["offset"]) <= tol_merge):
+                g["members"].append((verts, normal, offset))
+                break
+        else:
+            groups.append({"normal": normal, "offset": offset,
+                           "members": [(verts, normal, offset)]})
+    merged = []
+    for g in groups:
+        members = g["members"]
+        if len(members) == 1:
+            normal, offset = g["normal"], g["offset"]
+        else:
+            normal = np.sum([mm[1] for mm in members], axis=0)
+            normal = normal / np.linalg.norm(normal)
+            union = sorted({v for mm in members for v in mm[0]})
+            offset = float(np.mean(pts[union] @ normal))
+        on_plane = np.nonzero(np.abs(pts @ normal - offset) <= tol_plane)[0]
+        merged.append((tuple(int(v) for v in on_plane), normal, float(offset)))
+    merged.sort(key=lambda item: item[0])
+    return merged
+
+
+def qhull_facets(points: np.ndarray, tol: float = 1e-9):
+    """Facet vertex sets from scipy's Qhull (test-only dependency): each
+    simplex's hyperplane equation is extended to every point within `tol`
+    of it, and simplices whose equations agree give the same set. Returns
+    the sorted distinct vertex tuples."""
+    from scipy.spatial import ConvexHull
+
+    eqs = ConvexHull(points).equations
+    on = np.abs(points @ eqs[:, :-1].T + eqs[:, -1]) <= tol
+    return sorted({tuple(int(i) for i in np.nonzero(col)[0]) for col in on.T})
+
 def arc_sweep_min(d_cols: np.ndarray, c: np.ndarray, samples: int = 1_000_000) -> float:
     """Capped-cone oracle in the plane: dense sweep of the unit arc between
     the two generators, capped below by the apex value 0."""

@@ -1,13 +1,16 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relucert as rc
+from relucert import hull, polytope
 from relucert import io as fio
 from relucert.cli import main
 from relucert.errors import (AtOrigin, DegenerateHull, NotNonnegOmnidirectional,
-                             NotOmnidirectional)
+                             NotOmnidirectional, RelucertError)
 
 import oracles
 from conftest import random_omnidirectional
@@ -340,3 +343,166 @@ def test_positive_facets_exact_matches_grid_oracle(name):
     if report.nonneg_omnidirectional:
         assert covered
     assert report.nonneg_omnidirectional == (covered and away)
+
+
+def _cofactor_normal(sub):
+    """Unit normal of the hyperplane through the rows of `sub` from its n
+    signed cofactor determinants, and the unnormalized norm."""
+    diffs = sub[1:] - sub[0]
+    cof = np.array([(-1) ** j * np.linalg.det(np.delete(diffs, j, axis=1))
+                    for j in range(sub.shape[1])])
+    norm = float(np.linalg.norm(cof))
+    return cof / norm, norm
+
+
+def test_make_plane_matches_cofactor_normal():
+    rng = np.random.default_rng(45)
+    for n in range(2, 7):
+        for _ in range(25):
+            pts = rng.standard_normal((n + 3, n))
+            verts = tuple(sorted(rng.choice(n + 3, size=n, replace=False).tolist()))
+            interior = rng.standard_normal(n)
+            normal, offset = hull.make_plane(pts, verts, interior)
+            cof, _ = _cofactor_normal(pts[list(verts)])
+            sign = 1.0 if normal @ cof > 0 else -1.0
+            assert np.max(np.abs(normal - sign * cof)) <= 1e-12
+            assert abs(offset - sign * float(np.mean(pts[list(verts)] @ cof))) <= 1e-12
+            assert normal @ interior < offset
+
+
+def test_make_plane_degenerate_threshold():
+    interior = np.zeros(3)
+    thin = np.array([[0.0, 0.0, 1.0], [1e-8, 0.0, 1.0], [0.0, 1e-7, 1.0]])
+    assert _cofactor_normal(thin)[1] < 1e-14
+    with pytest.raises(DegenerateHull):
+        hull.make_plane(thin, (0, 1, 2), interior)
+    collinear = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
+    with pytest.raises(DegenerateHull):
+        hull.make_plane(collinear, (0, 1, 2), interior)
+    # ten times thicker: above the threshold, so it still gets a plane
+    wide = np.array([[0.0, 0.0, 1.0], [1e-6, 0.0, 1.0], [0.0, 1e-7, 1.0]])
+    assert _cofactor_normal(wide)[1] > 1e-14
+    normal, offset = hull.make_plane(wide, (0, 1, 2), interior)
+    assert np.max(np.abs(normal - np.eye(3)[2])) <= 1e-12
+    assert offset == pytest.approx(1.0, abs=1e-12)
+
+
+def test_merge_coplanar_rejects_open_hull():
+    frame, _, _ = rc.normalize(rc.tetrahedron())
+    pts = frame.elements
+    raw, flat = hull.quickhull(pts)
+    assert flat is None and len(raw) == 4
+    assert len(polytope._merge_coplanar(raw, pts, 1e-9)) == 4
+    with pytest.raises(DegenerateHull, match="not closed"):
+        polytope._merge_coplanar(raw[1:], pts, 1e-9)
+
+
+def test_merge_coplanar_certificate_in_every_block():
+    frame, _, _ = rc.normalize(rc.random_sphere(4, 60, 31))
+    pts = frame.elements
+    raw, _ = hull.quickhull(pts)
+    assert len(raw) > 2 * polytope.MERGE_BLOCK
+    for j in (0, len(raw) // 2, len(raw) - 1):
+        lowered = list(raw)
+        verts, normal, offset = raw[j]
+        lowered[j] = (verts, normal, offset - 1e-6)
+        with pytest.raises(DegenerateHull, match="certificate"):
+            polytope._merge_coplanar(lowered, pts, 1e-9)
+
+
+def _ternary(n, m, seed):
+    """m distinct non-zero rows with entries in {-1, 0, 1}."""
+    rows = np.array([r for r in product((-1.0, 0.0, 1.0), repeat=n) if any(r)])
+    return rows[np.random.default_rng(seed).choice(len(rows), size=m, replace=False)]
+
+
+SCAN_FRAMES = {
+    "sphere-4x60": rc.random_sphere(4, 60, 31),
+    "sphere-5x30": rc.random_sphere(5, 30, 32),
+    "sphere-6x16": rc.random_sphere(6, 16, 33),
+    "cube3": oracles.cube(3),
+    "cube4": oracles.cube(4),
+    "cube5": oracles.cube(5),
+    "cell24": oracles.cell24(),
+    "ternary4x30": _ternary(4, 30, 34),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FRAMES))
+def test_ridge_merge_matches_scan_oracle(name):
+    frame, _, _ = rc.normalize(SCAN_FRAMES[name])
+    pts = frame.elements
+    raw, flat = hull.quickhull(pts)
+    assert flat is None
+    want = oracles.merge_coplanar_scan(raw, pts, 1e-9)
+    poly = rc.build_polytope(frame)
+    assert facet_sets(poly) == [v for v, _, _ in want]
+    for facet, (_, normal, offset) in zip(poly.facets, want):
+        assert np.max(np.abs(facet.normal - normal)) <= 1e-12
+        assert abs(facet.offset - offset) <= 1e-12
+
+
+QHULL_FRAMES = {
+    **{f"sphere-{n}x{m}": rc.random_sphere(n, m, seed) for n, m, seed in (
+        (4, 40, 51), (4, 80, 52), (5, 30, 53), (5, 50, 54), (6, 20, 55), (6, 30, 56),
+        (3, 200, 57))},
+    **{name: SCAN_FRAMES[name] for name in ("cube4", "cube5", "cell24", "ternary4x30")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(QHULL_FRAMES))
+def test_facets_match_qhull(name):
+    pytest.importorskip("scipy.spatial")
+    frame, _, _ = rc.normalize(QHULL_FRAMES[name])
+    assert facet_sets(rc.build_polytope(frame)) == oracles.qhull_facets(frame.elements)
+
+
+def _fuzz_frame(kind, n, rng):
+    """Weight rows of one fuzz kind: random, near-duplicate, coplanar or
+    jittered cross-polytope."""
+    base = rng.standard_normal((int(rng.integers(n + 1, 4 * n + 4)), n))
+    if kind == "near-duplicate":
+        # copies of some rows moved by 1e-9 to 1e-4: above TOL_DISTINCT after
+        # normalization, except in rare draws that must raise ValueError
+        twins = base[:n] + 10.0 ** rng.uniform(-9, -4) * rng.standard_normal((n, n))
+        return np.vstack([base, twins])
+    if kind == "coplanar":
+        # points on one cap boundary {x : <u, x> = c} of the sphere: 2n of
+        # them, or for n = 2 the two points where the line meets the circle
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        c = rng.uniform(0.3, 0.9)
+        if n == 2:
+            tangent = np.outer([1.0, -1.0], rng.standard_normal(n))
+        else:
+            tangent = rng.standard_normal((2 * n, n))
+        tangent -= np.outer(tangent @ u, u)
+        tangent /= np.linalg.norm(tangent, axis=1)[:, None]
+        return np.vstack([base, c * u + np.sqrt(1.0 - c * c) * tangent])
+    if kind == "cross-polytope":
+        cross = np.vstack([np.eye(n), -np.eye(n)])
+        return cross + 10.0 ** rng.uniform(-13, -3) * rng.standard_normal(cross.shape)
+    return base
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["random", "near-duplicate", "coplanar", "cross-polytope"]),
+       st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
+def test_hull_fuzz(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    frame, _, _ = rc.normalize(_fuzz_frame(kind, n, rng))
+    try:
+        poly = rc.build_polytope(frame)
+    except (ValueError, RelucertError):
+        return
+    if not poly.full_dimensional:
+        return
+    raw, _ = hull.quickhull(frame.elements)
+    a, _ = polytope._ridge_pairs(raw)
+    assert 2 * len(a) == len(raw) * n
+    if not rc.is_omnidirectional(poly):
+        return
+    for x in rng.standard_normal((5, n)):
+        facet = poly.facets[rc.covering_facet(poly, x)]
+        cols = frame.elements[list(facet.vertex_indices)].T
+        assert oracles.in_cone(cols, (x / np.linalg.norm(x))[None, :], tol=1e-7)[0]
