@@ -94,16 +94,9 @@ def _analyze(weights_path: str, bias_path: str | None, radius: float,
     return report, frame, poly, layer, certificate
 
 
-def _cmd_pbe(args) -> int:
+def _cmd_report(args) -> int:
     report, *_ = _analyze(args.weights, args.bias, args.radius, args.domain,
-                          args.tol, "pbe")
-    _write_text(report.to_text(), args.out)
-    return 0
-
-
-def _cmd_certify(args) -> int:
-    report, *_ = _analyze(args.weights, args.bias, args.radius, args.domain,
-                          args.tol, "certify")
+                          args.tol, args.command)
     _write_text(report.to_text(), args.out)
     return 0
 
@@ -202,13 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--domain", choices=[DOMAIN_BALL, DOMAIN_BALL_POSITIVE],
                    default=DOMAIN_BALL)
-    p.set_defaults(func=_cmd_pbe)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("certify", help="estimate and compare against a given bias")
     common(p, bias_required=True)
     p.add_argument("--domain", choices=[DOMAIN_BALL, DOMAIN_BALL_POSITIVE],
                    default=DOMAIN_BALL)
-    p.set_defaults(func=_cmd_certify)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("reconstruct", help="invert the layer on given inputs (ball domain)")
     common(p, bias_required=True)

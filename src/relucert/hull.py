@@ -5,11 +5,19 @@ point sets. Point sets whose affine span is a single hyperplane are reported
 as flat (the caller decides what to do with them); lower-dimensional spans
 raise DegenerateHull. Dimensions up to ~6 and a few hundred points are the
 intended regime.
+
+The hull under construction is a set of arrays indexed by facet id: `verts`
+(F, n) sorted vertex indices, `normals` (F, n) and `offsets` (F,) of the
+outward planes, an `alive` mask, and `nbr` (F, n), where `nbr[f, k]` is the
+facet across the ridge opposite `verts[f, k]` (the neighbour-opposite-vertex
+layout of Boissonnat et al., "Triangulations in CGAL", 2002). Each point's
+outside set membership is `owner` (m,): the facet it lies above, or -1.
+`ridge_pairs` is the one routine that matches ridges between simplices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -18,19 +26,31 @@ from .errors import DegenerateHull
 TOL_HULL = 1e-9
 
 
-@dataclass
-class _Facet:
-    vertices: tuple[int, ...]
-    normal: np.ndarray
-    offset: float
-    neighbors: dict = field(default_factory=dict)  # ridge frozenset -> _Facet
-    outside: list = field(default_factory=list)
-    alive: bool = True
+@cache
+def _opposite(n: int) -> np.ndarray:
+    """(n, n-1) slot index: row k lists every slot of an n-tuple but k."""
+    idx = np.array([[j for j in range(n) if j != k] for k in range(n)],
+                   dtype=np.intp).reshape(n, n - 1)
+    idx.flags.writeable = False
+    return idx
 
 
-def _ridges(vertices: tuple[int, ...]):
-    full = frozenset(vertices)
-    return [full.difference((v,)) for v in vertices]
+def ridge_pairs(verts: np.ndarray):
+    """Pair the ridges of the simplices `verts` (F, n), sorted vertex indices.
+
+    The ridge in slot s = f*n + k is simplex f without its vertex k. Returns
+    flat slot arrays (s, t) such that the ridges in slots s[i] and t[i] are
+    equal, found by one lexicographic sort of the F*n ridges. Raises
+    DegenerateHull unless every ridge lies on exactly two simplices.
+    """
+    count, n = verts.shape
+    ridges = verts[:, _opposite(n)].reshape(count * n, n - 1)
+    order = np.lexsort(ridges.T[::-1]) if n > 1 else np.arange(count)
+    ridges = ridges[order]
+    same = np.all(ridges[1:] == ridges[:-1], axis=1)
+    if len(order) % 2 or not same[0::2].all() or same[1::2].any():
+        raise DegenerateHull("hull is not closed: a ridge does not have exactly two facets")
+    return order[0::2], order[1::2]
 
 
 def _affine_basis(points: np.ndarray, tol: float):
@@ -61,26 +81,27 @@ def _null_direction(q: np.ndarray) -> np.ndarray:
     return residuals[:, j] / norms[j]
 
 
-def make_plane(pts: np.ndarray, verts: tuple[int, ...], interior: np.ndarray):
-    """Unit normal and offset of the hyperplane through the n points
-    `pts[verts]`, the normal pointing away from `interior`.
+def make_planes(pts: np.ndarray, verts: np.ndarray, interior: np.ndarray):
+    """Unit normals (K, n) and offsets (K,) of the hyperplanes through the
+    simplices `pts[verts[i]]`, each normal pointing away from `interior`.
 
-    The normal is the last right-singular vector of the (n-1) x n matrix of
-    differences. By Cauchy-Binet the product of its singular values is the
-    norm of the cofactor normal, the simplex's scaled (n-1)-volume, so a
-    simplex with that product at most 1e-14 is degenerate.
+    A normal is the last right-singular vector of the simplex's (n-1) x n
+    matrix of differences; all K come from one stacked SVD. By Cauchy-Binet
+    the product of the singular values is the norm of the cofactor normal,
+    the simplex's scaled (n-1)-volume, so a simplex with that product at
+    most 1e-14 is degenerate and raises DegenerateHull, as does a plane
+    within 1e-13 of `interior`.
     """
-    sub = pts[list(verts)]
-    _, sing, vt = np.linalg.svd(sub[1:] - sub[0])
-    if float(np.prod(sing)) <= 1e-14:
+    sub = pts[verts]
+    _, sing, vt = np.linalg.svd(sub[:, 1:] - sub[:, :1])
+    if np.any(np.prod(sing, axis=1) <= 1e-14):
         raise DegenerateHull("facet simplex is degenerate")
-    normal = vt[-1]
-    side = float(normal @ interior - normal @ sub[0])
-    if abs(side) <= 1e-13:
+    normals = vt[:, -1]
+    side = normals @ interior - np.einsum("kj,kj->k", normals, sub[:, 0])
+    if np.any(np.abs(side) <= 1e-13):
         raise DegenerateHull("hull is too flat to orient facets")
-    if side > 0:
-        normal = -normal
-    return normal, float(np.mean(sub @ normal))
+    normals[side > 0] *= -1.0
+    return normals, np.mean(np.einsum("kvj,kj->kv", sub, normals), axis=1)
 
 
 def quickhull(points: np.ndarray, tol: float = TOL_HULL):
@@ -88,7 +109,7 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
 
     Returns (facets, flat) where exactly one is non-trivial:
     - full-dimensional: facets is a list of (vertex index tuple, unit outward
-      normal, offset) triples and flat is None;
+      normal, offset) triples, sorted by vertex tuple, and flat is None;
     - hyperplane span: facets is [] and flat is the (unit normal, offset)
       hyperplane carrying every point.
     """
@@ -105,104 +126,85 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
             f"points affinely span dimension {len(chosen) - 1} < {n - 1}")
 
     interior = pts[chosen].mean(axis=0)
+    opposite = _opposite(n)
+    verts = np.sort(np.array(chosen)[_opposite(n + 1)], axis=1)
+    normals, offsets = make_planes(pts, verts, interior)
+    nbr = np.empty((n + 1, n), dtype=np.intp)
+    s, t = ridge_pairs(verts)
+    nbr.flat[s] = t // n
+    nbr.flat[t] = s // n
+    alive = np.ones(n + 1, dtype=bool)
+    count = n + 1
 
-    facets: list[_Facet] = []
-    for leave in range(n + 1):
-        verts = tuple(sorted(v for t, v in enumerate(chosen) if t != leave))
-        normal, offset = make_plane(pts, verts, interior)
-        facets.append(_Facet(verts, normal, offset))
-    ridge_owner: dict = {}
-    for f in facets:
-        for r in _ridges(f.vertices):
-            other = ridge_owner.get(r)
-            if other is None:
-                ridge_owner[r] = f
-            else:
-                f.neighbors[r] = other
-                other.neighbors[r] = f
+    dists = pts @ normals.T - offsets
+    dists[chosen] = -np.inf
+    best = np.argmax(dists, axis=1)
+    owner = np.where(dists[np.arange(m), best] > tol, best, -1)
+    stack = np.flatnonzero(np.bincount(owner[owner >= 0], minlength=n + 1)).tolist()
 
-    chosen_set = set(chosen)
-    rest = [i for i in range(m) if i not in chosen_set]
-    if rest:
-        normals = np.array([f.normal for f in facets])
-        offsets = np.array([f.offset for f in facets])
-        dists = pts[rest] @ normals.T - offsets
-        best = np.argmax(dists, axis=1)
-        for row, idx in enumerate(rest):
-            if dists[row, best[row]] > tol:
-                facets[best[row]].outside.append(idx)
-
-    all_facets = list(facets)
-    stack = [f for f in facets if f.outside]
     guard = 0
     while stack:
         guard += 1
         if guard > 100 * m + 1000:
             raise DegenerateHull("hull construction did not terminate")
         f = stack.pop()
-        if not f.alive or not f.outside:
+        out = np.flatnonzero(owner == f) if alive[f] else ()
+        if len(out) == 0:
             continue
-        out = np.array(f.outside)
-        apex = int(out[np.argmax(pts[out] @ f.normal)])
-        apex_pt = pts[apex]
+        apex = int(out[np.argmax(pts[out] @ normals[f])])
 
-        visible_ids = {id(f)}
-        visible = [f]
-        tested = {id(f)}
-        queue = [f]
-        while queue:
-            g = queue.pop()
-            for nb in g.neighbors.values():
-                if id(nb) in tested or not nb.alive:
-                    continue
-                tested.add(id(nb))
-                if nb.normal @ apex_pt - nb.offset > tol:
-                    visible_ids.add(id(nb))
-                    visible.append(nb)
-                    queue.append(nb)
+        # visible: the facets the apex is above, connected to f through one another
+        cand = np.flatnonzero(alive[:count]
+                              & (normals[:count] @ pts[apex] - offsets[:count] > tol))
+        comp = np.zeros(count + 1, dtype=bool)  # comp[-1] stays False for owner -1
+        comp[f] = True
+        links = nbr[cand]
+        while True:
+            grow = cand[~comp[cand] & comp[links].any(axis=1)]
+            if grow.size == 0:
+                break
+            comp[grow] = True
+        visible = np.flatnonzero(comp)
+        # f first, as a search from f would list it, so its horizon ridges lead
+        visible = np.concatenate([[f], visible[visible != f]])
+        across = nbr[visible]
+        row, slot = np.nonzero(~comp[across])
+        outer = across[row, slot]
+        ridge = verts[visible[row, None], opposite[slot]]
 
-        horizon = []
-        for g in visible:
-            for ridge, nb in g.neighbors.items():
-                if nb.alive and id(nb) not in visible_ids:
-                    horizon.append((ridge, nb))
+        # one new facet per horizon ridge, through the ridge and the apex
+        k = len(row)
+        new_verts = np.sort(np.column_stack([ridge, np.full(k, apex)]), axis=1)
+        new_normals, new_offsets = make_planes(pts, new_verts, interior)
+        if count + k > len(offsets):
+            verts, nbr, normals, offsets, alive = (
+                np.concatenate([a, np.zeros((count + k,) + a.shape[1:], a.dtype)])
+                for a in (verts, nbr, normals, offsets, alive))
+        new = np.arange(count, count + k)
+        verts[new], normals[new], offsets[new], alive[new] = (
+            new_verts, new_normals, new_offsets, True)
+        alive[visible] = False
+        nbr[new, (ridge < apex).sum(axis=1)] = outer
+        nbr[outer, np.argmax(nbr[outer] == visible[row, None], axis=1)] = new
+        # facets through the apex meet along the horizon's own ridges
+        s, t = ridge_pairs(ridge)
+        h, j = np.divmod(s, n - 1)
+        g, i = np.divmod(t, n - 1)
+        nbr[new[h], j + (ridge[h, j] > apex)] = new[g]
+        nbr[new[g], i + (ridge[g, i] > apex)] = new[h]
 
-        new_facets = []
-        submap: dict = {}
-        for ridge, nb in horizon:
-            verts = tuple(sorted(ridge | {apex}))
-            normal, offset = make_plane(pts, verts, interior)
-            nf = _Facet(verts, normal, offset)
-            nf.neighbors[ridge] = nb
-            nb.neighbors[ridge] = nf
-            new_facets.append(nf)
-            for r in _ridges(verts):
-                if r != ridge:
-                    submap.setdefault(r, []).append(nf)
-        for r, pair in submap.items():
-            if len(pair) != 2:
-                raise DegenerateHull("inconsistent horizon (nearly degenerate input)")
-            pair[0].neighbors[r] = pair[1]
-            pair[1].neighbors[r] = pair[0]
-
-        pool = []
-        for g in visible:
-            pool.extend(g.outside)
-            g.outside = []
-            g.alive = False
-        pool = [idx for idx in pool if idx != apex]
-        if pool:
-            normals = np.array([nf.normal for nf in new_facets])
-            offsets = np.array([nf.offset for nf in new_facets])
-            dists = pts[pool] @ normals.T - offsets
+        owner[apex] = -1
+        orphans = np.flatnonzero(comp[owner])
+        if orphans.size:
+            dists = pts[orphans] @ new_normals.T - new_offsets
             best = np.argmax(dists, axis=1)
-            for row, idx in enumerate(pool):
-                if dists[row, best[row]] > tol:
-                    new_facets[best[row]].outside.append(idx)
-        all_facets.extend(new_facets)
-        stack.extend(nf for nf in new_facets if nf.outside)
+            above = dists[np.arange(orphans.size), best] > tol
+            owner[orphans] = np.where(above, new[best], -1)
+            stack.extend(new[np.bincount(best[above], minlength=k) > 0].tolist())
+        count += k
 
-    result = [(f.vertices, f.normal, f.offset) for f in all_facets if f.alive]
+    live = np.flatnonzero(alive[:count])
+    result = list(zip(map(tuple, verts[live].tolist()), normals[live], offsets[live].tolist()))
     result.sort(key=lambda item: item[0])
     return result, None
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FrameMismatch, NotAFrame, ReconstructionFailed
 from .frames import UnitFrame, as_vector, dual_synthesis, is_frame
 from .pbe import DOMAIN_BALL, BiasEstimate
-from .polytope import Polytope
+from .polytope import TOL_INTERIOR, Polytope, _readonly
 
 TOL_ACTIVE = 1e-12
 TOL_MARGIN = 1e-12
@@ -153,12 +153,6 @@ def build_dual_bank(frame: UnitFrame, poly: Polytope, bias) -> FacetDualBank:
     )
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
-    a.flags.writeable = False
-    return a
-
-
 def facet_reconstruction(bank: FacetDualBank, z, facet_index: int) -> np.ndarray:
     """Candidate input from one facet's left-inverse: un-shift the outputs on
     the facet vertex set and push them through the canonical dual."""
@@ -203,9 +197,9 @@ def spanning_failures(layer: ReLULayer, poly: Polytope, samples: np.ndarray,
     """Sample indices where the active set fails to span the space.
 
     Fast path, fully vectorized: if a sample's active set contains the vertex
-    set of the facet cone covering it, it spans (facet sub-frames of an
-    omnidirectional polytope are spanning). Only samples failing that
-    containment get the exact rank check.
+    set of the facet its ray exits the polytope by, and that facet misses the
+    origin (offset above TOL_INTERIOR), it spans: such a facet's vertices
+    span the space. Every other sample gets the exact rank check.
     """
     xs = np.asarray(samples, dtype=float)
     coeff = xs @ layer.frame.elements.T  # (num_samples, m)
@@ -220,7 +214,7 @@ def spanning_failures(layer: ReLULayer, poly: Polytope, samples: np.ndarray,
         ratios = np.where(dots > 1e-9, poly.offsets()[None, :] / np.where(dots > 1e-9, dots, 1.0), np.inf)
         exit_facet = np.argmin(ratios, axis=1)
         missing = poly.incidence[exit_facet] & ~active[nonzero]
-        covered[nonzero] = ~missing.any(axis=1)
+        covered[nonzero] = ~missing.any(axis=1) & (poly.offsets()[exit_facet] > TOL_INTERIOR)
 
     failures = []
     for s in np.nonzero(~covered)[0]:

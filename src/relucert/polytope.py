@@ -7,9 +7,9 @@ inside the hull the facet cones tile the whole space.
 
 Quickhull's simplicial facets become polytope facets by a merge over the
 ridge graph: simplices that share a ridge and a hyperplane are joined, and
-the same ridge map checks that the simplicial hull is closed (every ridge on
-exactly two simplices), which is what makes the tiling true rather than
-assumed.
+the same ridge pairing (`hull.ridge_pairs`) checks that the simplicial hull
+is closed (every ridge on exactly two simplices), which is what makes the
+tiling true rather than assumed.
 """
 
 from __future__ import annotations
@@ -134,16 +134,18 @@ def _merge_coplanar(raw, pts: np.ndarray, tol_plane: float):
     normals and offsets agree within TOL_MERGE (sup norm), and each
     connected component of that relation becomes one facet. A lone simplex
     keeps its plane; a larger component takes its summed normal,
-    renormalized, and the mean offset of its vertices. Building the ridge
-    map also checks closure: every ridge must belong to exactly two
-    simplices, or the facet cones would not tile space. Raises
+    renormalized, and the mean offset of its vertices. Pairing the ridges
+    (`hull.ridge_pairs`, the same routine quickhull links its facets with)
+    also checks closure: every ridge must belong to exactly two simplices,
+    or the facet cones would not tile space. Raises
     DegenerateHull when closure or a facet certificate (no element above
     the plane by more than `tol_plane`) fails.
     """
     verts = np.array([v for v, _, _ in raw])
     normals = np.array([nv for _, nv, _ in raw])
     offsets = np.array([off for _, _, off in raw])
-    a, b = _ridge_pairs(raw)
+    s, t = _hull.ridge_pairs(verts)
+    a, b = s // verts.shape[1], t // verts.shape[1]
     same = ((np.max(np.abs(normals[a] - normals[b]), axis=1) <= TOL_MERGE)
             & (np.abs(offsets[a] - offsets[b]) <= TOL_MERGE))
     root = _components(len(raw), a[same], b[same])
@@ -172,20 +174,6 @@ def _merge_coplanar(raw, pts: np.ndarray, tol_plane: float):
             merged.append((tuple(np.flatnonzero(col).tolist()), normal, float(offset)))
     merged.sort(key=lambda item: item[0])
     return merged
-
-
-def _ridge_pairs(raw):
-    """The two simplices (indices into `raw`) on each ridge, as index arrays
-    (a, b). A ridge is a simplex's sorted vertex tuple minus one vertex;
-    raises DegenerateHull unless every ridge has exactly two owners."""
-    owners: dict = {}
-    for j, (verts, _, _) in enumerate(raw):
-        for k in range(len(verts)):
-            owners.setdefault(verts[:k] + verts[k + 1:], []).append(j)
-    if any(len(pair) != 2 for pair in owners.values()):
-        raise DegenerateHull("hull is not closed: a ridge does not have exactly two facets")
-    pairs = np.array(list(owners.values()))
-    return pairs[:, 0], pairs[:, 1]
 
 
 def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

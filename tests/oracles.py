@@ -12,6 +12,8 @@ from itertools import combinations, product
 
 import numpy as np
 
+from relucert.errors import DegenerateHull
+
 
 def eig_closed_form(s: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 1x1/2x2/3x3 symmetric matrix from the characteristic
@@ -143,6 +145,22 @@ def merge_coplanar_scan(raw, pts: np.ndarray, tol_plane: float, tol_merge: float
         merged.append((tuple(int(v) for v in on_plane), normal, float(offset)))
     merged.sort(key=lambda item: item[0])
     return merged
+
+
+def ridge_pairs_dict(raw):
+    """The two simplices (indices into `raw`) on each ridge, as index arrays
+    (a, b). A ridge is a simplex's sorted vertex tuple minus one vertex;
+    raises DegenerateHull unless every ridge has exactly two owners.
+
+    The dict ridge map the library used before its sort-based pairing."""
+    owners: dict = {}
+    for j, (verts, _, _) in enumerate(raw):
+        for k in range(len(verts)):
+            owners.setdefault(verts[:k] + verts[k + 1:], []).append(j)
+    if any(len(pair) != 2 for pair in owners.values()):
+        raise DegenerateHull("hull is not closed: a ridge does not have exactly two facets")
+    pairs = np.array(list(owners.values()))
+    return pairs[:, 0], pairs[:, 1]
 
 
 def qhull_facets(points: np.ndarray, tol: float = 1e-9):

@@ -358,15 +358,15 @@ def _cofactor_normal(sub):
 def test_make_plane_matches_cofactor_normal():
     rng = np.random.default_rng(45)
     for n in range(2, 7):
-        for _ in range(25):
-            pts = rng.standard_normal((n + 3, n))
-            verts = tuple(sorted(rng.choice(n + 3, size=n, replace=False).tolist()))
-            interior = rng.standard_normal(n)
-            normal, offset = hull.make_plane(pts, verts, interior)
-            cof, _ = _cofactor_normal(pts[list(verts)])
+        pts = rng.standard_normal((n + 3, n))
+        verts = np.sort([rng.choice(n + 3, size=n, replace=False) for _ in range(25)], axis=1)
+        interior = rng.standard_normal(n)
+        normals, offsets = hull.make_planes(pts, verts, interior)
+        for normal, offset, sub in zip(normals, offsets, pts[verts]):
+            cof, _ = _cofactor_normal(sub)
             sign = 1.0 if normal @ cof > 0 else -1.0
             assert np.max(np.abs(normal - sign * cof)) <= 1e-12
-            assert abs(offset - sign * float(np.mean(pts[list(verts)] @ cof))) <= 1e-12
+            assert abs(offset - sign * float(np.mean(sub @ cof))) <= 1e-12
             assert normal @ interior < offset
 
 
@@ -375,16 +375,22 @@ def test_make_plane_degenerate_threshold():
     thin = np.array([[0.0, 0.0, 1.0], [1e-8, 0.0, 1.0], [0.0, 1e-7, 1.0]])
     assert _cofactor_normal(thin)[1] < 1e-14
     with pytest.raises(DegenerateHull):
-        hull.make_plane(thin, (0, 1, 2), interior)
+        hull.make_planes(thin, np.array([[0, 1, 2]]), interior)
     collinear = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [2.0, 0.0, 1.0]])
     with pytest.raises(DegenerateHull):
-        hull.make_plane(collinear, (0, 1, 2), interior)
+        hull.make_planes(collinear, np.array([[0, 1, 2]]), interior)
     # ten times thicker: above the threshold, so it still gets a plane
     wide = np.array([[0.0, 0.0, 1.0], [1e-6, 0.0, 1.0], [0.0, 1e-7, 1.0]])
     assert _cofactor_normal(wide)[1] > 1e-14
-    normal, offset = hull.make_plane(wide, (0, 1, 2), interior)
-    assert np.max(np.abs(normal - np.eye(3)[2])) <= 1e-12
-    assert offset == pytest.approx(1.0, abs=1e-12)
+    normals, offsets = hull.make_planes(wide, np.array([[0, 1, 2]]), interior)
+    assert np.max(np.abs(normals[0] - np.eye(3)[2])) <= 1e-12
+    assert offsets[0] == pytest.approx(1.0, abs=1e-12)
+    # one degenerate simplex among good ones fails the whole batch
+    pts = np.vstack([wide, thin, rc.tetrahedron()])
+    good = np.array([[0, 1, 2], [6, 7, 8], [7, 8, 9]])
+    assert len(hull.make_planes(pts, good, interior)[0]) == 3
+    with pytest.raises(DegenerateHull, match="degenerate"):
+        hull.make_planes(pts, np.insert(good, 1, [3, 4, 5], axis=0), interior)
 
 
 def test_merge_coplanar_rejects_open_hull():
@@ -395,6 +401,14 @@ def test_merge_coplanar_rejects_open_hull():
     assert len(polytope._merge_coplanar(raw, pts, 1e-9)) == 4
     with pytest.raises(DegenerateHull, match="not closed"):
         polytope._merge_coplanar(raw[1:], pts, 1e-9)
+    # closed, but with repeated simplices: one simplex twice gives each of
+    # its ridges three owners, the whole hull twice gives every ridge four
+    for extra in (raw[:1], raw):
+        with pytest.raises(DegenerateHull, match="not closed"):
+            polytope._merge_coplanar(raw + extra, pts, 1e-9)
+    # one ridge with one owner and nothing to compare it with
+    with pytest.raises(DegenerateHull, match="not closed"):
+        hull.ridge_pairs(np.array([[0]]))
 
 
 def test_merge_coplanar_certificate_in_every_block():
@@ -440,6 +454,21 @@ def test_ridge_merge_matches_scan_oracle(name):
     for facet, (_, normal, offset) in zip(poly.facets, want):
         assert np.max(np.abs(facet.normal - normal)) <= 1e-12
         assert abs(facet.offset - offset) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FRAMES))
+def test_ridge_pairs_match_dict_oracle(name):
+    frame, _, _ = rc.normalize(SCAN_FRAMES[name])
+    raw, _ = hull.quickhull(frame.elements)
+    verts = np.array([v for v, _, _ in raw])
+    n = verts.shape[1]
+    s, t = hull.ridge_pairs(verts)
+    ridge = [np.delete(verts[slot // n], slot % n).tolist() for slot in range(verts.size)]
+    assert all(ridge[x] == ridge[y] for x, y in zip(s, t))
+    a, b = oracles.ridge_pairs_dict(raw)
+    assert len(s) == len(a) == len(raw) * n // 2
+    assert ({frozenset(p) for p in zip((s // n).tolist(), (t // n).tolist())}
+            == {frozenset(p) for p in zip(a.tolist(), b.tolist())})
 
 
 QHULL_FRAMES = {
@@ -498,8 +527,8 @@ def test_hull_fuzz(kind, n, seed):
     if not poly.full_dimensional:
         return
     raw, _ = hull.quickhull(frame.elements)
-    a, _ = polytope._ridge_pairs(raw)
-    assert 2 * len(a) == len(raw) * n
+    s, _ = hull.ridge_pairs(np.array([v for v, _, _ in raw]))
+    assert 2 * len(s) == len(raw) * n
     if not rc.is_omnidirectional(poly):
         return
     for x in rng.standard_normal((5, n)):

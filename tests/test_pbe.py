@@ -119,6 +119,19 @@ def test_active_sets_span_random_frames():
         assert rc.spanning_failures(setup.layer, setup.poly, xs) == []
 
 
+def test_spanning_failures_exit_facet_through_origin():
+    # facet (0, 2) has offset 0: rays exiting through it have active set
+    # {0, 2}, which contains its vertices but spans only a line
+    frame, bias, _ = rc.normalize(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), np.zeros(3))
+    poly = rc.build_polytope(frame)
+    assert not rc.is_omnidirectional(poly)
+    layer = rc.ReLULayer(frame, bias, 1.0)
+    xs = np.array([[0.0, -1.0], [0.0, -0.5], [0.6, 0.8]])
+    assert [rc.active_set(layer, x).indices for x in xs[:2]] == [(0, 2), (0, 2)]
+    assert not rc.is_frame(frame, (0, 2))
+    assert rc.spanning_failures(layer, poly, xs) == [0, 1]
+
+
 def test_pbe_positive_standard_basis():
     for n in (2, 3, 5):
         frame, _, _ = rc.normalize(np.eye(n))
