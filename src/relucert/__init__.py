@@ -23,7 +23,7 @@ from .pbe import (DOMAIN_BALL, DOMAIN_BALL_POSITIVE, UNCONSTRAINED, BiasEstimate
 from .layer import (ActivePattern, Certificate, FacetDualBank, ReLULayer,
                     active_from_output, active_set, build_dual_bank, certify,
                     facet_reconstruction, forward, reconstruct,
-                    spanning_failures)
+                    reconstruct_batch, spanning_failures)
 from .fixtures import (icosahedron, mercedes_benz, random_sphere, standard_basis,
                        tetrahedron)
 from .reports import Report, build_report
@@ -41,7 +41,7 @@ __all__ = [
     "stability", "stability_positive",
     "ReLULayer", "ActivePattern", "Certificate", "FacetDualBank",
     "forward", "active_set", "active_from_output", "certify",
-    "build_dual_bank", "facet_reconstruction", "reconstruct",
+    "build_dual_bank", "facet_reconstruction", "reconstruct", "reconstruct_batch",
     "spanning_failures",
     "mercedes_benz", "tetrahedron", "icosahedron", "standard_basis",
     "random_sphere",

@@ -8,6 +8,7 @@ failures. Errors are mirrored as one JSON object on standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -18,7 +19,9 @@ from .errors import (DegenerateHull, DimensionMismatch, FrameMismatch, NotConver
                      ParseError, ReconstructionFailed, RelucertError, SolverFailed,
                      UnknownName, ZeroRow)
 from .frames import normalize
-from .layer import ReLULayer, build_dual_bank, certify, forward, reconstruct
+from .layer import (ReLULayer, build_dual_bank, certify, forward,
+                    reconstruct,  # noqa: F401  (bench/tracer.py wraps relucert.cli.reconstruct)
+                    reconstruct_batch)
 from .pbe import (DOMAIN_BALL, DOMAIN_BALL_POSITIVE, pbe_ball, pbe_positive,
                   stability, stability_positive)
 from .polytope import build_polytope, is_omnidirectional, positive_facets
@@ -33,6 +36,7 @@ _EXIT_CODES = (
     (NotConverged, 4), (SolverFailed, 4),
     (ReconstructionFailed, 5),
 )
+RECONSTRUCT_BLOCK = 256  # input rows per forward/reconstruct_batch call: bounds peak memory
 
 
 def _exit_code(exc: Exception) -> int:
@@ -51,12 +55,19 @@ def _emit_error(exc: Exception) -> int:
     return code
 
 
-def _write_text(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _output(out_path: str | None):
+    """The output file, opened for writing, or standard output."""
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write_text(text: str, out_path: str | None) -> None:
+    with _output(out_path) as handle:
+        handle.write(text)
 
 
 def _analyze(weights_path: str, bias_path: str | None, radius: float,
@@ -111,23 +122,27 @@ def _cmd_reconstruct(args) -> int:
     if inputs.shape[1] != frame.n:
         raise ParseError(f"inputs have {inputs.shape[1]} columns, expected {frame.n}")
     bank = build_dual_bank(frame, poly, layer.bias)
+    # Every block is inverted before anything is written, so a refusal
+    # leaves no partial output. Only the (N, n) inverses are kept: each
+    # block's outputs are recomputed when it is written, which holds peak
+    # memory to one block of outputs and its text.
+    blocks = [slice(start, start + RECONSTRUCT_BLOCK)
+              for start in range(0, inputs.shape[0], RECONSTRUCT_BLOCK)]
+    xhat = np.empty_like(inputs)
+    failed = 0
+    for rows in blocks:
+        xhat[rows], lost = reconstruct_batch(bank, layer, forward(layer, inputs[rows]))
+        if lost.any() and not args.force:
+            raise ReconstructionFailed("no facet left-inverse reproduces the given output")
+        failed += int(np.count_nonzero(lost))
+    err = np.max(np.abs(xhat - inputs), axis=1)  # NaN on failed rows
     header = ([f"z{i}" for i in range(frame.m)]
               + [f"xhat{j}" for j in range(frame.n)] + ["roundtrip_error"])
-    lines = [",".join(header)]
-    failed = 0
-    for x in inputs:
-        z = forward(layer, x)
-        try:
-            xhat = reconstruct(bank, layer, z)
-            err = float(np.max(np.abs(xhat - x)))
-            fields = [repr(float(v)) for v in z] + [repr(float(v)) for v in xhat] + [repr(err)]
-        except ReconstructionFailed:
-            if not args.force:
-                raise
-            failed += 1
-            fields = [repr(float(v)) for v in z] + ["nan"] * frame.n + ["nan"]
-        lines.append(",".join(fields))
-    _write_text("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as handle:
+        handle.write(",".join(header) + "\n")
+        for rows in blocks:
+            fields = np.hstack([forward(layer, inputs[rows]), xhat[rows], err[rows, None]])
+            handle.write("".join(",".join(map(repr, row)) + "\n" for row in fields.tolist()))
     if failed:
         print(f"warning: {failed} inputs could not be reconstructed", file=sys.stderr)
     return 0

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameMismatch, NotAFrame, ReconstructionFailed
-from .frames import UnitFrame, as_vector, dual_synthesis, is_frame
+from .errors import DimensionMismatch, FrameMismatch, NotAFrame, ReconstructionFailed
+from .frames import TOL_RANK, UnitFrame, as_matrix, as_vector, dual_synthesis, is_frame
 from .pbe import DOMAIN_BALL, BiasEstimate
 from .polytope import TOL_INTERIOR, Polytope, _readonly
 
@@ -78,13 +78,22 @@ class FacetDualBank:
 def forward(layer: ReLULayer, x) -> np.ndarray:
     """Clipped analysis coefficients max(0, <x, x_i> - bias_i).
 
-    Inputs outside the declared ball only draw a warning; the map itself is
-    defined everywhere.
+    `x` is one input vector or an (N, n) matrix of input rows; a matrix
+    gives the (N, m) matrix of outputs. Inputs outside the declared ball
+    only draw a warning (once per call); the map itself is defined
+    everywhere.
     """
-    v = as_vector(x, layer.frame.n, "input")
-    if np.linalg.norm(v) > layer.radius + 1e-9:
+    if np.ndim(x) == 2:
+        xs = _matrix(x, layer.frame.n, "inputs")
+        norms = np.linalg.norm(xs, axis=1)
+        coeff = xs @ layer.frame.elements.T
+    else:
+        v = as_vector(x, layer.frame.n, "input")
+        norms = np.linalg.norm(v)
+        coeff = layer.frame.elements @ v
+    if np.any(norms > layer.radius + 1e-9):
         warnings.warn("input lies outside the declared ball", stacklevel=2)
-    return np.maximum(layer.frame.elements @ v - layer.bias, 0.0)
+    return np.maximum(coeff - layer.bias, 0.0)
 
 
 def active_set(layer: ReLULayer, x, tol: float = TOL_ACTIVE) -> ActivePattern:
@@ -135,22 +144,51 @@ def build_dual_bank(frame: UnitFrame, poly: Polytope, bias) -> FacetDualBank:
     """Canonical dual synthesis matrix of every facet sub-frame.
 
     Facets of an omnidirectional polytope always qualify; a rank-deficient
-    facet sub-frame (facet through the origin) raises NotAFrame.
+    facet sub-frame (facet through the origin) raises NotAFrame. Facets of
+    one size share one stacked Cholesky test and solve; if any of them
+    misses the pivot floor, the facets are redone one at a time with
+    `dual_synthesis`, so the error names the first failing facet.
     """
     b = as_vector(bias, frame.m, "bias")
-    duals = []
-    for j, facet in enumerate(poly.facets):
-        try:
-            duals.append(_readonly(dual_synthesis(frame, facet.vertex_indices)))
-        except NotAFrame as exc:
-            raise NotAFrame(f"facet {j} vertex set does not span the space") from exc
+    verts = tuple(f.vertex_indices for f in poly.facets)
+    duals = _stacked_duals(frame.elements, verts)
+    if duals is None:
+        duals = []
+        for j, idx in enumerate(verts):
+            try:
+                duals.append(dual_synthesis(frame, idx))
+            except NotAFrame as exc:
+                raise NotAFrame(f"facet {j} vertex set does not span the space") from exc
     return FacetDualBank(
-        duals=tuple(duals),
-        facet_vertices=tuple(f.vertex_indices for f in poly.facets),
+        duals=tuple(_readonly(d) for d in duals),
+        facet_vertices=verts,
         incidence=_readonly(poly.incidence),
         bias=_readonly(b),
         frame_fingerprint=frame.fingerprint(),
     )
+
+
+def _stacked_duals(elements: np.ndarray, verts):
+    """`dual_synthesis` of every vertex set, one stacked product, Cholesky
+    and solve per set size; None if any operator fails its pivot floor."""
+    duals = [None] * len(verts)
+    sizes = np.array([len(v) for v in verts])
+    for k in np.unique(sizes):
+        group = np.flatnonzero(sizes == k)
+        sub = elements[np.array([verts[j] for j in group])]  # (G, k, n)
+        sub_t = sub.transpose(0, 2, 1)
+        ops = sub_t @ sub
+        floor = TOL_RANK * np.maximum(
+            np.diagonal(ops, axis1=1, axis2=2).max(axis=1), np.finfo(float).tiny)
+        try:
+            lower = np.linalg.cholesky(ops)
+        except np.linalg.LinAlgError:
+            return None
+        if np.any(np.diagonal(lower, axis1=1, axis2=2).min(axis=1) ** 2 <= floor):
+            return None
+        for j, dual in zip(group, np.linalg.solve(ops, sub_t)):
+            duals[j] = dual
+    return duals
 
 
 def facet_reconstruction(bank: FacetDualBank, z, facet_index: int) -> np.ndarray:
@@ -163,22 +201,98 @@ def facet_reconstruction(bank: FacetDualBank, z, facet_index: int) -> np.ndarray
 
 def reconstruct(bank: FacetDualBank, layer: ReLULayer, z,
                 verify_tol: float = VERIFY_TOL) -> np.ndarray:
-    """Invert the layer at an output z of a certified layer.
-
-    Looks for a facet whose vertex set lies inside the strictly positive
-    output pattern first; if none does (boundary equalities zero some active
-    coefficients), every other facet is a fallback candidate, since its
-    remaining vertices all carry zero outputs. Every candidate is verified by
-    mapping it forward before it is accepted; if no candidate survives, the
-    output is not in the certified image and ReconstructionFailed is raised.
+    """Invert the layer at an output z of a certified layer: a batch of one
+    (see `reconstruct_batch`). If no facet candidate survives verification,
+    the output is not in the certified image and ReconstructionFailed is
+    raised.
     """
+    _check_bank(bank, layer)
+    zv = as_vector(z, layer.frame.m, "output")
+    xs, failed = _reconstruct_rows(bank, layer, zv[None, :], verify_tol)
+    if failed[0]:
+        raise ReconstructionFailed("no facet left-inverse reproduces the given output")
+    return xs[0]
+
+
+def reconstruct_batch(bank: FacetDualBank, layer: ReLULayer, Z,
+                      verify_tol: float = VERIFY_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the layer at every row of an (N, m) output matrix Z.
+
+    Returns (X, failed): X is (N, n), and `failed` is the (N,) boolean mask
+    of rows that no facet left-inverse reproduces within `verify_tol`, i.e.
+    outputs outside the certified image; their rows of X are NaN.
+
+    Each row is inverted by the first candidate of `_reconstruct_ordered`
+    that verifies, found in bulk:
+
+    - The first candidate is the largest facet whose vertex set lies inside
+      the row's strictly positive output pattern, ties to the smallest
+      index. One product of the patterns with the incidence matrix finds it
+      for every row.
+    - Rows that chose the same facet share one product with its canonical
+      dual, and one forward product verifies every row.
+    - A row without such a facet (boundary equalities zero some active
+      coefficients), or whose first candidate fails verification, tries the
+      candidates one at a time in `_reconstruct_ordered`.
+    """
+    _check_bank(bank, layer)
+    zs = _matrix(Z, layer.frame.m, "outputs")
+    return _reconstruct_rows(bank, layer, zs, verify_tol)
+
+
+def _check_bank(bank: FacetDualBank, layer: ReLULayer) -> None:
     if layer.domain != DOMAIN_BALL:
         raise ValueError("reconstruction is defined for layers on the ball domain")
     if bank.frame_fingerprint != layer.frame.fingerprint():
         raise FrameMismatch("dual bank was built for a different frame")
     if not np.array_equal(bank.bias, layer.bias):
         raise FrameMismatch("dual bank was built for a different bias")
-    zv = as_vector(z, layer.frame.m, "output")
+
+
+def _matrix(values, width: int, what: str) -> np.ndarray:
+    a = as_matrix(values, what)
+    if a.shape[1] != width:
+        raise DimensionMismatch(f"{what} have {a.shape[1]} columns, expected {width}")
+    return a
+
+
+def _reconstruct_rows(bank: FacetDualBank, layer: ReLULayer, zs: np.ndarray,
+                      verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    num_facets = len(bank.duals)
+    incidence = bank.incidence.astype(float)  # float: the product runs in BLAS
+    sizes = incidence.sum(axis=1)
+    inside = (zs > 0.0).astype(float) @ incidence.T == sizes
+    rank = np.where(inside, sizes * (num_facets + 1) + (num_facets - np.arange(num_facets)), -1.0)
+    first = np.argmax(rank, axis=1)
+
+    xs = np.full((zs.shape[0], layer.frame.n), np.nan)
+    rows = np.flatnonzero(inside.any(axis=1))
+    rows = rows[np.argsort(first[rows], kind="stable")]
+    facets, starts = np.unique(first[rows], return_index=True)
+    for j, group in zip(facets, np.split(rows, starts[1:])):
+        idx = list(bank.facet_vertices[j])
+        xs[group] = (zs[group[:, None], idx] + bank.bias[idx]) @ bank.duals[j].T
+
+    check = np.maximum(xs @ layer.frame.elements.T - layer.bias, 0.0)
+    verified = np.max(np.abs(check - zs), axis=1) <= verify_tol
+    failed = np.zeros(zs.shape[0], dtype=bool)
+    for i in np.flatnonzero(~verified):
+        candidate = _reconstruct_ordered(bank, layer, zs[i], verify_tol)
+        failed[i] = candidate is None
+        xs[i] = np.nan if candidate is None else candidate
+    return xs, failed
+
+
+def _reconstruct_ordered(bank: FacetDualBank, layer: ReLULayer, zv: np.ndarray,
+                         verify_tol: float) -> np.ndarray | None:
+    """Try every facet's left-inverse in turn and return the first candidate
+    that maps forward onto zv within `verify_tol`, or None.
+
+    Facets whose vertex set lies inside the strictly positive output
+    pattern come first, largest first; then the others, by decreasing
+    overlap with the pattern, since their remaining vertices all carry
+    zero outputs. Ties go to the smallest index.
+    """
     positive = zv > 0.0
     overlap = (bank.incidence & positive).sum(axis=1)
     sizes = bank.incidence.sum(axis=1)
@@ -189,7 +303,7 @@ def reconstruct(bank: FacetDualBank, layer: ReLULayer, z,
         check = np.maximum(layer.frame.elements @ candidate - layer.bias, 0.0)
         if float(np.max(np.abs(check - zv))) <= verify_tol:
             return candidate
-    raise ReconstructionFailed("no facet left-inverse reproduces the given output")
+    return None
 
 
 def spanning_failures(layer: ReLULayer, poly: Polytope, samples: np.ndarray,

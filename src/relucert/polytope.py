@@ -139,7 +139,9 @@ def _merge_coplanar(raw, pts: np.ndarray, tol_plane: float):
     also checks closure: every ridge must belong to exactly two simplices,
     or the facet cones would not tile space. Raises
     DegenerateHull when closure or a facet certificate (no element above
-    the plane by more than `tol_plane`) fails.
+    the plane by more than `tol_plane`) fails, or when two facets get the
+    same vertex set: points on two distinct hyperplanes at once are
+    affinely degenerate, and such a facet is ill-defined.
     """
     verts = np.array([v for v, _, _ in raw])
     normals = np.array([nv for _, nv, _ in raw])
@@ -173,6 +175,8 @@ def _merge_coplanar(raw, pts: np.ndarray, tol_plane: float):
         for col, normal, offset in zip(on_plane.T, planes[block], plane_offsets[block]):
             merged.append((tuple(np.flatnonzero(col).tolist()), normal, float(offset)))
     merged.sort(key=lambda item: item[0])
+    if len({item[0] for item in merged}) != len(merged):
+        raise DegenerateHull("two facets have the same vertex set")
     return merged
 
 

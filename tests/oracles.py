@@ -12,7 +12,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from relucert.errors import DegenerateHull
+from relucert.errors import DegenerateHull, FrameMismatch, ReconstructionFailed
+from relucert.layer import VERIFY_TOL
+from relucert.pbe import DOMAIN_BALL
 
 
 def eig_closed_form(s: np.ndarray) -> np.ndarray:
@@ -380,3 +382,48 @@ def sample_ball_positive(rng: np.random.Generator, n: int, count: int,
                          radius: float = 1.0) -> np.ndarray:
     """Uniform samples from the non-negative part of the n-ball."""
     return np.abs(sample_ball(rng, n, count, radius))
+
+
+def reconstruct_rowwise(bank, layer, z, verify_tol: float = VERIFY_TOL) -> np.ndarray:
+    """The former one-row `layer.reconstruct` (with `facet_reconstruction`
+    inlined), kept as the reference for `reconstruct_batch`: it ranks every
+    facet for the one output z and verifies candidates in that order.
+
+    Looks for a facet whose vertex set lies inside the strictly positive
+    output pattern first; if none does (boundary equalities zero some active
+    coefficients), every other facet is a fallback candidate, since its
+    remaining vertices all carry zero outputs. Every candidate is verified by
+    mapping it forward before it is accepted; if no candidate survives, the
+    output is not in the certified image and ReconstructionFailed is raised.
+    """
+    if layer.domain != DOMAIN_BALL:
+        raise ValueError("reconstruction is defined for layers on the ball domain")
+    if bank.frame_fingerprint != layer.frame.fingerprint():
+        raise FrameMismatch("dual bank was built for a different frame")
+    if not np.array_equal(bank.bias, layer.bias):
+        raise FrameMismatch("dual bank was built for a different bias")
+    zv = np.asarray(z, dtype=float)
+    positive = zv > 0.0
+    overlap = (bank.incidence & positive).sum(axis=1)
+    sizes = bank.incidence.sum(axis=1)
+    outside = overlap < sizes  # facets not fully in the strict-positive pattern
+    order = np.lexsort((np.arange(len(sizes)), -overlap, outside))
+    for j in order:
+        idx = list(bank.facet_vertices[j])
+        candidate = bank.duals[j] @ (zv[idx] + bank.bias[idx])
+        check = np.maximum(layer.frame.elements @ candidate - layer.bias, 0.0)
+        if float(np.max(np.abs(check - zv))) <= verify_tol:
+            return candidate
+    raise ReconstructionFailed("no facet left-inverse reproduces the given output")
+
+
+def reconstruct_rows(bank, layer, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`reconstruct_rowwise` over the rows of zs: (X with NaN rows, failed mask)."""
+    xs = np.full((zs.shape[0], layer.frame.n), np.nan)
+    failed = np.zeros(zs.shape[0], dtype=bool)
+    for i, z in enumerate(zs):
+        try:
+            xs[i] = reconstruct_rowwise(bank, layer, z)
+        except ReconstructionFailed:
+            failed[i] = True
+    return xs, failed

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import relucert as rc
 from relucert import io as fio
 from relucert.cli import main
 from relucert.reports import Report
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -176,6 +179,72 @@ def test_reconstruct_refuses_uncertified(capsys, tmp_path):
                        "--inputs", str(x), "--force")
     assert code == 0
     assert len(out.strip().splitlines()) == 2
+
+
+def _reconstruct_files(tmp_path, weights, bias, xs):
+    """Write the layer and inputs, and return the row-wise oracle's
+    (xhat, failed) for the layer the CLI builds from them."""
+    paths = [tmp_path / name for name in ("w.csv", "b.csv", "x.csv")]
+    for path, a in zip(paths, (weights, bias, xs)):
+        path.write_text(fio.format_matrix(a))
+    frame, rescaled, _ = rc.normalize(weights, bias)
+    layer = rc.ReLULayer(frame, rescaled)
+    bank = rc.build_dual_bank(frame, rc.build_polytope(frame), rescaled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # inputs outside the ball
+        zs = np.array([rc.forward(layer, x) for x in xs])
+    return [str(p) for p in paths], oracles.reconstruct_rows(bank, layer, zs)
+
+
+def _csv_rows(text):
+    lines = text.strip().splitlines()
+    return lines[0], np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def test_reconstruct_force_marks_failed_rows(capsys, tmp_path):
+    # an uncertified icosahedron layer (biases above its zero threshold):
+    # some outputs of ball inputs have no facet left-inverse at all
+    bias = np.array([-0.5, -0.3, 0.1, 0.2, 0.0, 0.2, 0.2, -0.7, -0.7, 0.0, 0.4, 0.2])
+    xs = oracles.sample_ball(np.random.default_rng(84), 3, 600)
+    (w, b, x), (want, want_failed) = _reconstruct_files(tmp_path, rc.icosahedron(), bias, xs)
+    assert 0 < want_failed.sum() < len(xs)
+    code, out, err = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x, "--force")
+    assert code == 0
+    header, rows = _csv_rows(out)
+    assert header.split(",")[-4:] == ["xhat0", "xhat1", "xhat2", "roundtrip_error"]
+    assert rows.shape == (600, 12 + 3 + 1)
+    assert np.array_equal(np.isnan(rows[:, 12:]).any(axis=1), want_failed)
+    assert np.isnan(rows[want_failed, 12:]).all()
+    assert np.max(np.abs(rows[~want_failed, 12:15] - want[~want_failed])) <= 1e-12
+    assert err == f"warning: {want_failed.sum()} inputs could not be reconstructed\n"
+
+
+def test_reconstruct_refusal_writes_no_file(capsys, tmp_path):
+    # a certified layer; the last of 300 inputs lies outside the ball and
+    # cannot be inverted, after a first block of 256 rows that can
+    weights = rc.random_sphere(3, 12, 5)
+    frame, _, _ = rc.normalize(weights)
+    bias = rc.pbe_ball(frame, rc.build_polytope(frame), 1.0).alpha_scaled - 1e-3
+    xs = np.vstack([oracles.sample_ball(np.random.default_rng(85), 3, 299), [[0.3, 3.8, 2.2]]])
+    (w, b, x), (want, want_failed) = _reconstruct_files(tmp_path, weights, bias, xs)
+    assert np.flatnonzero(want_failed).tolist() == [299]
+    out = tmp_path / "out.csv"
+    with pytest.warns(UserWarning, match="outside the declared ball"):
+        code, _, err = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x,
+                           "--out", str(out))
+    assert code == 5
+    assert json.loads(err)["error"] == "ReconstructionFailed"
+    assert not out.exists()
+    with pytest.warns(UserWarning, match="outside the declared ball"):
+        code, _, err = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x,
+                           "--out", str(out), "--force")
+    assert code == 0
+    _, rows = _csv_rows(out.read_text())
+    assert rows.shape == (300, 12 + 3 + 1)
+    assert np.flatnonzero(np.isnan(rows).any(axis=1)).tolist() == [299]
+    assert np.max(np.abs(rows[:299, 12:15] - want[:299])) <= 1e-12
+    assert np.max(rows[:299, -1]) <= 1e-8
+    assert err == "warning: 1 inputs could not be reconstructed\n"
 
 
 def test_monitor_proportion_example(capsys, tmp_path):

@@ -535,3 +535,17 @@ def test_hull_fuzz(kind, n, seed):
         facet = poly.facets[rc.covering_facet(poly, x)]
         cols = frame.elements[list(facet.vertex_indices)].T
         assert oracles.in_cone(cols, (x / np.linalg.norm(x))[None, :], tol=1e-7)[0]
+
+
+def test_repeated_facet_vertex_set_raises(capsys, tmp_path):
+    # near-duplicate rows: two simplices' planes differ by more than the
+    # merge tolerance while both hold the same six points within 1e-9, so
+    # the merge gave one vertex set twice
+    weights = _fuzz_frame("near-duplicate", 5, np.random.default_rng([65, 5, 1]))
+    frame, _, _ = rc.normalize(weights)
+    with pytest.raises(DegenerateHull, match="same vertex set"):
+        rc.build_polytope(frame)
+    path = tmp_path / "w.csv"
+    path.write_text(fio.format_matrix(weights))
+    assert main(["pbe", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "DegenerateHull"

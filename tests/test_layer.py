@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,23 @@ def test_forward_examples(mb):
     layer = rc.ReLULayer(basis, np.zeros(3))
     assert np.allclose(rc.forward(layer, [0.3, -0.7, 0.0]), [0.3, 0.0, 0.0])
     assert np.min(rc.forward(mb.layer, [0.3, -0.2])) >= 0.0
+
+
+def test_forward_batch_matches_rows_and_warns_once(tet):
+    rng = np.random.default_rng(78)
+    xs = oracles.sample_ball(rng, 3, 40)
+    xs[17] = [0.0, 2.0, 0.0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        zs = rc.forward(tet.layer, xs)
+    assert len(caught) == 1 and issubclass(caught[0].category, UserWarning)
+    assert zs.shape == (40, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = np.array([rc.forward(tet.layer, x) for x in xs])
+    assert np.max(np.abs(zs - rows)) <= 1e-15
+    with pytest.raises(DimensionMismatch):
+        rc.forward(tet.layer, np.zeros((5, 2)))
 
 
 def test_forward_warns_outside_ball(mb):
@@ -97,8 +116,23 @@ def test_dual_bank_rejects_origin_facet():
     # hull of these three has an edge through the origin: rank-deficient
     frame, _, _ = rc.normalize(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
     poly = rc.build_polytope(frame)
-    with pytest.raises(NotAFrame):
+    with pytest.raises(NotAFrame, match="^facet 0 "):
         rc.build_dual_bank(frame, poly, np.zeros(3))
+
+
+def test_dual_bank_matches_dual_synthesis(mb, tet, ico):
+    # stacked per facet size: a square pyramid mixes 3- and 4-vertex facets
+    pyramid, _, _ = rc.normalize(np.vstack([oracles.cube(3), [[0.0, 0.0, 2.0]]]))
+    pyramid_poly = rc.build_polytope(pyramid)
+    assert set(pyramid_poly.incidence.sum(axis=1).tolist()) == {3, 4}
+    setups = [(s.frame, s.poly) for s in (mb, tet, ico)] + [(pyramid, pyramid_poly)]
+    for n, m, seed in ((3, 18, 752), (4, 14, 753)):
+        frame, _, _ = rc.normalize(random_omnidirectional(n, m, seed))
+        setups.append((frame, rc.build_polytope(frame)))
+    for frame, poly in setups:
+        bank = rc.build_dual_bank(frame, poly, np.zeros(frame.m))
+        for verts, dual in zip(bank.facet_vertices, bank.duals):
+            assert np.max(np.abs(dual - rc.dual_synthesis(frame, verts))) <= 1e-15
 
 
 def test_dual_bank_decomposition_identity(mb, tet, ico):
@@ -134,6 +168,10 @@ def test_reconstruct_zero_output_has_no_preimage(mb):
     bank = rc.build_dual_bank(mb.frame, mb.poly, layer.bias)
     with pytest.raises(ReconstructionFailed):
         rc.reconstruct(bank, layer, np.zeros(3))
+    zs = np.vstack([np.zeros(3), rc.forward(layer, [0.0, 0.5])])
+    xs, failed = rc.reconstruct_batch(bank, layer, zs)
+    assert failed.tolist() == [True, False]
+    assert np.isnan(xs[0]).all() and np.max(np.abs(xs[1] - [0.0, 0.5])) <= 1e-10
 
 
 def test_reconstruct_mismatches(mb, tet):
@@ -145,6 +183,58 @@ def test_reconstruct_mismatches(mb, tet):
     positive_layer = rc.ReLULayer(mb.frame, mb.layer.bias, 1.0, rc.DOMAIN_BALL_POSITIVE)
     with pytest.raises(ValueError):
         rc.reconstruct(mb.bank, positive_layer, np.zeros(3))
+    with pytest.raises(FrameMismatch):
+        rc.reconstruct_batch(mb.bank, other, np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        rc.reconstruct_batch(mb.bank, mb.layer, np.zeros((2, 4)))
+    with pytest.raises(DimensionMismatch):
+        rc.reconstruct(mb.bank, mb.layer, np.zeros((1, 3)))
+
+
+def _boundary_outputs(setup, xs):
+    """Outputs of xs with every coefficient within 1e-12 of its bias set to
+    the exact boundary value 0: the inputs below sit where a certified
+    coefficient equals its bias."""
+    coeff = xs @ setup.frame.elements.T - setup.layer.bias
+    return np.where(np.abs(coeff) <= 1e-12, 0.0, np.maximum(coeff, 0.0))
+
+
+def _has_inside_facet(bank, zs):
+    inside = (zs[:, None, :] > 0.0) | ~bank.incidence[None, :, :]
+    return inside.all(axis=2).any(axis=1)
+
+
+def test_reconstruct_batch_matches_rowwise_oracle(mb, tet):
+    rng = np.random.default_rng(79)
+    # Mercedes-Benz at each element, tetrahedron at each edge midpoint
+    # direction: two coefficients sit exactly at the bias, so no facet lies
+    # inside the positive pattern and only the ordered fallback inverts them
+    mids = [tet.frame.elements[i] + tet.frame.elements[j]
+            for i in range(4) for j in range(i + 1, 4)]
+    mids = np.array(mids) / np.linalg.norm(mids, axis=1)[:, None]
+    cases = [(mb, _boundary_outputs(mb, mb.frame.elements)),
+             (tet, _boundary_outputs(tet, mids))]
+    for setup, zs in cases:
+        assert not _has_inside_facet(setup.bank, zs).any()
+    for n, m, seed in ((2, 7, 791), (2, 12, 751), (3, 18, 752), (4, 14, 753)):
+        cases.append((build_setup(random_omnidirectional(n, m, seed)), None))
+    for setup, boundary in cases:
+        n, m = setup.frame.n, setup.frame.m
+        parts = [rc.forward(setup.layer, oracles.sample_ball(rng, n, 300)),
+                 np.zeros((1, m)),                      # outside the image
+                 np.abs(rng.standard_normal((20, m)))]  # mostly outside
+        if boundary is not None:
+            parts.insert(1, boundary)
+        zs = rng.permutation(np.vstack(parts))
+        want, want_failed = oracles.reconstruct_rows(setup.bank, setup.layer, zs)
+        blocks = [rc.reconstruct_batch(setup.bank, setup.layer, block)
+                  for block in np.split(zs, [1, 8, 263])]
+        got = np.vstack([xs for xs, _ in blocks])
+        failed = np.concatenate([f for _, f in blocks])
+        assert np.array_equal(failed, want_failed)
+        assert np.isnan(got[failed]).all()
+        assert np.max(np.abs(got[~failed] - want[~failed])) <= 1e-12
+        assert failed.any() and not failed.all()
 
 
 def test_covering_facet_candidate_always_verifies(mb, tet, ico):
