@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import warnings
 
 import numpy as np
 
@@ -19,9 +20,7 @@ from .errors import (DegenerateHull, DimensionMismatch, FrameMismatch, NotConver
                      ParseError, ReconstructionFailed, RelucertError, SolverFailed,
                      UnknownName, ZeroRow)
 from .frames import normalize
-from .layer import (ReLULayer, build_dual_bank, certify, forward,
-                    reconstruct,  # noqa: F401  (bench/tracer.py wraps relucert.cli.reconstruct)
-                    reconstruct_batch)
+from .layer import ReLULayer, build_dual_bank, certify, forward, reconstruct_batch
 from .pbe import (DOMAIN_BALL, DOMAIN_BALL_POSITIVE, pbe_ball, pbe_positive,
                   stability, stability_positive)
 from .polytope import build_polytope, is_omnidirectional, positive_facets
@@ -141,7 +140,10 @@ def _cmd_reconstruct(args) -> int:
     with _output(args.out) as handle:
         handle.write(",".join(header) + "\n")
         for rows in blocks:
-            fields = np.hstack([forward(layer, inputs[rows]), xhat[rows], err[rows, None]])
+            with warnings.catch_warnings():  # the inputs' ball check warned above
+                warnings.simplefilter("ignore")
+                outputs = forward(layer, inputs[rows])
+            fields = np.hstack([outputs, xhat[rows], err[rows, None]])
             handle.write("".join(",".join(map(repr, row)) + "\n" for row in fields.tolist()))
     if failed:
         print(f"warning: {failed} inputs could not be reconstructed", file=sys.stderr)

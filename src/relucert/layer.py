@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FrameMismatch, NotAFrame, ReconstructionFailed
-from .frames import TOL_RANK, UnitFrame, as_matrix, as_vector, dual_synthesis, is_frame
+from .frames import UnitFrame, as_matrix, as_vector, dual_synthesis, is_frame
 from .pbe import DOMAIN_BALL, BiasEstimate
 from .polytope import TOL_INTERIOR, Polytope, _readonly
 
@@ -83,17 +83,15 @@ def forward(layer: ReLULayer, x) -> np.ndarray:
     only draw a warning (once per call); the map itself is defined
     everywhere.
     """
-    if np.ndim(x) == 2:
+    batch = np.ndim(x) == 2
+    if batch:
         xs = _matrix(x, layer.frame.n, "inputs")
-        norms = np.linalg.norm(xs, axis=1)
-        coeff = xs @ layer.frame.elements.T
     else:
-        v = as_vector(x, layer.frame.n, "input")
-        norms = np.linalg.norm(v)
-        coeff = layer.frame.elements @ v
-    if np.any(norms > layer.radius + 1e-9):
+        xs = as_vector(x, layer.frame.n, "input")[None, :]
+    if np.any(np.linalg.norm(xs, axis=1) > layer.radius + 1e-9):
         warnings.warn("input lies outside the declared ball", stacklevel=2)
-    return np.maximum(coeff - layer.bias, 0.0)
+    out = np.maximum(xs @ layer.frame.elements.T - layer.bias, 0.0)
+    return out if batch else out[0]
 
 
 def active_set(layer: ReLULayer, x, tol: float = TOL_ACTIVE) -> ActivePattern:
@@ -144,51 +142,22 @@ def build_dual_bank(frame: UnitFrame, poly: Polytope, bias) -> FacetDualBank:
     """Canonical dual synthesis matrix of every facet sub-frame.
 
     Facets of an omnidirectional polytope always qualify; a rank-deficient
-    facet sub-frame (facet through the origin) raises NotAFrame. Facets of
-    one size share one stacked Cholesky test and solve; if any of them
-    misses the pivot floor, the facets are redone one at a time with
-    `dual_synthesis`, so the error names the first failing facet.
+    facet sub-frame (facet through the origin) raises NotAFrame.
     """
     b = as_vector(bias, frame.m, "bias")
-    verts = tuple(f.vertex_indices for f in poly.facets)
-    duals = _stacked_duals(frame.elements, verts)
-    if duals is None:
-        duals = []
-        for j, idx in enumerate(verts):
-            try:
-                duals.append(dual_synthesis(frame, idx))
-            except NotAFrame as exc:
-                raise NotAFrame(f"facet {j} vertex set does not span the space") from exc
+    duals = []
+    for j, facet in enumerate(poly.facets):
+        try:
+            duals.append(_readonly(dual_synthesis(frame, facet.vertex_indices)))
+        except NotAFrame as exc:
+            raise NotAFrame(f"facet {j} vertex set does not span the space") from exc
     return FacetDualBank(
-        duals=tuple(_readonly(d) for d in duals),
-        facet_vertices=verts,
+        duals=tuple(duals),
+        facet_vertices=tuple(f.vertex_indices for f in poly.facets),
         incidence=_readonly(poly.incidence),
         bias=_readonly(b),
         frame_fingerprint=frame.fingerprint(),
     )
-
-
-def _stacked_duals(elements: np.ndarray, verts):
-    """`dual_synthesis` of every vertex set, one stacked product, Cholesky
-    and solve per set size; None if any operator fails its pivot floor."""
-    duals = [None] * len(verts)
-    sizes = np.array([len(v) for v in verts])
-    for k in np.unique(sizes):
-        group = np.flatnonzero(sizes == k)
-        sub = elements[np.array([verts[j] for j in group])]  # (G, k, n)
-        sub_t = sub.transpose(0, 2, 1)
-        ops = sub_t @ sub
-        floor = TOL_RANK * np.maximum(
-            np.diagonal(ops, axis1=1, axis2=2).max(axis=1), np.finfo(float).tiny)
-        try:
-            lower = np.linalg.cholesky(ops)
-        except np.linalg.LinAlgError:
-            return None
-        if np.any(np.diagonal(lower, axis1=1, axis2=2).min(axis=1) ** 2 <= floor):
-            return None
-        for j, dual in zip(group, np.linalg.solve(ops, sub_t)):
-            duals[j] = dual
-    return duals
 
 
 def facet_reconstruction(bank: FacetDualBank, z, facet_index: int) -> np.ndarray:

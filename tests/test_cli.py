@@ -247,6 +247,20 @@ def test_reconstruct_refusal_writes_no_file(capsys, tmp_path):
     assert err == "warning: 1 inputs could not be reconstructed\n"
 
 
+def test_reconstruct_warns_once_for_an_outside_ball_row(capsys, tmp_path):
+    # the inputs' ball check warns; recomputing the outputs to write them does not
+    weights = rc.random_sphere(3, 12, 5)
+    frame, _, _ = rc.normalize(weights)
+    bias = rc.pbe_ball(frame, rc.build_polytope(frame), 1.0).alpha_scaled - 1e-3
+    xs = np.vstack([oracles.sample_ball(np.random.default_rng(86), 3, 20), [[0.3, 3.8, 2.2]]])
+    (w, b, x), _ = _reconstruct_files(tmp_path, weights, bias, xs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x, "--force")
+    assert code == 0 and len(out.splitlines()) == 1 + 21
+    assert [str(c.message) for c in caught] == ["input lies outside the declared ball"]
+
+
 def test_monitor_proportion_example(capsys, tmp_path):
     trace = tmp_path / "trace.txt"
     epochs = [(0, rc.mercedes_benz(), np.array([-0.6, -0.4, -0.5]))]

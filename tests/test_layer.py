@@ -120,21 +120,6 @@ def test_dual_bank_rejects_origin_facet():
         rc.build_dual_bank(frame, poly, np.zeros(3))
 
 
-def test_dual_bank_matches_dual_synthesis(mb, tet, ico):
-    # stacked per facet size: a square pyramid mixes 3- and 4-vertex facets
-    pyramid, _, _ = rc.normalize(np.vstack([oracles.cube(3), [[0.0, 0.0, 2.0]]]))
-    pyramid_poly = rc.build_polytope(pyramid)
-    assert set(pyramid_poly.incidence.sum(axis=1).tolist()) == {3, 4}
-    setups = [(s.frame, s.poly) for s in (mb, tet, ico)] + [(pyramid, pyramid_poly)]
-    for n, m, seed in ((3, 18, 752), (4, 14, 753)):
-        frame, _, _ = rc.normalize(random_omnidirectional(n, m, seed))
-        setups.append((frame, rc.build_polytope(frame)))
-    for frame, poly in setups:
-        bank = rc.build_dual_bank(frame, poly, np.zeros(frame.m))
-        for verts, dual in zip(bank.facet_vertices, bank.duals):
-            assert np.max(np.abs(dual - rc.dual_synthesis(frame, verts))) <= 1e-15
-
-
 def test_dual_bank_decomposition_identity(mb, tet, ico):
     rng = np.random.default_rng(72)
     for setup in (mb, tet, ico):
