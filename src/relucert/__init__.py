@@ -13,8 +13,8 @@ from .errors import RelucertError
 from .frames import (FrameBounds, UnitFrame, analysis, dual_synthesis, frame_bounds,
                      is_frame, normalize, synthesis)
 from .hull import quickhull
-from .polytope import (Facet, Polytope, PositiveFacetReport, build_polytope,
-                       covering_facet, is_omnidirectional, positive_facets)
+from .polytope import (Polytope, PositiveFacetReport, build_polytope, covering_facet,
+                       is_omnidirectional, positive_facets)
 from .solvers import (CappedConeProblem, SolveResult, lp_feasible,
                       min_linear_capped_cone)
 from .pbe import (DOMAIN_BALL, DOMAIN_BALL_POSITIVE, UNCONSTRAINED, BiasEstimate,
@@ -33,7 +33,7 @@ __all__ = [
     "UnitFrame", "FrameBounds", "normalize", "analysis", "synthesis",
     "frame_bounds", "is_frame", "dual_synthesis",
     "quickhull",
-    "Facet", "Polytope", "PositiveFacetReport", "build_polytope",
+    "Polytope", "PositiveFacetReport", "build_polytope",
     "is_omnidirectional", "covering_facet", "positive_facets",
     "CappedConeProblem", "SolveResult", "min_linear_capped_cone", "lp_feasible",
     "DOMAIN_BALL", "DOMAIN_BALL_POSITIVE", "UNCONSTRAINED",

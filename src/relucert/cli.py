@@ -69,54 +69,56 @@ def _write_text(text: str, out_path: str | None) -> None:
         handle.write(text)
 
 
-def _analyze(weights_path: str, bias_path: str | None, radius: float,
-             domain: str, tol: float, command: str):
-    """Shared pipeline: parse, normalize, hull, bias estimate, stability,
-    and (when a bias is given) the certificate."""
+def _certify(weights_path: str, bias_path: str | None, radius: float,
+             domain: str, tol: float):
+    """Shared pipeline: parse, normalize, hull, bias estimate, and (when a
+    bias is given, else None) the layer and its certificate."""
     weights = fio.read_matrix(weights_path)
     bias = fio.read_vector(bias_path, weights.shape[0]) if bias_path else None
     frame, rescaled, norms = normalize(weights, bias)
     poly = build_polytope(frame)
-    omni = is_omnidirectional(poly)
     positive = None
     if domain == DOMAIN_BALL:
-        if not omni:
+        if not is_omnidirectional(poly):
             raise NotOmnidirectional("frame is not omnidirectional; try --domain ball+")
         estimate = pbe_ball(frame, poly, radius, tol=tol)
-        stab = stability(frame, poly, radius)
     else:
         positive = positive_facets(poly)
         if not positive.nonneg_omnidirectional:
             raise NotNonnegOmnidirectional(
                 "facet cones do not cover the non-negative orthant")
         estimate = pbe_positive(frame, poly, positive, radius, tol=tol)
-        stab = stability_positive(frame, poly, positive, radius)
-    certificate = None
-    layer = None
+    layer = certificate = None
     if rescaled is not None:
         layer = ReLULayer(frame, rescaled, radius, domain)
         certificate = certify(layer, estimate)
-    report = build_report(
-        command=command, version=__version__, domain=domain, radius=radius,
-        frame=frame, norms=norms, rescaled_bias=rescaled, poly=poly,
-        omnidirectional=omni, positive_report=positive, estimate=estimate,
-        stability_report=stab, certificate=certificate, solver_tol=tol)
-    return report, frame, poly, layer, certificate
+    return poly, norms, positive, estimate, layer, certificate
 
 
 def _cmd_report(args) -> int:
-    report, *_ = _analyze(args.weights, args.bias, args.radius, args.domain,
-                          args.tol, args.command)
+    poly, norms, positive, estimate, layer, certificate = _certify(
+        args.weights, args.bias, args.radius, args.domain, args.tol)
+    if positive is None:
+        stab = stability(poly.frame, poly, args.radius)
+    else:
+        stab = stability_positive(poly.frame, poly, positive, args.radius)
+    report = build_report(
+        command=args.command, version=__version__, domain=args.domain, radius=args.radius,
+        frame=poly.frame, norms=norms, rescaled_bias=None if layer is None else layer.bias,
+        poly=poly, omnidirectional=is_omnidirectional(poly), positive_report=positive,
+        estimate=estimate, stability_report=stab, certificate=certificate,
+        solver_tol=args.tol)
     _write_text(report.to_text(), args.out)
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    _, frame, poly, layer, certificate = _analyze(
-        args.weights, args.bias, args.radius, DOMAIN_BALL, args.tol, "reconstruct")
+    poly, _, _, _, layer, certificate = _certify(
+        args.weights, args.bias, args.radius, DOMAIN_BALL, args.tol)
     if not certificate.injective and not args.force:
         raise ReconstructionFailed(
             "layer is not certified injective; pass --force to try anyway")
+    frame = poly.frame
     inputs = fio.read_matrix(args.inputs)
     if inputs.shape[1] != frame.n:
         raise ParseError(f"inputs have {inputs.shape[1]} columns, expected {frame.n}")

@@ -107,11 +107,11 @@ def make_planes(pts: np.ndarray, verts: np.ndarray, interior: np.ndarray):
 def quickhull(points: np.ndarray, tol: float = TOL_HULL):
     """Enumerate the hull facets of `points` (one point per row).
 
-    Returns (facets, flat) where exactly one is non-trivial:
-    - full-dimensional: facets is a list of (vertex index tuple, unit outward
-      normal, offset) triples, sorted by vertex tuple, and flat is None;
-    - hyperplane span: facets is [] and flat is the (unit normal, offset)
-      hyperplane carrying every point.
+    Returns (verts, normals, offsets, flat): one row per simplicial facet,
+    `verts` (F, n) its sorted vertex indices, `normals` (F, n) its unit
+    outward normal and `offsets` (F,) its offset, rows in order of their
+    vertex tuples. When the points span a single hyperplane, F = 0 and
+    `flat` is that (unit normal, offset) hyperplane; otherwise flat is None.
     """
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
@@ -120,7 +120,7 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
     chosen, q = _affine_basis(pts, tol)
     if len(chosen) == n:
         normal = _null_direction(q)
-        return [], (normal, float(np.mean(pts @ normal)))
+        return _flat(normal, float(np.mean(pts @ normal)))
     if len(chosen) < n:
         raise DegenerateHull(
             f"points affinely span dimension {len(chosen) - 1} < {n - 1}")
@@ -204,18 +204,20 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
         count += k
 
     live = np.flatnonzero(alive[:count])
-    result = list(zip(map(tuple, verts[live].tolist()), normals[live], offsets[live].tolist()))
-    result.sort(key=lambda item: item[0])
-    return result, None
+    live = live[np.lexsort(verts[live].T[::-1])]
+    return verts[live], normals[live], offsets[live], None
+
+
+def _flat(normal: np.ndarray, offset: float):
+    """quickhull's result for points on the hyperplane <normal, x> = offset."""
+    n = len(normal)
+    return np.empty((0, n), dtype=np.intp), np.empty((0, n)), np.empty(0), (normal, offset)
 
 
 def _hull_1d(pts: np.ndarray):
     vals = pts[:, 0]
     if vals.size == 1 or np.ptp(vals) <= 1e-12:
-        return [], (np.array([1.0]), float(vals[0]))
-    imin = int(np.argmin(vals))
-    imax = int(np.argmax(vals))
-    return [
-        ((imin,), np.array([-1.0]), float(-vals[imin])),
-        ((imax,), np.array([1.0]), float(vals[imax])),
-    ], None
+        return _flat(np.array([1.0]), float(vals[0]))
+    ends = np.sort([np.argmin(vals), np.argmax(vals)])
+    normals = np.sign(vals[ends] - vals[ends].mean())[:, None]  # -1 at the min, +1 at the max
+    return ends[:, None], normals, normals[:, 0] * vals[ends], None

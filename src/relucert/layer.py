@@ -66,11 +66,11 @@ class Certificate:
 
 @dataclass(frozen=True)
 class FacetDualBank:
-    """Per-facet canonical dual synthesis matrices for one layer bias."""
+    """Canonical dual synthesis matrix of each facet of `poly`, in facet
+    order, for one layer bias."""
 
+    poly: Polytope
     duals: tuple[np.ndarray, ...]
-    facet_vertices: tuple[tuple[int, ...], ...]
-    incidence: np.ndarray  # bool, (num_facets, m)
     bias: np.ndarray
     frame_fingerprint: str
 
@@ -146,15 +146,14 @@ def build_dual_bank(frame: UnitFrame, poly: Polytope, bias) -> FacetDualBank:
     """
     b = as_vector(bias, frame.m, "bias")
     duals = []
-    for j, facet in enumerate(poly.facets):
+    for j, verts in enumerate(poly.vertices):
         try:
-            duals.append(_readonly(dual_synthesis(frame, facet.vertex_indices)))
+            duals.append(_readonly(dual_synthesis(frame, verts)))
         except NotAFrame as exc:
             raise NotAFrame(f"facet {j} vertex set does not span the space") from exc
     return FacetDualBank(
+        poly=poly,
         duals=tuple(duals),
-        facet_vertices=tuple(f.vertex_indices for f in poly.facets),
-        incidence=_readonly(poly.incidence),
         bias=_readonly(b),
         frame_fingerprint=frame.fingerprint(),
     )
@@ -164,7 +163,7 @@ def facet_reconstruction(bank: FacetDualBank, z, facet_index: int) -> np.ndarray
     """Candidate input from one facet's left-inverse: un-shift the outputs on
     the facet vertex set and push them through the canonical dual."""
     zv = np.asarray(z, dtype=float)
-    idx = list(bank.facet_vertices[facet_index])
+    idx = list(bank.poly.vertices[facet_index])
     return bank.duals[facet_index] @ (zv[idx] + bank.bias[idx])
 
 
@@ -227,8 +226,8 @@ def _matrix(values, width: int, what: str) -> np.ndarray:
 
 def _reconstruct_rows(bank: FacetDualBank, layer: ReLULayer, zs: np.ndarray,
                       verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    num_facets = len(bank.duals)
-    incidence = bank.incidence.astype(float)  # float: the product runs in BLAS
+    num_facets = bank.poly.num_facets
+    incidence = bank.poly.incidence.astype(float)  # float: the product runs in BLAS
     sizes = incidence.sum(axis=1)
     inside = (zs > 0.0).astype(float) @ incidence.T == sizes
     rank = np.where(inside, sizes * (num_facets + 1) + (num_facets - np.arange(num_facets)), -1.0)
@@ -239,7 +238,7 @@ def _reconstruct_rows(bank: FacetDualBank, layer: ReLULayer, zs: np.ndarray,
     rows = rows[np.argsort(first[rows], kind="stable")]
     facets, starts = np.unique(first[rows], return_index=True)
     for j, group in zip(facets, np.split(rows, starts[1:])):
-        idx = list(bank.facet_vertices[j])
+        idx = list(bank.poly.vertices[j])
         xs[group] = (zs[group[:, None], idx] + bank.bias[idx]) @ bank.duals[j].T
 
     check = np.maximum(xs @ layer.frame.elements.T - layer.bias, 0.0)
@@ -263,8 +262,8 @@ def _reconstruct_ordered(bank: FacetDualBank, layer: ReLULayer, zv: np.ndarray,
     zero outputs. Ties go to the smallest index.
     """
     positive = zv > 0.0
-    overlap = (bank.incidence & positive).sum(axis=1)
-    sizes = bank.incidence.sum(axis=1)
+    overlap = (bank.poly.incidence & positive).sum(axis=1)
+    sizes = bank.poly.incidence.sum(axis=1)
     outside = overlap < sizes  # facets not fully in the strict-positive pattern
     order = np.lexsort((np.arange(len(sizes)), -overlap, outside))
     for j in order:
@@ -293,11 +292,11 @@ def spanning_failures(layer: ReLULayer, poly: Polytope, samples: np.ndarray,
     covered = np.zeros(xs.shape[0], dtype=bool)
     if nonzero.any():
         units = xs[nonzero] / norms[nonzero, None]
-        dots = units @ poly.normals().T  # (num_nonzero, num_facets)
-        ratios = np.where(dots > 1e-9, poly.offsets()[None, :] / np.where(dots > 1e-9, dots, 1.0), np.inf)
+        dots = units @ poly.normals.T  # (num_nonzero, num_facets)
+        ratios = np.where(dots > 1e-9, poly.offsets[None, :] / np.where(dots > 1e-9, dots, 1.0), np.inf)
         exit_facet = np.argmin(ratios, axis=1)
         missing = poly.incidence[exit_facet] & ~active[nonzero]
-        covered[nonzero] = ~missing.any(axis=1) & (poly.offsets()[exit_facet] > TOL_INTERIOR)
+        covered[nonzero] = ~missing.any(axis=1) & (poly.offsets[exit_facet] > TOL_INTERIOR)
 
     failures = []
     for s in np.nonzero(~covered)[0]:

@@ -81,7 +81,7 @@ def _facet_block_min(poly: Polytope, facet_indices) -> np.ndarray:
     gram = poly.frame.elements @ poly.frame.elements.T
     out = np.full(poly.frame.m, np.inf)
     for j in facet_indices:
-        idx = list(poly.facets[j].vertex_indices)
+        idx = list(poly.vertices[j])
         out[idx] = np.minimum(out[idx], gram[np.ix_(idx, idx)].min(axis=1))
     return out
 
@@ -122,12 +122,7 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
     m = frame.m
     pts = frame.elements
 
-    facet_indices = list(facet_indices)
-    adjacency: list[list[int]] = [[] for _ in range(m)]
-    for j in facet_indices:
-        for i in poly.facets[j].vertex_indices:
-            adjacency[i].append(j)
-
+    facet_indices = np.asarray(facet_indices, dtype=int)
     a_x = _facet_block_min(poly, facet_indices)
     a_s = np.full(m, np.nan)
     a_b = np.full(m, UNCONSTRAINED)
@@ -142,15 +137,14 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
             a_b[i] = 0.0
             continue
         best = np.inf
-        for j in adjacency[i]:
-            facet = poly.facets[j]
-            verts = pts[list(facet.vertex_indices)]
+        for j in facet_indices[poly.incidence[facet_indices, i]].tolist():
+            verts = pts[list(poly.vertices[j])]
             problem = CappedConeProblem(D=verts.T, c=verts @ pts[i], tol=tol)
             try:
                 result = min_linear_capped_cone(problem)
             except NotConverged as exc:
                 raise SolverFailed(i, j) from exc
-            best = min(best, result.value - result.kkt_residual / abs(facet.offset))
+            best = min(best, result.value - result.kkt_residual / abs(poly.offsets[j]))
         a_s[i] = best
         a_b[i] = best
 
@@ -183,7 +177,7 @@ def stability_positive(frame: UnitFrame, poly: Polytope, report: PositiveFacetRe
 
 
 def _stability(frame, poly, facet_indices, radius) -> StabilityReport:
-    lower = min(frame_bounds(frame, poly.facets[j].vertex_indices).lower
+    lower = min(frame_bounds(frame, poly.vertices[j]).lower
                 for j in facet_indices)
     upper = frame_bounds(frame).upper
     return StabilityReport(A0=float(lower), B0=float(upper),

@@ -15,6 +15,8 @@ tiling true rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -32,35 +34,35 @@ MERGE_BLOCK = 32  # facets per (m x block) product: bounds peak memory
 
 
 @dataclass(frozen=True)
-class Facet:
-    """One (n-1)-dimensional face: its vertex indices and supporting hyperplane.
+class Polytope:
+    """The facet table of the hull of the frame elements.
 
-    The unit normal points away from the polytope interior, so every frame
-    element satisfies <normal, x_i> <= offset, with equality exactly on
-    `vertex_indices`.
+    Row j is facet j: its unit normal `normals[j]`, pointing away from the
+    interior, its offset `offsets[j]`, and `incidence[j]`, the elements on
+    its plane. Every element satisfies <normal, x_i> <= offset, with
+    equality exactly on the facet's vertices. Facets are in order of their
+    vertex tuples; the three arrays are stored as read-only copies.
     """
 
-    vertex_indices: tuple[int, ...]
-    normal: np.ndarray
-    offset: float
-
-
-@dataclass(frozen=True)
-class Polytope:
     frame: UnitFrame
-    facets: tuple[Facet, ...]
-    incidence: np.ndarray  # bool, shape (num_facets, m)
+    normals: np.ndarray  # (num_facets, n)
+    offsets: np.ndarray  # (num_facets,)
+    incidence: np.ndarray  # bool, (num_facets, m)
     full_dimensional: bool
+
+    def __post_init__(self):
+        for name in ("normals", "offsets", "incidence"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def num_facets(self) -> int:
-        return len(self.facets)
+        return len(self.offsets)
 
-    def normals(self) -> np.ndarray:
-        return np.array([f.normal for f in self.facets])
-
-    def offsets(self) -> np.ndarray:
-        return np.array([f.offset for f in self.facets])
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        """Each facet's vertex indices, ascending: the rows of `incidence`."""
+        cols = iter(np.nonzero(self.incidence)[1].tolist())
+        return tuple(tuple(islice(cols, k)) for k in self.incidence.sum(axis=1).tolist())
 
     def facets_of_vertex(self, index: int) -> tuple[int, ...]:
         return tuple(int(j) for j in np.nonzero(self.incidence[:, index])[0])
@@ -79,35 +81,27 @@ class PositiveFacetReport:
 def build_polytope(frame: UnitFrame, tol_plane: float = TOL_PLANE) -> Polytope:
     """Enumerate the facets of the convex hull of the frame elements.
 
-    Simplicial quickhull output is checked for closure, ridge-adjacent
-    simplices on one hyperplane are merged into a single facet, and each
-    facet's vertex set is extended to every element within `tol_plane` of its
-    hyperplane (see `_merge_coplanar`). If the elements span only a hyperplane
-    that misses the origin, the whole point set is emitted as a single flat
-    facet; a hyperplane through the origin (or a lower-dimensional span)
-    raises DegenerateHull.
+    Quickhull's simplicial facets are merged into the facet table by
+    `_merge_coplanar`: the simplicial hull is checked for closure,
+    ridge-adjacent simplices on one hyperplane become one facet, and each
+    facet's vertex set is every element within `tol_plane` of its
+    hyperplane. If the elements span only a hyperplane that misses the
+    origin, the table has one flat facet holding every element; a
+    hyperplane through the origin (or a lower-dimensional span) raises
+    DegenerateHull.
     """
     pts = frame.elements
-    m = frame.m
     _check_distinct(pts)
-    raw, flat = _hull.quickhull(pts, tol=tol_plane)
+    verts, normals, offsets, flat = _hull.quickhull(pts, tol=tol_plane)
     if flat is not None:
         normal, offset = flat
         if abs(offset) <= tol_plane:
             raise DegenerateHull("affine hull of the elements passes through the origin")
         if offset < 0:
             normal, offset = -normal, -offset
-        facet = Facet(tuple(range(m)), _readonly(normal), float(offset))
-        incidence = np.ones((1, m), dtype=bool)
-        return Polytope(frame, (facet,), _readonly(incidence), False)
-
-    merged = _merge_coplanar(raw, pts, tol_plane)
-    facets = []
-    incidence = np.zeros((len(merged), m), dtype=bool)
-    for j, (verts, normal, offset) in enumerate(merged):
-        facets.append(Facet(verts, _readonly(normal), offset))
-        incidence[j, list(verts)] = True
-    return Polytope(frame, tuple(facets), _readonly(incidence), True)
+        return Polytope(frame, normal[None, :], np.array([offset]),
+                        np.ones((1, frame.m), dtype=bool), False)
+    return Polytope(frame, *_merge_coplanar(verts, normals, offsets, pts, tol_plane), True)
 
 
 def _check_distinct(pts: np.ndarray, tol: float = TOL_DISTINCT) -> None:
@@ -125,9 +119,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _merge_coplanar(raw, pts: np.ndarray, tol_plane: float):
-    """Merge the simplicial facets that share a hyperplane, then give each
-    merged facet every element on its plane.
+def _merge_coplanar(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
+                    pts: np.ndarray, tol_plane: float):
+    """Merge quickhull's simplices (`verts`, `normals`, `offsets`, one row
+    each) that share a hyperplane into facets, and give each facet every
+    element on its plane. Returns the facet table (normals, offsets,
+    incidence), its rows in order of their vertex tuples.
 
     The simplices of one facet are connected through the ridges they share,
     so only ridge neighbours are compared: two are coplanar when their
@@ -143,18 +140,13 @@ def _merge_coplanar(raw, pts: np.ndarray, tol_plane: float):
     same vertex set: points on two distinct hyperplanes at once are
     affinely degenerate, and such a facet is ill-defined.
     """
-    verts = np.array([v for v, _, _ in raw])
-    normals = np.array([nv for _, nv, _ in raw])
-    offsets = np.array([off for _, _, off in raw])
+    count, n = verts.shape
     s, t = _hull.ridge_pairs(verts)
-    a, b = s // verts.shape[1], t // verts.shape[1]
+    a, b = s // n, t // n
     same = ((np.max(np.abs(normals[a] - normals[b]), axis=1) <= TOL_MERGE)
             & (np.abs(offsets[a] - offsets[b]) <= TOL_MERGE))
-    root = _components(len(raw), a[same], b[same])
-    roots = np.flatnonzero(root == np.arange(len(raw)))
-    rank = np.zeros(len(raw), dtype=int)
-    rank[roots] = np.arange(len(roots))
-    group = rank[root]
+    root = _components(count, a[same], b[same])
+    roots, group = np.unique(root, return_inverse=True)
     planes = normals[roots]
     plane_offsets = offsets[roots]
     summed = np.zeros_like(planes)
@@ -165,19 +157,24 @@ def _merge_coplanar(raw, pts: np.ndarray, tol_plane: float):
         planes[g] = normal
         plane_offsets[g] = float(np.mean(pts[union] @ normal))
 
-    merged = []
+    incidence = np.empty((len(roots), len(pts)), dtype=bool)
     for start in range(0, len(roots), MERGE_BLOCK):
         block = slice(start, start + MERGE_BLOCK)
         dots = pts @ planes[block].T
         if np.any(np.max(dots, axis=0) > plane_offsets[block] + tol_plane):
             raise DegenerateHull("hull facet certificate failed")
-        on_plane = np.abs(dots - plane_offsets[block]) <= tol_plane
-        for col, normal, offset in zip(on_plane.T, planes[block], plane_offsets[block]):
-            merged.append((tuple(np.flatnonzero(col).tolist()), normal, float(offset)))
-    merged.sort(key=lambda item: item[0])
-    if len({item[0] for item in merged}) != len(merged):
+        incidence[block] = (np.abs(dots - plane_offsets[block]) <= tol_plane).T
+    # vertex-tuple order: one lexsort of the vertex lists padded with -1,
+    # so that a tuple sorts before every longer tuple it begins
+    rows, cols = np.nonzero(incidence)
+    sizes = np.count_nonzero(incidence, axis=1)
+    padded = np.full((len(sizes), sizes.max()), -1)
+    padded[rows, np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = cols
+    order = np.lexsort(padded.T[::-1])
+    incidence = incidence[order]
+    if np.any(np.all(incidence[1:] == incidence[:-1], axis=1)):
         raise DegenerateHull("two facets have the same vertex set")
-    return merged
+    return planes[order], plane_offsets[order], incidence
 
 
 def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,7 +197,7 @@ def is_omnidirectional(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> bo
     full-dimensional and every outward facet offset is positive."""
     if not poly.full_dimensional:
         return False
-    return bool(np.min(poly.offsets()) > tol_interior)
+    return bool(np.min(poly.offsets) > tol_interior)
 
 
 def covering_facet(poly: Polytope, x, tol_interior: float = TOL_INTERIOR,
@@ -215,11 +212,10 @@ def covering_facet(poly: Polytope, x, tol_interior: float = TOL_INTERIOR,
     if norm <= 1e-12:
         raise AtOrigin("direction is numerically zero")
     v = v / norm
-    dots = poly.normals() @ v
-    offsets = poly.offsets()
+    dots = poly.normals @ v
     mask = dots > tol_interior
     t = np.full(dots.shape, np.inf)
-    t[mask] = offsets[mask] / dots[mask]
+    t[mask] = poly.offsets[mask] / dots[mask]
     tmin = float(np.min(t))
     candidates = np.nonzero(t <= tmin + tie_tol)[0]
     return int(candidates[0])
@@ -269,8 +265,8 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
     """
     pts = poly.frame.elements
     selected = []
-    for j, facet in enumerate(poly.facets):
-        cols = pts[list(facet.vertex_indices)].T
+    for j, verts in enumerate(poly.vertices):
+        cols = pts[list(verts)].T
         k = cols.shape[1]
         feasible = lp_feasible(
             A_eq=np.ones((1, k)), b_eq=np.array([1.0]),
@@ -278,9 +274,9 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
             nonneg_vars=True)
         if feasible:
             selected.append(j)
-    vertex_union = sorted({v for j in selected for v in poly.facets[j].vertex_indices})
+    vertex_union = sorted({v for j in selected for v in poly.vertices[j]})
 
-    away_from_origin = all(abs(poly.facets[j].offset) > tol_interior for j in selected)
+    away_from_origin = all(abs(poly.offsets[j]) > tol_interior for j in selected)
     nonneg = bool(selected) and away_from_origin and all(
         lp_feasible(A_eq=pts.T, b_eq=e_k, nonneg_vars=True)
         for e_k in np.eye(poly.frame.n))

@@ -113,7 +113,7 @@ def build_report(*, command: str, version: str, domain: str, radius: float,
             "full_dimensional": bool(poly.full_dimensional),
             "omnidirectional": bool(omnidirectional),
             "num_facets": poly.num_facets,
-            "facet_vertices": [list(f.vertex_indices) for f in poly.facets],
+            "facet_vertices": [list(v) for v in poly.vertices],
             "nonneg": None if positive_report is None else {
                 "facet_indices": list(positive_report.facet_indices),
                 "vertex_indices": list(positive_report.vertex_indices),

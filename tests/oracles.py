@@ -342,8 +342,8 @@ def facet_cone_instances(n: int, count: int, seed: int, m: int = 20):
         poly = rc.build_polytope(frame)
         if not rc.is_omnidirectional(poly):
             continue
-        for facet in poly.facets:
-            idx = list(facet.vertex_indices)
+        for verts in poly.vertices:
+            idx = list(verts)
             cols = frame.elements[idx].T
             for i in idx:
                 c = cols.T @ frame.elements[i]
@@ -404,12 +404,12 @@ def reconstruct_rowwise(bank, layer, z, verify_tol: float = VERIFY_TOL) -> np.nd
         raise FrameMismatch("dual bank was built for a different bias")
     zv = np.asarray(z, dtype=float)
     positive = zv > 0.0
-    overlap = (bank.incidence & positive).sum(axis=1)
-    sizes = bank.incidence.sum(axis=1)
+    overlap = (bank.poly.incidence & positive).sum(axis=1)
+    sizes = bank.poly.incidence.sum(axis=1)
     outside = overlap < sizes  # facets not fully in the strict-positive pattern
     order = np.lexsort((np.arange(len(sizes)), -overlap, outside))
     for j in order:
-        idx = list(bank.facet_vertices[j])
+        idx = list(bank.poly.vertices[j])
         candidate = bank.duals[j] @ (zv[idx] + bank.bias[idx])
         check = np.maximum(layer.frame.elements @ candidate - layer.bias, 0.0)
         if float(np.max(np.abs(check - zv))) <= verify_tol:

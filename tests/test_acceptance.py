@@ -62,7 +62,7 @@ def test_criterion_03_icosahedron_biases_and_hull():
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     err_x = float(np.max(np.abs(est.alpha_X - phi / (1.0 + phi * phi))))
     zero_exact = bool(np.all(est.alpha_B == 0.0))
-    hull_ok = poly.num_facets == 20 and all(len(f.vertex_indices) == 3 for f in poly.facets)
+    hull_ok = poly.num_facets == 20 and all(len(v) == 3 for v in poly.vertices)
     ok = err_x <= 1e-9 and zero_exact and hull_ok and elapsed < 0.5
     announce(3, "icosahedron correlation bias and 20-facet hull", ok,
              f"errX={err_x:.2e}, {elapsed:.3f} s")
@@ -158,7 +158,7 @@ def test_criterion_08_hull_matches_exhaustive_oracle():
             pts = rc.random_sphere(n, m, 9500 + 13 * m + n)
             frame, _, _ = rc.normalize(pts)
             poly = rc.build_polytope(frame)
-            got = sorted(f.vertex_indices for f in poly.facets)
+            got = sorted(poly.vertices)
             want = [v for v, _, _ in oracles.hull_facets(frame.elements)]
             cases_ok = cases_ok and got == want
     announce(8, "hull incidences equal the supporting-hyperplane oracle", cases_ok)

@@ -147,6 +147,25 @@ def test_reconstruct_roundtrip(capsys, tmp_path):
     assert float(lines[2].split(",")[-1]) <= 1e-10
 
 
+def test_reconstruct_skips_stability_and_report(capsys, tmp_path, monkeypatch):
+    # reconstruct needs the certificate only: the energy bounds and the
+    # report document are never computed
+    def unused(*args, **kwargs):
+        raise AssertionError("reconstruct computed a result it discards")
+
+    monkeypatch.setattr("relucert.cli.stability", unused)
+    monkeypatch.setattr("relucert.cli.build_report", unused)
+    w = tmp_path / "w.csv"
+    b = tmp_path / "b.csv"
+    x = tmp_path / "x.csv"
+    w.write_text(fio.format_matrix(rc.mercedes_benz()))
+    b.write_text("-0.5,-0.5,-0.5\n")
+    x.write_text("0.0,0.5\n")
+    code, out, _ = run(capsys, "reconstruct", str(w), "--bias", str(b), "--inputs", str(x))
+    assert code == 0
+    assert float(out.strip().splitlines()[1].split(",")[-1]) <= 1e-10
+
+
 def test_reconstruct_tetrahedron_batch(capsys, tmp_path):
     rng = np.random.default_rng(82)
     w = tmp_path / "w.csv"

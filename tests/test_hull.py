@@ -17,13 +17,25 @@ from conftest import random_omnidirectional
 
 
 def facet_sets(poly):
-    return sorted(f.vertex_indices for f in poly.facets)
+    return sorted(poly.vertices)
+
+
+def triples(verts, normals, offsets):
+    """A facet table as the oracles take it: (vertex tuple, normal, offset) rows."""
+    return [(tuple(int(i) for i in v), normal, float(offset))
+            for v, normal, offset in zip(verts, normals, offsets)]
+
+
+def latitude_circle(s=0.8, h=0.6):
+    """Six points on the circle of radius s in the plane z = h."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 7)[:-1]
+    return np.column_stack([s * np.cos(theta), s * np.sin(theta), np.full(6, h)])
 
 
 def test_mercedes_triangle(mb):
     assert facet_sets(mb.poly) == [(0, 1), (0, 2), (1, 2)]
     assert mb.poly.full_dimensional
-    assert np.allclose(mb.poly.offsets(), 0.5, atol=1e-12)
+    assert np.allclose(mb.poly.offsets, 0.5, atol=1e-12)
 
 
 def test_tetrahedron_four_triangles(tet):
@@ -32,7 +44,7 @@ def test_tetrahedron_four_triangles(tet):
 
 def test_icosahedron_twenty_triangles(ico):
     assert ico.poly.num_facets == 20
-    assert all(len(f.vertex_indices) == 3 for f in ico.poly.facets)
+    assert all(len(v) == 3 for v in ico.poly.vertices)
     # every vertex sits on exactly five facets
     assert np.array_equal(ico.poly.incidence.sum(axis=0), np.full(12, 5))
 
@@ -42,9 +54,8 @@ def test_standard_basis_single_flat_facet():
     poly = rc.build_polytope(frame)
     assert not poly.full_dimensional
     assert facet_sets(poly) == [(0, 1, 2)]
-    facet = poly.facets[0]
-    assert np.allclose(facet.normal, np.ones(3) / np.sqrt(3.0), atol=1e-12)
-    assert facet.offset == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
+    assert np.allclose(poly.normals[0], np.ones(3) / np.sqrt(3.0), atol=1e-12)
+    assert poly.offsets[0] == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-12)
 
 
 def test_cube_merges_coplanar_triangles():
@@ -53,7 +64,7 @@ def test_cube_merges_coplanar_triangles():
     frame, _, _ = rc.normalize(corners)
     poly = rc.build_polytope(frame)
     assert poly.num_facets == 6
-    assert all(len(f.vertex_indices) == 4 for f in poly.facets)
+    assert all(len(v) == 4 for v in poly.vertices)
     assert rc.is_omnidirectional(poly)
 
 
@@ -61,7 +72,7 @@ def test_cross_polytope_square():
     frame, _, _ = rc.normalize(np.array([[1.0, 0], [0, 1.0], [-1.0, 0], [0, -1.0]]))
     poly = rc.build_polytope(frame)
     assert poly.num_facets == 4
-    assert all(len(f.vertex_indices) == 2 for f in poly.facets)
+    assert all(len(v) == 2 for v in poly.vertices)
 
 
 def test_degenerate_antipodal_pair():
@@ -72,14 +83,12 @@ def test_degenerate_antipodal_pair():
 
 def test_flat_circle_off_origin_is_single_facet():
     # points on a latitude circle: affine span is the plane z = h, away from 0
-    theta = np.linspace(0.0, 2.0 * np.pi, 7)[:-1]
-    s, h = 0.8, 0.6
-    pts = np.column_stack([s * np.cos(theta), s * np.sin(theta), np.full(6, h)])
-    frame, _, _ = rc.normalize(pts)
+    h = 0.6
+    frame, _, _ = rc.normalize(latitude_circle(0.8, h))
     poly = rc.build_polytope(frame)
     assert not poly.full_dimensional
-    assert poly.facets[0].vertex_indices == tuple(range(6))
-    assert poly.facets[0].offset == pytest.approx(h, abs=1e-12)
+    assert poly.vertices[0] == tuple(range(6))
+    assert poly.offsets[0] == pytest.approx(h, abs=1e-12)
 
 
 def test_flat_great_circle_through_origin_degenerate():
@@ -98,16 +107,33 @@ def test_duplicate_points_rejected():
 
 def test_facet_certificates_random():
     rng = np.random.default_rng(41)
-    for n, m in ((2, 30), (3, 25), (4, 18)):
-        frame, _, _ = rc.normalize(rc.random_sphere(n, m, int(rng.integers(1 << 30))))
+    weights = [rc.random_sphere(n, m, int(rng.integers(1 << 30)))
+               for n, m in ((2, 30), (3, 25), (4, 18))]
+    # the merged frames, and the flat and one-dimensional hulls
+    weights += [SCAN_FRAMES[name] for name in sorted(SCAN_FRAMES)]
+    weights += [np.eye(2), np.eye(3), latitude_circle(), np.array([[1.0], [-1.0]])]
+    for w in weights:
+        frame, _, _ = rc.normalize(w)
         poly = rc.build_polytope(frame)
         pts = frame.elements
-        for facet in poly.facets:
-            assert abs(np.linalg.norm(facet.normal) - 1.0) <= 1e-12
-            dots = pts @ facet.normal
-            on = np.abs(dots - facet.offset) <= 1e-9
-            assert set(np.nonzero(on)[0]) == set(facet.vertex_indices)
-            assert np.all(dots <= facet.offset + 1e-9)
+        (m, n), count = pts.shape, poly.num_facets
+        assert poly.normals.shape == (count, n)
+        assert poly.offsets.shape == (count,)
+        assert poly.incidence.shape == (count, m)
+        for table in (poly.normals, poly.offsets, poly.incidence):
+            assert not table.flags.writeable
+        assert list(poly.vertices) == sorted(poly.vertices)
+        for j, verts in enumerate(poly.vertices):
+            assert verts == tuple(np.flatnonzero(poly.incidence[j]))
+            normal, offset = poly.normals[j], poly.offsets[j]
+            assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
+            dots = pts @ normal
+            on = np.abs(dots - offset) <= 1e-9
+            assert set(np.nonzero(on)[0]) == set(verts)
+            assert np.all(dots <= offset + 1e-9)
+    # quickhull's simplex count, which the benchmark tracer reads as len(result[0])
+    assert len(hull.quickhull(np.eye(3))[0]) == 0
+    assert len(hull.quickhull(rc.tetrahedron())[0]) == 4
 
 
 def test_hull_oracle_equivalence_2d():
@@ -116,9 +142,9 @@ def test_hull_oracle_equivalence_2d():
         poly = rc.build_polytope(frame)
         want = oracles.hull_facets(frame.elements)
         assert facet_sets(poly) == [v for v, _, _ in want]
-        for facet, (_, normal, offset) in zip(poly.facets, want):
-            assert np.max(np.abs(facet.normal - normal)) <= 1e-9
-            assert abs(facet.offset - offset) <= 1e-9
+        for j, (_, normal, offset) in enumerate(want):
+            assert np.max(np.abs(poly.normals[j] - normal)) <= 1e-9
+            assert abs(poly.offsets[j] - offset) <= 1e-9
 
 
 def test_hull_oracle_equivalence_3d():
@@ -158,19 +184,20 @@ def test_not_omnidirectional_when_accumulated_on_one_side():
 
 def test_covering_facet_examples(mb, tet):
     down = rc.covering_facet(mb.poly, [0.0, -1.0])
-    assert mb.poly.facets[down].vertex_indices == (1, 2)
+    assert mb.poly.vertices[down] == (1, 2)
     # ray through vertex 0: tie between its two edges, smallest index wins
     up = rc.covering_facet(mb.poly, [0.0, 0.5])
     assert up == 0
-    assert 0 in mb.poly.facets[up].vertex_indices
+    assert 0 in mb.poly.vertices[up]
     opposite = rc.covering_facet(tet.poly, -tet.frame.elements[3])
-    assert tet.poly.facets[opposite].vertex_indices == (0, 1, 2)
+    assert tet.poly.vertices[opposite] == (0, 1, 2)
 
 
 def test_covering_facet_matches_ray_oracle(mb, tet, ico):
     rng = np.random.default_rng(42)
     for setup in (mb, tet, ico):
-        facets = [(f.vertex_indices, f.normal, f.offset) for f in setup.poly.facets]
+        poly = setup.poly
+        facets = triples(poly.vertices, poly.normals, poly.offsets)
         for _ in range(50):
             x = rng.standard_normal(setup.frame.n)
             j = rc.covering_facet(setup.poly, x)
@@ -187,12 +214,12 @@ def test_covering_facet_exit_point_on_facet():
         x = rng.standard_normal(3)
         x /= np.linalg.norm(x)
         j = rc.covering_facet(poly, x)
-        facet = poly.facets[j]
-        t = facet.offset / float(facet.normal @ x)
+        normal, offset = poly.normals[j], poly.offsets[j]
+        t = offset / float(normal @ x)
         exit_point = t * x
         # on the plane, and inside the polytope
-        assert abs(facet.normal @ exit_point - facet.offset) <= 1e-9
-        assert np.all(poly.normals() @ exit_point <= poly.offsets() + 1e-9)
+        assert abs(normal @ exit_point - offset) <= 1e-9
+        assert np.all(poly.normals @ exit_point <= poly.offsets + 1e-9)
 
 
 def test_covering_facet_at_origin(mb):
@@ -203,15 +230,15 @@ def test_covering_facet_at_origin(mb):
 def test_offset_facets_span(mb, tet, ico):
     # facets missing the origin carry spanning vertex sets
     for setup in (mb, tet, ico):
-        for facet in setup.poly.facets:
-            if abs(facet.offset) > 1e-9:
-                assert rc.is_frame(setup.frame, facet.vertex_indices)
+        for verts, offset in zip(setup.poly.vertices, setup.poly.offsets):
+            if abs(offset) > 1e-9:
+                assert rc.is_frame(setup.frame, verts)
 
 
 def test_omnidirectional_vertices_all_on_facets(mb, tet, ico):
     for setup in (mb, tet, ico):
         assert set(range(setup.frame.m)) == {
-            v for f in setup.poly.facets for v in f.vertex_indices}
+            v for verts in setup.poly.vertices for v in verts}
 
 
 def test_positive_facets_mercedes(mb):
@@ -222,10 +249,9 @@ def test_positive_facets_mercedes(mb):
     assert report.nonneg_omnidirectional
     # oracle: dense sweep of each edge against the quadrant
     pts = mb.frame.elements
-    for j, facet in enumerate(mb.poly.facets):
-        a, b = facet.vertex_indices
+    for j, (a, b) in enumerate(mb.poly.vertices):
         assert oracles.edge_meets_quadrant(pts[a], pts[b]) == (j in report.facet_indices)
-    cones = [pts[list(mb.poly.facets[j].vertex_indices)].T for j in report.facet_indices]
+    cones = [pts[list(mb.poly.vertices[j])].T for j in report.facet_indices]
     assert oracles.quadrant_covered_by_cones_2d(cones)
 
 
@@ -246,8 +272,8 @@ def test_positive_facets_negative_orthant_excluded():
     poly = rc.build_polytope(frame)
     report = rc.positive_facets(poly)
     negative_facet = next(
-        j for j, f in enumerate(poly.facets)
-        if np.all(frame.elements[list(f.vertex_indices)] < 0))
+        j for j, verts in enumerate(poly.vertices)
+        if np.all(frame.elements[list(verts)] < 0))
     assert negative_facet not in report.facet_indices
 
 
@@ -336,10 +362,10 @@ def test_positive_facets_exact_matches_grid_oracle(name):
     frame, _, _ = rc.normalize(ORTHANT_CASES[name])
     poly = rc.build_polytope(frame)
     report = rc.positive_facets(poly)
-    cones = [frame.elements[list(poly.facets[j].vertex_indices)].T
+    cones = [frame.elements[list(poly.vertices[j])].T
              for j in report.facet_indices]
     covered = bool(cones) and oracles.orthant_grid_covered(cones, frame.n)
-    away = all(abs(poly.facets[j].offset) > 1e-9 for j in report.facet_indices)
+    away = all(abs(poly.offsets[j]) > 1e-9 for j in report.facet_indices)
     if report.nonneg_omnidirectional:
         assert covered
     assert report.nonneg_omnidirectional == (covered and away)
@@ -396,16 +422,16 @@ def test_make_plane_degenerate_threshold():
 def test_merge_coplanar_rejects_open_hull():
     frame, _, _ = rc.normalize(rc.tetrahedron())
     pts = frame.elements
-    raw, flat = hull.quickhull(pts)
-    assert flat is None and len(raw) == 4
-    assert len(polytope._merge_coplanar(raw, pts, 1e-9)) == 4
+    *raw, flat = hull.quickhull(pts)
+    assert flat is None and len(raw[0]) == 4
+    assert len(polytope._merge_coplanar(*raw, pts, 1e-9)[1]) == 4
     with pytest.raises(DegenerateHull, match="not closed"):
-        polytope._merge_coplanar(raw[1:], pts, 1e-9)
+        polytope._merge_coplanar(*(a[1:] for a in raw), pts, 1e-9)
     # closed, but with repeated simplices: one simplex twice gives each of
     # its ridges three owners, the whole hull twice gives every ridge four
-    for extra in (raw[:1], raw):
+    for extra in (1, 4):
         with pytest.raises(DegenerateHull, match="not closed"):
-            polytope._merge_coplanar(raw + extra, pts, 1e-9)
+            polytope._merge_coplanar(*(np.concatenate([a, a[:extra]]) for a in raw), pts, 1e-9)
     # one ridge with one owner and nothing to compare it with
     with pytest.raises(DegenerateHull, match="not closed"):
         hull.ridge_pairs(np.array([[0]]))
@@ -414,14 +440,13 @@ def test_merge_coplanar_rejects_open_hull():
 def test_merge_coplanar_certificate_in_every_block():
     frame, _, _ = rc.normalize(rc.random_sphere(4, 60, 31))
     pts = frame.elements
-    raw, _ = hull.quickhull(pts)
-    assert len(raw) > 2 * polytope.MERGE_BLOCK
-    for j in (0, len(raw) // 2, len(raw) - 1):
-        lowered = list(raw)
-        verts, normal, offset = raw[j]
-        lowered[j] = (verts, normal, offset - 1e-6)
+    verts, normals, offsets, _ = hull.quickhull(pts)
+    assert len(verts) > 2 * polytope.MERGE_BLOCK
+    for j in (0, len(verts) // 2, len(verts) - 1):
+        lowered = offsets.copy()
+        lowered[j] -= 1e-6
         with pytest.raises(DegenerateHull, match="certificate"):
-            polytope._merge_coplanar(lowered, pts, 1e-9)
+            polytope._merge_coplanar(verts, normals, lowered, pts, 1e-9)
 
 
 def _ternary(n, m, seed):
@@ -446,27 +471,27 @@ SCAN_FRAMES = {
 def test_ridge_merge_matches_scan_oracle(name):
     frame, _, _ = rc.normalize(SCAN_FRAMES[name])
     pts = frame.elements
-    raw, flat = hull.quickhull(pts)
+    *raw, flat = hull.quickhull(pts)
     assert flat is None
-    want = oracles.merge_coplanar_scan(raw, pts, 1e-9)
+    want = oracles.merge_coplanar_scan(triples(*raw), pts, 1e-9)
     poly = rc.build_polytope(frame)
     assert facet_sets(poly) == [v for v, _, _ in want]
-    for facet, (_, normal, offset) in zip(poly.facets, want):
-        assert np.max(np.abs(facet.normal - normal)) <= 1e-12
-        assert abs(facet.offset - offset) <= 1e-12
+    for j, (_, normal, offset) in enumerate(want):
+        assert np.max(np.abs(poly.normals[j] - normal)) <= 1e-12
+        assert abs(poly.offsets[j] - offset) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_FRAMES))
 def test_ridge_pairs_match_dict_oracle(name):
     frame, _, _ = rc.normalize(SCAN_FRAMES[name])
-    raw, _ = hull.quickhull(frame.elements)
-    verts = np.array([v for v, _, _ in raw])
+    *raw, _ = hull.quickhull(frame.elements)
+    verts = raw[0]
     n = verts.shape[1]
     s, t = hull.ridge_pairs(verts)
     ridge = [np.delete(verts[slot // n], slot % n).tolist() for slot in range(verts.size)]
     assert all(ridge[x] == ridge[y] for x, y in zip(s, t))
-    a, b = oracles.ridge_pairs_dict(raw)
-    assert len(s) == len(a) == len(raw) * n // 2
+    a, b = oracles.ridge_pairs_dict(triples(*raw))
+    assert len(s) == len(a) == len(verts) * n // 2
     assert ({frozenset(p) for p in zip((s // n).tolist(), (t // n).tolist())}
             == {frozenset(p) for p in zip(a.tolist(), b.tolist())})
 
@@ -526,14 +551,13 @@ def test_hull_fuzz(kind, n, seed):
         return
     if not poly.full_dimensional:
         return
-    raw, _ = hull.quickhull(frame.elements)
-    s, _ = hull.ridge_pairs(np.array([v for v, _, _ in raw]))
-    assert 2 * len(s) == len(raw) * n
+    verts = hull.quickhull(frame.elements)[0]
+    s, _ = hull.ridge_pairs(verts)
+    assert 2 * len(s) == len(verts) * n
     if not rc.is_omnidirectional(poly):
         return
     for x in rng.standard_normal((5, n)):
-        facet = poly.facets[rc.covering_facet(poly, x)]
-        cols = frame.elements[list(facet.vertex_indices)].T
+        cols = frame.elements[list(poly.vertices[rc.covering_facet(poly, x)])].T
         assert oracles.in_cone(cols, (x / np.linalg.norm(x))[None, :], tol=1e-7)[0]
 
 

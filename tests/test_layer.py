@@ -123,7 +123,7 @@ def test_dual_bank_rejects_origin_facet():
 def test_dual_bank_decomposition_identity(mb, tet, ico):
     rng = np.random.default_rng(72)
     for setup in (mb, tet, ico):
-        for verts, dual in zip(setup.bank.facet_vertices, setup.bank.duals):
+        for verts, dual in zip(setup.bank.poly.vertices, setup.bank.duals):
             for _ in range(10):
                 x = rng.standard_normal(setup.frame.n)
                 coeff = setup.frame.elements[list(verts)] @ x
@@ -185,7 +185,7 @@ def _boundary_outputs(setup, xs):
 
 
 def _has_inside_facet(bank, zs):
-    inside = (zs[:, None, :] > 0.0) | ~bank.incidence[None, :, :]
+    inside = (zs[:, None, :] > 0.0) | ~bank.poly.incidence[None, :, :]
     return inside.all(axis=2).any(axis=1)
 
 

@@ -36,7 +36,7 @@ def test_alpha_x_orphan_vertex(mb):
 
     # hand-built polytope whose facet list misses vertex 2
     incidence = np.array([[True, True, False]])
-    broken = rc.Polytope(mb.frame, (mb.poly.facets[0],), incidence, True)
+    broken = rc.Polytope(mb.frame, mb.poly.normals[:1], mb.poly.offsets[:1], incidence, True)
     with pytest.raises(OrphanVertex) as err:
         rc.alpha_X(broken)
     assert err.value.index == 2
@@ -71,8 +71,8 @@ def test_alpha_sphere_matches_arc_sweep_2d():
             continue
         best = 0.0
         for j in poly.facets_of_vertex(i):
-            cols = frame.elements[list(poly.facets[j].vertex_indices)].T
-            best = min(best, oracles.arc_sweep_min(cols, gram[i, list(poly.facets[j].vertex_indices)],
+            cols = frame.elements[list(poly.vertices[j])].T
+            best = min(best, oracles.arc_sweep_min(cols, gram[i, list(poly.vertices[j])],
                                                    samples=400_000))
         assert est.alpha_B[i] == pytest.approx(best, abs=1e-6)
 
@@ -87,7 +87,7 @@ def test_alpha_sphere_below_sampled_facet_minima():
         assert not np.isnan(est.alpha_S).all()
         for i in np.nonzero(~np.isnan(est.alpha_S))[0]:
             for j in poly.facets_of_vertex(i):
-                idx = list(poly.facets[j].vertex_indices)
+                idx = list(poly.vertices[j])
                 cols = frame.elements[idx].T
                 sampled = oracles.cone_sample_min(cols, cols.T @ frame.elements[i],
                                                   samples=2000, seed=int(i))
@@ -185,12 +185,12 @@ def test_positive_consistency_sampled(mb, ico):
         bias = np.where(est.unconstrained_mask, np.inf, est.alpha_scaled)
         covered = np.zeros(xs.shape[0], dtype=bool)
         for j in report.facet_indices:
-            verts = list(setup.poly.facets[j].vertex_indices)
+            verts = list(setup.poly.vertices[j])
             ok = np.all(coeff[:, verts] >= bias[verts] - 1e-12, axis=1)
             covered |= ok
         assert covered.all()
         for j in report.facet_indices:
-            assert rc.is_frame(setup.frame, setup.poly.facets[j].vertex_indices)
+            assert rc.is_frame(setup.frame, setup.poly.vertices[j])
 
 
 def test_stability_mercedes(mb):

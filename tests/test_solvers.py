@@ -109,8 +109,8 @@ def _merged_facet_instances(points):
     frame, _, _ = rc.normalize(points)
     poly = rc.build_polytope(frame)
     out = []
-    for facet in poly.facets:
-        cols = frame.elements[list(facet.vertex_indices)].T
+    for verts in poly.vertices:
+        cols = frame.elements[list(verts)].T
         out.extend((cols, cols.T @ x) for x in frame.elements if np.min(cols.T @ x) < 0.0)
     return out
 
