@@ -9,7 +9,7 @@ line `epoch <k>`, then the m weight rows as CSV, then one bias row prefixed
 from __future__ import annotations
 
 import sys
-from typing import Iterable, TextIO
+from typing import Iterable
 
 import numpy as np
 
@@ -75,10 +75,6 @@ def read_vector(path: str, length: int | None = None) -> np.ndarray:
 
 def format_matrix(a: np.ndarray) -> str:
     return "\n".join(",".join(repr(float(v)) for v in row) for row in np.atleast_2d(a)) + "\n"
-
-
-def write_matrix(a: np.ndarray, out: TextIO) -> None:
-    out.write(format_matrix(a))
 
 
 def read_trace(path: str) -> list[tuple[int, np.ndarray, np.ndarray]]:

@@ -23,7 +23,7 @@ import numpy as np
 from . import hull as _hull
 from .errors import AtOrigin, DegenerateHull, NotOmnidirectional
 from .frames import UnitFrame
-from .solvers import lp_feasible
+from .solvers import TOL_SOLVER, lp_feasible
 
 TOL_PLANE = 1e-9
 TOL_INTERIOR = 1e-9
@@ -31,6 +31,9 @@ TOL_MERGE = 1e-9
 TOL_TIE = 1e-12
 TOL_DISTINCT = 1e-10
 MERGE_BLOCK = 32  # facets per (m x block) product: bounds peak memory
+# a facet with some coordinate below -TOL_OUTSIDE at every vertex misses the
+# orthant by more than lp_feasible's tolerance (proof in positive_facets)
+TOL_OUTSIDE = 2.0 * TOL_SOLVER
 
 
 @dataclass(frozen=True)
@@ -225,8 +228,23 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
     """Find the facets meeting the closed non-negative orthant and test
     whether their cones cover it.
 
-    Facet membership is decided exactly per facet by LP feasibility of
-    {c >= 0, sum c = 1, D c >= 0} where D has the facet vertices as columns.
+    Facet j meets the orthant iff {c >= 0, sum c = 1, D c >= 0} is feasible,
+    where D has the facet vertices as columns. Two exact tests on the
+    incidence table decide most facets, and only the rest go to that LP:
+
+    - Select: a vertex v of j lies in the closed orthant. Then c = e_v is a
+      feasible point, and the LP would say True.
+    - Reject: some coordinate i is below -delta at every vertex of j, with
+      delta = TOL_OUTSIDE, twice the LP's tolerance TOL_SOLVER. The LP
+      would say False: its phase-1 program has artificials
+      a_eq >= 0 on sum c + a_eq = 1 and a_i >= 0 on
+      (D c)_i - s_i + a_i = 0 with s_i >= 0, so
+      a_i >= -(D c)_i >= delta * sum c = delta * (1 - a_eq), and its
+      objective is at least a_eq + a_i >= delta + a_eq * (1 - delta) >=
+      delta > TOL_SOLVER.
+    - Otherwise the facet straddles the orthant's boundary and `lp_feasible`
+      decides it, in facet order.
+
     Coverage is decided exactly by n more LPs, one per basis vector e_k:
     the selected cones cover the orthant iff every e_k lies in cone(frame).
 
@@ -264,20 +282,22 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
     selected facets include negative offsets.
     """
     pts = poly.frame.elements
-    selected = []
-    for j, verts in enumerate(poly.vertices):
-        cols = pts[list(verts)].T
-        k = cols.shape[1]
-        feasible = lp_feasible(
-            A_eq=np.ones((1, k)), b_eq=np.array([1.0]),
+    incidence = poly.incidence
+    selected = incidence[:, (pts >= 0.0).all(axis=1)].any(axis=1)
+    straddling = ~selected
+    for coordinate in pts.T:
+        straddling &= incidence[:, coordinate >= -TOL_OUTSIDE].any(axis=1)
+    for j in np.flatnonzero(straddling):
+        cols = pts[incidence[j]].T
+        selected[j] = lp_feasible(
+            A_eq=np.ones((1, cols.shape[1])), b_eq=np.array([1.0]),
             A_ineq=cols, b_ineq=np.zeros(cols.shape[0]),
             nonneg_vars=True)
-        if feasible:
-            selected.append(j)
-    vertex_union = sorted({v for j in selected for v in poly.vertices[j]})
+    facets = np.flatnonzero(selected)
+    vertex_union = np.flatnonzero(incidence[selected].any(axis=0))
 
-    away_from_origin = all(abs(poly.offsets[j]) > tol_interior for j in selected)
-    nonneg = bool(selected) and away_from_origin and all(
+    away_from_origin = bool(np.all(np.abs(poly.offsets[selected]) > tol_interior))
+    nonneg = bool(facets.size) and away_from_origin and all(
         lp_feasible(A_eq=pts.T, b_eq=e_k, nonneg_vars=True)
         for e_k in np.eye(poly.frame.n))
-    return PositiveFacetReport(tuple(selected), tuple(int(v) for v in vertex_union), nonneg)
+    return PositiveFacetReport(tuple(facets.tolist()), tuple(vertex_union.tolist()), nonneg)

@@ -29,6 +29,11 @@ TOL_SOLVER = 1e-9
 # more than rounding noise; a column in the span of the active set has a
 # zero gradient entry up to rounding and must not enter (singular block)
 _TOL_ENTER = 1e-14
+# phase-1 simplex: entries and reduced costs up to _TOL_PIVOT in magnitude
+# count as zero, and ratios within _TOL_RATIO of the smallest are ties
+_TOL_PIVOT = 1e-9
+_TOL_RATIO = 1e-12
+_MAX_PIVOTS = 50_000
 
 
 @dataclass(frozen=True)
@@ -152,10 +157,15 @@ def _passive_solves(G: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.nda
 def lp_feasible(A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,
                 nonneg_vars: bool = True, tol: float = TOL_SOLVER) -> bool:
     """Decide whether {x : A_eq x = b_eq, A_ineq x >= b_ineq, x >= 0 if
-    nonneg_vars} is non-empty, by phase-1 simplex with Bland's rule.
+    nonneg_vars} is non-empty, by phase-1 simplex.
 
     Free variables are split into positive and negative parts. Feasible means
-    the artificial objective reaches zero within `tol`.
+    the artificial objective reaches zero within `tol`. The smallest
+    improving column enters (Bland); the largest pivot among the rows tied
+    at the smallest ratio leaves. Entries and reduced costs up to
+    `_TOL_PIVOT` count as zero: a pivot at that level would scale the
+    tableau by its inverse and bury the objective in rounding. Raises
+    NotConverged if `_MAX_PIVOTS` pivots reach no optimum.
     """
     eq_a, eq_b = _as_system(A_eq, b_eq)
     ge_a, ge_b = _as_system(A_ineq, b_ineq)
@@ -185,42 +195,32 @@ def lp_feasible(A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,
 
     n_rows, n_cols = a.shape
     tableau = np.hstack([a, np.eye(n_rows), b[:, None]])
-    basis = list(range(n_cols, n_cols + n_rows))
     # phase-1 reduced costs for the artificial basis
     cost = np.concatenate([-tableau[:, :n_cols].sum(axis=0),
                            np.zeros(n_rows), [-float(b.sum())]])
 
-    eps = 1e-11
-    for _ in range(50_000):
-        entering = -1
-        for j in range(n_cols):  # Bland: smallest improving index
-            if cost[j] < -eps:
-                entering = j
+    for _ in range(_MAX_PIVOTS):
+        # Bland: the smallest improving index with a pivot row enters. A
+        # phase-1 objective is bounded below by 0, so an improving column
+        # with no pivot row only shows rounding in its reduced cost: it is
+        # taken as non-improving.
+        for entering in np.flatnonzero(cost[:n_cols] < -_TOL_PIVOT):
+            col = tableau[:, entering]
+            rows = np.flatnonzero(col > _TOL_PIVOT)
+            if rows.size:
                 break
-        if entering < 0:
+        else:
             break
-        col = tableau[:, entering]
-        leaving = -1
-        best_ratio = np.inf
-        for i in range(n_rows):
-            if col[i] > eps:
-                ratio = tableau[i, -1] / col[i]
-                if ratio < best_ratio - 1e-12 or (
-                        abs(ratio - best_ratio) <= 1e-12
-                        and (leaving < 0 or basis[i] < basis[leaving])):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            raise ArithmeticError("phase-1 simplex became unbounded")
-        pivot = tableau[leaving, entering]
-        tableau[leaving] /= pivot
-        for i in range(n_rows):
-            if i != leaving and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leaving]
-        cost = cost - cost[entering] * tableau[leaving]
-        basis[leaving] = entering
+        ratios = tableau[rows, -1] / col[rows]
+        ties = rows[ratios <= ratios.min() + _TOL_RATIO]
+        leaving = ties[np.argmax(col[ties])]
+        tableau[leaving] /= tableau[leaving, entering]
+        factors = tableau[:, entering].copy()
+        factors[leaving] = 0.0
+        tableau -= factors[:, None] * tableau[leaving]
+        cost -= cost[entering] * tableau[leaving]
     else:
-        raise ArithmeticError("phase-1 simplex did not terminate")
+        raise NotConverged(_MAX_PIVOTS, float(-cost[-1]))
     return bool(-cost[-1] <= tol)
 
 

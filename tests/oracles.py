@@ -13,8 +13,11 @@ from itertools import combinations, product
 import numpy as np
 
 from relucert.errors import DegenerateHull, FrameMismatch, NotConverged, ReconstructionFailed
+from relucert.fixtures import random_sphere
 from relucert.layer import VERIFY_TOL
 from relucert.pbe import DOMAIN_BALL
+from relucert.polytope import PositiveFacetReport
+from relucert.solvers import lp_feasible
 
 
 def eig_closed_form(s: np.ndarray) -> np.ndarray:
@@ -175,6 +178,64 @@ def qhull_facets(points: np.ndarray, tol: float = 1e-9):
     eqs = ConvexHull(points).equations
     on = np.abs(points @ eqs[:, :-1].T + eqs[:, -1]) <= tol
     return sorted({tuple(int(i) for i in np.nonzero(col)[0]) for col in on.T})
+
+def positive_facets_lp(poly, tol_interior: float = 1e-9) -> PositiveFacetReport:
+    """`positive_facets` with one phase-1 LP per facet, as the library
+    selected facets before its vertex tests: facet j is selected iff
+    {c >= 0, sum c = 1, D c >= 0} is feasible, D its vertices as columns."""
+    pts = poly.frame.elements
+    selected = []
+    for j, verts in enumerate(poly.vertices):
+        cols = pts[list(verts)].T
+        k = cols.shape[1]
+        feasible = lp_feasible(
+            A_eq=np.ones((1, k)), b_eq=np.array([1.0]),
+            A_ineq=cols, b_ineq=np.zeros(cols.shape[0]),
+            nonneg_vars=True)
+        if feasible:
+            selected.append(j)
+    vertex_union = sorted({v for j in selected for v in poly.vertices[j]})
+
+    away_from_origin = all(abs(poly.offsets[j]) > tol_interior for j in selected)
+    nonneg = bool(selected) and away_from_origin and all(
+        lp_feasible(A_eq=pts.T, b_eq=e_k, nonneg_vars=True)
+        for e_k in np.eye(poly.frame.n))
+    return PositiveFacetReport(tuple(selected), tuple(int(v) for v in vertex_union), nonneg)
+
+
+def orthant_margin_bounds(cols: np.ndarray) -> tuple[float, float]:
+    """Bounds (low, high) on t* = max {t : D c >= t, c >= 0, sum c = 1},
+    D = `cols`, the largest smallest coordinate over the convex hull of the
+    columns, from scipy's HiGHS (test-only dependency). Both are evaluated
+    in the data, not read off the solver: low = min(D c) at its primal c,
+    and high = max(D^T y) at its dual y, both scaled onto the simplex. For
+    every such c and y, min(D c) <= y^T D c <= max(D^T y), so
+    low <= t* <= high whatever the solver's tolerances did."""
+    from scipy.optimize import linprog
+
+    n, k = cols.shape
+    res = linprog(np.r_[np.zeros(k), -1.0], A_ub=np.hstack([-cols, np.ones((n, 1))]),
+                  b_ub=np.zeros(n), A_eq=np.r_[np.ones(k), 0.0][None], b_eq=[1.0],
+                  bounds=[(0.0, None)] * k + [(None, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise AssertionError(res.message)
+    c = np.maximum(res.x[:k], 0.0)
+    y = np.abs(res.ineqlin.marginals)
+    return float(np.min(cols @ (c / c.sum()))), float(np.max(cols.T @ (y / y.sum())))
+
+
+def snapped(n: int, seed: int) -> np.ndarray:
+    """`random_sphere(n, 30, seed)` with about a fifth of its entries set to
+    0, +-1e-12, -5e-10 or -3e-9: frames with vertices on, and within the
+    LP tolerance of, the orthant's boundary."""
+    rng = np.random.default_rng(seed)
+    p = random_sphere(n, 30, seed)
+    mask = rng.random(p.shape) < 0.2
+    p[mask] = rng.choice([0.0, -1e-12, 1e-12, -5e-10, -3e-9], size=int(mask.sum()))
+    return p
+
 
 def arc_sweep_min(d_cols: np.ndarray, c: np.ndarray, samples: int = 1_000_000) -> float:
     """Capped-cone oracle in the plane: dense sweep of the unit arc between

@@ -99,6 +99,18 @@ def test_pbe_basis_ball_positive(capsys, tmp_path):
     assert doc["polytope"]["nonneg"]["nonneg_omnidirectional"] is True
 
 
+@pytest.mark.parametrize("seed", [12, 29, 35])
+def test_pbe_ball_positive_on_snapped_frame(capsys, tmp_path, seed):
+    # entries at 1e-12..3e-9 once drove the phase-1 simplex to a column
+    # with no pivot row, which escaped as a bare ArithmeticError (exit 1)
+    w = tmp_path / "w.csv"
+    w.write_text(fio.format_matrix(oracles.snapped(4, seed)))
+    code, out, err = run(capsys, "pbe", str(w), "--domain", "ball+")
+    assert (code, err) == (0, "")
+    doc = Report.from_text(out).document
+    assert doc["polytope"]["nonneg"]["nonneg_omnidirectional"] is True
+
+
 def test_pbe_parse_error_exits_2(capsys, tmp_path):
     w = tmp_path / "w.csv"
     w.write_text("1,2\n3\n")

@@ -11,6 +11,7 @@ from relucert import io as fio
 from relucert.cli import main
 from relucert.errors import (AtOrigin, DegenerateHull, NotNonnegOmnidirectional,
                              NotOmnidirectional, RelucertError)
+from relucert.solvers import TOL_SOLVER, lp_feasible
 
 import oracles
 from conftest import random_omnidirectional
@@ -369,6 +370,111 @@ def test_positive_facets_exact_matches_grid_oracle(name):
     if report.nonneg_omnidirectional:
         assert covered
     assert report.nonneg_omnidirectional == (covered and away)
+
+
+LP_ORACLE_CASES = {
+    **ORTHANT_CASES,
+    "sphere-3x120": rc.random_sphere(3, 120, 7),
+    "sphere-3x200": rc.random_sphere(3, 200, 7),
+}
+
+
+def _decided_by_vertices(pts, verts):
+    """Whether a facet's vertices settle its selection without an LP: one
+    lies in the closed orthant, or one coordinate is below -2 * TOL_SOLVER
+    at all of them."""
+    sub = pts[list(verts)]
+    return bool(np.any(np.all(sub >= 0.0, axis=1))
+                or np.any(np.all(sub < -2.0 * TOL_SOLVER, axis=0)))
+
+
+@pytest.fixture
+def facet_lps(monkeypatch):
+    """The vertex columns of every facet LP `positive_facets` runs."""
+    calls = []
+
+    def counting(**kwargs):
+        if kwargs.get("A_ineq") is not None:
+            calls.append(np.array(kwargs["A_ineq"]))
+        return lp_feasible(**kwargs)
+
+    monkeypatch.setattr(polytope, "lp_feasible", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(LP_ORACLE_CASES))
+def test_positive_facets_matches_per_facet_lp_oracle(name, facet_lps):
+    frame, _, _ = rc.normalize(LP_ORACLE_CASES[name])
+    poly = rc.build_polytope(frame)
+    report = rc.positive_facets(poly)
+    assert report == oracles.positive_facets_lp(poly)
+    # an LP runs for exactly the facets the vertex tests leave, in order
+    pts = frame.elements
+    straddling = [j for j, verts in enumerate(poly.vertices)
+                  if not _decided_by_vertices(pts, verts)]
+    assert len(facet_lps) == len(straddling)
+    for cols, j in zip(facet_lps, straddling):
+        assert np.array_equal(cols, pts[list(poly.vertices[j])].T)
+
+
+@pytest.mark.parametrize("scale, selected", [(0.5, True), (3.0, False)])
+def test_positive_facets_reject_test_at_its_bound(scale, selected, facet_lps):
+    # edge 0-1 lies on x = -scale * TOL_SOLVER. At half the LP tolerance the
+    # LP must decide it (and finds it feasible within tolerance); at three
+    # times the tolerance the reject test drops it without an LP
+    x = -scale * TOL_SOLVER
+    frame, _, _ = rc.normalize(np.array([[x, 1.0], [x, -1.0], [1.0, 0.0]]))
+    poly = rc.build_polytope(frame)
+    assert poly.vertices[0] == (0, 1) and np.all(frame.elements[:2, 0] == x)
+    report = rc.positive_facets(poly)
+    assert (0 in report.facet_indices) is selected
+    assert any(np.array_equal(cols, frame.elements[:2].T) for cols in facet_lps) is selected
+    assert report == oracles.positive_facets_lp(poly)
+
+
+def _snapped_polytopes(n):
+    for seed in range(40):
+        try:
+            frame, _, _ = rc.normalize(oracles.snapped(n, seed))
+            yield seed, rc.build_polytope(frame)
+        except (DegenerateHull, ValueError):
+            continue  # near-duplicate rows or a failed facet certificate
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_positive_facets_on_snapped_frames_selects_every_orthant_vertex(n):
+    for seed, poly in _snapped_polytopes(n):
+        report = rc.positive_facets(poly)
+        pts = poly.frame.elements
+        touching = {j for j, verts in enumerate(poly.vertices)
+                    if np.any(np.all(pts[list(verts)] >= 0.0, axis=1))}
+        assert touching <= set(report.facet_indices), seed
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_positive_facets_on_snapped_frames_matches_linprog(n):
+    # t* is the largest smallest coordinate over conv(facet). The phase-1
+    # objective lies between -t* and -n t* when t* < 0, and is 0 otherwise;
+    # where that settles it against TOL_SOLVER (with a factor 2 to spare),
+    # the selection must agree
+    pytest.importorskip("scipy")
+    checked = ambiguous = 0
+    for seed, poly in _snapped_polytopes(n):
+        report = rc.positive_facets(poly)
+        pts = poly.frame.elements
+        for j, verts in enumerate(poly.vertices):
+            if _decided_by_vertices(pts, verts):
+                continue
+            low, high = oracles.orthant_margin_bounds(pts[list(verts)].T)
+            if n * max(0.0, -low) <= 0.5 * TOL_SOLVER:
+                assert j in report.facet_indices, (seed, j, low)
+            elif high < -2.0 * TOL_SOLVER:
+                assert j not in report.facet_indices, (seed, j, high)
+            else:
+                ambiguous += 1
+                continue
+            checked += 1
+    assert checked > 2 * ambiguous
 
 
 def _cofactor_normal(sub):

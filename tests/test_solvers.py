@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import relucert as rc
+from relucert import solvers
 from relucert.errors import DimensionMismatch, NotConverged
 
 import oracles
@@ -252,3 +253,32 @@ def test_lp_feasible_random_cross_check():
         assert rc.lp_feasible(A_eq=a, b_eq=b)
         bad = np.vstack([a, np.zeros((1, cols))])
         assert not rc.lp_feasible(A_eq=bad, b_eq=np.concatenate([b, [1.0]]))
+
+
+def test_lp_feasible_vertex_in_orthant_with_rounding_level_entries():
+    # row 0 lies in the orthant, so x = e_0 is feasible; pivots on entries
+    # like -8.2e-10 once drove the objective to 8e-8 and the answer to False
+    V = np.array([
+        [0.7703112392821031, 0.1650208180652595, 0.20463335073696365, 0.5809594787994306],
+        [-8.235306432782589e-10, -1.0, 0.0, 0.0],
+        [-3.1916339811866857e-09, -0.2017662891823482, 0.653644578298793, 0.729410124559687],
+        [0.9658481883183992, -0.25192236875832613, -0.05940640904145922, 0.011969787218613885],
+    ])
+    assert rc.lp_feasible(A_eq=np.ones((1, 4)), b_eq=[1.0], A_ineq=V.T, b_ineq=np.zeros(4))
+
+
+@pytest.mark.parametrize("seed, k", [(21, 2), (35, 0)])
+def test_lp_feasible_column_without_pivot_row_is_not_improving(seed, k):
+    # e_k lies in the cone of a snapped frame whose hull holds the origin;
+    # on the way the simplex meets improving columns with no pivot row,
+    # which only rounding can make
+    frame = rc.normalize(oracles.snapped(4, seed))[0]
+    assert rc.is_omnidirectional(rc.build_polytope(frame))
+    assert rc.lp_feasible(A_eq=frame.elements.T, b_eq=np.eye(4)[k])
+
+
+def test_lp_feasible_pivot_cap_raises_not_converged(monkeypatch):
+    monkeypatch.setattr(solvers, "_MAX_PIVOTS", 1)
+    with pytest.raises(NotConverged) as err:
+        rc.lp_feasible(A_eq=np.array([[1.0, 1.0], [1.0, -1.0]]), b_eq=[1.0, 0.0])
+    assert err.value.iterations == 1
