@@ -20,9 +20,8 @@ from .solvers import (CappedConeProblem, SolveResult, lp_feasible,
 from .pbe import (DOMAIN_BALL, DOMAIN_BALL_POSITIVE, UNCONSTRAINED, BiasEstimate,
                   StabilityReport, alpha_X, pbe_ball, pbe_positive, stability,
                   stability_positive)
-from .layer import (ActivePattern, Certificate, FacetDualBank, ReLULayer,
-                    active_from_output, active_set, build_dual_bank, certify,
-                    facet_reconstruction, forward, reconstruct,
+from .layer import (ActivePattern, Certificate, ReLULayer, active_from_output,
+                    active_set, certify, facet_reconstruction, forward, reconstruct,
                     reconstruct_batch, spanning_failures)
 from .fixtures import (icosahedron, mercedes_benz, random_sphere, standard_basis,
                        tetrahedron)
@@ -40,9 +39,9 @@ __all__ = [
     "DOMAIN_BALL", "DOMAIN_BALL_POSITIVE", "UNCONSTRAINED",
     "BiasEstimate", "StabilityReport", "alpha_X", "pbe_ball", "pbe_positive",
     "stability", "stability_positive",
-    "ReLULayer", "ActivePattern", "Certificate", "FacetDualBank",
+    "ReLULayer", "ActivePattern", "Certificate",
     "forward", "active_set", "active_from_output", "certify",
-    "build_dual_bank", "facet_reconstruction", "reconstruct", "reconstruct_batch",
+    "facet_reconstruction", "reconstruct", "reconstruct_batch",
     "spanning_failures",
     "mercedes_benz", "tetrahedron", "icosahedron", "standard_basis",
     "random_sphere",

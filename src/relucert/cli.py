@@ -1,8 +1,9 @@
 """Command-line surface: pbe, certify, reconstruct, monitor, gen.
 
 Exit codes: 0 success, 2 parse/input errors, 3 geometric preconditions
-(omnidirectionality), 4 solver failures, 5 reconstruction refusals or
-failures. Errors are mirrored as one JSON object on standard error.
+(omnidirectionality, spanning sub-frames), 4 solver failures, 5
+reconstruction refusals or failures. Errors are mirrored as one JSON object
+on standard error.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import warnings
 import numpy as np
 
 from . import __version__, fixtures, io as fio
-from .errors import (DegenerateHull, DimensionMismatch, FrameMismatch, NotConverged,
-                     NotNonnegOmnidirectional, NotOmnidirectional, OrphanVertex,
+from .errors import (DegenerateHull, DimensionMismatch, FrameMismatch, NotAFrame,
+                     NotConverged, NotNonnegOmnidirectional, NotOmnidirectional, OrphanVertex,
                      ParseError, ReconstructionFailed, RelucertError, SolverFailed,
                      UnknownName, ZeroRow)
 from .frames import normalize
-from .layer import ReLULayer, build_dual_bank, certify, forward, reconstruct_batch
+from .layer import ReLULayer, certify, forward, reconstruct_batch
 from .pbe import (DOMAIN_BALL, DOMAIN_BALL_POSITIVE, pbe_ball, pbe_positive,
                   stability, stability_positive)
 from .polytope import build_polytope, is_omnidirectional, positive_facets
@@ -31,7 +32,7 @@ _EXIT_CODES = (
     (ParseError, 2), (ZeroRow, 2), (UnknownName, 2), (DimensionMismatch, 2),
     (FrameMismatch, 2), (ValueError, 2),
     (DegenerateHull, 3), (NotOmnidirectional, 3), (NotNonnegOmnidirectional, 3),
-    (OrphanVertex, 3),
+    (OrphanVertex, 3), (NotAFrame, 3),
     (NotConverged, 4), (SolverFailed, 4),
     (ReconstructionFailed, 5),
 )
@@ -122,7 +123,6 @@ def _cmd_reconstruct(args) -> int:
     inputs = fio.read_matrix(args.inputs)
     if inputs.shape[1] != frame.n:
         raise ParseError(f"inputs have {inputs.shape[1]} columns, expected {frame.n}")
-    bank = build_dual_bank(frame, poly, layer.bias)
     # Every block is inverted before anything is written, so a refusal
     # leaves no partial output. Only the (N, n) inverses are kept: each
     # block's outputs are recomputed when it is written, which holds peak
@@ -132,7 +132,7 @@ def _cmd_reconstruct(args) -> int:
     xhat = np.empty_like(inputs)
     failed = 0
     for rows in blocks:
-        xhat[rows], lost = reconstruct_batch(bank, layer, forward(layer, inputs[rows]))
+        xhat[rows], lost = reconstruct_batch(poly, layer, forward(layer, inputs[rows]))
         if lost.any() and not args.force:
             raise ReconstructionFailed("no facet left-inverse reproduces the given output")
         failed += int(np.count_nonzero(lost))

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FrameMismatch, NotAFrame, ReconstructionFailed
-from .frames import UnitFrame, as_matrix, as_vector, dual_synthesis, is_frame
+from .errors import DimensionMismatch, FrameMismatch, ReconstructionFailed
+from .frames import UnitFrame, as_matrix, as_vector, is_frame
 from .pbe import DOMAIN_BALL, BiasEstimate
-from .polytope import TOL_INTERIOR, Polytope, _readonly
+from .polytope import TOL_INTERIOR, Polytope
 
 TOL_ACTIVE = 1e-12
 TOL_MARGIN = 1e-12
@@ -35,8 +35,8 @@ class ReLULayer:
 
     def __post_init__(self):
         b = as_vector(self.bias, self.frame.m, "bias")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError("radius must be finite and positive")
         b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "bias", b)
@@ -62,17 +62,6 @@ class Certificate:
     margins: np.ndarray
     failing_indices: tuple[int, ...]
     estimate_ref: dict
-
-
-@dataclass(frozen=True)
-class FacetDualBank:
-    """Canonical dual synthesis matrix of each facet of `poly`, in facet
-    order, for one layer bias."""
-
-    poly: Polytope
-    duals: tuple[np.ndarray, ...]
-    bias: np.ndarray
-    frame_fingerprint: str
 
 
 def forward(layer: ReLULayer, x) -> np.ndarray:
@@ -138,53 +127,33 @@ def certify(layer: ReLULayer, estimate: BiasEstimate,
     )
 
 
-def build_dual_bank(frame: UnitFrame, poly: Polytope, bias) -> FacetDualBank:
-    """Canonical dual synthesis matrix of every facet sub-frame.
-
-    Facets of an omnidirectional polytope always qualify; a rank-deficient
-    facet sub-frame (facet through the origin) raises NotAFrame.
-    """
-    b = as_vector(bias, frame.m, "bias")
-    duals = []
-    for j, verts in enumerate(poly.vertices):
-        try:
-            duals.append(_readonly(dual_synthesis(frame, verts)))
-        except NotAFrame as exc:
-            raise NotAFrame(f"facet {j} vertex set does not span the space") from exc
-    return FacetDualBank(
-        poly=poly,
-        duals=tuple(duals),
-        bias=_readonly(b),
-        frame_fingerprint=frame.fingerprint(),
-    )
-
-
-def facet_reconstruction(bank: FacetDualBank, z, facet_index: int) -> np.ndarray:
+def facet_reconstruction(poly: Polytope, layer: ReLULayer, z, facet_index: int) -> np.ndarray:
     """Candidate input from one facet's left-inverse: un-shift the outputs on
     the facet vertex set and push them through the canonical dual."""
     zv = np.asarray(z, dtype=float)
-    idx = list(bank.poly.vertices[facet_index])
-    return bank.duals[facet_index] @ (zv[idx] + bank.bias[idx])
+    idx = list(poly.vertices[facet_index])
+    return poly.dual(facet_index) @ (zv[idx] + layer.bias[idx])
 
 
-def reconstruct(bank: FacetDualBank, layer: ReLULayer, z,
+def reconstruct(poly: Polytope, layer: ReLULayer, z,
                 verify_tol: float = VERIFY_TOL) -> np.ndarray:
     """Invert the layer at an output z of a certified layer: a batch of one
     (see `reconstruct_batch`). If no facet candidate survives verification,
     the output is not in the certified image and ReconstructionFailed is
     raised.
     """
-    _check_bank(bank, layer)
+    _check_layer(poly, layer)
     zv = as_vector(z, layer.frame.m, "output")
-    xs, failed = _reconstruct_rows(bank, layer, zv[None, :], verify_tol)
+    xs, failed = _reconstruct_rows(poly, layer, zv[None, :], verify_tol)
     if failed[0]:
         raise ReconstructionFailed("no facet left-inverse reproduces the given output")
     return xs[0]
 
 
-def reconstruct_batch(bank: FacetDualBank, layer: ReLULayer, Z,
+def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z,
                       verify_tol: float = VERIFY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the layer at every row of an (N, m) output matrix Z.
+    """Invert the layer at every row of an (N, m) output matrix Z, with the
+    facets of `poly`, the polytope of the layer's frame.
 
     Returns (X, failed): X is (N, n), and `failed` is the (N,) boolean mask
     of rows that no facet left-inverse reproduces within `verify_tol`, i.e.
@@ -202,19 +171,22 @@ def reconstruct_batch(bank: FacetDualBank, layer: ReLULayer, Z,
     - A row without such a facet (boundary equalities zero some active
       coefficients), or whose first candidate fails verification, tries the
       candidates one at a time in `_reconstruct_ordered`.
+
+    Only the facets whose duals are applied are built (`Polytope.dual`), so
+    only they get the rank check that raises NotAFrame. That is enough:
+    every candidate is verified by a forward product before it is
+    accepted, and a facet whose dual is never applied produces no output.
     """
-    _check_bank(bank, layer)
+    _check_layer(poly, layer)
     zs = _matrix(Z, layer.frame.m, "outputs")
-    return _reconstruct_rows(bank, layer, zs, verify_tol)
+    return _reconstruct_rows(poly, layer, zs, verify_tol)
 
 
-def _check_bank(bank: FacetDualBank, layer: ReLULayer) -> None:
+def _check_layer(poly: Polytope, layer: ReLULayer) -> None:
     if layer.domain != DOMAIN_BALL:
         raise ValueError("reconstruction is defined for layers on the ball domain")
-    if bank.frame_fingerprint != layer.frame.fingerprint():
-        raise FrameMismatch("dual bank was built for a different frame")
-    if not np.array_equal(bank.bias, layer.bias):
-        raise FrameMismatch("dual bank was built for a different bias")
+    if poly.frame.fingerprint() != layer.frame.fingerprint():
+        raise FrameMismatch("polytope was built for a different frame")
 
 
 def _matrix(values, width: int, what: str) -> np.ndarray:
@@ -224,10 +196,10 @@ def _matrix(values, width: int, what: str) -> np.ndarray:
     return a
 
 
-def _reconstruct_rows(bank: FacetDualBank, layer: ReLULayer, zs: np.ndarray,
+def _reconstruct_rows(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
                       verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    num_facets = bank.poly.num_facets
-    incidence = bank.poly.incidence.astype(float)  # float: the product runs in BLAS
+    num_facets = poly.num_facets
+    incidence = poly.incidence.astype(float)  # float: the product runs in BLAS
     sizes = incidence.sum(axis=1)
     inside = (zs > 0.0).astype(float) @ incidence.T == sizes
     rank = np.where(inside, sizes * (num_facets + 1) + (num_facets - np.arange(num_facets)), -1.0)
@@ -238,20 +210,20 @@ def _reconstruct_rows(bank: FacetDualBank, layer: ReLULayer, zs: np.ndarray,
     rows = rows[np.argsort(first[rows], kind="stable")]
     facets, starts = np.unique(first[rows], return_index=True)
     for j, group in zip(facets, np.split(rows, starts[1:])):
-        idx = list(bank.poly.vertices[j])
-        xs[group] = (zs[group[:, None], idx] + bank.bias[idx]) @ bank.duals[j].T
+        idx = list(poly.vertices[j])
+        xs[group] = (zs[group[:, None], idx] + layer.bias[idx]) @ poly.dual(j).T
 
     check = np.maximum(xs @ layer.frame.elements.T - layer.bias, 0.0)
     verified = np.max(np.abs(check - zs), axis=1) <= verify_tol
     failed = np.zeros(zs.shape[0], dtype=bool)
     for i in np.flatnonzero(~verified):
-        candidate = _reconstruct_ordered(bank, layer, zs[i], verify_tol)
+        candidate = _reconstruct_ordered(poly, layer, zs[i], verify_tol)
         failed[i] = candidate is None
         xs[i] = np.nan if candidate is None else candidate
     return xs, failed
 
 
-def _reconstruct_ordered(bank: FacetDualBank, layer: ReLULayer, zv: np.ndarray,
+def _reconstruct_ordered(poly: Polytope, layer: ReLULayer, zv: np.ndarray,
                          verify_tol: float) -> np.ndarray | None:
     """Try every facet's left-inverse in turn and return the first candidate
     that maps forward onto zv within `verify_tol`, or None.
@@ -262,12 +234,12 @@ def _reconstruct_ordered(bank: FacetDualBank, layer: ReLULayer, zv: np.ndarray,
     zero outputs. Ties go to the smallest index.
     """
     positive = zv > 0.0
-    overlap = (bank.poly.incidence & positive).sum(axis=1)
-    sizes = bank.poly.incidence.sum(axis=1)
+    overlap = (poly.incidence & positive).sum(axis=1)
+    sizes = poly.incidence.sum(axis=1)
     outside = overlap < sizes  # facets not fully in the strict-positive pattern
     order = np.lexsort((np.arange(len(sizes)), -overlap, outside))
     for j in order:
-        candidate = facet_reconstruction(bank, zv, int(j))
+        candidate = facet_reconstruction(poly, layer, zv, int(j))
         check = np.maximum(layer.frame.elements @ candidate - layer.bias, 0.0)
         if float(np.max(np.abs(check - zv))) <= verify_tol:
             return candidate

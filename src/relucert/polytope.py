@@ -21,8 +21,8 @@ from itertools import islice
 import numpy as np
 
 from . import hull as _hull
-from .errors import AtOrigin, DegenerateHull, NotOmnidirectional
-from .frames import UnitFrame
+from .errors import AtOrigin, DegenerateHull, NotAFrame, NotOmnidirectional
+from .frames import UnitFrame, dual_synthesis
 from .solvers import TOL_SOLVER, lp_feasible
 
 TOL_PLANE = 1e-9
@@ -44,7 +44,8 @@ class Polytope:
     interior, its offset `offsets[j]`, and `incidence[j]`, the elements on
     its plane. Every element satisfies <normal, x_i> <= offset, with
     equality exactly on the facet's vertices. Facets are in order of their
-    vertex tuples; the three arrays are stored as read-only copies.
+    vertex tuples; the three arrays are stored as read-only copies. Each
+    facet's canonical dual is built on first use by `dual` and kept.
     """
 
     frame: UnitFrame
@@ -66,6 +67,25 @@ class Polytope:
         """Each facet's vertex indices, ascending: the rows of `incidence`."""
         cols = iter(np.nonzero(self.incidence)[1].tolist())
         return tuple(tuple(islice(cols, k)) for k in self.incidence.sum(axis=1).tolist())
+
+    @cached_property
+    def _duals(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def dual(self, j: int) -> np.ndarray:
+        """Canonical dual synthesis matrix (n, k) of facet j's k vertices,
+        built the first time facet j is asked for and kept read-only.
+
+        It depends on the frame and the facet only, not on any bias. A
+        facet that misses the origin always qualifies; a rank-deficient
+        vertex set (facet through the origin) raises NotAFrame.
+        """
+        if j not in self._duals:
+            try:
+                self._duals[j] = _readonly(dual_synthesis(self.frame, self.vertices[j]))
+            except NotAFrame as exc:
+                raise NotAFrame(f"facet {j} vertex set does not span the space") from exc
+        return self._duals[j]
 
     def facets_of_vertex(self, index: int) -> tuple[int, ...]:
         return tuple(int(j) for j in np.nonzero(self.incidence[:, index])[0])

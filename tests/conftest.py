@@ -16,7 +16,6 @@ class LayerSetup:
     poly: rc.Polytope
     estimate: rc.BiasEstimate
     layer: rc.ReLULayer
-    bank: rc.FacetDualBank
 
 
 def build_setup(weights: np.ndarray, radius: float = 1.0) -> LayerSetup:
@@ -24,8 +23,7 @@ def build_setup(weights: np.ndarray, radius: float = 1.0) -> LayerSetup:
     poly = rc.build_polytope(frame)
     estimate = rc.pbe_ball(frame, poly, radius)
     layer = rc.ReLULayer(frame, estimate.alpha_scaled, radius)
-    bank = rc.build_dual_bank(frame, poly, layer.bias)
-    return LayerSetup(frame, poly, estimate, layer, bank)
+    return LayerSetup(frame, poly, estimate, layer)
 
 
 @pytest.fixture(scope="session")

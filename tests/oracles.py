@@ -14,6 +14,7 @@ import numpy as np
 
 from relucert.errors import DegenerateHull, FrameMismatch, NotConverged, ReconstructionFailed
 from relucert.fixtures import random_sphere
+from relucert.frames import dual_synthesis
 from relucert.layer import VERIFY_TOL
 from relucert.pbe import DOMAIN_BALL
 from relucert.polytope import PositiveFacetReport
@@ -508,10 +509,12 @@ def sample_ball_positive(rng: np.random.Generator, n: int, count: int,
     return np.abs(sample_ball(rng, n, count, radius))
 
 
-def reconstruct_rowwise(bank, layer, z, verify_tol: float = VERIFY_TOL) -> np.ndarray:
+def reconstruct_rowwise(poly, layer, z, verify_tol: float = VERIFY_TOL) -> np.ndarray:
     """The former one-row `layer.reconstruct` (with `facet_reconstruction`
     inlined), kept as the reference for `reconstruct_batch`: it ranks every
-    facet for the one output z and verifies candidates in that order.
+    facet for the one output z and verifies candidates in that order. Each
+    candidate's canonical dual is computed afresh, not read from the
+    polytope's cache.
 
     Looks for a facet whose vertex set lies inside the strictly positive
     output pattern first; if none does (boundary equalities zero some active
@@ -522,32 +525,30 @@ def reconstruct_rowwise(bank, layer, z, verify_tol: float = VERIFY_TOL) -> np.nd
     """
     if layer.domain != DOMAIN_BALL:
         raise ValueError("reconstruction is defined for layers on the ball domain")
-    if bank.frame_fingerprint != layer.frame.fingerprint():
-        raise FrameMismatch("dual bank was built for a different frame")
-    if not np.array_equal(bank.bias, layer.bias):
-        raise FrameMismatch("dual bank was built for a different bias")
+    if poly.frame.fingerprint() != layer.frame.fingerprint():
+        raise FrameMismatch("polytope was built for a different frame")
     zv = np.asarray(z, dtype=float)
     positive = zv > 0.0
-    overlap = (bank.poly.incidence & positive).sum(axis=1)
-    sizes = bank.poly.incidence.sum(axis=1)
+    overlap = (poly.incidence & positive).sum(axis=1)
+    sizes = poly.incidence.sum(axis=1)
     outside = overlap < sizes  # facets not fully in the strict-positive pattern
     order = np.lexsort((np.arange(len(sizes)), -overlap, outside))
     for j in order:
-        idx = list(bank.poly.vertices[j])
-        candidate = bank.duals[j] @ (zv[idx] + bank.bias[idx])
+        idx = list(poly.vertices[j])
+        candidate = dual_synthesis(poly.frame, idx) @ (zv[idx] + layer.bias[idx])
         check = np.maximum(layer.frame.elements @ candidate - layer.bias, 0.0)
         if float(np.max(np.abs(check - zv))) <= verify_tol:
             return candidate
     raise ReconstructionFailed("no facet left-inverse reproduces the given output")
 
 
-def reconstruct_rows(bank, layer, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct_rows(poly, layer, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`reconstruct_rowwise` over the rows of zs: (X with NaN rows, failed mask)."""
     xs = np.full((zs.shape[0], layer.frame.n), np.nan)
     failed = np.zeros(zs.shape[0], dtype=bool)
     for i, z in enumerate(zs):
         try:
-            xs[i] = reconstruct_rowwise(bank, layer, z)
+            xs[i] = reconstruct_rowwise(poly, layer, z)
         except ReconstructionFailed:
             failed[i] = True
     return xs, failed

@@ -111,6 +111,22 @@ def test_pbe_ball_positive_on_snapped_frame(capsys, tmp_path, seed):
     assert doc["polytope"]["nonneg"]["nonneg_omnidirectional"] is True
 
 
+def test_rank_deficient_facet_exits_3(capsys, tmp_path):
+    # omnidirectional, but the edge between elements 0 and 1 passes 1e-5
+    # from the origin: the stability bounds find its vertex set rank deficient
+    angle = np.pi - 2e-5
+    w = tmp_path / "w.csv"
+    w.write_text(fio.format_matrix(np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)],
+                                             [0.0, -1.0]])))
+    b = tmp_path / "b.csv"
+    b.write_text("-1.1,-1.1,-0.2\n")
+    for argv in (["pbe", str(w)], ["certify", str(w), "--bias", str(b)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        payload = json.loads(err)
+        assert (payload["error"], payload["exit_code"]) == ("NotAFrame", 3)
+
+
 def test_pbe_parse_error_exits_2(capsys, tmp_path):
     w = tmp_path / "w.csv"
     w.write_text("1,2\n3\n")
@@ -238,11 +254,10 @@ def _reconstruct_files(tmp_path, weights, bias, xs):
         path.write_text(fio.format_matrix(a))
     frame, rescaled, _ = rc.normalize(weights, bias)
     layer = rc.ReLULayer(frame, rescaled)
-    bank = rc.build_dual_bank(frame, rc.build_polytope(frame), rescaled)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # inputs outside the ball
         zs = np.array([rc.forward(layer, x) for x in xs])
-    return [str(p) for p in paths], oracles.reconstruct_rows(bank, layer, zs)
+    return [str(p) for p in paths], oracles.reconstruct_rows(rc.build_polytope(frame), layer, zs)
 
 
 def _csv_rows(text):

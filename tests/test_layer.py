@@ -100,40 +100,87 @@ def test_certify_ignores_unconstrained_entries(ico):
     assert cert.injective
 
 
-def test_dual_bank_shapes(mb, tet):
-    assert len(mb.bank.duals) == 3
-    assert all(d.shape == (2, 2) for d in mb.bank.duals)
-    assert len(tet.bank.duals) == 4
-    assert all(d.shape == (3, 3) for d in tet.bank.duals)
+def test_facet_dual_shapes(mb, tet):
+    assert mb.poly.num_facets == 3
+    assert all(mb.poly.dual(j).shape == (2, 2) for j in range(3))
+    assert tet.poly.num_facets == 4
+    assert all(tet.poly.dual(j).shape == (3, 3) for j in range(4))
     basis, _, _ = rc.normalize(np.eye(3))
     poly = rc.build_polytope(basis)
-    bank = rc.build_dual_bank(basis, poly, np.zeros(3))
-    assert len(bank.duals) == 1
-    assert np.allclose(bank.duals[0], np.eye(3), atol=1e-12)
+    assert poly.num_facets == 1
+    assert np.allclose(poly.dual(0), np.eye(3), atol=1e-12)
+    assert not poly.dual(0).flags.writeable
 
 
-def test_dual_bank_rejects_origin_facet():
+def test_facet_dual_rejects_origin_facet():
     # hull of these three has an edge through the origin: rank-deficient
     frame, _, _ = rc.normalize(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
     poly = rc.build_polytope(frame)
     with pytest.raises(NotAFrame, match="^facet 0 "):
-        rc.build_dual_bank(frame, poly, np.zeros(3))
+        poly.dual(0)
 
 
-def test_dual_bank_decomposition_identity(mb, tet, ico):
+def test_facet_dual_decomposition_identity(mb, tet, ico):
     rng = np.random.default_rng(72)
     for setup in (mb, tet, ico):
-        for verts, dual in zip(setup.bank.poly.vertices, setup.bank.duals):
+        for j, verts in enumerate(setup.poly.vertices):
+            dual = setup.poly.dual(j)
             for _ in range(10):
                 x = rng.standard_normal(setup.frame.n)
                 coeff = setup.frame.elements[list(verts)] @ x
                 assert np.max(np.abs(dual @ coeff - x)) <= 1e-10
 
 
+def test_reconstruct_skips_unapplied_rank_deficient_facet():
+    # facet 0, the edge between elements 0 and 1, passes 1e-5 from the
+    # origin and has no canonical dual; rows that never apply it invert
+    angle = np.pi - 2e-5
+    frame, _, _ = rc.normalize(np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)],
+                                         [0.0, -1.0]]))
+    poly = rc.build_polytope(frame)
+    assert poly.vertices[0] == (0, 1)
+    layer = rc.ReLULayer(frame, np.array([0.5, 0.5, -0.5]))
+    xs = np.array([[0.8, -0.3], [-0.7, -0.2], [0.6, 0.1]])
+    got, failed = rc.reconstruct_batch(poly, layer, rc.forward(layer, xs))
+    assert not failed.any() and np.max(np.abs(got - xs)) <= 1e-10
+    # the zero output has no preimage, and its fallback reaches facet 0
+    with pytest.raises(NotAFrame, match="^facet 0 "):
+        rc.reconstruct(poly, layer, np.zeros(3))
+
+
+def test_facet_duals_built_on_demand(monkeypatch):
+    built = []
+
+    def counting(frame, subset):
+        built.append(subset)
+        return rc.dual_synthesis(frame, subset)
+
+    monkeypatch.setattr("relucert.polytope.dual_synthesis", counting)
+    setup = build_setup(random_omnidirectional(3, 30, 754))
+    poly = setup.poly
+    zs = rc.forward(setup.layer, oracles.sample_ball(np.random.default_rng(80), 3, 200))
+    # each row's facet: the largest inside its positive pattern, ties to
+    # the smallest index; generic ball inputs all verify on it
+    inside = ((zs[:, None, :] > 0.0) | ~poly.incidence).all(axis=2)
+    sizes = poly.incidence.sum(axis=1)
+    applied = {int(np.flatnonzero(row & (sizes == sizes[row].max()))[0]) for row in inside}
+    _, failed = rc.reconstruct_batch(poly, setup.layer, zs)
+    assert not failed.any()
+    assert built == [poly.vertices[j] for j in sorted(applied)]
+    assert len(applied) < poly.num_facets
+    rc.reconstruct_batch(poly, setup.layer, zs)
+    assert len(built) == len(applied)
+    # outputs outside the image try every facet, and still build each once
+    outside = np.abs(np.random.default_rng(81).standard_normal((5, 30)))
+    _, failed = rc.reconstruct_batch(poly, setup.layer, outside)
+    assert failed.all()
+    assert sorted(built) == sorted(poly.vertices)
+
+
 def test_reconstruct_example(mb):
     z = rc.forward(mb.layer, [0.0, 0.5])
     assert np.allclose(z, [1.0, 0.25, 0.25])
-    xhat = rc.reconstruct(mb.bank, mb.layer, z)
+    xhat = rc.reconstruct(mb.poly, mb.layer, z)
     assert np.max(np.abs(xhat - [0.0, 0.5])) <= 1e-10
 
 
@@ -141,7 +188,7 @@ def test_reconstruct_tetrahedron_roundtrip(tet):
     rng = np.random.default_rng(73)
     xs = oracles.sample_ball(rng, 3, 100)
     for x in xs:
-        xhat = rc.reconstruct(tet.bank, tet.layer, rc.forward(tet.layer, x))
+        xhat = rc.reconstruct(tet.poly, tet.layer, rc.forward(tet.layer, x))
         assert np.max(np.abs(xhat - x)) <= 1e-8
 
 
@@ -150,30 +197,26 @@ def test_reconstruct_zero_output_has_no_preimage(mb):
     # somewhere, so the all-zero output cannot come from the ball; the
     # verification gate must refuse every facet candidate
     layer = rc.ReLULayer(mb.frame, np.full(3, -1.0), 1.0)
-    bank = rc.build_dual_bank(mb.frame, mb.poly, layer.bias)
     with pytest.raises(ReconstructionFailed):
-        rc.reconstruct(bank, layer, np.zeros(3))
+        rc.reconstruct(mb.poly, layer, np.zeros(3))
     zs = np.vstack([np.zeros(3), rc.forward(layer, [0.0, 0.5])])
-    xs, failed = rc.reconstruct_batch(bank, layer, zs)
+    xs, failed = rc.reconstruct_batch(mb.poly, layer, zs)
     assert failed.tolist() == [True, False]
     assert np.isnan(xs[0]).all() and np.max(np.abs(xs[1] - [0.0, 0.5])) <= 1e-10
 
 
 def test_reconstruct_mismatches(mb, tet):
     with pytest.raises(FrameMismatch):
-        rc.reconstruct(mb.bank, tet.layer, np.zeros(4))
-    other = rc.ReLULayer(mb.frame, np.full(3, -0.7))
+        rc.reconstruct(mb.poly, tet.layer, np.zeros(4))
     with pytest.raises(FrameMismatch):
-        rc.reconstruct(mb.bank, other, np.zeros(3))
+        rc.reconstruct_batch(mb.poly, tet.layer, np.zeros((2, 4)))
     positive_layer = rc.ReLULayer(mb.frame, mb.layer.bias, 1.0, rc.DOMAIN_BALL_POSITIVE)
     with pytest.raises(ValueError):
-        rc.reconstruct(mb.bank, positive_layer, np.zeros(3))
-    with pytest.raises(FrameMismatch):
-        rc.reconstruct_batch(mb.bank, other, np.zeros((2, 3)))
+        rc.reconstruct(mb.poly, positive_layer, np.zeros(3))
     with pytest.raises(DimensionMismatch):
-        rc.reconstruct_batch(mb.bank, mb.layer, np.zeros((2, 4)))
+        rc.reconstruct_batch(mb.poly, mb.layer, np.zeros((2, 4)))
     with pytest.raises(DimensionMismatch):
-        rc.reconstruct(mb.bank, mb.layer, np.zeros((1, 3)))
+        rc.reconstruct(mb.poly, mb.layer, np.zeros((1, 3)))
 
 
 def _boundary_outputs(setup, xs):
@@ -184,8 +227,8 @@ def _boundary_outputs(setup, xs):
     return np.where(np.abs(coeff) <= 1e-12, 0.0, np.maximum(coeff, 0.0))
 
 
-def _has_inside_facet(bank, zs):
-    inside = (zs[:, None, :] > 0.0) | ~bank.poly.incidence[None, :, :]
+def _has_inside_facet(poly, zs):
+    inside = (zs[:, None, :] > 0.0) | ~poly.incidence[None, :, :]
     return inside.all(axis=2).any(axis=1)
 
 
@@ -200,7 +243,7 @@ def test_reconstruct_batch_matches_rowwise_oracle(mb, tet):
     cases = [(mb, _boundary_outputs(mb, mb.frame.elements)),
              (tet, _boundary_outputs(tet, mids))]
     for setup, zs in cases:
-        assert not _has_inside_facet(setup.bank, zs).any()
+        assert not _has_inside_facet(setup.poly, zs).any()
     for n, m, seed in ((2, 7, 791), (2, 12, 751), (3, 18, 752), (4, 14, 753)):
         cases.append((build_setup(random_omnidirectional(n, m, seed)), None))
     for setup, boundary in cases:
@@ -211,8 +254,8 @@ def test_reconstruct_batch_matches_rowwise_oracle(mb, tet):
         if boundary is not None:
             parts.insert(1, boundary)
         zs = rng.permutation(np.vstack(parts))
-        want, want_failed = oracles.reconstruct_rows(setup.bank, setup.layer, zs)
-        blocks = [rc.reconstruct_batch(setup.bank, setup.layer, block)
+        want, want_failed = oracles.reconstruct_rows(setup.poly, setup.layer, zs)
+        blocks = [rc.reconstruct_batch(setup.poly, setup.layer, block)
                   for block in np.split(zs, [1, 8, 263])]
         got = np.vstack([xs for xs, _ in blocks])
         failed = np.concatenate([f for _, f in blocks])
@@ -232,7 +275,7 @@ def test_covering_facet_candidate_always_verifies(mb, tet, ico):
                 continue
             j = rc.covering_facet(setup.poly, x)
             z = rc.forward(setup.layer, x)
-            xhat = rc.facet_reconstruction(setup.bank, z, j)
+            xhat = rc.facet_reconstruction(setup.poly, setup.layer, z, j)
             assert np.max(np.abs(xhat - x)) <= 1e-9
             zhat = rc.forward(setup.layer, xhat)
             assert np.max(np.abs(zhat - z)) <= 1e-8
@@ -245,7 +288,7 @@ def test_roundtrip_random_layers():
         xs = oracles.sample_ball(rng, n, 200)
         worst = 0.0
         for x in xs:
-            xhat = rc.reconstruct(setup.bank, setup.layer, rc.forward(setup.layer, x))
+            xhat = rc.reconstruct(setup.poly, setup.layer, rc.forward(setup.layer, x))
             worst = max(worst, float(np.max(np.abs(xhat - x))))
         assert worst <= 1e-8
 
@@ -271,6 +314,13 @@ def test_layer_validation(mb):
         rc.ReLULayer(mb.frame, np.zeros(3), radius=0.0)
     with pytest.raises(DimensionMismatch):
         rc.ReLULayer(mb.frame, np.zeros(4))
+
+
+def test_layer_rejects_non_finite_radius(mb):
+    # a NaN radius would slip past certify's radius-mismatch guard
+    for radius in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            rc.ReLULayer(mb.frame, np.zeros(3), radius=radius)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,0 +1,30 @@
+import re
+from pathlib import Path
+
+import numpy as np
+
+import relucert as rc
+
+import oracles
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs():
+    # the python block under "## Library", run on a certified tetrahedron
+    # layer, so that a change to the documented API fails here
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = re.match(r"\s*```python\n(.*?)\n```", library, re.S)
+    assert block is not None, "README's Library section has no python block"
+    weights = rc.tetrahedron()
+    frame, _, _ = rc.normalize(weights)
+    bias = rc.pbe_ball(frame, rc.build_polytope(frame), 2.0).alpha_scaled - 0.1
+    rng = np.random.default_rng(88)
+    X = oracles.sample_ball(rng, 3, 50, radius=2.0)
+    x = X[0]
+    scope = {"weights": weights, "bias": bias, "x": x, "X": X}
+    exec(compile(block.group(1), str(README), "exec"), scope)
+    assert scope["cert"].injective
+    assert np.max(np.abs(scope["x_hat"] - x)) <= 1e-8
+    assert not scope["failed"].any()
+    assert np.max(np.abs(scope["X_hat"] - X)) <= 1e-8
