@@ -85,23 +85,24 @@ def make_planes(pts: np.ndarray, verts: np.ndarray, interior: np.ndarray):
     """Unit normals (K, n) and offsets (K,) of the hyperplanes through the
     simplices `pts[verts[i]]`, each normal pointing away from `interior`.
 
-    A normal is the last right-singular vector of the simplex's (n-1) x n
-    matrix of differences; all K come from one stacked SVD. By Cauchy-Binet
-    the product of the singular values is the norm of the cofactor normal,
-    the simplex's scaled (n-1)-volume, so a simplex with that product at
-    most 1e-14 is degenerate and raises DegenerateHull, as does a plane
-    within 1e-13 of `interior`.
+    A normal is the last column of Q in the complete Householder QR of the
+    simplex's n x (n-1) difference matrix A; all K come from one stacked QR.
+    As det(A^T A) = det(R^T R), |prod(diag R)| is the product of the
+    singular values, by Cauchy-Binet the norm of the cofactor normal (the
+    simplex's scaled (n-1)-volume). A simplex with it at most 1e-14 raises
+    DegenerateHull, as does a plane within 1e-13 of `interior`.
     """
     sub = pts[verts]
-    _, sing, vt = np.linalg.svd(sub[:, 1:] - sub[:, :1])
-    if np.any(np.prod(sing, axis=1) <= 1e-14):
+    q, r = np.linalg.qr(np.swapaxes(sub[:, 1:] - sub[:, :1], 1, 2), mode="complete")
+    if (np.abs(r.diagonal(axis1=1, axis2=2).prod(axis=1)) <= 1e-14).any():
         raise DegenerateHull("facet simplex is degenerate")
-    normals = vt[:, -1]
-    side = normals @ interior - np.einsum("kj,kj->k", normals, sub[:, 0])
-    if np.any(np.abs(side) <= 1e-13):
+    normals = q[:, :, -1]
+    dots = np.einsum("kvj,kj->kv", sub, normals)
+    side = normals @ interior - dots[:, 0]
+    if (np.abs(side) <= 1e-13).any():
         raise DegenerateHull("hull is too flat to orient facets")
-    normals[side > 0] *= -1.0
-    return normals, np.mean(np.einsum("kvj,kj->kv", sub, normals), axis=1)
+    sign = np.where(side > 0, -1.0, 1.0)
+    return normals * sign[:, None], sign * dots.sum(axis=1) / sub.shape[1]
 
 
 def quickhull(points: np.ndarray, tol: float = TOL_HULL):
@@ -174,22 +175,21 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
 
         # one new facet per horizon ridge, through the ridge and the apex
         k = len(row)
-        new_verts = np.sort(np.column_stack([ridge, np.full(k, apex)]), axis=1)
+        new_verts = np.sort(np.concatenate([ridge, np.full((k, 1), apex)], axis=1), axis=1)
         new_normals, new_offsets = make_planes(pts, new_verts, interior)
         if count + k > len(offsets):
             verts, nbr, normals, offsets, alive = (
                 np.concatenate([a, np.zeros((count + k,) + a.shape[1:], a.dtype)])
                 for a in (verts, nbr, normals, offsets, alive))
-        new = np.arange(count, count + k)
-        verts[new], normals[new], offsets[new], alive[new] = (
+        rows = slice(count, count + k)
+        verts[rows], normals[rows], offsets[rows], alive[rows] = (
             new_verts, new_normals, new_offsets, True)
         alive[visible] = False
+        new = np.arange(count, count + k)
         nbr[new, (ridge < apex).sum(axis=1)] = outer
         nbr[outer, np.argmax(nbr[outer] == visible[row, None], axis=1)] = new
         # facets through the apex meet along the horizon's own ridges
-        s, t = ridge_pairs(ridge)
-        h, j = np.divmod(s, n - 1)
-        g, i = np.divmod(t, n - 1)
+        (h, j), (g, i) = (np.divmod(slots, n - 1) for slots in ridge_pairs(ridge))
         nbr[new[h], j + (ridge[h, j] > apex)] = new[g]
         nbr[new[g], i + (ridge[g, i] > apex)] = new[h]
 

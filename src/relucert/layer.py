@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FrameMismatch, ReconstructionFailed
+from .errors import DimensionMismatch, FrameMismatch, NotAFrame, ReconstructionFailed
 from .frames import UnitFrame, as_matrix, as_vector, is_frame
 from .pbe import DOMAIN_BALL, BiasEstimate
 from .polytope import TOL_INTERIOR, Polytope
@@ -173,9 +173,9 @@ def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z,
       candidates one at a time in `_reconstruct_ordered`.
 
     Only the facets whose duals are applied are built (`Polytope.dual`), so
-    only they get the rank check that raises NotAFrame. That is enough:
-    every candidate is verified by a forward product before it is
-    accepted, and a facet whose dual is never applied produces no output.
+    only they get the rank check. A facet whose vertex set does not span
+    the space (NotAFrame) has no left-inverse: it is a candidate that
+    verifies no row, and the rows that chose it fall back to the rest.
     """
     _check_layer(poly, layer)
     zs = _matrix(Z, layer.frame.m, "outputs")
@@ -210,8 +210,12 @@ def _reconstruct_rows(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
     rows = rows[np.argsort(first[rows], kind="stable")]
     facets, starts = np.unique(first[rows], return_index=True)
     for j, group in zip(facets, np.split(rows, starts[1:])):
+        try:
+            dual = poly.dual(j)
+        except NotAFrame:  # its rows stay NaN, fail verification and fall back
+            continue
         idx = list(poly.vertices[j])
-        xs[group] = (zs[group[:, None], idx] + layer.bias[idx]) @ poly.dual(j).T
+        xs[group] = (zs[group[:, None], idx] + layer.bias[idx]) @ dual.T
 
     check = np.maximum(xs @ layer.frame.elements.T - layer.bias, 0.0)
     verified = np.max(np.abs(check - zs), axis=1) <= verify_tol
@@ -231,7 +235,8 @@ def _reconstruct_ordered(poly: Polytope, layer: ReLULayer, zv: np.ndarray,
     Facets whose vertex set lies inside the strictly positive output
     pattern come first, largest first; then the others, by decreasing
     overlap with the pattern, since their remaining vertices all carry
-    zero outputs. Ties go to the smallest index.
+    zero outputs. Ties go to the smallest index. A rank-deficient facet
+    (NotAFrame) is skipped as a candidate that does not verify.
     """
     positive = zv > 0.0
     overlap = (poly.incidence & positive).sum(axis=1)
@@ -239,7 +244,10 @@ def _reconstruct_ordered(poly: Polytope, layer: ReLULayer, zv: np.ndarray,
     outside = overlap < sizes  # facets not fully in the strict-positive pattern
     order = np.lexsort((np.arange(len(sizes)), -overlap, outside))
     for j in order:
-        candidate = facet_reconstruction(poly, layer, zv, int(j))
+        try:
+            candidate = facet_reconstruction(poly, layer, zv, int(j))
+        except NotAFrame:
+            continue
         check = np.maximum(layer.frame.elements @ candidate - layer.bias, 0.0)
         if float(np.max(np.abs(check - zv))) <= verify_tol:
             return candidate

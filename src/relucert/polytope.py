@@ -31,6 +31,7 @@ TOL_MERGE = 1e-9
 TOL_TIE = 1e-12
 TOL_DISTINCT = 1e-10
 MERGE_BLOCK = 32  # facets per (m x block) product: bounds peak memory
+DISTINCT_BLOCK = 16  # rows per (block x m x n) difference array: bounds peak memory
 # a facet with some coordinate below -TOL_OUTSIDE at every vertex misses the
 # orthant by more than lp_feasible's tolerance (proof in positive_facets)
 TOL_OUTSIDE = 2.0 * TOL_SOLVER
@@ -128,11 +129,19 @@ def build_polytope(frame: UnitFrame, tol_plane: float = TOL_PLANE) -> Polytope:
 
 
 def _check_distinct(pts: np.ndarray, tol: float = TOL_DISTINCT) -> None:
+    """Raise ValueError for the first element i with a later element within
+    `tol`, naming the nearest such j (ties to the smallest). Rows i are
+    taken DISTINCT_BLOCK at a time against every later row."""
     m = pts.shape[0]
-    for i in range(m - 1):
-        d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
-        if float(np.min(d)) <= tol:
-            j = i + 1 + int(np.argmin(d))
+    for start in range(0, m - 1, DISTINCT_BLOCK):
+        stop = min(start + DISTINCT_BLOCK, m - 1)
+        # d[r, c] = |pts[start + 1 + c] - pts[start + r]|, a later row iff c >= r
+        d = np.linalg.norm(pts[start + 1:] - pts[start:stop, None], axis=2)
+        d[np.tri(*d.shape, -1, dtype=bool)] = np.inf
+        close = np.flatnonzero(np.min(d, axis=1) <= tol)
+        if close.size:
+            i = start + int(close[0])
+            j = start + 1 + int(np.argmin(d[close[0]]))
             raise ValueError(f"elements {i} and {j} coincide within {tol}")
 
 

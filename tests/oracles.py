@@ -12,7 +12,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from relucert.errors import DegenerateHull, FrameMismatch, NotConverged, ReconstructionFailed
+from relucert.errors import (DegenerateHull, FrameMismatch, NotAFrame, NotConverged,
+                             ReconstructionFailed)
 from relucert.fixtures import random_sphere
 from relucert.frames import dual_synthesis
 from relucert.layer import VERIFY_TOL
@@ -117,6 +118,20 @@ def hull_facets(points: np.ndarray, tol: float = 1e-9):
         verts = tuple(int(i) for i in np.nonzero(np.abs(dots - offset) <= tol)[0])
         found[verts] = (normal, offset)
     return sorted((v, nrm, off) for v, (nrm, off) in found.items())
+
+
+def svd_planes(pts: np.ndarray, verts: np.ndarray, interior: np.ndarray):
+    """The former stacked-SVD `hull.make_planes`, as the reference for the
+    QR one: (normals, offsets, volumes) of the simplices `pts[verts[i]]`,
+    normals pointing away from `interior`. A normal is the last
+    right-singular vector of the (n-1) x n difference matrix, and the volume
+    is the product of its singular values."""
+    sub = pts[verts]
+    _, sing, vt = np.linalg.svd(sub[:, 1:] - sub[:, :1])
+    normals = vt[:, -1]
+    side = normals @ interior - np.einsum("kj,kj->k", normals, sub[:, 0])
+    normals[side > 0] *= -1.0
+    return normals, np.mean(np.einsum("kvj,kj->kv", sub, normals), axis=1), np.prod(sing, axis=1)
 
 
 def merge_coplanar_scan(raw, pts: np.ndarray, tol_plane: float, tol_merge: float = 1e-9):
@@ -535,7 +550,10 @@ def reconstruct_rowwise(poly, layer, z, verify_tol: float = VERIFY_TOL) -> np.nd
     order = np.lexsort((np.arange(len(sizes)), -overlap, outside))
     for j in order:
         idx = list(poly.vertices[j])
-        candidate = dual_synthesis(poly.frame, idx) @ (zv[idx] + layer.bias[idx])
+        try:
+            candidate = dual_synthesis(poly.frame, idx) @ (zv[idx] + layer.bias[idx])
+        except NotAFrame:  # a rank-deficient facet is a candidate that does not verify
+            continue
         check = np.maximum(layer.frame.elements @ candidate - layer.bias, 0.0)
         if float(np.max(np.abs(check - zv))) <= verify_tol:
             return candidate

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +126,49 @@ def test_rank_deficient_facet_exits_3(capsys, tmp_path):
         assert (code, out) == (3, "")
         payload = json.loads(err)
         assert (payload["error"], payload["exit_code"]) == ("NotAFrame", 3)
+
+
+def test_reconstruct_force_skips_rank_deficient_facet(capsys, tmp_path):
+    # the frame of test_rank_deficient_facet_exits_3: facet 0 has no
+    # canonical dual. The second input's zero output falls back past it and
+    # inverts through facet 1 to (0.5, 0.5), another preimage of zero, and
+    # the first row is not lost with it
+    angle = np.pi - 2e-5
+    weights = np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)], [0.0, -1.0]])
+    xs = np.array([[0.8, -0.3], [0.0, 0.9]])
+    (w, b, x), (want, want_failed) = _reconstruct_files(
+        tmp_path, weights, np.array([0.5, 0.5, -0.5]), xs)
+    assert not want_failed.any()
+    code, out, err = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x, "--force")
+    assert (code, err) == (0, "")
+    _, rows = _csv_rows(out)
+    assert np.max(np.abs(rows[:, 3:5] - want)) <= 1e-12
+    assert np.max(np.abs(rows[0, 3:5] - xs[0])) <= 1e-10 and rows[0, -1] <= 1e-10
+    assert np.array_equal(rows[1, :3], np.zeros(3))
+    assert rows[1, 3:] == pytest.approx([0.5, 0.5, 0.5], abs=1e-10)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_FRAMES = {
+    "tetrahedron": rc.tetrahedron(),
+    "icosahedron": rc.icosahedron(),
+    "sphere5x30": rc.random_sphere(5, 30, 7),
+    "cube3": oracles.cube(3),
+}
+
+
+@pytest.mark.parametrize("command", ["pbe", "certify"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+def test_report_matches_golden(name, command, tmp_path):
+    # data/golden/<name>.<command>.txt were written by the stacked-SVD facet
+    # planes; the QR planes must leave every byte of these reports alone
+    weights = GOLDEN_FRAMES[name]
+    w, b, out = tmp_path / "w.csv", tmp_path / "b.csv", tmp_path / "out.txt"
+    w.write_text(fio.format_matrix(weights))
+    b.write_text(fio.format_matrix(np.round(np.linspace(-0.6, 0.0, len(weights)), 3)[:, None]))
+    bias = ["--bias", str(b)] if command == "certify" else []
+    assert main([command, str(w), *bias, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.{command}.txt").read_bytes()
 
 
 def test_pbe_parse_error_exits_2(capsys, tmp_path):

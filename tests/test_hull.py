@@ -106,6 +106,36 @@ def test_duplicate_points_rejected():
         rc.build_polytope(frame)
 
 
+def _check_distinct_loop(pts, tol=polytope.TOL_DISTINCT):
+    """The former per-row scan of `polytope._check_distinct`, as its reference."""
+    for i in range(len(pts) - 1):
+        d = np.linalg.norm(pts[i + 1:] - pts[i], axis=1)
+        if float(np.min(d)) <= tol:
+            raise ValueError(f"elements {i} and {i + 1 + int(np.argmin(d))} coincide within {tol}")
+
+
+def test_check_distinct_names_first_pair_across_blocks():
+    rng = np.random.default_rng(46)
+    pts = rng.standard_normal((200, 4))  # several blocks of DISTINCT_BLOCK rows
+    # near-duplicate pairs: element 70 has three later twins, the nearest
+    # not the first; 66 and 130 are 2e-10 apart, above the tolerance
+    for i, j, gap in ((150, 190, 3e-11), (70, 140, 8e-11), (70, 75, 9e-11), (70, 100, 2e-11),
+                      (66, 130, 2e-10)):
+        pts[j] = pts[i] + gap * np.eye(4)[0]
+    want = "elements 70 and 100 coincide within 1e-10"
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        _check_distinct_loop(pts)
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        polytope._check_distinct(pts)
+    for last in (len(pts) - 1, polytope.DISTINCT_BLOCK, polytope.DISTINCT_BLOCK + 1):
+        twins = rng.standard_normal((len(pts), 4))
+        twins[last] = twins[last - 1]
+        with pytest.raises(ValueError, match=f"^elements {last - 1} and {last} "):
+            polytope._check_distinct(twins)
+    polytope._check_distinct(rng.standard_normal((len(pts), 4)))
+    polytope._check_distinct(pts[:1])
+
+
 def test_facet_certificates_random():
     rng = np.random.default_rng(41)
     weights = [rc.random_sphere(n, m, int(rng.integers(1 << 30)))
@@ -500,6 +530,46 @@ def test_make_plane_matches_cofactor_normal():
             assert np.max(np.abs(normal - sign * cof)) <= 1e-12
             assert abs(offset - sign * float(np.mean(sub @ cof))) <= 1e-12
             assert normal @ interior < offset
+
+
+def _simplices(rng, n, count, singular):
+    """`count` simplices in R^n whose (n-1) x n difference matrices have the
+    singular values `singular` (count, n-1) and random singular vectors."""
+    u = np.linalg.qr(rng.standard_normal((count, n - 1, n - 1)))[0]
+    v = np.linalg.qr(rng.standard_normal((count, n, n)))[0][:, :, :n - 1]
+    diffs = (u * singular[:, None, :]) @ np.swapaxes(v, 1, 2)
+    base = rng.standard_normal((count, 1, n))
+    pts = np.concatenate([base, base + diffs], axis=1).reshape(count * n, n)
+    return pts, np.arange(count * n).reshape(count, n)
+
+
+@pytest.mark.parametrize("kind", ["random", "thin", "wide"])
+def test_make_planes_match_svd_oracle(kind):
+    # random: singular values in [0.5, 2]; thin: one of them 1e-3 (a
+    # simplex squashed toward a lower-dimensional one); wide: all times 1e3
+    rng = np.random.default_rng([48, len(kind)])
+    for n in range(2, 7):
+        singular = rng.uniform(0.5, 2.0, (50, n - 1))
+        if kind == "thin":
+            singular[:, -1] = 1e-3
+        elif kind == "wide":
+            singular *= 1e3
+        pts, verts = _simplices(rng, n, 50, singular)
+        interior = pts.mean(axis=0) + 1e4 * rng.standard_normal(n)
+        normals, offsets = hull.make_planes(pts, verts, interior)
+        want, want_offsets, volumes = oracles.svd_planes(pts, verts, interior)
+        # |prod diag R| is the product of the singular values: the
+        # degeneracy threshold means the same under both factorizations
+        sub = pts[verts]
+        r = np.linalg.qr(np.swapaxes(sub[:, 1:] - sub[:, :1], 1, 2), mode="complete")[1]
+        diag = np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1))
+        assert np.max(np.abs(diag - volumes) / volumes) <= 1e-12
+        # both are oriented by `interior`; the normal's own conditioning,
+        # the ratio of extreme singular values, scales the agreement
+        cond = singular.max(axis=1) / singular.min(axis=1)
+        assert np.all(np.max(np.abs(normals - want), axis=1) <= 1e-14 * cond)
+        scale = np.max(np.abs(sub), axis=(1, 2))
+        assert np.all(np.abs(offsets - want_offsets) <= 1e-14 * cond * scale)
 
 
 def test_make_plane_degenerate_threshold():

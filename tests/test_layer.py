@@ -143,9 +143,19 @@ def test_reconstruct_skips_unapplied_rank_deficient_facet():
     xs = np.array([[0.8, -0.3], [-0.7, -0.2], [0.6, 0.1]])
     got, failed = rc.reconstruct_batch(poly, layer, rc.forward(layer, xs))
     assert not failed.any() and np.max(np.abs(got - xs)) <= 1e-10
-    # the zero output has no preimage, and its fallback reaches facet 0
+    # a fallback that reaches facet 0 skips it as a candidate that does not
+    # verify: the zero output inverts through facet 1 to another preimage,
+    # and an output without one fails after trying every facet
+    x = rc.reconstruct(poly, layer, np.zeros(3))
+    assert np.array_equal(rc.forward(layer, x), np.zeros(3))
+    with pytest.raises(ReconstructionFailed):
+        rc.reconstruct(poly, layer, np.ones(3))
+    # the all-positive row picks facet 0 first in the grouped pass
+    got, failed = rc.reconstruct_batch(poly, layer, np.vstack([np.ones(3), np.zeros(3)]))
+    assert failed.tolist() == [True, False]
+    assert np.isnan(got[0]).all() and np.array_equal(got[1], x)
     with pytest.raises(NotAFrame, match="^facet 0 "):
-        rc.reconstruct(poly, layer, np.zeros(3))
+        poly.dual(0)
 
 
 def test_facet_duals_built_on_demand(monkeypatch):
