@@ -15,14 +15,13 @@ from .frames import (FrameBounds, UnitFrame, analysis, dual_synthesis, frame_bou
 from .hull import quickhull
 from .polytope import (Polytope, PositiveFacetReport, build_polytope, covering_facet,
                        is_omnidirectional, positive_facets)
-from .solvers import (CappedConeProblem, SolveResult, lp_feasible,
-                      min_linear_capped_cone, min_linear_capped_cones)
+from .solvers import lp_feasible, min_linear_capped_cones
 from .pbe import (DOMAIN_BALL, DOMAIN_BALL_POSITIVE, UNCONSTRAINED, BiasEstimate,
                   StabilityReport, alpha_X, pbe_ball, pbe_positive, stability,
                   stability_positive)
 from .layer import (ActivePattern, Certificate, ReLULayer, active_from_output,
-                    active_set, certify, facet_reconstruction, forward, reconstruct,
-                    reconstruct_batch, spanning_failures)
+                    active_set, certify, forward, reconstruct, reconstruct_batch,
+                    spanning_failures)
 from .fixtures import (icosahedron, mercedes_benz, random_sphere, standard_basis,
                        tetrahedron)
 from .reports import Report, build_report
@@ -34,14 +33,13 @@ __all__ = [
     "quickhull",
     "Polytope", "PositiveFacetReport", "build_polytope",
     "is_omnidirectional", "covering_facet", "positive_facets",
-    "CappedConeProblem", "SolveResult", "min_linear_capped_cone", "min_linear_capped_cones",
-    "lp_feasible",
+    "min_linear_capped_cones", "lp_feasible",
     "DOMAIN_BALL", "DOMAIN_BALL_POSITIVE", "UNCONSTRAINED",
     "BiasEstimate", "StabilityReport", "alpha_X", "pbe_ball", "pbe_positive",
     "stability", "stability_positive",
     "ReLULayer", "ActivePattern", "Certificate",
     "forward", "active_set", "active_from_output", "certify",
-    "facet_reconstruction", "reconstruct", "reconstruct_batch",
+    "reconstruct", "reconstruct_batch",
     "spanning_failures",
     "mercedes_benz", "tetrahedron", "icosahedron", "standard_basis",
     "random_sphere",

@@ -145,8 +145,7 @@ def _cmd_reconstruct(args) -> int:
             with warnings.catch_warnings():  # the inputs' ball check warned above
                 warnings.simplefilter("ignore")
                 outputs = forward(layer, inputs[rows])
-            fields = np.hstack([outputs, xhat[rows], err[rows, None]])
-            handle.write("".join(",".join(map(repr, row)) + "\n" for row in fields.tolist()))
+            handle.write(fio.format_matrix(np.hstack([outputs, xhat[rows], err[rows, None]])))
     if failed:
         print(f"warning: {failed} inputs could not be reconstructed", file=sys.stderr)
     return 0

@@ -66,9 +66,13 @@ def generate(name: str, n: int | None = None, m: int | None = None,
     if name == "basis":
         if n is None:
             raise ValueError("basis needs --n")
+        if n < 1:
+            raise ValueError(f"basis needs --n >= 1, got {n}")
         return standard_basis(n)
     if name == "random-sphere":
         if n is None or m is None or seed is None:
             raise ValueError("random-sphere needs --n, --m and --seed")
+        if n < 1 or m < 1:
+            raise ValueError(f"random-sphere needs --n >= 1 and --m >= 1, got {n} and {m}")
         return random_sphere(n, m, seed)
     raise UnknownName(f"unknown generator {name!r}")

@@ -73,8 +73,11 @@ def read_vector(path: str, length: int | None = None) -> np.ndarray:
     return v
 
 
-def format_matrix(a: np.ndarray) -> str:
-    return "\n".join(",".join(repr(float(v)) for v in row) for row in np.atleast_2d(a)) + "\n"
+def format_matrix(a) -> str:
+    """CSV text of a matrix (a vector is one row), each field the shortest
+    repr of its float, so integer entries print as `1.0`."""
+    rows = np.atleast_2d(np.asarray(a, dtype=float)).tolist()
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def read_trace(path: str) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -102,9 +105,9 @@ def read_trace(path: str) -> list[tuple[int, np.ndarray, np.ndarray]]:
         i += 1
         if not rows:
             raise ParseError(f"{path}: epoch {epoch} has no weight rows")
-        weights = np.array(rows, dtype=float)
-        if any(len(r) != weights.shape[1] for r in rows):
+        if any(len(r) != len(rows[0]) for r in rows):
             raise ParseError(f"{path}: epoch {epoch} weight rows are ragged")
+        weights = np.array(rows, dtype=float)
         if len(bias) != weights.shape[0]:
             raise ParseError(f"{path}: epoch {epoch} bias length {len(bias)} != m={weights.shape[0]}")
         if shape is None:
@@ -124,5 +127,5 @@ def format_trace(epochs: Iterable[tuple[int, np.ndarray, np.ndarray]]) -> str:
     for epoch, weights, bias in epochs:
         parts.append(f"epoch {int(epoch)}\n")
         parts.append(format_matrix(weights))
-        parts.append("bias," + ",".join(repr(float(v)) for v in bias) + "\n")
+        parts.append("bias," + format_matrix(bias))
     return "".join(parts)

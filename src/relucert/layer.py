@@ -127,14 +127,6 @@ def certify(layer: ReLULayer, estimate: BiasEstimate,
     )
 
 
-def facet_reconstruction(poly: Polytope, layer: ReLULayer, z, facet_index: int) -> np.ndarray:
-    """Candidate input from one facet's left-inverse: un-shift the outputs on
-    the facet vertex set and push them through the canonical dual."""
-    zv = np.asarray(z, dtype=float)
-    idx = list(poly.vertices[facet_index])
-    return poly.dual(facet_index) @ (zv[idx] + layer.bias[idx])
-
-
 def reconstruct(poly: Polytope, layer: ReLULayer, z,
                 verify_tol: float = VERIFY_TOL) -> np.ndarray:
     """Invert the layer at an output z of a certified layer: a batch of one
@@ -159,23 +151,23 @@ def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z,
     of rows that no facet left-inverse reproduces within `verify_tol`, i.e.
     outputs outside the certified image; their rows of X are NaN.
 
-    Each row is inverted by the first candidate of `_reconstruct_ordered`
-    that verifies, found in bulk:
+    Every row ranks the facets once, from one product of its strictly
+    positive output pattern with the incidence matrix. Facets whose vertex
+    set lies inside the pattern come first, largest first; the others
+    follow by decreasing overlap with the pattern, since their remaining
+    vertices all carry zero outputs (boundary equalities zero some active
+    coefficients). Ties go to the smallest index.
 
-    - The first candidate is the largest facet whose vertex set lies inside
-      the row's strictly positive output pattern, ties to the smallest
-      index. One product of the patterns with the incidence matrix finds it
-      for every row.
-    - Rows that chose the same facet share one product with its canonical
-      dual, and one forward product verifies every row.
-    - A row without such a facet (boundary equalities zero some active
-      coefficients), or whose first candidate fails verification, tries the
-      candidates one at a time in `_reconstruct_ordered`.
+    The candidates are then tried in rounds. In each round every unsettled
+    row takes its best untried facet, rows that took the same facet share
+    one product with its canonical dual, and one forward product verifies
+    them all. A row is settled by its first candidate that verifies, and
+    fails once it has tried every facet.
 
     Only the facets whose duals are applied are built (`Polytope.dual`), so
     only they get the rank check. A facet whose vertex set does not span
     the space (NotAFrame) has no left-inverse: it is a candidate that
-    verifies no row, and the rows that chose it fall back to the rest.
+    verifies no row.
     """
     _check_layer(poly, layer)
     zs = _matrix(Z, layer.frame.m, "outputs")
@@ -198,60 +190,36 @@ def _matrix(values, width: int, what: str) -> np.ndarray:
 
 def _reconstruct_rows(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
                       verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    num_facets = poly.num_facets
     incidence = poly.incidence.astype(float)  # float: the product runs in BLAS
-    sizes = incidence.sum(axis=1)
-    inside = (zs > 0.0).astype(float) @ incidence.T == sizes
-    rank = np.where(inside, sizes * (num_facets + 1) + (num_facets - np.arange(num_facets)), -1.0)
-    first = np.argmax(rank, axis=1)
+    # score[i, j]: row i's overlap with facet j, raised above every overlap
+    # if facet j lies inside the pattern; argmax breaks ties to the smaller
+    # index, and a tried facet scores -1
+    score = (zs > 0.0).astype(float) @ incidence.T
+    np.add(score, zs.shape[1] + 1.0, out=score, where=score == incidence.sum(axis=1))
 
     xs = np.full((zs.shape[0], layer.frame.n), np.nan)
-    rows = np.flatnonzero(inside.any(axis=1))
-    rows = rows[np.argsort(first[rows], kind="stable")]
-    facets, starts = np.unique(first[rows], return_index=True)
-    for j, group in zip(facets, np.split(rows, starts[1:])):
-        try:
-            dual = poly.dual(j)
-        except NotAFrame:  # its rows stay NaN, fail verification and fall back
-            continue
-        idx = list(poly.vertices[j])
-        xs[group] = (zs[group[:, None], idx] + layer.bias[idx]) @ dual.T
-
-    check = np.maximum(xs @ layer.frame.elements.T - layer.bias, 0.0)
-    verified = np.max(np.abs(check - zs), axis=1) <= verify_tol
+    rows = np.arange(zs.shape[0])  # unsettled rows, score[k] is rows[k]'s
+    for _ in range(poly.num_facets):  # each round, each row tries one facet
+        if not rows.size:
+            break
+        picks = np.argmax(score, axis=1)
+        score[np.arange(rows.size), picks] = -1.0
+        candidates = np.full((rows.size, layer.frame.n), np.nan)
+        for j in np.unique(picks):
+            group = np.flatnonzero(picks == j)
+            try:
+                dual = poly.dual(j)
+            except NotAFrame:  # its rows stay NaN and fail verification
+                continue
+            idx = list(poly.vertices[j])
+            candidates[group] = (zs[rows[group, None], idx] + layer.bias[idx]) @ dual.T
+        check = np.maximum(candidates @ layer.frame.elements.T - layer.bias, 0.0)
+        verified = np.max(np.abs(check - zs[rows]), axis=1) <= verify_tol
+        xs[rows[verified]] = candidates[verified]
+        rows, score = rows[~verified], score[~verified]
     failed = np.zeros(zs.shape[0], dtype=bool)
-    for i in np.flatnonzero(~verified):
-        candidate = _reconstruct_ordered(poly, layer, zs[i], verify_tol)
-        failed[i] = candidate is None
-        xs[i] = np.nan if candidate is None else candidate
+    failed[rows] = True  # every facet tried
     return xs, failed
-
-
-def _reconstruct_ordered(poly: Polytope, layer: ReLULayer, zv: np.ndarray,
-                         verify_tol: float) -> np.ndarray | None:
-    """Try every facet's left-inverse in turn and return the first candidate
-    that maps forward onto zv within `verify_tol`, or None.
-
-    Facets whose vertex set lies inside the strictly positive output
-    pattern come first, largest first; then the others, by decreasing
-    overlap with the pattern, since their remaining vertices all carry
-    zero outputs. Ties go to the smallest index. A rank-deficient facet
-    (NotAFrame) is skipped as a candidate that does not verify.
-    """
-    positive = zv > 0.0
-    overlap = (poly.incidence & positive).sum(axis=1)
-    sizes = poly.incidence.sum(axis=1)
-    outside = overlap < sizes  # facets not fully in the strict-positive pattern
-    order = np.lexsort((np.arange(len(sizes)), -overlap, outside))
-    for j in order:
-        try:
-            candidate = facet_reconstruction(poly, layer, zv, int(j))
-        except NotAFrame:
-            continue
-        check = np.maximum(layer.frame.elements @ candidate - layer.bias, 0.0)
-        if float(np.max(np.abs(check - zv))) <= verify_tol:
-            return candidate
-    return None
 
 
 def spanning_failures(layer: ReLULayer, poly: Polytope, samples: np.ndarray,

@@ -320,13 +320,12 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
         cols = pts[incidence[j]].T
         selected[j] = lp_feasible(
             A_eq=np.ones((1, cols.shape[1])), b_eq=np.array([1.0]),
-            A_ineq=cols, b_ineq=np.zeros(cols.shape[0]),
-            nonneg_vars=True)
+            A_ineq=cols, b_ineq=np.zeros(cols.shape[0]))
     facets = np.flatnonzero(selected)
     vertex_union = np.flatnonzero(incidence[selected].any(axis=0))
 
     away_from_origin = bool(np.all(np.abs(poly.offsets[selected]) > tol_interior))
     nonneg = bool(facets.size) and away_from_origin and all(
-        lp_feasible(A_eq=pts.T, b_eq=e_k, nonneg_vars=True)
+        lp_feasible(A_eq=pts.T, b_eq=e_k)
         for e_k in np.eye(poly.frame.n))
     return PositiveFacetReport(tuple(facets.tolist()), tuple(vertex_union.tolist()), nonneg)

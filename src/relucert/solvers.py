@@ -18,8 +18,6 @@ steps many programs at once (Van Benthem and Keenan, ibid. 18, 2004).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotConverged
@@ -34,51 +32,6 @@ _TOL_ENTER = 1e-14
 _TOL_PIVOT = 1e-9
 _TOL_RATIO = 1e-12
 _MAX_PIVOTS = 50_000
-
-
-@dataclass(frozen=True)
-class CappedConeProblem:
-    """Minimize <c, d> subject to d >= 0 and ||D d||_2 <= 1.
-
-    Columns of D are facet vertices on the unit sphere; c collects the inner
-    products of those vertices with a fixed frame element.
-    """
-
-    D: np.ndarray
-    c: np.ndarray
-    tol: float = TOL_SOLVER
-
-    def __post_init__(self):
-        d = np.asarray(self.D, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if d.ndim != 2 or c.ndim != 1 or d.shape[1] != c.shape[0]:
-            raise DimensionMismatch("D must be (n, k) with objective of length k")
-        if not (np.isfinite(d).all() and np.isfinite(c).all()):
-            raise DimensionMismatch("problem data must be finite")
-        norms = np.linalg.norm(d, axis=0)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
-            raise ValueError("columns of D must lie on the unit sphere")
-        object.__setattr__(self, "D", d)
-        object.__setattr__(self, "c", c)
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    value: float
-    argmin: np.ndarray
-    kkt_residual: float
-    iterations: int
-
-
-def min_linear_capped_cone(problem: CappedConeProblem) -> SolveResult:
-    """Solve one capped-cone program exactly: `min_linear_capped_cones` on
-    a batch of one, raising NotConverged where that marks it failed."""
-    D = problem.D
-    values, argmins, residuals, steps, failed = min_linear_capped_cones(
-        (D.T @ D)[None], problem.c[None], problem.tol)
-    if failed[0]:
-        raise NotConverged(int(steps[0]), float(residuals[0]))
-    return SolveResult(float(values[0]), argmins[0], float(residuals[0]), int(steps[0]))
 
 
 def min_linear_capped_cones(G: np.ndarray, c: np.ndarray, tol: float = TOL_SOLVER):
@@ -155,14 +108,13 @@ def _passive_solves(G: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.nda
 
 
 def lp_feasible(A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,
-                nonneg_vars: bool = True, tol: float = TOL_SOLVER) -> bool:
-    """Decide whether {x : A_eq x = b_eq, A_ineq x >= b_ineq, x >= 0 if
-    nonneg_vars} is non-empty, by phase-1 simplex.
+                tol: float = TOL_SOLVER) -> bool:
+    """Decide whether {x >= 0 : A_eq x = b_eq, A_ineq x >= b_ineq} is
+    non-empty, by phase-1 simplex.
 
-    Free variables are split into positive and negative parts. Feasible means
-    the artificial objective reaches zero within `tol`. The smallest
-    improving column enters (Bland); the largest pivot among the rows tied
-    at the smallest ratio leaves. Entries and reduced costs up to
+    Feasible means the artificial objective reaches zero within `tol`. The
+    smallest improving column enters (Bland); the largest pivot among the
+    rows tied at the smallest ratio leaves. Entries and reduced costs up to
     `_TOL_PIVOT` count as zero: a pivot at that level would scale the
     tableau by its inverse and bury the objective in rounding. Raises
     NotConverged if `_MAX_PIVOTS` pivots reach no optimum.
@@ -186,8 +138,6 @@ def lp_feasible(A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,
         rhs.append(ge_b)
     a = np.vstack(blocks)
     b = np.concatenate(rhs)
-    if not nonneg_vars:
-        a = np.hstack([a[:, :n_x], -a[:, :n_x], a[:, n_x:]])
 
     neg = b < 0
     a[neg] *= -1.0

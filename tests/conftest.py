@@ -50,3 +50,12 @@ def random_omnidirectional(n: int, m: int, seed: int) -> np.ndarray:
         if rc.is_omnidirectional(rc.build_polytope(frame)):
             return pts
     raise AssertionError(f"no omnidirectional draw for n={n}, m={m}, seed={seed}")
+
+
+def capped_cone(cols, c):
+    """min <c, d> over d >= 0, ||cols d|| <= 1, by `min_linear_capped_cones`
+    on a batch of one: (value, argmin, residual, steps). It must not fail."""
+    values, argmins, residuals, steps, failed = rc.min_linear_capped_cones(
+        (cols.T @ cols)[None], np.asarray(c, dtype=float)[None])
+    assert not failed[0]
+    return values[0], argmins[0], residuals[0], steps[0]

@@ -206,15 +206,14 @@ def positive_facets_lp(poly, tol_interior: float = 1e-9) -> PositiveFacetReport:
         k = cols.shape[1]
         feasible = lp_feasible(
             A_eq=np.ones((1, k)), b_eq=np.array([1.0]),
-            A_ineq=cols, b_ineq=np.zeros(cols.shape[0]),
-            nonneg_vars=True)
+            A_ineq=cols, b_ineq=np.zeros(cols.shape[0]))
         if feasible:
             selected.append(j)
     vertex_union = sorted({v for j in selected for v in poly.vertices[j]})
 
     away_from_origin = all(abs(poly.offsets[j]) > tol_interior for j in selected)
     nonneg = bool(selected) and away_from_origin and all(
-        lp_feasible(A_eq=pts.T, b_eq=e_k, nonneg_vars=True)
+        lp_feasible(A_eq=pts.T, b_eq=e_k)
         for e_k in np.eye(poly.frame.n))
     return PositiveFacetReport(tuple(selected), tuple(int(v) for v in vertex_union), nonneg)
 
@@ -525,9 +524,10 @@ def sample_ball_positive(rng: np.random.Generator, n: int, count: int,
 
 
 def reconstruct_rowwise(poly, layer, z, verify_tol: float = VERIFY_TOL) -> np.ndarray:
-    """The former one-row `layer.reconstruct` (with `facet_reconstruction`
-    inlined), kept as the reference for `reconstruct_batch`: it ranks every
-    facet for the one output z and verifies candidates in that order. Each
+    """The former one-row `layer.reconstruct`, kept as the reference for
+    `reconstruct_batch`: it sorts the facets for the one output z with its
+    own `lexsort` and tries the candidates one at a time in that order, the
+    order whose rounds `reconstruct_batch` runs for a whole block. Each
     candidate's canonical dual is computed afresh, not read from the
     polytope's cache.
 

@@ -15,7 +15,7 @@ from relucert import io as fio
 from relucert.cli import main as cli_main
 
 import oracles
-from conftest import build_setup, random_omnidirectional
+from conftest import build_setup, capped_cone, random_omnidirectional
 
 
 def announce(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -133,17 +133,17 @@ def test_criterion_06_reconstruction_roundtrip():
 def test_criterion_07_solver_oracle_agreement():
     worst2 = 0.0
     for cols, c in oracles.facet_cone_instances(2, 200, seed=9300):
-        res = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=c))
+        value, *_ = capped_cone(cols, c)
         sweep = oracles.arc_sweep_min(cols, c, samples=1_000_000)
-        worst2 = max(worst2, abs(res.value - sweep))
+        worst2 = max(worst2, abs(value - sweep))
     ok2 = worst2 <= 1e-5
     low3 = ok3 = True
     worst3 = 0.0
     for k, (cols, c) in enumerate(oracles.facet_cone_instances(3, 100, seed=9400)):
-        res = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=c))
+        value, *_ = capped_cone(cols, c)
         sampled = oracles.cone_sample_min(cols, c, samples=10_000, seed=k)
-        low3 = low3 and res.value <= sampled + 1e-9
-        worst3 = max(worst3, sampled - res.value)
+        low3 = low3 and value <= sampled + 1e-9
+        worst3 = max(worst3, sampled - value)
     ok3 = low3 and worst3 <= 1e-3
     announce(7, "cone solver vs sweep and sampling oracles", ok2 and ok3,
              f"2d worst={worst2:.2e}, 3d worst gap={worst3:.2e}")

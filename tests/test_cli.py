@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import relucert as rc
-from relucert import io as fio
+from relucert import fixtures, io as fio
 from relucert.cli import main
 from relucert.reports import Report
 
@@ -54,6 +54,17 @@ def test_gen_errors(capsys):
     assert json.loads(err)["error"] == "UnknownName"
     code, _, err = run(capsys, "gen", "basis")
     assert code == 2
+
+
+@pytest.mark.parametrize("name, n, m", [("basis", 0, None), ("random-sphere", 0, 3),
+                                         ("random-sphere", 3, 0)])
+def test_gen_rejects_sizes_below_one(capsys, name, n, m):
+    with pytest.raises(ValueError, match=">= 1"):
+        fixtures.generate(name, n=n, m=m, seed=1)
+    sizes = ["--n", str(n)] + ([] if m is None else ["--m", str(m), "--seed", "1"])
+    code, out, err = run(capsys, "gen", name, *sizes)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_pbe_mercedes_report(capsys, tmp_path):
@@ -130,7 +141,7 @@ def test_rank_deficient_facet_exits_3(capsys, tmp_path):
 
 def test_reconstruct_force_skips_rank_deficient_facet(capsys, tmp_path):
     # the frame of test_rank_deficient_facet_exits_3: facet 0 has no
-    # canonical dual. The second input's zero output falls back past it and
+    # canonical dual. The second input's zero output tries it, goes on and
     # inverts through facet 1 to (0.5, 0.5), another preimage of zero, and
     # the first row is not lost with it
     angle = np.pi - 2e-5
@@ -433,6 +444,15 @@ def test_monitor_skips_bad_epochs(capsys, tmp_path):
     lines = out.strip().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "2"]
     assert json.loads(err.strip().splitlines()[0])["epoch"] == 1
+
+
+def test_monitor_ragged_trace_is_a_parse_error(capsys, tmp_path):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("epoch 0\n1,0\n0,1,0\n-1,-1\nbias,0,0,0\n")
+    code, out, err = run(capsys, "monitor", str(trace))
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ParseError" and "ragged" in doc["message"]
 
 
 def test_monitor_all_epochs_fail(capsys, tmp_path):

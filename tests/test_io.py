@@ -33,6 +33,16 @@ def test_matrix_parse_errors(tmp_path):
         fio.read_matrix(str(tmp_path / "missing.csv"))
 
 
+def test_format_matrix_prints_every_entry_as_a_float():
+    # integer entries print as 1.0, as `float` reprs them; a vector is one row
+    assert fio.format_matrix(np.array([[1, 0], [-2, 3]])) == "1.0,0.0\n-2.0,3.0\n"
+    assert fio.format_matrix(np.arange(3)) == "0.0,1.0,2.0\n"
+    # the same text as formatting each numpy entry on its own
+    a = np.random.default_rng(5).standard_normal((4, 3)) * np.logspace(-20, 20, 3)
+    want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in a)
+    assert fio.format_matrix(a) == want
+
+
 def test_vector_row_or_column(tmp_path):
     path = tmp_path / "v.csv"
     path.write_text("1.5,2.5,3.5\n")

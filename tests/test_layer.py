@@ -143,14 +143,14 @@ def test_reconstruct_skips_unapplied_rank_deficient_facet():
     xs = np.array([[0.8, -0.3], [-0.7, -0.2], [0.6, 0.1]])
     got, failed = rc.reconstruct_batch(poly, layer, rc.forward(layer, xs))
     assert not failed.any() and np.max(np.abs(got - xs)) <= 1e-10
-    # a fallback that reaches facet 0 skips it as a candidate that does not
+    # a row whose turn reaches facet 0 takes it as a candidate that does not
     # verify: the zero output inverts through facet 1 to another preimage,
     # and an output without one fails after trying every facet
     x = rc.reconstruct(poly, layer, np.zeros(3))
     assert np.array_equal(rc.forward(layer, x), np.zeros(3))
     with pytest.raises(ReconstructionFailed):
         rc.reconstruct(poly, layer, np.ones(3))
-    # the all-positive row picks facet 0 first in the grouped pass
+    # the all-positive row picks facet 0 in the first round
     got, failed = rc.reconstruct_batch(poly, layer, np.vstack([np.ones(3), np.zeros(3)]))
     assert failed.tolist() == [True, False]
     assert np.isnan(got[0]).all() and np.array_equal(got[1], x)
@@ -246,7 +246,7 @@ def test_reconstruct_batch_matches_rowwise_oracle(mb, tet):
     rng = np.random.default_rng(79)
     # Mercedes-Benz at each element, tetrahedron at each edge midpoint
     # direction: two coefficients sit exactly at the bias, so no facet lies
-    # inside the positive pattern and only the ordered fallback inverts them
+    # inside the positive pattern and only a later round inverts them
     mids = [tet.frame.elements[i] + tet.frame.elements[j]
             for i in range(4) for j in range(i + 1, 4)]
     mids = np.array(mids) / np.linalg.norm(mids, axis=1)[:, None]
@@ -285,7 +285,8 @@ def test_covering_facet_candidate_always_verifies(mb, tet, ico):
                 continue
             j = rc.covering_facet(setup.poly, x)
             z = rc.forward(setup.layer, x)
-            xhat = rc.facet_reconstruction(setup.poly, setup.layer, z, j)
+            idx = list(setup.poly.vertices[j])
+            xhat = setup.poly.dual(j) @ (z[idx] + setup.layer.bias[idx])
             assert np.max(np.abs(xhat - x)) <= 1e-9
             zhat = rc.forward(setup.layer, xhat)
             assert np.max(np.abs(zhat - z)) <= 1e-8

@@ -3,9 +3,10 @@ import pytest
 
 import relucert as rc
 from relucert import solvers
-from relucert.errors import DimensionMismatch, NotConverged
+from relucert.errors import NotConverged
 
 import oracles
+from conftest import capped_cone
 
 
 def unit_columns(rng, n, k):
@@ -14,19 +15,19 @@ def unit_columns(rng, n, k):
 
 
 def test_capped_cone_axis_aligned():
-    res = rc.min_linear_capped_cone(rc.CappedConeProblem(D=np.eye(2), c=np.array([-1.0, 0.0])))
-    assert res.value == pytest.approx(-1.0, abs=1e-12)
-    assert np.allclose(res.argmin, [1.0, 0.0], atol=1e-9)
-    assert res.kkt_residual <= 1e-9
+    value, argmin, residual, _ = capped_cone(np.eye(2), [-1.0, 0.0])
+    assert value == pytest.approx(-1.0, abs=1e-12)
+    assert np.allclose(argmin, [1.0, 0.0], atol=1e-9)
+    assert residual <= 1e-9
 
 
 def test_capped_cone_tetrahedron_facet(tet):
     # facet {0,1,2} with the objective taken from its first vertex
     cols = tet.frame.elements[[0, 1, 2]].T
     c = cols.T @ tet.frame.elements[0]
-    res = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=c))
-    assert res.value == pytest.approx(-1.0 / np.sqrt(3.0), abs=1e-9)
-    assert np.linalg.norm(cols @ res.argmin) == pytest.approx(1.0, abs=1e-8)
+    value, argmin, _, _ = capped_cone(cols, c)
+    assert value == pytest.approx(-1.0 / np.sqrt(3.0), abs=1e-9)
+    assert np.linalg.norm(cols @ argmin) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_capped_cone_mercedes_edge(mb):
@@ -34,49 +35,41 @@ def test_capped_cone_mercedes_edge(mb):
     # sits at the far vertex since the edge arc never dips below it
     cols = mb.frame.elements[[1, 2]].T
     c = cols.T @ mb.frame.elements[1]
-    res = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=c))
-    assert res.value == pytest.approx(-0.5, abs=1e-9)
-    assert np.allclose(res.argmin, [0.0, 1.0], atol=1e-8)
+    value, argmin, _, _ = capped_cone(cols, c)
+    assert value == pytest.approx(-0.5, abs=1e-9)
+    assert np.allclose(argmin, [0.0, 1.0], atol=1e-8)
     sweep = oracles.arc_sweep_min(cols, c, samples=200_000)
-    assert res.value == pytest.approx(sweep, abs=1e-6)
+    assert value == pytest.approx(sweep, abs=1e-6)
 
 
 def test_capped_cone_nonnegative_objective_stays_at_apex():
     cols = unit_columns(np.random.default_rng(1), 2, 2)
-    res = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=np.array([0.3, 0.1])))
-    assert res.value == 0.0
-    assert np.allclose(res.argmin, 0.0)
+    value, argmin, _, _ = capped_cone(cols, [0.3, 0.1])
+    assert value == 0.0
+    assert np.allclose(argmin, 0.0)
 
 
 def test_capped_cone_single_generator():
-    res = rc.min_linear_capped_cone(
-        rc.CappedConeProblem(D=np.array([[1.0], [0.0]]), c=np.array([-0.7])))
-    assert res.value == pytest.approx(-0.7, abs=1e-12)
-    assert np.allclose(res.argmin, [1.0])
-
-
-def test_capped_cone_validates_input():
-    with pytest.raises(ValueError):
-        rc.CappedConeProblem(D=2.0 * np.eye(2), c=np.array([-1.0, 0.0]))
-    with pytest.raises(DimensionMismatch):
-        rc.CappedConeProblem(D=np.eye(2), c=np.array([-1.0, 0.0, 0.0]))
+    value, argmin, _, _ = capped_cone(np.array([[1.0], [0.0]]), [-0.7])
+    assert value == pytest.approx(-0.7, abs=1e-12)
+    assert np.allclose(argmin, [1.0])
 
 
 def test_capped_cone_oracle_agreement_2d():
     for k, (cols, c) in enumerate(oracles.facet_cone_instances(2, 60, seed=510)):
-        res = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=c))
+        value, argmin, _, _ = capped_cone(cols, c)
         sweep = oracles.arc_sweep_min(cols, c, samples=300_000)
-        assert res.value == pytest.approx(sweep, abs=1e-5), f"instance {k}"
-        assert np.min(res.argmin) >= -1e-12
-        assert np.linalg.norm(cols @ res.argmin) <= 1.0 + 1e-10
+        assert value == pytest.approx(sweep, abs=1e-5), f"instance {k}"
+        assert np.min(argmin) >= -1e-12
+        assert np.linalg.norm(cols @ argmin) <= 1.0 + 1e-10
 
 
 def test_capped_cone_oracle_agreement_3d():
     for k, (cols, c) in enumerate(oracles.facet_cone_instances(3, 30, seed=520)):
-        res = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=c))
+        value, *_ = capped_cone(cols, c)
         sampled = oracles.cone_sample_min(cols, c, samples=10_000, seed=k)
-        assert res.value <= sampled + 1e-9, f"instance {k}"
-        assert res.value >= sampled - 1e-3, f"instance {k}"
+        assert value <= sampled + 1e-9, f"instance {k}"
+        assert value >= sampled - 1e-3, f"instance {k}"
 
 
 def test_capped_cone_redundant_generators():
@@ -84,10 +77,10 @@ def test_capped_cone_redundant_generators():
     base = np.array([[1.0, 0.8, 0.6, 0.2], [0.0, 0.6, 0.8, 0.98], [0.0, 0.0, 0.0, 0.0]])
     cols = base / np.linalg.norm(base, axis=0)
     c = cols.T @ np.array([-1.0, 0.2, 0.1])
-    res = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=c))
+    value, *_ = capped_cone(cols, c)
     sampled = oracles.cone_sample_min(cols, c, samples=200_000, seed=9)
-    assert res.value <= sampled + 1e-9
-    assert res.value >= sampled - 1e-4
+    assert value <= sampled + 1e-9
+    assert value >= sampled - 1e-4
 
 
 def test_capped_cone_scale_covariance():
@@ -98,10 +91,10 @@ def test_capped_cone_scale_covariance():
         if np.min(c) >= 0.0:
             continue
         lam = float(rng.uniform(0.1, 10.0))
-        base = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=c))
-        scaled = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=lam * c))
-        assert abs(scaled.value - lam * base.value) <= 1e-12 * max(1.0, abs(lam * base.value))
-        assert np.max(np.abs(scaled.argmin - base.argmin)) <= 1e-8
+        base, base_argmin, _, _ = capped_cone(cols, c)
+        scaled, scaled_argmin, _, _ = capped_cone(cols, lam * c)
+        assert abs(scaled - lam * base) <= 1e-12 * max(1.0, abs(lam * base))
+        assert np.max(np.abs(scaled_argmin - base_argmin)) <= 1e-8
 
 
 def _merged_facet_instances(points):
@@ -125,14 +118,14 @@ def test_capped_cone_matches_scipy_nnls():
     merged = _merged_facet_instances(oracles.cell24()) + _merged_facet_instances(oracles.cube(4))
     assert merged and all(cols.shape[1] > cols.shape[0] for cols, _ in merged)
     for k, (cols, c) in enumerate(instances + merged):
-        res = rc.min_linear_capped_cone(rc.CappedConeProblem(D=cols, c=c))
+        value, argmin, residual, steps = capped_cone(cols, c)
         x = np.linalg.lstsq(cols.T, c, rcond=None)[0]
         want = -np.linalg.norm(cols @ optimize.nnls(cols, -x)[0])
-        assert abs(res.value - want) <= 1e-12, f"instance {k}"
-        assert res.kkt_residual <= 1e-12, f"instance {k}"
-        assert np.min(res.argmin) >= 0.0
-        assert np.linalg.norm(cols @ res.argmin) <= 1.0 + 1e-12
-        assert res.iterations <= 3 * cols.shape[1]
+        assert abs(value - want) <= 1e-12, f"instance {k}"
+        assert residual <= 1e-12, f"instance {k}"
+        assert np.min(argmin) >= 0.0
+        assert np.linalg.norm(cols @ argmin) <= 1.0 + 1e-12
+        assert steps <= 3 * cols.shape[1]
 
 
 def _polytope_programs(points):
@@ -201,10 +194,9 @@ def test_batched_cone_programs_failures():
     assert failed.all()
     *_, failed = rc.min_linear_capped_cones(G, c)
     assert not failed.any()
-    problem = rc.CappedConeProblem(D=np.eye(2), c=np.array([-1.0, 0.0]), tol=-1.0)
-    with pytest.raises(NotConverged) as err:
-        rc.min_linear_capped_cone(problem)
-    assert err.value.iterations == 1 and err.value.residual == 0.0
+    _, _, residuals, steps, failed = rc.min_linear_capped_cones(
+        np.eye(2)[None], np.array([[-1.0, 0.0]]), tol=-1.0)
+    assert failed[0] and steps[0] == 1 and residuals[0] == 0.0
 
 
 def test_lp_feasible_simplex_examples():
@@ -229,11 +221,10 @@ def test_lp_feasible_mercedes_bottom_edge(mb):
 
 
 def test_lp_feasible_free_variables():
-    # x1 + x2 = 0 with x1 >= 1 needs a negative x2: feasible only if free
+    # x1 + x2 = 0 with x1 >= 1 needs a negative x2: infeasible for x >= 0
     a_eq = np.array([[1.0, 1.0]])
     a_in = np.array([[1.0, 0.0]])
-    assert rc.lp_feasible(A_eq=a_eq, b_eq=[0.0], A_ineq=a_in, b_ineq=[1.0], nonneg_vars=False)
-    assert not rc.lp_feasible(A_eq=a_eq, b_eq=[0.0], A_ineq=a_in, b_ineq=[1.0], nonneg_vars=True)
+    assert not rc.lp_feasible(A_eq=a_eq, b_eq=[0.0], A_ineq=a_in, b_ineq=[1.0])
 
 
 def test_lp_feasible_equalities_only():
