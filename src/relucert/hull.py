@@ -8,11 +8,11 @@ intended regime.
 
 The hull under construction is a set of arrays indexed by facet id: `verts`
 (F, n) sorted vertex indices, `normals` (F, n) and `offsets` (F,) of the
-outward planes, an `alive` mask, and `nbr` (F, n), where `nbr[f, k]` is the
-facet across the ridge opposite `verts[f, k]` (the neighbour-opposite-vertex
-layout of Boissonnat et al., "Triangulations in CGAL", 2002). Each point's
-outside set membership is `owner` (m,): the facet it lies above, or -1.
-`ridge_pairs` is the one routine that matches ridges between simplices.
+outward planes, and an `alive` mask. Each point's outside set membership is
+`owner` (m,): the facet it lies above, or -1. No adjacency is stored: each
+apex step sorts the ridges of the facets the apex is above, which gives both
+the visible set and its horizon. `_sorted_ridges` is the one routine that
+matches ridges between simplices, for quickhull and for `ridge_pairs`.
 """
 
 from __future__ import annotations
@@ -35,19 +35,30 @@ def _opposite(n: int) -> np.ndarray:
     return idx
 
 
-def ridge_pairs(verts: np.ndarray):
-    """Pair the ridges of the simplices `verts` (F, n), sorted vertex indices.
+def _sorted_ridges(verts: np.ndarray):
+    """The ridges of the simplices `verts` (F, n), sorted vertex indices, in
+    one lexicographic sort.
 
     The ridge in slot s = f*n + k is simplex f without its vertex k. Returns
-    flat slot arrays (s, t) such that the ridges in slots s[i] and t[i] are
-    equal, found by one lexicographic sort of the F*n ridges. Raises
-    DegenerateHull unless every ridge lies on exactly two simplices.
+    (ridges, order, same): `ridges` (F*n, n-1) in slot order, `order` the
+    slots in ridge order, and `same[i]` whether the ridges in slots
+    order[i] and order[i + 1] are equal.
     """
     count, n = verts.shape
     ridges = verts[:, _opposite(n)].reshape(count * n, n - 1)
     order = np.lexsort(ridges.T[::-1]) if n > 1 else np.arange(count)
-    ridges = ridges[order]
-    same = np.all(ridges[1:] == ridges[:-1], axis=1)
+    ranked = ridges[order]
+    return ridges, order, (ranked[1:] == ranked[:-1]).all(axis=1)
+
+
+def ridge_pairs(verts: np.ndarray):
+    """Pair the ridges of the simplices `verts` (F, n), sorted vertex indices.
+
+    Returns flat slot arrays (s, t) such that the ridges in slots s[i] and
+    t[i] are equal (slots as in `_sorted_ridges`). Raises DegenerateHull
+    unless every ridge lies on exactly two simplices.
+    """
+    _, order, same = _sorted_ridges(verts)
     if len(order) % 2 or not same[0::2].all() or same[1::2].any():
         raise DegenerateHull("hull is not closed: a ridge does not have exactly two facets")
     return order[0::2], order[1::2]
@@ -127,13 +138,8 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
             f"points affinely span dimension {len(chosen) - 1} < {n - 1}")
 
     interior = pts[chosen].mean(axis=0)
-    opposite = _opposite(n)
     verts = np.sort(np.array(chosen)[_opposite(n + 1)], axis=1)
     normals, offsets = make_planes(pts, verts, interior)
-    nbr = np.empty((n + 1, n), dtype=np.intp)
-    s, t = ridge_pairs(verts)
-    nbr.flat[s] = t // n
-    nbr.flat[t] = s // n
     alive = np.ones(n + 1, dtype=bool)
     count = n + 1
 
@@ -149,63 +155,64 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
         if guard > 100 * m + 1000:
             raise DegenerateHull("hull construction did not terminate")
         f = stack.pop()
-        out = np.flatnonzero(owner == f) if alive[f] else ()
+        out = (owner == f).nonzero()[0] if alive[f] else ()
         if len(out) == 0:
             continue
         apex = int(out[np.argmax(pts[out] @ normals[f])])
 
-        # visible: the facets the apex is above, connected to f through one another
-        cand = np.flatnonzero(alive[:count]
-                              & (normals[:count] @ pts[apex] - offsets[:count] > tol))
-        comp = np.zeros(count + 1, dtype=bool)  # comp[-1] stays False for owner -1
-        comp[f] = True
-        links = nbr[cand]
+        # candidates: the facets the apex is above, and f; their ridge sort
+        # pairs the ridges two candidates share
+        hit = alive[:count] & (normals[:count] @ pts[apex] - offsets[:count] > tol)
+        hit[f] = True
+        cand = hit.nonzero()[0]
+        ridges, order, same = _sorted_ridges(verts[cand])
+        # visible: the candidates connected to f through shared ridges
+        a, b = order[:-1][same] // n, order[1:][same] // n
+        src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+        comp = cand == f
         while True:
-            grow = cand[~comp[cand] & comp[links].any(axis=1)]
-            if grow.size == 0:
+            reached = dst[comp[src]]
+            if comp[reached].all():
                 break
-            comp[grow] = True
-        visible = np.flatnonzero(comp)
-        # f first, as a search from f would list it, so its horizon ridges lead
-        visible = np.concatenate([[f], visible[visible != f]])
-        across = nbr[visible]
-        row, slot = np.nonzero(~comp[across])
-        outer = across[row, slot]
-        ridge = verts[visible[row, None], opposite[slot]]
+            comp[reached] = True
+        # horizon: the ridges of visible facets that no other candidate
+        # shares (a visible facet's candidate twin is visible too), in slot
+        # order with f's first, as a search from f would list them
+        unpaired = np.concatenate([[True], ~same, [True]])
+        slots = np.sort(order[unpaired[:-1] & unpaired[1:]])
+        slots = slots[comp[slots // n]]
+        lead = cand[slots // n] == f
+        ridge = ridges[np.concatenate([slots[lead], slots[~lead]])]
+        visible = cand[comp]
 
         # one new facet per horizon ridge, through the ridge and the apex
-        k = len(row)
+        k = len(ridge)
         new_verts = np.sort(np.concatenate([ridge, np.full((k, 1), apex)], axis=1), axis=1)
         new_normals, new_offsets = make_planes(pts, new_verts, interior)
         if count + k > len(offsets):
-            verts, nbr, normals, offsets, alive = (
+            verts, normals, offsets, alive = (
                 np.concatenate([a, np.zeros((count + k,) + a.shape[1:], a.dtype)])
-                for a in (verts, nbr, normals, offsets, alive))
+                for a in (verts, normals, offsets, alive))
         rows = slice(count, count + k)
         verts[rows], normals[rows], offsets[rows], alive[rows] = (
             new_verts, new_normals, new_offsets, True)
         alive[visible] = False
-        new = np.arange(count, count + k)
-        nbr[new, (ridge < apex).sum(axis=1)] = outer
-        nbr[outer, np.argmax(nbr[outer] == visible[row, None], axis=1)] = new
-        # facets through the apex meet along the horizon's own ridges
-        (h, j), (g, i) = (np.divmod(slots, n - 1) for slots in ridge_pairs(ridge))
-        nbr[new[h], j + (ridge[h, j] > apex)] = new[g]
-        nbr[new[g], i + (ridge[g, i] > apex)] = new[h]
 
         owner[apex] = -1
-        orphans = np.flatnonzero(comp[owner])
+        gone = np.zeros(count + 1, dtype=bool)  # gone[-1] stays False for owner -1
+        gone[visible] = True
+        orphans = gone[owner].nonzero()[0]
         if orphans.size:
             dists = pts[orphans] @ new_normals.T - new_offsets
-            best = np.argmax(dists, axis=1)
-            above = dists[np.arange(orphans.size), best] > tol
-            owner[orphans] = np.where(above, new[best], -1)
-            stack.extend(new[np.bincount(best[above], minlength=k) > 0].tolist())
+            best = dists.argmax(axis=1)
+            above = dists.max(axis=1) > tol
+            owner[orphans] = np.where(above, count + best, -1)
+            stack.extend((count + np.bincount(best[above], minlength=k).nonzero()[0]).tolist())
         count += k
 
-    live = np.flatnonzero(alive[:count])
-    live = live[np.lexsort(verts[live].T[::-1])]
-    return verts[live], normals[live], offsets[live], None
+    keep = np.flatnonzero(alive[:count])
+    keep = keep[np.lexsort(verts[keep].T[::-1])]
+    return verts[keep], normals[keep], offsets[keep], None
 
 
 def _flat(normal: np.ndarray, offset: float):

@@ -22,6 +22,10 @@ from .polytope import TOL_INTERIOR, Polytope
 TOL_ACTIVE = 1e-12
 TOL_MARGIN = 1e-12
 VERIFY_TOL = 1e-8
+# a reconstruction round tries at most this many candidates, or one per row:
+# the cap bounds the round's (candidates, m) check array; lower caps made
+# blocks with failing rows slower, higher ones mainly raised peak memory
+ROUND_CANDIDATES = 4096
 
 
 @dataclass(frozen=True)
@@ -158,11 +162,14 @@ def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z,
     vertices all carry zero outputs (boundary equalities zero some active
     coefficients). Ties go to the smallest index.
 
-    The candidates are then tried in rounds. In each round every unsettled
-    row takes its best untried facet, rows that took the same facet share
-    one product with its canonical dual, and one forward product verifies
-    them all. A row is settled by its first candidate that verifies, and
-    fails once it has tried every facet.
+    The candidates are then tried in rounds. In the first round every row
+    takes its best facet; in each later round every unsettled row takes its
+    next k untried facets in rank order, k = 2, 4, 8, ... (at most
+    ROUND_CANDIDATES candidates in a round, or one per row). Rows that took
+    the same facet share one product with its canonical dual, and one
+    forward product verifies them all. A row is settled by its first
+    candidate in rank order that verifies, and fails once it has tried
+    every facet.
 
     Only the facets whose duals are applied are built (`Polytope.dual`), so
     only they get the rank check. A facet whose vertex set does not span
@@ -192,34 +199,57 @@ def _reconstruct_rows(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
                       verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
     incidence = poly.incidence.astype(float)  # float: the product runs in BLAS
     # score[i, j]: row i's overlap with facet j, raised above every overlap
-    # if facet j lies inside the pattern; argmax breaks ties to the smaller
-    # index, and a tried facet scores -1
+    # if facet j lies inside the pattern; ties rank the smaller index first
     score = (zs > 0.0).astype(float) @ incidence.T
     np.add(score, zs.shape[1] + 1.0, out=score, where=score == incidence.sum(axis=1))
 
     xs = np.full((zs.shape[0], layer.frame.n), np.nan)
-    rows = np.arange(zs.shape[0])  # unsettled rows, score[k] is rows[k]'s
-    for _ in range(poly.num_facets):  # each round, each row tries one facet
-        if not rows.size:
+    rows = np.arange(zs.shape[0])  # unsettled rows
+    picks = np.argmax(score, axis=1)[:, None]  # picks[k]: the facets rows[k] tries
+    ranked, tried = None, 1
+    while True:
+        candidates, verified = _try_facets(poly, layer, zs[rows], picks, verify_tol)
+        settled = verified.any(axis=1)
+        first = np.argmax(verified, axis=1)  # the first verifying candidate in rank order
+        xs[rows[settled]] = candidates[settled, first[settled]]
+        rows = rows[~settled]
+        if not rows.size or tried >= poly.num_facets:
             break
-        picks = np.argmax(score, axis=1)
-        score[np.arange(rows.size), picks] = -1.0
-        candidates = np.full((rows.size, layer.frame.n), np.nan)
-        for j in np.unique(picks):
-            group = np.flatnonzero(picks == j)
-            try:
-                dual = poly.dual(j)
-            except NotAFrame:  # its rows stay NaN and fail verification
-                continue
-            idx = list(poly.vertices[j])
-            candidates[group] = (zs[rows[group, None], idx] + layer.bias[idx]) @ dual.T
-        check = np.maximum(candidates @ layer.frame.elements.T - layer.bias, 0.0)
-        verified = np.max(np.abs(check - zs[rows]), axis=1) <= verify_tol
-        xs[rows[verified]] = candidates[verified]
-        rows, score = rows[~verified], score[~verified]
+        # the next ranked facets, twice as many as last round; a stable sort
+        # of the negated scores keeps argmax's tie order
+        if ranked is None:
+            ranked = np.argsort(-score[rows], axis=1, kind="stable")
+        else:
+            ranked = ranked[~settled]
+        width = min(2 * picks.shape[1], max(1, ROUND_CANDIDATES // rows.size))
+        picks = ranked[:, tried:tried + width]
+        tried += width
     failed = np.zeros(zs.shape[0], dtype=bool)
     failed[rows] = True  # every facet tried
     return xs, failed
+
+
+def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray, picks: np.ndarray,
+                verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate inputs (R, k, n) for the outputs zs (R, m) from the facets
+    picks (R, k), and whether each reproduces its output within
+    `verify_tol`. The candidates of one facet share one product with its
+    canonical dual, and one forward product verifies them all."""
+    width = picks.shape[1]
+    flat = picks.ravel()
+    order = np.argsort(flat, kind="stable")
+    facets, starts = np.unique(flat[order], return_index=True)
+    candidates = np.full((flat.size, layer.frame.n), np.nan)
+    for j, group in zip(facets.tolist(), np.split(order, starts[1:])):
+        try:
+            dual = poly.dual(j)
+        except NotAFrame:  # its candidates stay NaN and fail verification
+            continue
+        idx = list(poly.vertices[j])
+        candidates[group] = (zs[(group // width)[:, None], idx] + layer.bias[idx]) @ dual.T
+    check = np.maximum(candidates @ layer.frame.elements.T - layer.bias, 0.0)
+    miss = np.max(np.abs(check.reshape(len(zs), width, -1) - zs[:, None]), axis=2)
+    return candidates.reshape(len(zs), width, -1), miss <= verify_tol
 
 
 def spanning_failures(layer: ReLULayer, poly: Polytope, samples: np.ndarray,

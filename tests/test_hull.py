@@ -687,6 +687,18 @@ def test_facets_match_qhull(name):
     assert facet_sets(rc.build_polytope(frame)) == oracles.qhull_facets(frame.elements)
 
 
+@pytest.mark.parametrize("n, seed", [(3, 2), (3, 20), (4, 18), (4, 33)])
+def test_snapped_near_duplicate_frames_still_raise(n, seed):
+    # Known failures, left to ROADMAP direction 2 (near-duplicate apexes),
+    # although Qhull builds all four: with a pair of elements 9.5e-9, 8.2e-9,
+    # 1.6e-9 and 3.5e-9 apart, quickhull's own simplices are not convex (an
+    # element lies 0.05, 0.23, 0.80 and 0.013 above one of them), so the
+    # facet certificate fails.
+    frame, _, _ = rc.normalize(oracles.snapped(n, seed))
+    with pytest.raises(DegenerateHull, match="certificate"):
+        rc.build_polytope(frame)
+
+
 def _fuzz_frame(kind, n, rng):
     """Weight rows of one fuzz kind: random, near-duplicate, coplanar or
     jittered cross-polytope."""

@@ -275,6 +275,61 @@ def test_reconstruct_batch_matches_rowwise_oracle(mb, tet):
         assert failed.any() and not failed.all()
 
 
+@pytest.mark.parametrize("cap", [None, 7])
+def test_reconstruct_batch_late_rounds_match_rowwise_oracle(monkeypatch, cap):
+    # an uncertified bias, and per facet an input with one facet vertex's
+    # coefficient exactly at its bias: that facet still inverts the output,
+    # but where another facet ranks above it the row settles in a later
+    # round, where each row tries its next 2, 4, 8, ... ranked facets at
+    # once; rows outside the image fail after every facet. With cap 7 a
+    # round holds at most 7 candidates (or one per row), so the widths stop
+    # doubling.
+    if cap is not None:
+        monkeypatch.setattr(rc.layer, "ROUND_CANDIDATES", cap)
+    rng = np.random.default_rng(81)
+    setup = build_setup(random_omnidirectional(3, 14, 811))
+    poly, elements = setup.poly, setup.frame.elements
+    layer = rc.ReLULayer(setup.frame, setup.layer.bias + 0.35)
+    boundary = []
+    for idx in map(list, poly.vertices):
+        lift = rng.uniform(0.05, 0.2, len(idx))
+        lift[0] = 0.0
+        x = np.linalg.lstsq(elements[idx], layer.bias[idx] + lift, rcond=None)[0]
+        coeff = elements @ x - layer.bias
+        boundary.append(np.where(np.arange(len(coeff)) == idx[0], 0.0, np.maximum(coeff, 0.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inside = rc.forward(layer, oracles.sample_ball(rng, 3, 60))
+    zs = rng.permutation(np.vstack([inside, boundary, np.abs(rng.standard_normal((10, 14)))]))
+    want, want_failed = oracles.reconstruct_rows(poly, layer, zs)
+    got, failed = rc.reconstruct_batch(poly, layer, zs)
+    assert np.array_equal(failed, want_failed)
+    assert np.isnan(got[failed]).all()
+    assert np.max(np.abs(got[~failed] - want[~failed])) <= 1e-12
+    first = np.argmax(_facet_scores(poly, zs), axis=1)
+    late = [i for i in np.flatnonzero(~failed) if not _verifies(poly, layer, zs[i], first[i])]
+    assert failed.any() and late
+
+
+def _facet_scores(poly, zs):
+    """The first-round ranking of `reconstruct_batch`: overlap of each
+    row's positive pattern with each facet, facets inside it first."""
+    incidence = poly.incidence.astype(float)
+    score = (zs > 0.0).astype(float) @ incidence.T
+    return score + (zs.shape[1] + 1.0) * (score == incidence.sum(axis=1))
+
+
+def _verifies(poly, layer, z, j):
+    idx = list(poly.vertices[j])
+    try:
+        x = poly.dual(j) @ (z[idx] + layer.bias[idx])
+    except NotAFrame:
+        return False
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return np.max(np.abs(rc.forward(layer, x) - z)) <= 1e-8
+
+
 def test_covering_facet_candidate_always_verifies(mb, tet, ico):
     # the facet cone containing x yields a left-inverse that passes the gate
     rng = np.random.default_rng(74)
