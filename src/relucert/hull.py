@@ -1,4 +1,4 @@
-"""Incremental quickhull facet enumeration in arbitrary fixed dimension.
+"""Convex hull facet enumeration in arbitrary fixed dimension.
 
 Produces simplicial facets with unit outward normals for full-dimensional
 point sets. Point sets whose affine span is a single hyperplane are reported
@@ -6,13 +6,21 @@ as flat (the caller decides what to do with them); lower-dimensional spans
 raise DegenerateHull. Dimensions up to ~6 and a few hundred points are the
 intended regime.
 
-The hull under construction is a set of arrays indexed by facet id: `verts`
-(F, n) sorted vertex indices, `normals` (F, n) and `offsets` (F,) of the
-outward planes, and an `alive` mask. Each point's outside set membership is
-`owner` (m,): the facet it lies above, or -1. No adjacency is stored: each
-apex step sorts the ridges of the facets the apex is above, which gives both
-the visible set and its horizon. `_sorted_ridges` is the one routine that
-matches ridges between simplices, for quickhull and for `ridge_pairs`.
+The algorithm is the randomized incremental hull of Clarkson & Shor,
+"Applications of random sampling in computational geometry, II" (1989), in
+the round-synchronous ProcessRidge form of Blelloch, Gu, Shun & Sun,
+"Randomized incremental convex hull is highly parallel" (SPAA 2020). After
+a seed simplex, points come in the order of a multiplicative hash of their
+index, a stand-in for a random order whatever the row order. A facet keeps
+only its pivot: the first point after its apex, in that order, more than
+`tol` above it. A round takes every open ridge task (t1, t2) at once:
+equal pivots drop it (the ridge is buried, or final); otherwise the facet
+with the smaller pivot p gives way to the facet (ridge + p), which takes
+over the task. Its ridges through p wait in a sorted list of packed keys
+(`_ridge_keys`) for their twin, now or in a later round; each pair is a
+task. A task's smaller pivot rises every round, so there are at most m
+rounds (O(log m) with high probability for a random order). The hull is
+the facets without a pivot.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import numpy as np
 from .errors import DegenerateHull
 
 TOL_HULL = 1e-9
+SCRAMBLE = 0x9E3779B1  # odd, so the hash permutes the indices below 2**32
 
 
 @cache
@@ -35,30 +44,47 @@ def _opposite(n: int) -> np.ndarray:
     return idx
 
 
-def _sorted_ridges(verts: np.ndarray):
-    """The ridges of the simplices `verts` (F, n), sorted vertex indices, in
-    one lexicographic sort.
+@cache
+def _key_layout(m: int, k: int):
+    """How `_ridge_keys` packs k sorted indices below m: bit_length(m - 1)
+    bits each, as many per int64 word as fit in 63 bits (one word for m <=
+    4096 at k <= 5), the first index highest. Returns (weights (k, w), word,
+    shift, mask), index j of a key being (key[word[j]] >> shift[j]) & mask."""
+    bits = max(int(m - 1).bit_length(), 1)
+    per = 63 // bits
+    j = np.arange(k)
+    word, shift = j // per, bits * (per - 1 - j % per)
+    weights = np.zeros((k, max(-(-k // per), 1)), dtype=np.int64)
+    weights[j, word] = np.left_shift(1, shift)
+    for a in (weights, word, shift):
+        a.flags.writeable = False
+    return weights, word, shift, (1 << bits) - 1
 
-    The ridge in slot s = f*n + k is simplex f without its vertex k. Returns
-    (ridges, order, same): `ridges` (F*n, n-1) in slot order, `order` the
-    slots in ridge order, and `same[i]` whether the ridges in slots
-    order[i] and order[i + 1] are equal.
-    """
-    count, n = verts.shape
-    ridges = verts[:, _opposite(n)].reshape(count * n, n - 1)
-    order = np.lexsort(ridges.T[::-1]) if n > 1 else np.arange(count)
-    ranked = ridges[order]
-    return ridges, order, (ranked[1:] == ranked[:-1]).all(axis=1)
+
+def _ridge_keys(ridges: np.ndarray, m: int) -> np.ndarray:
+    """The key words (R, w) of the ridges (R, k), sorted vertex indices
+    below m: equal ridges have equal keys, and keys order as ridges do."""
+    return ridges @ _key_layout(m, ridges.shape[1])[0]
+
+
+def _key_order(keys: np.ndarray):
+    """Stable order of the keys (R, w), the keys in it, and whether each equals the next."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    return order, ranked, (ranked[1:] == ranked[:-1]).all(axis=1)
 
 
 def ridge_pairs(verts: np.ndarray):
     """Pair the ridges of the simplices `verts` (F, n), sorted vertex indices.
 
-    Returns flat slot arrays (s, t) such that the ridges in slots s[i] and
-    t[i] are equal (slots as in `_sorted_ridges`). Raises DegenerateHull
-    unless every ridge lies on exactly two simplices.
+    The ridge in slot s = f*n + k is simplex f without its vertex k. Returns
+    flat slot arrays (s, t) such that the ridges in slots s[i] and t[i] are
+    equal. Raises DegenerateHull unless every ridge lies on exactly two
+    simplices.
     """
-    _, order, same = _sorted_ridges(verts)
+    count, n = verts.shape
+    ridges = verts[:, _opposite(n)].reshape(count * n, n - 1)
+    order, _, same = _key_order(_ridge_keys(ridges, int(verts.max(initial=0)) + 1))
     if len(order) % 2 or not same[0::2].all() or same[1::2].any():
         raise DegenerateHull("hull is not closed: a ridge does not have exactly two facets")
     return order[0::2], order[1::2]
@@ -137,82 +163,55 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
         raise DegenerateHull(
             f"points affinely span dimension {len(chosen) - 1} < {n - 1}")
 
+    # rank order: the seed simplex, then the rest by hashed index (pivot m is none)
+    rest = np.delete(np.arange(m), chosen)
+    scramble = (rest.astype(np.uint64) * np.uint64(SCRAMBLE)) & np.uint64(0xFFFFFFFF)
+    perm = np.concatenate([chosen, rest[np.argsort(scramble, kind="stable")]])
+    ranked, rank = pts[perm].T, np.arange(m, dtype=np.int32)
     interior = pts[chosen].mean(axis=0)
+    _, word, shift, mask = _key_layout(m, n - 1)
+
+    # round 0 makes the seed simplex's facets, whose pivots come after rank n
     verts = np.sort(np.array(chosen)[_opposite(n + 1)], axis=1)
-    normals, offsets = make_planes(pts, verts, interior)
-    alive = np.ones(n + 1, dtype=bool)
-    count = n + 1
+    p, apex = np.full(n + 1, n, dtype=np.int32), np.full(n + 1, -1)
+    kept, ridge = np.empty(0, dtype=np.intp), verts[:0, 1:]
+    pivot, wait_f, wait_k, hull = p[:0], kept, _ridge_keys(ridge, m), []
+    while len(p):
+        normals, offsets = make_planes(pts, verts, interior)
+        dists = normals @ ranked
+        dists -= offsets[:, None]
+        above = (dists > tol) & (rank > p[:, None])
+        new_pivot = np.where(above.any(axis=1), above.argmax(axis=1), m).astype(np.int32)
+        hull.append([a[new_pivot == m] for a in (verts, normals, offsets)])
+        # a new facet takes over its ridge task against the kept facet (none
+        # in round 0); its ridges through the apex (all of a seed facet's)
+        # wait for their twins, and each pair is a task
+        ids = np.arange(len(pivot), len(pivot) + len(p))
+        pivot = np.concatenate([pivot, new_pivot])
+        through = verts != apex[:, None]
+        keys = _ridge_keys(verts[:, _opposite(n)][through], m)
+        order, wait_k, same = _key_order(np.concatenate([wait_k, keys]))
+        wait_f = np.concatenate([wait_f, ids[through.nonzero()[0]]])[order]
+        if (same[1:] & same[:-1]).any():
+            raise DegenerateHull("hull is not closed: a ridge has more than two facets")
+        pair = np.flatnonzero(same)
+        lo = np.concatenate([ids[:len(kept)], wait_f[pair]])
+        hi = np.concatenate([kept, wait_f[pair + 1]])
+        ridge = np.concatenate([ridge, (wait_k[pair][:, word] >> shift) & mask])
+        single = np.ones(len(order), dtype=bool)
+        single[pair] = single[pair + 1] = False
+        wait_f, wait_k = wait_f[single], wait_k[single]
+        # across each ridge the facet with the smaller pivot p gives way to
+        # (ridge + p), and the other is kept; equal pivots drop the task
+        p_lo, p_hi = pivot[lo], pivot[hi]
+        live = p_lo != p_hi
+        p, kept = np.minimum(p_lo, p_hi)[live], np.where(p_hi < p_lo, lo, hi)[live]
+        ridge, apex = ridge[live], perm[p]
+        verts = np.sort(np.column_stack([ridge, apex]), axis=1)
 
-    dists = pts @ normals.T - offsets
-    dists[chosen] = -np.inf
-    best = np.argmax(dists, axis=1)
-    owner = np.where(dists[np.arange(m), best] > tol, best, -1)
-    stack = np.flatnonzero(np.bincount(owner[owner >= 0], minlength=n + 1)).tolist()
-
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 100 * m + 1000:
-            raise DegenerateHull("hull construction did not terminate")
-        f = stack.pop()
-        out = (owner == f).nonzero()[0] if alive[f] else ()
-        if len(out) == 0:
-            continue
-        apex = int(out[np.argmax(pts[out] @ normals[f])])
-
-        # candidates: the facets the apex is above, and f; their ridge sort
-        # pairs the ridges two candidates share
-        hit = alive[:count] & (normals[:count] @ pts[apex] - offsets[:count] > tol)
-        hit[f] = True
-        cand = hit.nonzero()[0]
-        ridges, order, same = _sorted_ridges(verts[cand])
-        # visible: the candidates connected to f through shared ridges
-        a, b = order[:-1][same] // n, order[1:][same] // n
-        src, dst = np.concatenate([a, b]), np.concatenate([b, a])
-        comp = cand == f
-        while True:
-            reached = dst[comp[src]]
-            if comp[reached].all():
-                break
-            comp[reached] = True
-        # horizon: the ridges of visible facets that no other candidate
-        # shares (a visible facet's candidate twin is visible too), in slot
-        # order with f's first, as a search from f would list them
-        unpaired = np.concatenate([[True], ~same, [True]])
-        slots = np.sort(order[unpaired[:-1] & unpaired[1:]])
-        slots = slots[comp[slots // n]]
-        lead = cand[slots // n] == f
-        ridge = ridges[np.concatenate([slots[lead], slots[~lead]])]
-        visible = cand[comp]
-
-        # one new facet per horizon ridge, through the ridge and the apex
-        k = len(ridge)
-        new_verts = np.sort(np.concatenate([ridge, np.full((k, 1), apex)], axis=1), axis=1)
-        new_normals, new_offsets = make_planes(pts, new_verts, interior)
-        if count + k > len(offsets):
-            verts, normals, offsets, alive = (
-                np.concatenate([a, np.zeros((count + k,) + a.shape[1:], a.dtype)])
-                for a in (verts, normals, offsets, alive))
-        rows = slice(count, count + k)
-        verts[rows], normals[rows], offsets[rows], alive[rows] = (
-            new_verts, new_normals, new_offsets, True)
-        alive[visible] = False
-
-        owner[apex] = -1
-        gone = np.zeros(count + 1, dtype=bool)  # gone[-1] stays False for owner -1
-        gone[visible] = True
-        orphans = gone[owner].nonzero()[0]
-        if orphans.size:
-            dists = pts[orphans] @ new_normals.T - new_offsets
-            best = dists.argmax(axis=1)
-            above = dists.max(axis=1) > tol
-            owner[orphans] = np.where(above, count + best, -1)
-            stack.extend((count + np.bincount(best[above], minlength=k).nonzero()[0]).tolist())
-        count += k
-
-    keep = np.flatnonzero(alive[:count])
-    keep = keep[np.lexsort(verts[keep].T[::-1])]
-    return verts[keep], normals[keep], offsets[keep], None
+    verts, normals, offsets = (np.concatenate(a) for a in zip(*hull))
+    order = np.lexsort(verts.T[::-1])
+    return verts[order], normals[order], offsets[order], None
 
 
 def _flat(normal: np.ndarray, offset: float):

@@ -164,7 +164,7 @@ def _merge_coplanar(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     connected component of that relation becomes one facet. A lone simplex
     keeps its plane; a larger component takes its summed normal,
     renormalized, and the mean offset of its vertices. Pairing the ridges
-    (`hull.ridge_pairs`, on the ridge sort quickhull's apex step uses)
+    (`hull.ridge_pairs`, on the packed ridge keys of quickhull's rounds)
     also checks closure: every ridge must belong to exactly two simplices,
     or the facet cones would not tile space. Raises
     DegenerateHull when closure or a facet certificate (no element above

@@ -3,7 +3,9 @@
 Everything here is deliberately brute force: closed-form characteristic
 polynomials, shifted power iterations, exhaustive supporting-hyperplane
 scans, dense angular sweeps and rejection sampling. Nothing shares code
-with the library paths it validates.
+with the library paths it validates, except `quickhull_furthest`: the
+former hull, kept to check the new one bit for bit, shares its seed simplex
+and its plane routine.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from relucert import hull
 from relucert.errors import (DegenerateHull, FrameMismatch, NotAFrame, NotConverged,
                              ReconstructionFailed)
 from relucert.fixtures import random_sphere
@@ -118,6 +121,144 @@ def hull_facets(points: np.ndarray, tol: float = 1e-9):
         verts = tuple(int(i) for i in np.nonzero(np.abs(dots - offset) <= tol)[0])
         found[verts] = (normal, offset)
     return sorted((v, nrm, off) for v, (nrm, off) in found.items())
+
+
+def _sorted_ridges_lexsort(verts: np.ndarray):
+    """The ridges of the simplices `verts` (F, n), sorted vertex indices, in
+    one `np.lexsort` over their n - 1 columns: (ridges, order, same), with
+    `ridges` (F*n, n-1) in slot order (slot f*n + k is simplex f without its
+    vertex k), `order` the slots in ridge order and `same[i]` whether the
+    ridges in slots order[i] and order[i + 1] are equal."""
+    count, n = verts.shape
+    ridges = verts[:, hull._opposite(n)].reshape(count * n, n - 1)
+    order = np.lexsort(ridges.T[::-1])
+    ranked = ridges[order]
+    return ridges, order, (ranked[1:] == ranked[:-1]).all(axis=1)
+
+
+def quickhull_furthest(points: np.ndarray, tol: float = hull.TOL_HULL):
+    """The former `hull.quickhull`, furthest-point quickhull with one apex
+    per step, as the reference for the round-based hull: same contract,
+    same seed simplex and same `hull.make_planes`, so on general-position
+    points the two give bit-identical simplices, normals and offsets.
+
+    Each step pops a facet with a non-empty outside set and takes its
+    furthest point as the apex. The facets the apex is above, and the popped
+    facet, are the candidates; those connected to the popped facet through
+    shared ridges are the visible set, and their ridges that no other
+    candidate shares the horizon. Each horizon ridge and the apex make a new
+    facet, and the visible facets' outside points are reassigned to the new
+    facets.
+    """
+    pts = np.asarray(points, dtype=float)
+    m, n = pts.shape
+    if n == 1:
+        return hull._hull_1d(pts)
+    chosen, q = hull._affine_basis(pts, tol)
+    if len(chosen) == n:
+        normal = hull._null_direction(q)
+        return hull._flat(normal, float(np.mean(pts @ normal)))
+    if len(chosen) < n:
+        raise DegenerateHull(
+            f"points affinely span dimension {len(chosen) - 1} < {n - 1}")
+
+    interior = pts[chosen].mean(axis=0)
+    verts = np.sort(np.array(chosen)[hull._opposite(n + 1)], axis=1)
+    normals, offsets = hull.make_planes(pts, verts, interior)
+    alive = np.ones(n + 1, dtype=bool)
+    count = n + 1
+
+    dists = pts @ normals.T - offsets
+    dists[chosen] = -np.inf
+    best = np.argmax(dists, axis=1)
+    owner = np.where(dists[np.arange(m), best] > tol, best, -1)
+    stack = np.flatnonzero(np.bincount(owner[owner >= 0], minlength=n + 1)).tolist()
+
+    guard = 0
+    while stack:
+        guard += 1
+        if guard > 100 * m + 1000:
+            raise DegenerateHull("hull construction did not terminate")
+        f = stack.pop()
+        out = (owner == f).nonzero()[0] if alive[f] else ()
+        if len(out) == 0:
+            continue
+        apex = int(out[np.argmax(pts[out] @ normals[f])])
+
+        hit = alive[:count] & (normals[:count] @ pts[apex] - offsets[:count] > tol)
+        hit[f] = True
+        cand = hit.nonzero()[0]
+        ridges, order, same = _sorted_ridges_lexsort(verts[cand])
+        a, b = order[:-1][same] // n, order[1:][same] // n
+        src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+        comp = cand == f
+        while True:
+            reached = dst[comp[src]]
+            if comp[reached].all():
+                break
+            comp[reached] = True
+        unpaired = np.concatenate([[True], ~same, [True]])
+        slots = np.sort(order[unpaired[:-1] & unpaired[1:]])
+        slots = slots[comp[slots // n]]
+        lead = cand[slots // n] == f
+        ridge = ridges[np.concatenate([slots[lead], slots[~lead]])]
+        visible = cand[comp]
+
+        k = len(ridge)
+        new_verts = np.sort(np.concatenate([ridge, np.full((k, 1), apex)], axis=1), axis=1)
+        new_normals, new_offsets = hull.make_planes(pts, new_verts, interior)
+        if count + k > len(offsets):
+            verts, normals, offsets, alive = (
+                np.concatenate([a, np.zeros((count + k,) + a.shape[1:], a.dtype)])
+                for a in (verts, normals, offsets, alive))
+        rows = slice(count, count + k)
+        verts[rows], normals[rows], offsets[rows], alive[rows] = (
+            new_verts, new_normals, new_offsets, True)
+        alive[visible] = False
+
+        owner[apex] = -1
+        gone = np.zeros(count + 1, dtype=bool)  # gone[-1] stays False for owner -1
+        gone[visible] = True
+        orphans = gone[owner].nonzero()[0]
+        if orphans.size:
+            dists = pts[orphans] @ new_normals.T - new_offsets
+            best = dists.argmax(axis=1)
+            above = dists.max(axis=1) > tol
+            owner[orphans] = np.where(above, count + best, -1)
+            stack.extend((count + np.bincount(best[above], minlength=k).nonzero()[0]).tolist())
+        count += k
+
+    keep = np.flatnonzero(alive[:count])
+    keep = keep[np.lexsort(verts[keep].T[::-1])]
+    return verts[keep], normals[keep], offsets[keep], None
+
+
+def fuzz_frame(kind, n, rng):
+    """Weight rows of one fuzz kind: random, near-duplicate, coplanar or
+    jittered cross-polytope, drawn from `rng`."""
+    base = rng.standard_normal((int(rng.integers(n + 1, 4 * n + 4)), n))
+    if kind == "near-duplicate":
+        # copies of some rows moved by 1e-9 to 1e-4: above TOL_DISTINCT after
+        # normalization, except in rare draws that must raise ValueError
+        twins = base[:n] + 10.0 ** rng.uniform(-9, -4) * rng.standard_normal((n, n))
+        return np.vstack([base, twins])
+    if kind == "coplanar":
+        # points on one cap boundary {x : <u, x> = c} of the sphere: 2n of
+        # them, or for n = 2 the two points where the line meets the circle
+        u = rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        c = rng.uniform(0.3, 0.9)
+        if n == 2:
+            tangent = np.outer([1.0, -1.0], rng.standard_normal(n))
+        else:
+            tangent = rng.standard_normal((2 * n, n))
+        tangent -= np.outer(tangent @ u, u)
+        tangent /= np.linalg.norm(tangent, axis=1)[:, None]
+        return np.vstack([base, c * u + np.sqrt(1.0 - c * c) * tangent])
+    if kind == "cross-polytope":
+        cross = np.vstack([np.eye(n), -np.eye(n)])
+        return cross + 10.0 ** rng.uniform(-13, -3) * rng.standard_normal(cross.shape)
+    return base
 
 
 def svd_planes(pts: np.ndarray, verts: np.ndarray, interior: np.ndarray):

@@ -1,5 +1,5 @@
 import json
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -687,44 +687,128 @@ def test_facets_match_qhull(name):
     assert facet_sets(rc.build_polytope(frame)) == oracles.qhull_facets(frame.elements)
 
 
-@pytest.mark.parametrize("n, seed", [(3, 2), (3, 20), (4, 18), (4, 33)])
+@pytest.mark.parametrize("n, seed", [(3, 2), (4, 18)])
 def test_snapped_near_duplicate_frames_still_raise(n, seed):
     # Known failures, left to ROADMAP direction 2 (near-duplicate apexes),
-    # although Qhull builds all four: with a pair of elements 9.5e-9, 8.2e-9,
-    # 1.6e-9 and 3.5e-9 apart, quickhull's own simplices are not convex (an
-    # element lies 0.05, 0.23, 0.80 and 0.013 above one of them), so the
-    # facet certificate fails.
+    # although Qhull builds both: with a pair of elements 9.5e-9 and 1.6e-9
+    # apart, the hull's own simplices are not convex (an element lies 0.12
+    # and 0.10 above one of them), so the facet certificate fails.
     frame, _, _ = rc.normalize(oracles.snapped(n, seed))
     with pytest.raises(DegenerateHull, match="certificate"):
         rc.build_polytope(frame)
 
 
-def _fuzz_frame(kind, n, rng):
-    """Weight rows of one fuzz kind: random, near-duplicate, coplanar or
-    jittered cross-polytope."""
-    base = rng.standard_normal((int(rng.integers(n + 1, 4 * n + 4)), n))
-    if kind == "near-duplicate":
-        # copies of some rows moved by 1e-9 to 1e-4: above TOL_DISTINCT after
-        # normalization, except in rare draws that must raise ValueError
-        twins = base[:n] + 10.0 ** rng.uniform(-9, -4) * rng.standard_normal((n, n))
-        return np.vstack([base, twins])
-    if kind == "coplanar":
-        # points on one cap boundary {x : <u, x> = c} of the sphere: 2n of
-        # them, or for n = 2 the two points where the line meets the circle
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        c = rng.uniform(0.3, 0.9)
-        if n == 2:
-            tangent = np.outer([1.0, -1.0], rng.standard_normal(n))
-        else:
-            tangent = rng.standard_normal((2 * n, n))
-        tangent -= np.outer(tangent @ u, u)
-        tangent /= np.linalg.norm(tangent, axis=1)[:, None]
-        return np.vstack([base, c * u + np.sqrt(1.0 - c * c) * tangent])
-    if kind == "cross-polytope":
-        cross = np.vstack([np.eye(n), -np.eye(n)])
-        return cross + 10.0 ** rng.uniform(-13, -3) * rng.standard_normal(cross.shape)
-    return base
+@pytest.mark.parametrize("n, seed", [(3, 20), (4, 33)])
+def test_snapped_near_duplicate_frames_match_qhull(n, seed):
+    # with a pair of elements 8.2e-9 and 3.5e-9 apart: the former
+    # furthest-point quickhull built non-convex simplices here, the
+    # round-based hull builds Qhull's facets
+    pytest.importorskip("scipy.spatial")
+    frame, _, _ = rc.normalize(oracles.snapped(n, seed))
+    assert facet_sets(rc.build_polytope(frame)) == oracles.qhull_facets(frame.elements)
+
+
+BIT_FRAMES = {
+    **{f"sphere-{n}x{m}": rc.random_sphere(n, m, seed) for n, m, seed in (
+        (3, 200, 61), (4, 60, 62), (5, 30, 63), (6, 16, 64), (6, 50, 65))},
+    # 13-index ridges of 5 bits: two key words
+    "sphere-14x17": rc.random_sphere(14, 17, 73),
+    "tetrahedron": rc.tetrahedron(),
+    "icosahedron": rc.icosahedron(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIT_FRAMES))
+def test_quickhull_bit_identical_to_furthest_point_oracle(name):
+    # in general position the hull's simplices are unique, and each plane
+    # comes from the same make_planes row, whatever the insertion order
+    frame, _, _ = rc.normalize(BIT_FRAMES[name])
+    got = hull.quickhull(frame.elements)
+    want = oracles.quickhull_furthest(frame.elements)
+    assert got[3] is None and want[3] is None
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["cube3", "cube4", "cube5", "cell24", "ternary4x30"])
+def test_coplanar_frames_merge_to_the_furthest_point_facets(name):
+    # coplanar points: the two hulls may triangulate a facet differently,
+    # but the merged facets are the same
+    frame, _, _ = rc.normalize(SCAN_FRAMES[name])
+    pts = frame.elements
+    *raw, _ = oracles.quickhull_furthest(pts)
+    want = polytope._merge_coplanar(*raw, pts, polytope.TOL_PLANE)
+    poly = rc.build_polytope(frame)
+    assert np.array_equal(poly.incidence, want[2])
+    assert np.max(np.abs(poly.normals - want[0])) <= 1e-12
+    assert np.max(np.abs(poly.offsets - want[1])) <= 1e-12
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """The sizes of the `make_planes` calls of `hull.quickhull`: the seed
+    simplex, then one per round."""
+    calls = []
+    make_planes = hull.make_planes
+
+    def counting(pts, verts, interior):
+        calls.append(len(verts))
+        return make_planes(pts, verts, interior)
+
+    monkeypatch.setattr(hull, "make_planes", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_simplex_frames_need_no_round(n, rounds):
+    # m = n + 1: the seed simplex is the hull and no point is left to rank
+    pts = np.vstack([np.eye(n), -np.ones((1, n)) / np.sqrt(n)])
+    verts, normals, offsets, flat = hull.quickhull(pts)
+    assert flat is None and rounds == [n + 1]
+    assert np.array_equal(verts, list(combinations(range(n + 1), n)))
+    assert np.all(pts @ normals.T <= offsets + 1e-12)
+
+
+def test_rows_sorted_by_a_coordinate_take_few_rounds(rounds):
+    # insertion by hashed index, not row order: in row order these rows,
+    # sorted by height, take 77 rounds (29 in hashed order)
+    frame, _, _ = rc.normalize(rc.random_sphere(3, 200, 66))
+    pts = frame.elements[np.argsort(frame.elements[:, 2])]
+    got = hull.quickhull(pts)
+    assert len(rounds) - 1 <= 40
+    want = oracles.quickhull_furthest(pts)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.integers(0, 40), st.integers(0, 2 ** 31 - 1))
+def test_row_order_does_not_change_general_position_facets(n, extra, seed):
+    rng = np.random.default_rng(seed)
+    weights = rc.random_sphere(n, n + 1 + extra, seed)
+    perm = rng.permutation(len(weights))
+    frame, _, _ = rc.normalize(weights)
+    moved, _, _ = rc.normalize(weights[perm])
+    want = facet_sets(rc.build_polytope(frame))
+    got = [tuple(sorted(int(perm[i]) for i in verts))
+           for verts in rc.build_polytope(moved).vertices]
+    assert sorted(got) == want
+
+
+def test_ridge_keys_over_several_words():
+    # labels below 2**40: 40 bits per index, one index per int64 word, so
+    # the 4-index ridges at n = 5 take four words; the pairs match those of
+    # small labels, and the keys unpack to the ridges
+    frame, _, _ = rc.normalize(rc.random_sphere(5, 30, 71))
+    verts = hull.quickhull(frame.elements)[0]
+    labels = np.sort(np.random.default_rng(72).choice(2 ** 40, 30, replace=False))
+    big = labels[verts]
+    for a, b in zip(hull.ridge_pairs(verts), hull.ridge_pairs(big)):
+        assert np.array_equal(a, b)
+    keys = hull._ridge_keys(big[:, 1:], 2 ** 40)
+    assert keys.shape == (len(verts), 4)
+    _, word, shift, mask = hull._key_layout(2 ** 40, 4)
+    assert np.array_equal((keys[:, word] >> shift) & mask, big[:, 1:])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -732,7 +816,7 @@ def _fuzz_frame(kind, n, rng):
        st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
 def test_hull_fuzz(kind, n, seed):
     rng = np.random.default_rng(seed)
-    frame, _, _ = rc.normalize(_fuzz_frame(kind, n, rng))
+    frame, _, _ = rc.normalize(oracles.fuzz_frame(kind, n, rng))
     try:
         poly = rc.build_polytope(frame)
     except (ValueError, RelucertError):
@@ -753,7 +837,7 @@ def test_repeated_facet_vertex_set_raises(capsys, tmp_path):
     # near-duplicate rows: two simplices' planes differ by more than the
     # merge tolerance while both hold the same six points within 1e-9, so
     # the merge gave one vertex set twice
-    weights = _fuzz_frame("near-duplicate", 5, np.random.default_rng([65, 5, 1]))
+    weights = oracles.fuzz_frame("near-duplicate", 5, np.random.default_rng([65, 5, 1]))
     frame, _, _ = rc.normalize(weights)
     with pytest.raises(DegenerateHull, match="same vertex set"):
         rc.build_polytope(frame)
