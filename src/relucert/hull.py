@@ -182,7 +182,8 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
         dists -= offsets[:, None]
         above = (dists > tol) & (rank > p[:, None])
         new_pivot = np.where(above.any(axis=1), above.argmax(axis=1), m).astype(np.int32)
-        hull.append([a[new_pivot == m] for a in (verts, normals, offsets)])
+        final = new_pivot == m
+        hull.append([verts[final], normals[final], offsets[final]])
         # a new facet takes over its ridge task against the kept facet (none
         # in round 0); its ridges through the apex (all of a seed facet's)
         # wait for their twins, and each pair is a task

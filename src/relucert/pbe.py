@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (NotConverged, NotNonnegOmnidirectional, NotOmnidirectional,
                      OrphanVertex, SolverFailed)
 from .frames import UnitFrame, operator_bounds, subframe_operator
-from .polytope import Polytope, PositiveFacetReport, is_omnidirectional
+from .polytope import Polytope, PositiveFacetReport, is_omnidirectional, nonzero_2d
 from .solvers import TOL_SOLVER, min_linear_capped_cones
 
 DOMAIN_BALL = "ball"
@@ -96,7 +96,7 @@ def _facet_groups(poly: Polytope, facet_indices):
         size_k = np.flatnonzero(sizes == k)
         for start in range(0, size_k.size, FACET_BLOCK):
             rows = size_k[start:start + FACET_BLOCK]
-            yield rows, np.nonzero(incidence[rows])[1].reshape(-1, k)
+            yield rows, nonzero_2d(incidence[rows])[1].reshape(-1, k)
 
 
 def pbe_ball(frame: UnitFrame, poly: Polytope, radius: float = 1.0,
@@ -146,7 +146,7 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
     for rows, verts in groups:
         # one program per (facet, element on it that needs one); G and c
         # are the products D^T D and D^T x_i of the facet's vertex columns
-        r, i = np.nonzero(poly.incidence[facet_indices[rows]] & need)
+        r, i = nonzero_2d(poly.incidence[facet_indices[rows]] & need)
         vx = pts[verts]
         values, _, residuals, steps, failed = min_linear_capped_cones(
             (vx @ vx.swapaxes(1, 2))[r], (vx[r] @ pts[i][:, :, None])[:, :, 0], tol)

@@ -15,8 +15,8 @@ tiling true rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice
+from functools import cache, cached_property
+from itertools import islice, takewhile
 
 import numpy as np
 
@@ -30,8 +30,7 @@ TOL_INTERIOR = 1e-9
 TOL_MERGE = 1e-9
 TOL_TIE = 1e-12
 TOL_DISTINCT = 1e-10
-MERGE_BLOCK = 32  # facets per (m x block) product: bounds peak memory
-DISTINCT_BLOCK = 16  # rows per (block x m x n) difference array: bounds peak memory
+MERGE_ENTRIES = 2 ** 14  # entries per (m x block) certificate product: bounds peak memory
 # a facet with some coordinate below -TOL_OUTSIDE at every vertex misses the
 # orthant by more than lp_feasible's tolerance (proof in positive_facets)
 TOL_OUTSIDE = 2.0 * TOL_SOLVER
@@ -66,7 +65,7 @@ class Polytope:
     @cached_property
     def vertices(self) -> tuple[tuple[int, ...], ...]:
         """Each facet's vertex indices, ascending: the rows of `incidence`."""
-        cols = iter(np.nonzero(self.incidence)[1].tolist())
+        cols = iter(nonzero_2d(self.incidence)[1].tolist())
         return tuple(tuple(islice(cols, k)) for k in self.incidence.sum(axis=1).tolist())
 
     @cached_property
@@ -130,19 +129,67 @@ def build_polytope(frame: UnitFrame, tol_plane: float = TOL_PLANE) -> Polytope:
 
 def _check_distinct(pts: np.ndarray, tol: float = TOL_DISTINCT) -> None:
     """Raise ValueError for the first element i with a later element within
-    `tol`, naming the nearest such j (ties to the smallest). Rows i are
-    taken DISTINCT_BLOCK at a time against every later row."""
-    m = pts.shape[0]
-    for start in range(0, m - 1, DISTINCT_BLOCK):
-        stop = min(start + DISTINCT_BLOCK, m - 1)
-        # d[r, c] = |pts[start + 1 + c] - pts[start + r]|, a later row iff c >= r
-        d = np.linalg.norm(pts[start + 1:] - pts[start:stop, None], axis=2)
-        d[np.tri(*d.shape, -1, dtype=bool)] = np.inf
-        close = np.flatnonzero(np.min(d, axis=1) <= tol)
-        if close.size:
-            i = start + int(close[0])
-            j = start + 1 + int(np.argmin(d[close[0]]))
-            raise ValueError(f"elements {i} and {j} coincide within {tol}")
+    `tol`, naming the nearest such j (ties to the smallest).
+
+    One sort finds the candidates. Every row is projected onto the fixed
+    unit vector u of `_direction(n)`, and since |<u, a - b>| <= |a - b|, a
+    pair within `tol` has projections within `tol` of each other. So only
+    pairs of rows whose sorted (stable) projections lie within
+
+        window = tol + 4 (n + 4) eps (tol + 2 s)
+
+    of each other are tested, eps = 2^-53 the unit roundoff and s the
+    largest row 1-norm. The slack is at least twice, to first order in eps,
+    the rounding it covers: each projection's, at most gamma_n s (as
+    |u_k| <= 1); the norm test's, whose computed value <= tol implies
+    |a - b| <= tol (1 + gamma_(n+3)); that of |u| itself; and the window
+    comparison's, at most eps (s + window). The candidates get the same
+    `np.linalg.norm` test as a scan of every later row.
+    """
+    m, n = pts.shape
+    if m < 2:
+        return
+    proj = pts @ _direction(n)
+    order = np.argsort(proj, kind="stable")
+    ranked = proj[order]
+    s = float(np.max(np.abs(pts).sum(axis=1)))
+    window = tol + 4 * (n + 4) * 2.0 ** -53 * (tol + 2 * s)
+    reach = np.searchsorted(ranked, ranked + window, side="right") - np.arange(1, m + 1)
+    if not reach.any():
+        return
+    # every sorted position p with each of the reach[p] positions after it
+    p = np.repeat(np.arange(m), reach)
+    q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(reach) - reach, reach)
+    i, j = np.minimum(order[p], order[q]), np.maximum(order[p], order[q])
+    d = np.linalg.norm(pts[j] - pts[i], axis=1)
+    close = d <= tol
+    if close.any():
+        first = i[close].min()
+        at = close & (i == first)
+        nearest = j[at][np.lexsort((j[at], d[at]))[0]]
+        raise ValueError(f"elements {first} and {nearest} coincide within {tol}")
+
+
+@cache
+def _direction(n: int) -> np.ndarray:
+    """Unit vector along (sqrt 2, sqrt 3, sqrt 5, ...), the square roots of
+    the first n primes. They are linearly independent over the rationals,
+    so distinct rows with small integer entries (cube and ternary frames)
+    never project to the same value in exact arithmetic."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < n:
+        if all(k % p for p in takewhile(lambda p: p * p <= k, primes)):
+            primes.append(k)
+        k += 1
+    u = np.sqrt(np.array(primes, dtype=float))
+    return _readonly(u / np.linalg.norm(u))
+
+
+def nonzero_2d(mask: np.ndarray):
+    """`np.nonzero` of a 2-D mask, from one scan of the flat mask (numpy's
+    2-D nonzero is several times slower)."""
+    return divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -183,30 +230,34 @@ def _merge_coplanar(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     plane_offsets = offsets[roots]
     summed = np.zeros_like(planes)
     np.add.at(summed, group, normals)
-    for g in np.flatnonzero(np.bincount(group) > 1):
-        normal = summed[g] / np.linalg.norm(summed[g])
-        union = np.flatnonzero(np.bincount(verts[group == g].ravel(), minlength=len(pts)))
-        planes[g] = normal
-        plane_offsets[g] = float(np.mean(pts[union] @ normal))
+    merged = np.flatnonzero(np.bincount(group) > 1)
+    if merged.size:
+        union = np.zeros((len(roots), len(pts)), dtype=bool)
+        union[group[:, None], verts] = True  # each component's vertices
+        for g in merged.tolist():
+            normal = summed[g] / np.linalg.norm(summed[g])
+            planes[g] = normal
+            plane_offsets[g] = float(np.mean(pts[union[g]] @ normal))
 
     incidence = np.empty((len(roots), len(pts)), dtype=bool)
-    for start in range(0, len(roots), MERGE_BLOCK):
-        block = slice(start, start + MERGE_BLOCK)
+    block_len = max(MERGE_ENTRIES // len(pts), 1)
+    for start in range(0, len(roots), block_len):
+        block = slice(start, start + block_len)
         dots = pts @ planes[block].T
         if np.any(np.max(dots, axis=0) > plane_offsets[block] + tol_plane):
             raise DegenerateHull("hull facet certificate failed")
         incidence[block] = (np.abs(dots - plane_offsets[block]) <= tol_plane).T
     # vertex-tuple order: one lexsort of the vertex lists padded with -1,
     # so that a tuple sorts before every longer tuple it begins
-    rows, cols = np.nonzero(incidence)
-    sizes = np.count_nonzero(incidence, axis=1)
+    rows, cols = nonzero_2d(incidence)
+    sizes = np.bincount(rows, minlength=len(incidence))
     padded = np.full((len(sizes), sizes.max()), -1)
     padded[rows, np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = cols
     order = np.lexsort(padded.T[::-1])
-    incidence = incidence[order]
-    if np.any(np.all(incidence[1:] == incidence[:-1], axis=1)):
+    padded = padded[order]
+    if np.any(np.all(padded[1:] == padded[:-1], axis=1)):
         raise DegenerateHull("two facets have the same vertex set")
-    return planes[order], plane_offsets[order], incidence
+    return planes[order], plane_offsets[order], incidence[order]
 
 
 def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -300,15 +351,23 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
     - Zero-offset facets pass through the origin. One that meets the orthant
       is selected and makes the verdict False, whatever the coverage.
 
+    Omnidirectional hulls need no LP. When `is_omnidirectional` holds (the
+    hull is full-dimensional and every facet offset is above
+    `tol_interior`), the n LPs are skipped, as their answer is known. The
+    origin is then strictly inside the hull, so some ball {|y| <= r},
+    r > 0, lies in the hull, and every d != 0 is a positive multiple of its
+    hull point r d / |d|: cone(frame) = R^n, and every e_k lies in it.
+
     The verdict stays conservative: `nonneg_omnidirectional` is True only if
     some facet is selected, the orthant lies in cone(frame) (at the LP's 1e-9
-    tolerance), and every selected offset is at least `tol_interior` away
-    from zero. When the hull is full-dimensional and the selected offsets
-    are all positive, the origin is strictly inside the hull (else the entry
-    facet of a ray through a selected hull point would be selected with
-    offset <= 0), so cone(frame) is R^n and the n LPs always pass. They
-    decide the verdict for flat hulls and for full-dimensional hulls whose
-    selected facets include negative offsets.
+    tolerance, or exactly for omnidirectional hulls), and every selected
+    offset is at least `tol_interior` away from zero. When the hull is
+    full-dimensional and the selected offsets are all positive, the origin
+    is strictly inside the hull (else the entry facet of a ray through a
+    selected hull point would be selected with offset <= 0), so cone(frame)
+    is R^n and the n LPs would pass. They still run for every hull that is
+    not omnidirectional, but decide the verdict only for flat hulls and for
+    full-dimensional hulls whose selected facets include negative offsets.
     """
     pts = poly.frame.elements
     incidence = poly.incidence
@@ -325,7 +384,7 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
     vertex_union = np.flatnonzero(incidence[selected].any(axis=0))
 
     away_from_origin = bool(np.all(np.abs(poly.offsets[selected]) > tol_interior))
-    nonneg = bool(facets.size) and away_from_origin and all(
-        lp_feasible(A_eq=pts.T, b_eq=e_k)
-        for e_k in np.eye(poly.frame.n))
+    nonneg = bool(facets.size) and away_from_origin and (
+        is_omnidirectional(poly, tol_interior)
+        or all(lp_feasible(A_eq=pts.T, b_eq=e_k) for e_k in np.eye(poly.frame.n)))
     return PositiveFacetReport(tuple(facets.tolist()), tuple(vertex_union.tolist()), nonneg)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -44,8 +46,13 @@ def _fmt_float(x: float) -> str:
 
 def render(value) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
+    # floats, null and strings first: the items of the mixed (alpha) lists
+    if type(value) is float:
+        return _fmt_float(value)
     if value is None:
         return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)  # json.dumps' own string encoder
     if value is True:
         return "true"
     if value is False:
@@ -54,14 +61,30 @@ def render(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _fmt_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {render(v)}" for k, v in value.items())
+        inner = ", ".join(f"{render(str(k))}: {render(v)}" for k, v in value.items())
         return "{" + inner + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(render(v) for v in value) + "]"
+        return "[" + _render_items(value) + "]"
     raise TypeError(f"cannot render {type(value).__name__} into a report")
+
+
+def _render_items(values) -> str:
+    """The items of a list, comma-separated. A list of Python floats, of
+    Python ints (not bools) or of lists of ints is rendered with no call per
+    item; any other list item by item."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if not all(map(math.isfinite, values)):
+            raise ValueError("non-finite float reached the report writer")
+        if 0.0 in values:
+            values = [v + 0.0 for v in values]  # normalize -0.0
+        return ", ".join(["%.17g"] * len(values)) % tuple(values)
+    if kinds == {int}:
+        return ", ".join(map(str, values))
+    if kinds <= {list, tuple} and set(map(type, chain.from_iterable(values))) <= {int}:
+        return repr(list(map(list, values)))[1:-1]  # int lists: their repr is their JSON
+    return ", ".join(map(render, values))
 
 
 @dataclass(frozen=True)
@@ -79,14 +102,9 @@ class Report:
 def alpha_entries(values: np.ndarray, unconstrained: np.ndarray) -> list:
     """Alpha array for the report: floats, the unconstrained sentinel, or
     null where an entry was not computed (NaN)."""
-    out = []
-    for v, free in zip(values, unconstrained):
-        if free:
-            out.append(UNCONSTRAINED_SENTINEL)
-        elif math.isnan(v):
-            out.append(None)
-        else:
-            out.append(float(v))
+    out = np.asarray(values, dtype=float).tolist()
+    for i in np.flatnonzero(unconstrained | np.isnan(values)).tolist():
+        out[i] = UNCONSTRAINED_SENTINEL if unconstrained[i] else None
     return out
 
 
@@ -106,17 +124,18 @@ def build_report(*, command: str, version: str, domain: str, radius: float,
             "rows": frame.m,
             "cols": frame.n,
             "fingerprint": frame.fingerprint(),
-            "row_norms": [float(v) for v in norms],
-            "rescaled_bias": None if rescaled_bias is None else [float(v) for v in rescaled_bias],
+            "row_norms": np.asarray(norms, dtype=float).tolist(),
+            "rescaled_bias": (None if rescaled_bias is None
+                              else np.asarray(rescaled_bias, dtype=float).tolist()),
         },
         "polytope": {
             "full_dimensional": bool(poly.full_dimensional),
             "omnidirectional": bool(omnidirectional),
             "num_facets": poly.num_facets,
-            "facet_vertices": [list(v) for v in poly.vertices],
+            "facet_vertices": poly.vertices,
             "nonneg": None if positive_report is None else {
-                "facet_indices": list(positive_report.facet_indices),
-                "vertex_indices": list(positive_report.vertex_indices),
+                "facet_indices": positive_report.facet_indices,
+                "vertex_indices": positive_report.vertex_indices,
                 "nonneg_omnidirectional": bool(positive_report.nonneg_omnidirectional),
             },
         },
@@ -125,7 +144,7 @@ def build_report(*, command: str, version: str, domain: str, radius: float,
             "alpha_S": alpha_entries(estimate.alpha_S, free),
             "alpha_B": alpha_entries(estimate.alpha_B, free),
             "alpha_scaled": alpha_entries(estimate.alpha_scaled, free),
-            "unconstrained_indices": [int(i) for i in np.nonzero(free)[0]],
+            "unconstrained_indices": np.flatnonzero(free).tolist(),
         },
         "stability": None if stability_report is None else {
             "A0": stability_report.A0,
@@ -135,10 +154,12 @@ def build_report(*, command: str, version: str, domain: str, radius: float,
         },
         "certificate": None if certificate is None else {
             "injective": bool(certificate.injective),
-            "margins": [None if math.isinf(v) else float(v) for v in certificate.margins],
-            "failing_indices": list(certificate.failing_indices),
+            "margins": [None if math.isinf(v) else v
+                        for v in np.asarray(certificate.margins, dtype=float).tolist()],
+            "failing_indices": certificate.failing_indices,
             "estimate": certificate.estimate_ref,
         },
         "tolerances": dict(TOLERANCES) | {"solver": float(solver_tol)},
     }
     return Report(doc)
+

@@ -10,6 +10,8 @@ and its plane routine.
 
 from __future__ import annotations
 
+import json
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -335,6 +337,33 @@ def qhull_facets(points: np.ndarray, tol: float = 1e-9):
     eqs = ConvexHull(points).equations
     on = np.abs(points @ eqs[:, :-1].T + eqs[:, -1]) <= tol
     return sorted({tuple(int(i) for i in np.nonzero(col)[0]) for col in on.T})
+
+def render_recursive(value) -> str:
+    """The report writer as it was before its typed list paths: one
+    recursive call per value, floats through `format(x, ".17g")`."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isnan(x) or math.isinf(x):
+            raise ValueError("non-finite float reached the report writer")
+        return format(0.0 if x == 0.0 else x, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        inner = ", ".join(f"{json.dumps(str(k))}: {render_recursive(v)}"
+                          for k, v in value.items())
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(render_recursive(v) for v in value) + "]"
+    raise TypeError(f"cannot render {type(value).__name__} into a report")
+
 
 def positive_facets_lp(poly, tol_interior: float = 1e-9) -> PositiveFacetReport:
     """`positive_facets` with one phase-1 LP per facet, as the library

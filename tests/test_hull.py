@@ -116,7 +116,7 @@ def _check_distinct_loop(pts, tol=polytope.TOL_DISTINCT):
 
 def test_check_distinct_names_first_pair_across_blocks():
     rng = np.random.default_rng(46)
-    pts = rng.standard_normal((200, 4))  # several blocks of DISTINCT_BLOCK rows
+    pts = rng.standard_normal((200, 4))
     # near-duplicate pairs: element 70 has three later twins, the nearest
     # not the first; 66 and 130 are 2e-10 apart, above the tolerance
     for i, j, gap in ((150, 190, 3e-11), (70, 140, 8e-11), (70, 75, 9e-11), (70, 100, 2e-11),
@@ -127,13 +127,57 @@ def test_check_distinct_names_first_pair_across_blocks():
         _check_distinct_loop(pts)
     with pytest.raises(ValueError, match=f"^{want}$"):
         polytope._check_distinct(pts)
-    for last in (len(pts) - 1, polytope.DISTINCT_BLOCK, polytope.DISTINCT_BLOCK + 1):
+    for last in (len(pts) - 1, 16, 17):
         twins = rng.standard_normal((len(pts), 4))
         twins[last] = twins[last - 1]
         with pytest.raises(ValueError, match=f"^elements {last - 1} and {last} "):
             polytope._check_distinct(twins)
     polytope._check_distinct(rng.standard_normal((len(pts), 4)))
     polytope._check_distinct(pts[:1])
+
+
+def _distinct_message(check, pts):
+    try:
+        check(pts)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["gaussian", "scaled", "sphere", "cube", "ternary"]),
+       st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
+def test_check_distinct_matches_row_scan(kind, n, seed):
+    # one projection sort against the scan of every later row: planted
+    # pairs at the tolerance (both sides, within rounding), exact
+    # duplicates and equidistant twins, on rows of any norm and on the
+    # integer rows of cube and ternary frames
+    rng = np.random.default_rng(seed)
+    tol = polytope.TOL_DISTINCT
+    m = int(rng.integers(2, 60))
+    if kind == "cube":
+        pts = oracles.cube(n)
+    elif kind == "ternary":
+        pts = oracles.ternary(n, min(m, 3 ** n - 1), seed)
+    elif kind == "sphere":
+        pts = rc.random_sphere(n, m, seed)
+    else:
+        pts = rng.standard_normal((m, n))
+        if kind == "scaled":
+            pts *= 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+    m = len(pts)
+    for _ in range(int(rng.integers(0, 4))):
+        i, j, k = rng.integers(0, m, 3)
+        d = rng.standard_normal(n)
+        d *= rng.choice([tol * (1.0 - 1e-15), tol, tol * (1.0 + 1e-15), 0.5 * tol,
+                         0.0]) / np.linalg.norm(d)
+        pts[j] = pts[i] + d
+        if rng.random() < 0.3:
+            pts[k] = pts[j]  # i's equidistant twins j and k
+        elif rng.random() < 0.3:
+            pts[k] = pts[i] - d
+    want = _distinct_message(_check_distinct_loop, pts)
+    assert _distinct_message(polytope._check_distinct, pts) == want
 
 
 def test_facet_certificates_random():
@@ -507,6 +551,78 @@ def test_positive_facets_on_snapped_frames_matches_linprog(n):
     assert checked > 2 * ambiguous
 
 
+@pytest.fixture
+def coverage_lps(monkeypatch):
+    """The right-hand side e_k of every coverage LP `positive_facets` runs
+    (the LPs with an equality system only)."""
+    calls = []
+
+    def counting(**kwargs):
+        if kwargs.get("A_ineq") is None:
+            calls.append(np.array(kwargs["b_eq"]))
+        return lp_feasible(**kwargs)
+
+    monkeypatch.setattr(polytope, "lp_feasible", counting)
+    return calls
+
+
+def _check_coverage_lps(poly, report, calls):
+    """Omnidirectional hulls run no coverage LP. Other hulls run them in
+    basis order, up to the first e_k outside cone(frame), once some facet
+    is selected away from the origin; all n when the verdict is True."""
+    n = poly.frame.n
+    if rc.is_omnidirectional(poly):
+        assert calls == []
+        return
+    assert np.array_equal(np.array(calls).reshape(-1, n), np.eye(n)[:len(calls)])
+    if report.nonneg_omnidirectional:
+        assert len(calls) == n
+
+
+@pytest.mark.parametrize("name", sorted(LP_ORACLE_CASES))
+def test_positive_facets_coverage_lps_only_off_omnidirectional_hulls(name, coverage_lps):
+    frame, _, _ = rc.normalize(LP_ORACLE_CASES[name])
+    poly = rc.build_polytope(frame)
+    report = rc.positive_facets(poly)
+    _check_coverage_lps(poly, report, coverage_lps)
+    assert report == oracles.positive_facets_lp(poly)
+    if name.startswith("basis"):  # a flat hull: every e_k is decided by an LP
+        assert len(coverage_lps) == frame.n
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_positive_facets_coverage_shortcut_on_snapped_frames(n, coverage_lps):
+    # the snapped frames' hulls are all omnidirectional; the rows of each
+    # with positive coordinate sum, and the basis, give hulls that miss the
+    # origin, whose cones still hold the orthant. Only the verdicts are
+    # compared: the oracle's facet LPs reject a few facets with a vertex in
+    # the orthant, which the library selects by its vertex test
+    built = offside = 0
+    for seed, poly in _snapped_polytopes(n):
+        coverage_lps.clear()
+        report = rc.positive_facets(poly)
+        assert rc.is_omnidirectional(poly)
+        _check_coverage_lps(poly, report, coverage_lps)
+        verdict = oracles.positive_facets_lp(poly).nonneg_omnidirectional
+        assert report.nonneg_omnidirectional == verdict, seed
+        built += 1
+
+        weights = oracles.snapped(n, seed)
+        weights = np.concatenate([weights[weights.sum(axis=1) > 0.1], np.eye(n)])
+        try:
+            half = rc.build_polytope(rc.normalize(weights)[0])
+        except (DegenerateHull, ValueError):
+            continue
+        coverage_lps.clear()
+        report = rc.positive_facets(half)
+        assert not rc.is_omnidirectional(half)
+        _check_coverage_lps(half, report, coverage_lps)
+        verdict = oracles.positive_facets_lp(half).nonneg_omnidirectional
+        assert report.nonneg_omnidirectional == verdict, seed
+        offside += len(coverage_lps) == n
+    assert built >= 30 and offside >= 15
+
+
 def _cofactor_normal(sub):
     """Unit normal of the hyperplane through the rows of `sub` from its n
     signed cofactor determinants, and the unnormalized norm."""
@@ -617,8 +733,9 @@ def test_merge_coplanar_certificate_in_every_block():
     frame, _, _ = rc.normalize(rc.random_sphere(4, 60, 31))
     pts = frame.elements
     verts, normals, offsets, _ = hull.quickhull(pts)
-    assert len(verts) > 2 * polytope.MERGE_BLOCK
-    for j in (0, len(verts) // 2, len(verts) - 1):
+    block = polytope.MERGE_ENTRIES // len(pts)  # facets per certificate product
+    assert len(verts) > block  # two blocks at least
+    for j in (0, block - 1, block, len(verts) - 1):
         lowered = offsets.copy()
         lowered[j] -= 1e-6
         with pytest.raises(DegenerateHull, match="certificate"):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relucert as rc
 from relucert import io as fio
+from relucert.cli import main
 from relucert.errors import ParseError
-from relucert.reports import Report, render
+from relucert.reports import UNCONSTRAINED_SENTINEL, Report, render
+
+import oracles
 
 
 def test_matrix_roundtrip(tmp_path):
@@ -92,6 +96,60 @@ def test_render_fixed_format():
     assert render(1.0 / 3.0) == "0.33333333333333331"
     with pytest.raises(ValueError):
         render(float("inf"))
+
+
+RENDER_CASES = {
+    "bools": [True, False, True],
+    "bool-and-int": [1, True, 0, False],
+    "numpy-scalars": [np.float64(0.1), np.int64(-3), np.float32(2.5), np.float64(-0.0)],
+    "numpy-array": np.array([[1.5, -0.0], [2.0, 3.0]]),
+    "negative-zero": [-0.0, 0.0, -0.0, 1e-300, -1e-300],
+    "empty": [[], (), {}, [[]], [(), []]],
+    "tuples": ((0, 1, 2), (3,), ()),
+    "int-lists": [[0, 1, 2], (3, 4), [5]],
+    "bool-lists": [[0, True], (False,)],
+    "int-and-float": [1, 2.0, 3],
+    "alpha": [UNCONSTRAINED_SENTINEL, None, 0.25, -0.0, None, UNCONSTRAINED_SENTINEL, 1e-17],
+    "nested": {"a": [1.0 / 3.0, 2e300], "b": {"c": [None, "x\u00e9\"", [True, 2]]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_CASES))
+def test_render_matches_recursive_writer(name):
+    value = RENDER_CASES[name]
+    assert render(value) == oracles.render_recursive(value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_render_non_finite_raises_in_every_list(bad):
+    for value in ([bad], [1.0, bad], [None, 1.0, bad], [[0.5, bad]], {"a": (bad,)},
+                  np.array([bad]), [np.float64(bad)]):
+        with pytest.raises(ValueError):
+            oracles.render_recursive(value)
+        with pytest.raises(ValueError):
+            render(value)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30),
+       st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=10))
+def test_render_float_and_int_lists_match_recursive_writer(floats, ints):
+    for value in (floats, ints, [floats, ints], [ints, ints], floats + [None]):
+        assert render(value) == oracles.render_recursive(value)
+
+
+def test_rendered_reports_match_recursive_writer(capsys, tmp_path):
+    # a ball+ pbe report (the alpha lists mix the sentinel, null and floats)
+    # and a certify report with a bias
+    w = tmp_path / "w.csv"
+    b = tmp_path / "b.csv"
+    w.write_text(fio.format_matrix(rc.icosahedron()))
+    b.write_text(",".join(["-0.3"] * 12) + "\n")
+    for argv in (["pbe", str(w), "--domain", "ball+"], ["certify", str(w), "--bias", str(b)]):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        doc = Report.from_text(text).document
+        assert text == oracles.render_recursive(doc) + "\n"
 
 
 def test_report_roundtrip_is_lossless_and_stable(mb):
