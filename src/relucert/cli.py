@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 import warnings
 
@@ -59,7 +60,11 @@ def _emit_error(exc: Exception) -> int:
 def _output(out_path: str | None):
     """The output file, opened for writing, or standard output."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
+        try:
+            handle = open(out_path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc}") from exc
+        with handle:
             yield handle
     else:
         yield sys.stdout
@@ -126,7 +131,7 @@ def _cmd_reconstruct(args) -> int:
     # Every block is inverted before anything is written, so a refusal
     # leaves no partial output. Only the (N, n) inverses are kept: each
     # block's outputs are recomputed when it is written, which holds peak
-    # memory to one block of outputs and its text.
+    # memory to one block of outputs and its text per writer process.
     blocks = [slice(start, start + RECONSTRUCT_BLOCK)
               for start in range(0, inputs.shape[0], RECONSTRUCT_BLOCK)]
     xhat = np.empty_like(inputs)
@@ -139,13 +144,17 @@ def _cmd_reconstruct(args) -> int:
     err = np.max(np.abs(xhat - inputs), axis=1)  # NaN on failed rows
     header = ([f"z{i}" for i in range(frame.m)]
               + [f"xhat{j}" for j in range(frame.n)] + ["roundtrip_error"])
+
+    def block_text(k: int) -> str:
+        rows = blocks[k]
+        with warnings.catch_warnings():  # the inputs' ball check warned above
+            warnings.simplefilter("ignore")
+            outputs = forward(layer, inputs[rows])
+        return fio.format_matrix(np.hstack([outputs, xhat[rows], err[rows, None]]))
+
     with _output(args.out) as handle:
         handle.write(",".join(header) + "\n")
-        for rows in blocks:
-            with warnings.catch_warnings():  # the inputs' ball check warned above
-                warnings.simplefilter("ignore")
-                outputs = forward(layer, inputs[rows])
-            handle.write(fio.format_matrix(np.hstack([outputs, xhat[rows], err[rows, None]])))
+        fio.write_blocks(handle, len(blocks), block_text)
     if failed:
         print(f"warning: {failed} inputs could not be reconstructed", file=sys.stderr)
     return 0
@@ -190,7 +199,10 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: in-process callers
+    of `main` (tests, library use) parse with the same parser."""
     parser = argparse.ArgumentParser(
         prog="relucert",
         description="Injectivity certificates and exact reconstruction for ReLU layers",
