@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 import warnings
 
@@ -277,7 +278,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script. A reader that closes standard output early (say,
+    `| head -1`) ends the command with exit 1 and nothing on standard error:
+    the rest of the output goes to the null device, where the interpreter's
+    final flush cannot fail again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

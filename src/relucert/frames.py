@@ -147,14 +147,23 @@ def frame_bounds(frame: UnitFrame, subset=None, tol_rank: float = TOL_RANK) -> F
     return FrameBounds(float(lower), float(upper))
 
 
-def operator_bounds(ops: np.ndarray, tol_rank: float = TOL_RANK) -> tuple[np.ndarray, np.ndarray]:
-    """Extreme eigenvalues of a frame operator (n, n) or a stack (F, n, n),
-    by LAPACK's symmetric eigensolver. Raises NotAFrame for the first whose
-    smallest is zero relative to its largest (its vectors do not span R^n).
+def spanning(ops: np.ndarray, tol_rank: float = TOL_RANK):
+    """Extreme eigenvalues (lower, upper) of a frame operator (n, n) or a
+    stack (..., n, n), by LAPACK's symmetric eigensolver, and the mask of
+    the operators whose vectors span R^n: those whose smallest eigenvalue is
+    at least `tol_rank` times their largest. Returns (spans, lower, upper).
     """
     eig = np.linalg.eigvalsh(ops)
     lower, upper = eig[..., 0], eig[..., -1]
-    bad = np.flatnonzero(lower < tol_rank * np.maximum(upper, np.finfo(float).tiny))
+    return lower >= tol_rank * np.maximum(upper, np.finfo(float).tiny), lower, upper
+
+
+def operator_bounds(ops: np.ndarray, tol_rank: float = TOL_RANK) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme eigenvalues of a frame operator (n, n) or a stack (F, n, n).
+    Raises NotAFrame for the first that fails `spanning`'s rank rule.
+    """
+    spans, lower, upper = spanning(ops, tol_rank)
+    bad = np.flatnonzero(~spans)
     if bad.size:
         low, high = lower.flat[bad[0]], upper.flat[bad[0]]
         raise NotAFrame(f"sub-collection is rank deficient (eigenvalue range [{low:.3e}, {high:.3e}])")

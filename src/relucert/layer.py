@@ -3,8 +3,10 @@
 The layer clips the analysis coefficients at a per-element bias. If the bias
 stays below a verified upper bias, the layer is injective on its ball, and
 any output can be inverted exactly through the canonical dual of one facet
-sub-frame: per facet, the dual columns assemble a left-inverse valid on the
-whole cone of that facet.
+sub-frame: for an input x in the cone of facet V,
+x = S_V^{-1} sum_{i in V} (z_i + b_i) x_i, with S_V the sub-frame operator.
+Every candidate of a reconstruction round and every spanning test is one
+stacked computation over such sub-frame operators.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FrameMismatch, NotAFrame, ReconstructionFailed
-from .frames import UnitFrame, as_matrix, as_vector, is_frame
+from .errors import DimensionMismatch, FrameMismatch, ReconstructionFailed
+from .frames import UnitFrame, as_matrix, as_vector, spanning
 from .pbe import DOMAIN_BALL, BiasEstimate
-from .polytope import TOL_INTERIOR, Polytope
+from .polytope import Polytope, facet_groups
 
 TOL_ACTIVE = 1e-12
 TOL_MARGIN = 1e-12
@@ -165,16 +167,12 @@ def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z,
     The candidates are then tried in rounds. In the first round every row
     takes its best facet; in each later round every unsettled row takes its
     next k untried facets in rank order, k = 2, 4, 8, ... (at most
-    ROUND_CANDIDATES candidates in a round, or one per row). Rows that took
-    the same facet share one product with its canonical dual, and one
-    forward product verifies them all. A row is settled by its first
-    candidate in rank order that verifies, and fails once it has tried
-    every facet.
-
-    Only the facets whose duals are applied are built (`Polytope.dual`), so
-    only they get the rank check. A facet whose vertex set does not span
-    the space (NotAFrame) has no left-inverse: it is a candidate that
-    verifies no row.
+    ROUND_CANDIDATES candidates in a round, or one per row). One stacked
+    solve applies the canonical duals of all of a round's (row, facet)
+    pairs, and one forward product verifies them all. A row is settled by
+    its first candidate in rank order that verifies, and fails once it has
+    tried every facet. A facet whose vertex set does not span the space has
+    no left-inverse: it is a candidate that verifies no row.
     """
     _check_layer(poly, layer)
     zs = _matrix(Z, layer.frame.m, "outputs")
@@ -233,52 +231,37 @@ def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray, picks: np.ndar
                 verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Candidate inputs (R, k, n) for the outputs zs (R, m) from the facets
     picks (R, k), and whether each reproduces its output within
-    `verify_tol`. The candidates of one facet share one product with its
-    canonical dual, and one forward product verifies them all."""
+    `verify_tol`. Per pair, stacked by facet size, with V the facet's
+    vertex rows: G = V^T V and x = solve(G, V^T) @ (z + b)_V. A G that fails
+    the rank rule of `spanning` is solved as the identity and its candidate
+    set to NaN, so it verifies no row."""
     width = picks.shape[1]
     flat = picks.ravel()
-    order = np.argsort(flat, kind="stable")
-    facets, starts = np.unique(flat[order], return_index=True)
-    candidates = np.full((flat.size, layer.frame.n), np.nan)
-    for j, group in zip(facets.tolist(), np.split(order, starts[1:])):
-        try:
-            dual = poly.dual(j)
-        except NotAFrame:  # its candidates stay NaN and fail verification
-            continue
-        idx = list(poly.vertices[j])
-        candidates[group] = (zs[(group // width)[:, None], idx] + layer.bias[idx]) @ dual.T
+    candidates = np.empty((flat.size, layer.frame.n))
+    for pairs, verts in facet_groups(poly, flat):
+        sub = layer.frame.elements[verts]  # (P, k, n)
+        gram = sub.swapaxes(1, 2) @ sub
+        spans, _, _ = spanning(gram)
+        gram[~spans] = np.eye(layer.frame.n)
+        coeff = zs[(pairs // width)[:, None], verts] + layer.bias[verts]
+        x = (np.linalg.solve(gram, sub.swapaxes(1, 2)) @ coeff[:, :, None])[:, :, 0]
+        x[~spans] = np.nan
+        candidates[pairs] = x
     check = np.maximum(candidates @ layer.frame.elements.T - layer.bias, 0.0)
     miss = np.max(np.abs(check.reshape(len(zs), width, -1) - zs[:, None]), axis=2)
     return candidates.reshape(len(zs), width, -1), miss <= verify_tol
 
 
 def spanning_failures(layer: ReLULayer, poly: Polytope, samples: np.ndarray,
-                        tol: float = TOL_ACTIVE) -> list[int]:
-    """Sample indices where the active set fails to span the space.
-
-    Fast path, fully vectorized: if a sample's active set contains the vertex
-    set of the facet its ray exits the polytope by, and that facet misses the
-    origin (offset above TOL_INTERIOR), it spans: such a facet's vertices
-    span the space. Every other sample gets the exact rank check.
-    """
+                      tol: float = TOL_ACTIVE) -> list[int]:
+    """Sample indices where the active set fails to span the space: where
+    the frame operator of the active elements, one row of the product of
+    the active masks with the elements' outer products, fails the rank rule
+    of `spanning`. The test needs only the layer; `poly` is not read."""
     xs = np.asarray(samples, dtype=float)
-    coeff = xs @ layer.frame.elements.T  # (num_samples, m)
-    active = coeff >= layer.bias - tol
-
-    norms = np.linalg.norm(xs, axis=1)
-    nonzero = norms > 1e-12
-    covered = np.zeros(xs.shape[0], dtype=bool)
-    if nonzero.any():
-        units = xs[nonzero] / norms[nonzero, None]
-        dots = units @ poly.normals.T  # (num_nonzero, num_facets)
-        ratios = np.where(dots > 1e-9, poly.offsets[None, :] / np.where(dots > 1e-9, dots, 1.0), np.inf)
-        exit_facet = np.argmin(ratios, axis=1)
-        missing = poly.incidence[exit_facet] & ~active[nonzero]
-        covered[nonzero] = ~missing.any(axis=1) & (poly.offsets[exit_facet] > TOL_INTERIOR)
-
-    failures = []
-    for s in np.nonzero(~covered)[0]:
-        act = np.nonzero(active[s])[0]
-        if act.size < layer.frame.n or not is_frame(layer.frame, act):
-            failures.append(int(s))
-    return failures
+    elements = layer.frame.elements
+    m, n = elements.shape
+    active = (xs @ elements.T >= layer.bias - tol).astype(float)  # (num_samples, m)
+    outer = (elements[:, :, None] * elements[:, None, :]).reshape(m, n * n)
+    spans, _, _ = spanning((active @ outer).reshape(-1, n, n))
+    return np.flatnonzero(~spans).tolist()

@@ -19,14 +19,14 @@ import numpy as np
 from .errors import (NotConverged, NotNonnegOmnidirectional, NotOmnidirectional,
                      OrphanVertex, SolverFailed)
 from .frames import UnitFrame, operator_bounds, subframe_operator
-from .polytope import Polytope, PositiveFacetReport, is_omnidirectional, nonzero_2d
+from .polytope import (Polytope, PositiveFacetReport, facet_groups, is_omnidirectional,
+                       nonzero_2d)
 from .solvers import TOL_SOLVER, min_linear_capped_cones
 
 DOMAIN_BALL = "ball"
 DOMAIN_BALL_POSITIVE = "ball+"
 
 UNCONSTRAINED = np.inf  # sentinel for entries the estimate leaves arbitrary
-FACET_BLOCK = 512  # facets per batched step: bounds its (programs, k, k) arrays
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class StabilityReport:
 
 def alpha_X(poly: Polytope) -> np.ndarray:
     """Smallest correlation of each element with the vertices of its facets."""
-    out = _facet_block_min(poly.frame, _facet_groups(poly, range(poly.num_facets)))
+    out = _facet_block_min(poly.frame, facet_groups(poly, range(poly.num_facets)))
     orphans = np.nonzero(np.isinf(out))[0]
     if orphans.size:
         raise OrphanVertex(int(orphans[0]))
@@ -84,19 +84,6 @@ def _facet_block_min(frame: UnitFrame, groups) -> np.ndarray:
     for _, verts in groups:
         np.minimum.at(out, verts, gram[verts[:, :, None], verts[:, None, :]].min(axis=2))
     return out
-
-
-def _facet_groups(poly: Polytope, facet_indices):
-    """Per facet size k, in blocks of at most FACET_BLOCK facets: the
-    positions in `facet_indices` of the block's facets and their vertex
-    indices, ascending, as an (F_k, k) array."""
-    incidence = poly.incidence[np.asarray(facet_indices, dtype=int)]
-    sizes = incidence.sum(axis=1)
-    for k in np.flatnonzero(np.bincount(sizes)).tolist():
-        size_k = np.flatnonzero(sizes == k)
-        for start in range(0, size_k.size, FACET_BLOCK):
-            rows = size_k[start:start + FACET_BLOCK]
-            yield rows, nonzero_2d(incidence[rows])[1].reshape(-1, k)
 
 
 def pbe_ball(frame: UnitFrame, poly: Polytope, radius: float = 1.0,
@@ -133,7 +120,7 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be finite and positive")
     facet_indices = np.asarray(facet_indices, dtype=int)
-    groups = list(_facet_groups(poly, facet_indices))
+    groups = list(facet_groups(poly, facet_indices))
     a_x = _facet_block_min(frame, groups)
     unconstrained = np.isinf(a_x)
     if domain == DOMAIN_BALL and unconstrained.any():
@@ -190,7 +177,7 @@ def stability_positive(frame: UnitFrame, poly: Polytope, report: PositiveFacetRe
 
 def _stability(frame, poly, facet_indices, radius) -> StabilityReport:
     ops = np.empty((len(facet_indices), frame.n, frame.n))
-    for rows, verts in _facet_groups(poly, facet_indices):
+    for rows, verts in facet_groups(poly, facet_indices):
         sub = frame.elements[verts]
         ops[rows] = sub.swapaxes(1, 2) @ sub
     lower, _ = operator_bounds(ops)

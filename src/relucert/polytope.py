@@ -21,8 +21,8 @@ from itertools import islice, takewhile
 import numpy as np
 
 from . import hull as _hull
-from .errors import AtOrigin, DegenerateHull, NotAFrame, NotOmnidirectional
-from .frames import UnitFrame, dual_synthesis
+from .errors import AtOrigin, DegenerateHull, NotOmnidirectional
+from .frames import UnitFrame
 from .solvers import TOL_SOLVER, lp_feasible
 
 TOL_PLANE = 1e-9
@@ -31,6 +31,7 @@ TOL_MERGE = 1e-9
 TOL_TIE = 1e-12
 TOL_DISTINCT = 1e-10
 MERGE_ENTRIES = 2 ** 14  # entries per (m x block) certificate product: bounds peak memory
+FACET_BLOCK = 512  # facets per `facet_groups` block: bounds its callers' stacked arrays
 # a facet with some coordinate below -TOL_OUTSIDE at every vertex misses the
 # orthant by more than lp_feasible's tolerance (proof in positive_facets)
 TOL_OUTSIDE = 2.0 * TOL_SOLVER
@@ -44,8 +45,8 @@ class Polytope:
     interior, its offset `offsets[j]`, and `incidence[j]`, the elements on
     its plane. Every element satisfies <normal, x_i> <= offset, with
     equality exactly on the facet's vertices. Facets are in order of their
-    vertex tuples; the three arrays are stored as read-only copies. Each
-    facet's canonical dual is built on first use by `dual` and kept.
+    vertex tuples; the three arrays are stored as read-only copies. It
+    holds no per-facet cache: one polytope serves every layer bias.
     """
 
     frame: UnitFrame
@@ -67,25 +68,6 @@ class Polytope:
         """Each facet's vertex indices, ascending: the rows of `incidence`."""
         cols = iter(nonzero_2d(self.incidence)[1].tolist())
         return tuple(tuple(islice(cols, k)) for k in self.incidence.sum(axis=1).tolist())
-
-    @cached_property
-    def _duals(self) -> dict[int, np.ndarray]:
-        return {}
-
-    def dual(self, j: int) -> np.ndarray:
-        """Canonical dual synthesis matrix (n, k) of facet j's k vertices,
-        built the first time facet j is asked for and kept read-only.
-
-        It depends on the frame and the facet only, not on any bias. A
-        facet that misses the origin always qualifies; a rank-deficient
-        vertex set (facet through the origin) raises NotAFrame.
-        """
-        if j not in self._duals:
-            try:
-                self._duals[j] = _readonly(dual_synthesis(self.frame, self.vertices[j]))
-            except NotAFrame as exc:
-                raise NotAFrame(f"facet {j} vertex set does not span the space") from exc
-        return self._duals[j]
 
     def facets_of_vertex(self, index: int) -> tuple[int, ...]:
         return tuple(int(j) for j in np.nonzero(self.incidence[:, index])[0])
@@ -184,6 +166,19 @@ def _direction(n: int) -> np.ndarray:
         k += 1
     u = np.sqrt(np.array(primes, dtype=float))
     return _readonly(u / np.linalg.norm(u))
+
+
+def facet_groups(poly: Polytope, facet_indices):
+    """Per facet size k, in blocks of at most FACET_BLOCK facets: the
+    positions in `facet_indices` of the block's facets and their vertex
+    indices, ascending, as an (F_k, k) array. An index may repeat."""
+    incidence = poly.incidence[np.asarray(facet_indices, dtype=int)]
+    sizes = incidence.sum(axis=1)
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
+        size_k = np.flatnonzero(sizes == k)
+        for start in range(0, size_k.size, FACET_BLOCK):
+            rows = size_k[start:start + FACET_BLOCK]
+            yield rows, nonzero_2d(incidence[rows])[1].reshape(-1, k)
 
 
 def nonzero_2d(mask: np.ndarray):

@@ -2,6 +2,8 @@ import contextlib
 import json
 import os
 import signal
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -539,6 +541,30 @@ def test_parallel_writer_parent_error_does_not_hang(capsys, monkeypatch, tmp_pat
                     os.waitpid(pid, 0)
     assert len(pids) == 2
     _no_children()
+
+
+def test_closed_stdout_exits_1_quietly(tmp_path):
+    # `relucert reconstruct ... | head -1`: the reader takes one line and
+    # closes the pipe while about 160 KB are still to come. The console
+    # script exits 1 with nothing on standard error, and its writers with it.
+    xs = oracles.sample_ball(np.random.default_rng(89), 3, 1000)
+    bias = np.full(4, -1.0 / np.sqrt(3.0))
+    (w, b, x), _ = _reconstruct_files(tmp_path, rc.tetrahedron(), bias, xs)
+    env = {**os.environ, "PYTHONPATH": str(Path(rc.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from relucert.cli import entry; entry()",
+         "reconstruct", w, "--bias", b, "--inputs", x],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:  # a hung command fails the test; it must not outlive it
+            proc.kill()
+            proc.wait()
+    assert header.startswith(b"z0,z1,z2,z3,xhat0,")
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_writer_count(monkeypatch):

@@ -102,29 +102,54 @@ def test_certify_ignores_unconstrained_entries(ico):
 
 def test_facet_dual_shapes(mb, tet):
     assert mb.poly.num_facets == 3
-    assert all(mb.poly.dual(j).shape == (2, 2) for j in range(3))
+    assert all(rc.dual_synthesis(mb.frame, mb.poly.vertices[j]).shape == (2, 2)
+               for j in range(3))
     assert tet.poly.num_facets == 4
-    assert all(tet.poly.dual(j).shape == (3, 3) for j in range(4))
+    assert all(rc.dual_synthesis(tet.frame, tet.poly.vertices[j]).shape == (3, 3)
+               for j in range(4))
     basis, _, _ = rc.normalize(np.eye(3))
     poly = rc.build_polytope(basis)
     assert poly.num_facets == 1
-    assert np.allclose(poly.dual(0), np.eye(3), atol=1e-12)
-    assert not poly.dual(0).flags.writeable
+    assert np.allclose(rc.dual_synthesis(basis, poly.vertices[0]), np.eye(3), atol=1e-12)
 
 
 def test_facet_dual_rejects_origin_facet():
     # hull of these three has an edge through the origin: rank-deficient
     frame, _, _ = rc.normalize(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
     poly = rc.build_polytope(frame)
-    with pytest.raises(NotAFrame, match="^facet 0 "):
-        poly.dual(0)
+    with pytest.raises(NotAFrame):
+        rc.dual_synthesis(frame, poly.vertices[0])
+
+
+def test_reconstruct_batch_singular_facet_in_a_round():
+    # facet 0 of this hull, the edge from element 0 to element 1, passes
+    # through the origin: its sub-frame operator has an exact zero
+    # eigenvalue. Every row whose outputs are all positive takes it in the
+    # first round; the stacked solve must not raise, and those rows settle
+    # later, as in the row-wise oracle.
+    frame, _, _ = rc.normalize(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+    poly = rc.build_polytope(frame)
+    assert poly.vertices[0] == (0, 1)
+    sub = frame.elements[list(poly.vertices[0])]
+    assert np.linalg.eigvalsh(sub.T @ sub)[0] == 0.0
+    layer = rc.ReLULayer(frame, np.full(3, -0.5))
+    rng = np.random.default_rng(82)
+    zs = np.vstack([rc.forward(layer, oracles.sample_ball(rng, 2, 200)),
+                    np.zeros((1, 3)), np.abs(rng.standard_normal((10, 3)))])
+    got, failed = rc.reconstruct_batch(poly, layer, zs)
+    want, want_failed = oracles.reconstruct_rows(poly, layer, zs)
+    assert np.array_equal(failed, want_failed)
+    assert np.isnan(got[failed]).all()
+    assert np.max(np.abs(got[~failed] - want[~failed])) <= 1e-12
+    assert failed.any() and not failed.all()
+    assert (np.argmax(_facet_scores(poly, zs), axis=1) == 0).any()
 
 
 def test_facet_dual_decomposition_identity(mb, tet, ico):
     rng = np.random.default_rng(72)
     for setup in (mb, tet, ico):
         for j, verts in enumerate(setup.poly.vertices):
-            dual = setup.poly.dual(j)
+            dual = rc.dual_synthesis(setup.frame, verts)
             for _ in range(10):
                 x = rng.standard_normal(setup.frame.n)
                 coeff = setup.frame.elements[list(verts)] @ x
@@ -154,37 +179,8 @@ def test_reconstruct_skips_unapplied_rank_deficient_facet():
     got, failed = rc.reconstruct_batch(poly, layer, np.vstack([np.ones(3), np.zeros(3)]))
     assert failed.tolist() == [True, False]
     assert np.isnan(got[0]).all() and np.array_equal(got[1], x)
-    with pytest.raises(NotAFrame, match="^facet 0 "):
-        poly.dual(0)
-
-
-def test_facet_duals_built_on_demand(monkeypatch):
-    built = []
-
-    def counting(frame, subset):
-        built.append(subset)
-        return rc.dual_synthesis(frame, subset)
-
-    monkeypatch.setattr("relucert.polytope.dual_synthesis", counting)
-    setup = build_setup(random_omnidirectional(3, 30, 754))
-    poly = setup.poly
-    zs = rc.forward(setup.layer, oracles.sample_ball(np.random.default_rng(80), 3, 200))
-    # each row's facet: the largest inside its positive pattern, ties to
-    # the smallest index; generic ball inputs all verify on it
-    inside = ((zs[:, None, :] > 0.0) | ~poly.incidence).all(axis=2)
-    sizes = poly.incidence.sum(axis=1)
-    applied = {int(np.flatnonzero(row & (sizes == sizes[row].max()))[0]) for row in inside}
-    _, failed = rc.reconstruct_batch(poly, setup.layer, zs)
-    assert not failed.any()
-    assert built == [poly.vertices[j] for j in sorted(applied)]
-    assert len(applied) < poly.num_facets
-    rc.reconstruct_batch(poly, setup.layer, zs)
-    assert len(built) == len(applied)
-    # outputs outside the image try every facet, and still build each once
-    outside = np.abs(np.random.default_rng(81).standard_normal((5, 30)))
-    _, failed = rc.reconstruct_batch(poly, setup.layer, outside)
-    assert failed.all()
-    assert sorted(built) == sorted(poly.vertices)
+    with pytest.raises(NotAFrame):
+        rc.dual_synthesis(frame, poly.vertices[0])
 
 
 def test_reconstruct_example(mb):
@@ -322,7 +318,7 @@ def _facet_scores(poly, zs):
 def _verifies(poly, layer, z, j):
     idx = list(poly.vertices[j])
     try:
-        x = poly.dual(j) @ (z[idx] + layer.bias[idx])
+        x = rc.dual_synthesis(poly.frame, idx) @ (z[idx] + layer.bias[idx])
     except NotAFrame:
         return False
     with warnings.catch_warnings():
@@ -341,7 +337,7 @@ def test_covering_facet_candidate_always_verifies(mb, tet, ico):
             j = rc.covering_facet(setup.poly, x)
             z = rc.forward(setup.layer, x)
             idx = list(setup.poly.vertices[j])
-            xhat = setup.poly.dual(j) @ (z[idx] + setup.layer.bias[idx])
+            xhat = rc.dual_synthesis(setup.frame, idx) @ (z[idx] + setup.layer.bias[idx])
             assert np.max(np.abs(xhat - x)) <= 1e-9
             zhat = rc.forward(setup.layer, xhat)
             assert np.max(np.abs(zhat - z)) <= 1e-8

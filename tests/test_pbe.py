@@ -118,7 +118,7 @@ def test_solver_failure_names_first_element_and_facet(tet):
 def test_facet_blocks_leave_every_result_unchanged(monkeypatch):
     # the facet-size groups are cut into blocks of FACET_BLOCK facets; the
     # results are bit for bit those of one block per size, errors included
-    from relucert import pbe as pbe_module
+    from relucert import polytope as polytope_module
     from relucert.errors import SolverFailed
 
     def results(frame, poly, report):
@@ -135,7 +135,7 @@ def test_facet_blocks_leave_every_result_unchanged(monkeypatch):
         poly = rc.build_polytope(frame)
         report = rc.positive_facets(poly)
         whole = results(frame, poly, report)
-        monkeypatch.setattr(pbe_module, "FACET_BLOCK", 3)
+        monkeypatch.setattr(polytope_module, "FACET_BLOCK", 3)
         assert poly.num_facets > 3 * 3
         for got, want in zip(results(frame, poly, report), whole):
             assert np.array_equal(got, want)
@@ -178,6 +178,31 @@ def test_spanning_failures_exit_facet_through_origin():
     assert [rc.active_set(layer, x).indices for x in xs[:2]] == [(0, 2), (0, 2)]
     assert not rc.is_frame(frame, (0, 2))
     assert rc.spanning_failures(layer, poly, xs) == [0, 1]
+
+
+def test_spanning_failures_match_brute_force_rank_check():
+    # uncertified biases on hulls with the origin inside and on their
+    # absolute values, whose hulls miss it: many active sets fail to span,
+    # and the stacked test must give the failures of a per-sample
+    # `is_frame` on each active set, the zero sample included
+    rng = np.random.default_rng(65)
+    omnidirectional, failures = [], 0
+    for n, m, seed in ((2, 6, 651), (3, 9, 652), (3, 12, 653), (4, 10, 654)):
+        points = np.vstack([random_omnidirectional(n, m, seed), -np.eye(n)[:1]])
+        for pts in (points, np.abs(points)):
+            frame, _, _ = rc.normalize(pts)
+            poly = rc.build_polytope(frame)
+            omnidirectional.append(rc.is_omnidirectional(poly))
+            for bias in (rng.uniform(-0.3, 0.6, frame.m), np.full(frame.m, 0.2)):
+                layer = rc.ReLULayer(frame, bias)
+                xs = np.vstack([np.zeros(n), oracles.sample_ball(rng, n, 300)])
+                want = [s for s, x in enumerate(xs)
+                        if not ((active := rc.active_set(layer, x).indices)
+                                and rc.is_frame(frame, active))]
+                assert rc.spanning_failures(layer, poly, xs) == want
+                failures += len(want)
+    assert omnidirectional == [True, False] * 4
+    assert failures > 1000
 
 
 def test_pbe_positive_standard_basis():
