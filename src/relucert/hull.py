@@ -17,15 +17,18 @@ only its pivot: the first point after its apex, in that order, more than
 equal pivots drop it (the ridge is buried, or final); otherwise the facet
 with the smaller pivot p gives way to the facet (ridge + p), which takes
 over the task. Its ridges through p wait in a sorted list of packed keys
-(`_ridge_keys`) for their twin, now or in a later round; each pair is a
-task. A task's smaller pivot rises every round, so there are at most m
-rounds (O(log m) with high probability for a random order). The hull is
-the facets without a pivot.
+(`_ridge_keys`), each beside its index row, for their twin, now or in a
+later round; each pair is a task. A task's smaller pivot rises every round,
+so there are at most m rounds (O(log m) with high probability for a random
+order). The hull is the facets without a pivot. A round's planes come from
+one `make_planes` call: cofactor normals, with a stacked Householder QR for
+the thin simplices only.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -33,6 +36,9 @@ from .errors import DegenerateHull
 
 TOL_HULL = 1e-9
 SCRAMBLE = 0x9E3779B1  # odd, so the hash permutes the indices below 2**32
+# a simplex whose volume is below this share of Hadamard's bound gets its
+# plane from the Householder QR, not from the cofactors (see make_planes)
+THIN = 1e-3
 
 
 @cache
@@ -42,6 +48,38 @@ def _opposite(n: int) -> np.ndarray:
                    dtype=np.intp).reshape(n, n - 1)
     idx.flags.writeable = False
     return idx
+
+
+@cache
+def _laplace(n: int):
+    """Index tables of the cofactor expansion in `_cofactors`, one per
+    level r = 2..n-1: for the r-subsets S of the n columns, in
+    `combinations` order, the (S, r) positions in level r-1 of the subsets
+    S without S[t], the (S, r) columns S[t], and the (r,) signs
+    (-1)^(r-1+t) of expanding along row r."""
+    levels, prev = [], {s: i for i, s in enumerate(combinations(range(n), 1))}
+    for r in range(2, n):
+        subsets = list(combinations(range(n), r))
+        drop = np.array([[prev[s[:t] + s[t + 1:]] for t in range(r)] for s in subsets])
+        level = (drop, np.array(subsets), (-1.0) ** (r - 1 + np.arange(r)))
+        for a in level:
+            a.flags.writeable = False
+        levels.append(level)
+        prev = {s: i for i, s in enumerate(subsets)}
+    return tuple(levels)
+
+
+def _cofactors(diffs: np.ndarray) -> np.ndarray:
+    """The cofactor normals (K, n) of the difference matrices (K, n-1, n):
+    entry j is (-1)^j times the minor without column j, so each normal is
+    orthogonal to its matrix's rows. The minors of the first r rows are
+    built level by level, by Laplace expansion along row r."""
+    n = diffs.shape[2]
+    minors = diffs[:, 0]
+    for row, (drop, cols, sign) in enumerate(_laplace(n), start=1):
+        minors = np.einsum("ksr,ksr,r->ks", diffs[:, row, cols], minors[:, drop], sign)
+    # level n-1 lists the column subsets without column n-1, ..., 0
+    return minors[:, ::-1] * (-1.0) ** np.arange(n)
 
 
 @cache
@@ -122,18 +160,42 @@ def make_planes(pts: np.ndarray, verts: np.ndarray, interior: np.ndarray):
     """Unit normals (K, n) and offsets (K,) of the hyperplanes through the
     simplices `pts[verts[i]]`, each normal pointing away from `interior`.
 
-    A normal is the last column of Q in the complete Householder QR of the
-    simplex's n x (n-1) difference matrix A; all K come from one stacked QR.
-    As det(A^T A) = det(R^T R), |prod(diag R)| is the product of the
-    singular values, by Cauchy-Binet the norm of the cofactor normal (the
-    simplex's scaled (n-1)-volume). A simplex with it at most 1e-14 raises
-    DegenerateHull, as does a plane within 1e-13 of `interior`.
+    A normal is the cofactor vector c of the simplex's (n-1) x n difference
+    matrix A (rows a_j), divided by its norm. By Cauchy-Binet |c| is the
+    product of the singular values of A, the simplex's scaled
+    (n-1)-volume, which never exceeds Hadamard's bound H = prod_j |a_j|_2.
+
+    Each entry of c is a sum of (n-1)! signed products of n-1 entries of A,
+    one from each row, so its computed value is off by at most
+    gamma_k sum |terms| <= gamma_k prod_j |a_j|_1 <= gamma_k n^((n-1)/2) H,
+    with k = (n-2)(n+1)/2 the roundings along one term of the level-by-level
+    expansion. Relative to |c|, the unit normal's error is then at most
+    2 gamma_k n^(n/2) H/|c|. A simplex with |c| >= THIN H keeps that below
+    6.7e-10 for n <= 6, so a unit-norm point's distance to the plane moves
+    by at most about TOL_HULL. A thinner simplex, where the bound grows as
+    H/|c|, gets the last column of Q in the complete Householder QR of A^T
+    instead (one stacked QR over the thin rows), and its volume from
+    |prod(diag R)|, since det(A A^T) = det(R^T R). This is the filtered
+    design of Shewchuk's robust predicates (Discrete Comput. Geom. 18,
+    1997): a fast formula where its error bound is small, and a stabler
+    one only where it is not.
+
+    A simplex with volume at most 1e-14 raises DegenerateHull, as does a
+    plane within 1e-13 of `interior`.
     """
     sub = pts[verts]
-    q, r = np.linalg.qr(np.swapaxes(sub[:, 1:] - sub[:, :1], 1, 2), mode="complete")
-    if (np.abs(r.diagonal(axis1=1, axis2=2).prod(axis=1)) <= 1e-14).any():
+    diffs = sub[:, 1:] - sub[:, :1]
+    cof = _cofactors(diffs)
+    volume = np.sqrt(np.einsum("kj,kj->k", cof, cof))
+    thin = volume < THIN * np.sqrt(np.einsum("kij,kij->ki", diffs, diffs)).prod(axis=1)
+    if thin.any():
+        q, r = np.linalg.qr(np.swapaxes(diffs[thin], 1, 2), mode="complete")
+        volume[thin] = np.abs(r.diagonal(axis1=1, axis2=2).prod(axis=1))
+    if (volume <= 1e-14).any():
         raise DegenerateHull("facet simplex is degenerate")
-    normals = q[:, :, -1]
+    normals = cof / volume[:, None]
+    if thin.any():
+        normals[thin] = q[:, :, -1]
     dots = np.einsum("kvj,kj->kv", sub, normals)
     side = normals @ interior - dots[:, 0]
     if (np.abs(side) <= 1e-13).any():
@@ -169,39 +231,41 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
     perm = np.concatenate([chosen, rest[np.argsort(scramble, kind="stable")]])
     ranked, rank = pts[perm].T, np.arange(m, dtype=np.int32)
     interior = pts[chosen].mean(axis=0)
-    _, word, shift, mask = _key_layout(m, n - 1)
 
     # round 0 makes the seed simplex's facets, whose pivots come after rank n
     verts = np.sort(np.array(chosen)[_opposite(n + 1)], axis=1)
     p, apex = np.full(n + 1, n, dtype=np.int32), np.full(n + 1, -1)
     kept, ridge = np.empty(0, dtype=np.intp), verts[:0, 1:]
-    pivot, wait_f, wait_k, hull = p[:0], kept, _ridge_keys(ridge, m), []
+    pivot, wait_f, wait_r, wait_k, made = p[:0], kept, ridge, _ridge_keys(ridge, m), []
     while len(p):
         normals, offsets = make_planes(pts, verts, interior)
+        made.append((verts, normals, offsets))
         dists = normals @ ranked
         dists -= offsets[:, None]
         above = (dists > tol) & (rank > p[:, None])
-        new_pivot = np.where(above.any(axis=1), above.argmax(axis=1), m).astype(np.int32)
-        final = new_pivot == m
-        hull.append([verts[final], normals[final], offsets[final]])
+        # ranks up to n belong to the seed simplex and are never above (p >=
+        # n), so an argmax of 0 means no pivot
+        new_pivot = above.argmax(axis=1).astype(np.int32)
+        new_pivot[new_pivot == 0] = m
         # a new facet takes over its ridge task against the kept facet (none
         # in round 0); its ridges through the apex (all of a seed facet's)
         # wait for their twins, and each pair is a task
         ids = np.arange(len(pivot), len(pivot) + len(p))
         pivot = np.concatenate([pivot, new_pivot])
         through = verts != apex[:, None]
-        keys = _ridge_keys(verts[:, _opposite(n)][through], m)
-        order, wait_k, same = _key_order(np.concatenate([wait_k, keys]))
+        ridges = verts[:, _opposite(n)][through]
+        order, wait_k, same = _key_order(np.concatenate([wait_k, _ridge_keys(ridges, m)]))
         wait_f = np.concatenate([wait_f, ids[through.nonzero()[0]]])[order]
+        wait_r = np.concatenate([wait_r, ridges])[order]
         if (same[1:] & same[:-1]).any():
             raise DegenerateHull("hull is not closed: a ridge has more than two facets")
         pair = np.flatnonzero(same)
         lo = np.concatenate([ids[:len(kept)], wait_f[pair]])
         hi = np.concatenate([kept, wait_f[pair + 1]])
-        ridge = np.concatenate([ridge, (wait_k[pair][:, word] >> shift) & mask])
+        ridge = np.concatenate([ridge, wait_r[pair]])
         single = np.ones(len(order), dtype=bool)
         single[pair] = single[pair + 1] = False
-        wait_f, wait_k = wait_f[single], wait_k[single]
+        wait_f, wait_r, wait_k = wait_f[single], wait_r[single], wait_k[single]
         # across each ridge the facet with the smaller pivot p gives way to
         # (ridge + p), and the other is kept; equal pivots drop the task
         p_lo, p_hi = pivot[lo], pivot[hi]
@@ -210,7 +274,9 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
         ridge, apex = ridge[live], perm[p]
         verts = np.sort(np.column_stack([ridge, apex]), axis=1)
 
-    verts, normals, offsets = (np.concatenate(a) for a in zip(*hull))
+    # the hull is every facet made that found no pivot
+    final = pivot == m
+    verts, normals, offsets = (np.concatenate(a)[final] for a in zip(*made))
     order = np.lexsort(verts.T[::-1])
     return verts[order], normals[order], offsets[order], None
 

@@ -168,11 +168,12 @@ def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z,
     takes its best facet; in each later round every unsettled row takes its
     next k untried facets in rank order, k = 2, 4, 8, ... (at most
     ROUND_CANDIDATES candidates in a round, or one per row). One stacked
-    solve applies the canonical duals of all of a round's (row, facet)
-    pairs, and one forward product verifies them all. A row is settled by
-    its first candidate in rank order that verifies, and fails once it has
-    tried every facet. A facet whose vertex set does not span the space has
-    no left-inverse: it is a candidate that verifies no row.
+    solve gives the canonical duals of a round's distinct facets, each
+    (row, facet) pair applies its facet's dual, and one forward product
+    verifies them all. A row is settled by its first candidate in rank
+    order that verifies, and fails once it has tried every facet. A facet
+    whose vertex set does not span the space has no left-inverse: it is a
+    candidate that verifies no row.
     """
     _check_layer(poly, layer)
     zs = _matrix(Z, layer.frame.m, "outputs")
@@ -231,22 +232,29 @@ def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray, picks: np.ndar
                 verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Candidate inputs (R, k, n) for the outputs zs (R, m) from the facets
     picks (R, k), and whether each reproduces its output within
-    `verify_tol`. Per pair, stacked by facet size, with V the facet's
-    vertex rows: G = V^T V and x = solve(G, V^T) @ (z + b)_V. A G that fails
-    the rank rule of `spanning` is solved as the identity and its candidate
-    set to NaN, so it verifies no row."""
+    `verify_tol`. Each distinct facet is solved once, stacked by facet
+    size, with V its vertex rows: G = V^T V and dual = solve(G, V^T). A G
+    that fails the rank rule of `spanning` is solved as the identity and
+    its dual set to NaN, so it verifies no row. Each (row, facet) pair
+    then gathers its facet's dual: x = dual @ (z + b)_V."""
     width = picks.shape[1]
-    flat = picks.ravel()
-    candidates = np.empty((flat.size, layer.frame.n))
-    for pairs, verts in facet_groups(poly, flat):
-        sub = layer.frame.elements[verts]  # (P, k, n)
+    facets, which = np.unique(picks.ravel(), return_inverse=True)
+    candidates = np.empty((which.size, layer.frame.n))
+    for group, verts in facet_groups(poly, facets):
+        sub = layer.frame.elements[verts]  # (G, k, n)
         gram = sub.swapaxes(1, 2) @ sub
         spans, _, _ = spanning(gram)
         gram[~spans] = np.eye(layer.frame.n)
-        coeff = zs[(pairs // width)[:, None], verts] + layer.bias[verts]
-        x = (np.linalg.solve(gram, sub.swapaxes(1, 2)) @ coeff[:, :, None])[:, :, 0]
-        x[~spans] = np.nan
-        candidates[pairs] = x
+        dual = np.linalg.solve(gram, sub.swapaxes(1, 2))
+        dual[~spans] = np.nan
+        # slot[d]: the row of distinct facet d in this group, -1 if outside it
+        slot = np.full(facets.size, -1)
+        slot[group] = np.arange(group.size)
+        pairs = np.flatnonzero(slot[which] >= 0)
+        at = slot[which[pairs]]
+        rows = verts[at]
+        coeff = zs[(pairs // width)[:, None], rows] + layer.bias[rows]
+        candidates[pairs] = (dual[at] @ coeff[:, :, None])[:, :, 0]
     check = np.maximum(candidates @ layer.frame.elements.T - layer.bias, 0.0)
     miss = np.max(np.abs(check.reshape(len(zs), width, -1) - zs[:, None]), axis=2)
     return candidates.reshape(len(zs), width, -1), miss <= verify_tol

@@ -711,6 +711,38 @@ def test_make_plane_degenerate_threshold():
         hull.make_planes(pts, np.insert(good, 1, [3, 4, 5], axis=0), interior)
 
 
+def test_make_planes_thin_simplices_take_the_qr(monkeypatch):
+    # a batch mixing well-shaped simplices with thin ones, whose difference
+    # matrix has one singular value 1e-6: the thin rows, and only they, go
+    # through the stacked Householder QR, and every plane agrees with the
+    # SVD oracle within the bound of test_make_planes_match_svd_oracle
+    qr_inputs = []
+    qr = np.linalg.qr
+
+    def recording(a, mode="reduced"):
+        qr_inputs.append(a)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    rng = np.random.default_rng(49)
+    for n in range(3, 7):
+        singular = rng.uniform(0.5, 2.0, (60, n - 1))
+        thin = np.arange(60) % 4 == 1
+        singular[thin, -1] = 1e-6
+        pts, verts = _simplices(rng, n, 60, singular)
+        interior = pts.mean(axis=0) + 1e4 * rng.standard_normal(n)
+        qr_inputs.clear()
+        normals, offsets = hull.make_planes(pts, verts, interior)
+        sub = pts[verts]
+        assert len(qr_inputs) == 1
+        assert np.array_equal(qr_inputs[0], np.swapaxes(sub[thin, 1:] - sub[thin, :1], 1, 2))
+        want, want_offsets, _ = oracles.svd_planes(pts, verts, interior)
+        cond = singular.max(axis=1) / singular.min(axis=1)
+        assert np.all(np.max(np.abs(normals - want), axis=1) <= 1e-14 * cond)
+        scale = np.max(np.abs(sub), axis=(1, 2))
+        assert np.all(np.abs(offsets - want_offsets) <= 1e-14 * cond * scale)
+
+
 def test_merge_coplanar_rejects_open_hull():
     frame, _, _ = rc.normalize(rc.tetrahedron())
     pts = frame.elements
@@ -822,6 +854,18 @@ def test_snapped_near_duplicate_frames_match_qhull(n, seed):
     # round-based hull builds Qhull's facets
     pytest.importorskip("scipy.spatial")
     frame, _, _ = rc.normalize(oracles.snapped(n, seed))
+    assert facet_sets(rc.build_polytope(frame)) == oracles.qhull_facets(frame.elements)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 130), (4, 157), (5, 23), (5, 131), (6, 0), (6, 8)])
+def test_near_duplicate_fuzz_frames_match_qhull(n, seed):
+    # each frame holds copies of n rows moved by 1e-9 to 1e-4; the planes of
+    # the thin simplices through such a pair need make_planes' QR fallback:
+    # cofactor planes alone leave the hull's simplices non-convex, and the
+    # build raises DegenerateHull
+    pytest.importorskip("scipy.spatial")
+    weights = oracles.fuzz_frame("near-duplicate", n, np.random.default_rng([seed, n, 1]))
+    frame, _, _ = rc.normalize(weights)
     assert facet_sets(rc.build_polytope(frame)) == oracles.qhull_facets(frame.elements)
 
 

@@ -307,6 +307,38 @@ def test_reconstruct_batch_late_rounds_match_rowwise_oracle(monkeypatch, cap):
     assert failed.any() and late
 
 
+def test_reconstruct_round_solves_each_distinct_facet_once(monkeypatch):
+    # many rows share each facet: inputs repeated 40 times, and outputs
+    # outside the image repeated 10 times, which try every facet over
+    # several rounds. Each round hands `spanning` one Gram matrix per
+    # distinct facet it tries (the facets all have three vertices, so one
+    # call), not one per (row, facet) pair.
+    setup = build_setup(random_omnidirectional(3, 14, 811))
+    rounds, grams = [], []
+    try_facets, spanning = rc.layer._try_facets, rc.layer.spanning
+
+    def recording_round(poly, layer, zs, picks, verify_tol):
+        rounds.append(picks.copy())
+        return try_facets(poly, layer, zs, picks, verify_tol)
+
+    def recording_spanning(ops):
+        grams.append(len(ops))
+        return spanning(ops)
+
+    monkeypatch.setattr(rc.layer, "_try_facets", recording_round)
+    monkeypatch.setattr(rc.layer, "spanning", recording_spanning)
+    rng = np.random.default_rng(84)
+    xs = np.repeat(oracles.sample_ball(rng, 3, 6), 40, axis=0)
+    outside = np.repeat(np.abs(rng.standard_normal((2, 14))), 10, axis=0)
+    zs = np.vstack([rc.forward(setup.layer, xs), outside])
+    got, failed = rc.reconstruct_batch(setup.poly, setup.layer, zs)
+    assert np.array_equal(failed, np.arange(len(zs)) >= len(xs))
+    assert np.max(np.abs(got[:len(xs)] - xs)) <= 1e-12
+    assert len(rounds) > 1
+    assert grams == [np.unique(picks).size for picks in rounds]
+    assert rounds[0].size == len(zs) and grams[0] <= 8
+
+
 def _facet_scores(poly, zs):
     """The first-round ranking of `reconstruct_batch`: overlap of each
     row's positive pattern with each facet, facets inside it first."""
