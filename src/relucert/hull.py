@@ -83,26 +83,25 @@ def _cofactors(diffs: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _key_layout(m: int, k: int):
+def _key_layout(m: int, k: int) -> np.ndarray:
     """How `_ridge_keys` packs k sorted indices below m: bit_length(m - 1)
     bits each, as many per int64 word as fit in 63 bits (one word for m <=
-    4096 at k <= 5), the first index highest. Returns (weights (k, w), word,
-    shift, mask), index j of a key being (key[word[j]] >> shift[j]) & mask."""
+    4096 at k <= 5), the first index highest. Returns the weights (k, w):
+    index j is shifted into word j // per, per = 63 // bits, at bit
+    bits * (per - 1 - j % per)."""
     bits = max(int(m - 1).bit_length(), 1)
     per = 63 // bits
     j = np.arange(k)
-    word, shift = j // per, bits * (per - 1 - j % per)
     weights = np.zeros((k, max(-(-k // per), 1)), dtype=np.int64)
-    weights[j, word] = np.left_shift(1, shift)
-    for a in (weights, word, shift):
-        a.flags.writeable = False
-    return weights, word, shift, (1 << bits) - 1
+    weights[j, j // per] = np.left_shift(1, bits * (per - 1 - j % per))
+    weights.flags.writeable = False
+    return weights
 
 
 def _ridge_keys(ridges: np.ndarray, m: int) -> np.ndarray:
     """The key words (R, w) of the ridges (R, k), sorted vertex indices
     below m: equal ridges have equal keys, and keys order as ridges do."""
-    return ridges @ _key_layout(m, ridges.shape[1])[0]
+    return ridges @ _key_layout(m, ridges.shape[1])
 
 
 def _key_order(keys: np.ndarray):

@@ -36,7 +36,30 @@ def _parse_row(line: str, path: str, lineno: int) -> list[float]:
 
 
 def parse_matrix(lines: Iterable[str], path: str = "<memory>") -> np.ndarray:
-    rows = []
+    """The matrix of CSV `lines`, blank lines skipped. Every line's comma
+    count is checked against the first's, and all fields go to one
+    `np.array(fields, dtype=float)`, which parses each `str` as `float()`
+    does. On a mismatch, the first bad line in file order is named."""
+    lines = list(lines)
+    rows = [line for line in lines if line.strip()]
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    commas = rows[0].count(",")
+    try:
+        if any(line.count(",") != commas for line in rows):
+            raise ValueError("ragged rows")
+        a = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), commas + 1)
+    except ValueError:
+        _check_rows(lines, path)  # raises the first line's ParseError
+        raise
+    if not np.isfinite(a).all():
+        raise ParseError(f"{path}: non-finite entries")
+    return a
+
+
+def _check_rows(lines: list[str], path: str) -> None:
+    """Parse `lines` one by one and raise the ParseError of the first line
+    with a bad field or a width other than the first row's."""
     width = None
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -46,13 +69,6 @@ def parse_matrix(lines: Iterable[str], path: str = "<memory>") -> np.ndarray:
             width = len(row)
         elif len(row) != width:
             raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-        rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    a = np.array(rows, dtype=float)
-    if not np.isfinite(a).all():
-        raise ParseError(f"{path}: non-finite entries")
-    return a
 
 
 def read_matrix(path: str) -> np.ndarray:

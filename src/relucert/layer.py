@@ -5,8 +5,11 @@ stays below a verified upper bias, the layer is injective on its ball, and
 any output can be inverted exactly through the canonical dual of one facet
 sub-frame: for an input x in the cone of facet V,
 x = S_V^{-1} sum_{i in V} (z_i + b_i) x_i, with S_V the sub-frame operator.
-Every candidate of a reconstruction round and every spanning test is one
-stacked computation over such sub-frame operators.
+Reconstruction first applies the same formula to the whole strictly positive
+output pattern in place of V, and tries facets only where that pattern does
+not settle the output. Every pattern solve, every candidate of a
+reconstruction round and every spanning test is one stacked computation over
+such sub-frame operators.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, FrameMismatch, ReconstructionFailed
 from .frames import UnitFrame, as_matrix, as_vector, spanning
 from .pbe import DOMAIN_BALL, BiasEstimate
-from .polytope import Polytope, facet_groups
+from .polytope import TOL_INTERIOR, Polytope, facet_groups
 
 TOL_ACTIVE = 1e-12
 TOL_MARGIN = 1e-12
@@ -136,9 +139,8 @@ def certify(layer: ReLULayer, estimate: BiasEstimate,
 def reconstruct(poly: Polytope, layer: ReLULayer, z,
                 verify_tol: float = VERIFY_TOL) -> np.ndarray:
     """Invert the layer at an output z of a certified layer: a batch of one
-    (see `reconstruct_batch`). If no facet candidate survives verification,
-    the output is not in the certified image and ReconstructionFailed is
-    raised.
+    (see `reconstruct_batch`). If the output has no verified preimage, it
+    is not in the certified image and ReconstructionFailed is raised.
     """
     _check_layer(poly, layer)
     zv = as_vector(z, layer.frame.m, "output")
@@ -157,23 +159,40 @@ def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z,
     of rows that no facet left-inverse reproduces within `verify_tol`, i.e.
     outputs outside the certified image; their rows of X are NaN.
 
-    Every row ranks the facets once, from one product of its strictly
-    positive output pattern with the incidence matrix. Facets whose vertex
-    set lies inside the pattern come first, largest first; the others
-    follow by decreasing overlap with the pattern, since their remaining
-    vertices all carry zero outputs (boundary equalities zero some active
-    coefficients). Ties go to the smallest index.
+    Every row is first solved from its strictly positive output pattern P:
+    each i in P gives <x, x_i> = z_i + b_i, so where P spans the space, x
+    is the one solution of (sum_P x_i x_i^T) x = sum_P (z_i + b_i) x_i,
+    the canonical dual of the whole active sub-frame. The block takes one
+    product of the pattern masks with the elements' outer products, one
+    `spanning` test, one stacked solve and one forward product, which
+    verifies each solution and gives its closed active set. Then:
 
-    The candidates are then tried in rounds. In the first round every row
-    takes its best facet; in each later round every unsettled row takes its
-    next k untried facets in rank order, k = 2, 4, 8, ... (at most
-    ROUND_CANDIDATES candidates in a round, or one per row). One stacked
-    solve gives the canonical duals of a round's distinct facets, each
-    (row, facet) pair applies its facet's dual, and one forward product
-    verifies them all. A row is settled by its first candidate in rank
-    order that verifies, and fails once it has tried every facet. A facet
-    whose vertex set does not span the space has no left-inverse: it is a
-    candidate that verifies no row.
+    - a verified row is settled if its witness holds: the facet that the
+      ray through the solution exits by (among the facets with an offset
+      above TOL_INTERIOR) has its vertex set inside the closed active set.
+      That facet's candidate is then the same solution, so the facet
+      rounds below would settle the row too;
+    - a row whose pattern spans but whose solution does not verify fails
+      at once: any preimage would solve the same full-rank system;
+    - the other rows, whose pattern does not span (boundary equalities
+      zero some active coefficients) or whose verified solution has no
+      witness, go to the ranked facet rounds, which decide them as if the
+      pattern stage did not exist.
+
+    The rounds rank every facet for each of their rows, from one product
+    of its strictly positive output pattern with the incidence matrix.
+    Facets whose vertex set lies inside the pattern come first, largest
+    first; the others follow by decreasing overlap with the pattern, since
+    their remaining vertices all carry zero outputs. Ties go to the
+    smallest index. In the first round every row takes its best facet; in
+    each later round every unsettled row takes its next k untried facets
+    in rank order, k = 2, 4, 8, ... (at most ROUND_CANDIDATES candidates in
+    a round, or one per row). One stacked solve gives the canonical duals
+    of a round's distinct facets, each (row, facet) pair applies its
+    facet's dual, and one forward product verifies them all. A row is
+    settled by its first candidate in rank order that verifies, and fails
+    once it has tried every facet. A facet whose vertex set does not span
+    the space has no left-inverse: it is a candidate that verifies no row.
     """
     _check_layer(poly, layer)
     zs = _matrix(Z, layer.frame.m, "outputs")
@@ -196,6 +215,44 @@ def _matrix(values, width: int, what: str) -> np.ndarray:
 
 def _reconstruct_rows(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
                       verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(X, failed) for the outputs zs: the pattern stage, then the ranked
+    facet rounds of `_ranked_rounds` for the rows it leaves open (see
+    `reconstruct_batch`)."""
+    elements, bias = layer.frame.elements, layer.bias
+    positive = zs > 0.0
+    # every row from its strictly positive pattern P: the canonical dual of
+    # the sub-frame P, G_P x = sum_P (z_i + b_i) x_i; a G_P that fails the
+    # rank rule is solved as the identity and its row left to the rounds
+    gram = _frame_operators(elements, positive)
+    spans, _, _ = spanning(gram)
+    gram[~spans] = np.eye(layer.frame.n)
+    rhs = ((zs + bias) * positive) @ elements
+    xs = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    coeff = xs @ elements.T - bias
+    verified = np.max(np.abs(np.maximum(coeff, 0.0) - zs), axis=1) <= verify_tol
+    # witness: the facet the ray through x exits by (largest <x, u_j> / d_j
+    # over offsets d_j > TOL_INTERIOR) lies in the closed active set of x, so
+    # its candidate is x and the ranked rounds would settle the row too
+    usable = poly.offsets > TOL_INTERIOR
+    reach = np.divide(poly.normals, poly.offsets[:, None],
+                      out=np.zeros_like(poly.normals), where=usable[:, None])
+    exits = np.argmax(xs @ reach.T, axis=1)
+    active = coeff >= -TOL_ACTIVE
+    witness = usable[exits] & (active | ~poly.incidence[exits]).all(axis=1)
+    settled = spans & verified & witness
+    xs[~settled] = np.nan
+    # a spanning pattern that does not verify: every preimage would solve
+    # the same full-rank system, so the output has none
+    failed = spans & ~verified
+    rest = np.flatnonzero(~settled & ~failed)
+    if rest.size:
+        xs[rest], failed[rest] = _ranked_rounds(poly, layer, zs[rest], verify_tol)
+    return xs, failed
+
+
+def _ranked_rounds(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
+                   verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(X, failed) for the outputs zs from the ranked facet rounds alone."""
     incidence = poly.incidence.astype(float)  # float: the product runs in BLAS
     # score[i, j]: row i's overlap with facet j, raised above every overlap
     # if facet j lies inside the pattern; ties rank the smaller index first
@@ -260,16 +317,22 @@ def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray, picks: np.ndar
     return candidates.reshape(len(zs), width, -1), miss <= verify_tol
 
 
+def _frame_operators(elements: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Frame operators (N, n, n) of the sub-frames that the boolean masks
+    (N, m) pick from the elements (m, n): one product of the masks with the
+    elements' outer products."""
+    m, n = elements.shape
+    outer = (elements[:, :, None] * elements[:, None, :]).reshape(m, n * n)
+    return (masks.astype(float) @ outer).reshape(-1, n, n)
+
+
 def spanning_failures(layer: ReLULayer, poly: Polytope, samples: np.ndarray,
                       tol: float = TOL_ACTIVE) -> list[int]:
     """Sample indices where the active set fails to span the space: where
-    the frame operator of the active elements, one row of the product of
-    the active masks with the elements' outer products, fails the rank rule
-    of `spanning`. The test needs only the layer; `poly` is not read."""
+    the frame operator of the active elements fails the rank rule of
+    `spanning`. The test needs only the layer; `poly` is not read."""
     xs = np.asarray(samples, dtype=float)
     elements = layer.frame.elements
-    m, n = elements.shape
-    active = (xs @ elements.T >= layer.bias - tol).astype(float)  # (num_samples, m)
-    outer = (elements[:, :, None] * elements[:, None, :]).reshape(m, n * n)
-    spans, _, _ = spanning((active @ outer).reshape(-1, n, n))
+    active = xs @ elements.T >= layer.bias - tol  # (num_samples, m)
+    spans, _, _ = spanning(_frame_operators(elements, active))
     return np.flatnonzero(~spans).tolist()

@@ -18,7 +18,7 @@ import numpy as np
 
 from relucert import hull
 from relucert.errors import (DegenerateHull, FrameMismatch, NotAFrame, NotConverged,
-                             ReconstructionFailed)
+                             ParseError, ReconstructionFailed)
 from relucert.fixtures import random_sphere
 from relucert.frames import dual_synthesis
 from relucert.layer import VERIFY_TOL
@@ -740,3 +740,29 @@ def reconstruct_rows(poly, layer, zs: np.ndarray) -> tuple[np.ndarray, np.ndarra
         except ReconstructionFailed:
             failed[i] = True
     return xs, failed
+
+
+def parse_matrix_per_line(lines, path: str = "<memory>") -> np.ndarray:
+    """The former `io.parse_matrix`: each non-blank line parsed with
+    `float()` on its own and checked against the first row's width, then
+    one array of the rows, then the finiteness check."""
+    rows = []
+    width = None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(f) for f in line.split(",")]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: bad numeric field: {exc}") from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        rows.append(row)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    a = np.array(rows, dtype=float)
+    if not np.isfinite(a).all():
+        raise ParseError(f"{path}: non-finite entries")
+    return a

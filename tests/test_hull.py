@@ -968,8 +968,19 @@ def test_ridge_keys_over_several_words():
         assert np.array_equal(a, b)
     keys = hull._ridge_keys(big[:, 1:], 2 ** 40)
     assert keys.shape == (len(verts), 4)
-    _, word, shift, mask = hull._key_layout(2 ** 40, 4)
-    assert np.array_equal((keys[:, word] >> shift) & mask, big[:, 1:])
+    assert np.array_equal(_unpack_keys(keys, 2 ** 40, 4), big[:, 1:])
+    small = hull._ridge_keys(verts[:, 1:], 30)
+    assert small.shape == (len(verts), 1)
+    assert np.array_equal(_unpack_keys(small, 30, 4), verts[:, 1:])
+
+
+def _unpack_keys(keys, m, k):
+    """The k indices below m packed in each row of keys, by the layout that
+    `hull._key_layout` documents."""
+    bits = max(int(m - 1).bit_length(), 1)
+    per = 63 // bits
+    j = np.arange(k)
+    return (keys[:, j // per] >> (bits * (per - 1 - j % per))) & ((1 << bits) - 1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -37,6 +37,38 @@ def test_matrix_parse_errors(tmp_path):
         fio.read_matrix(str(tmp_path / "missing.csv"))
 
 
+# fields float() takes (whitespace, underscores, inf/nan spellings, an
+# overflow to inf, Arabic-Indic digits) and fields it rejects
+FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from([" 1.5", "2.5 ", "\t-3", "1_000", "1e400", "-1e400", "inf", "-Infinity",
+                     "nan", "\u0661\u0662", "\u0661.\u0665", ".5", "5.", "+.5e-3",
+                     "", " ", "x", "1__0", "_1", "0x10", "1e", "1,5"]))
+LINES = st.one_of(st.lists(FIELDS, min_size=1, max_size=4).map(",".join),
+                  st.sampled_from(["", "   ", "\t"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(FIELDS, min_size=3, max_size=3).map(",".join), max_size=6),
+       st.lists(st.tuples(st.integers(0, 6), LINES), max_size=3))
+def test_parse_matrix_matches_per_line_parse(rows, inserts):
+    # mostly three-field rows, with ragged, bad, blank and non-finite lines
+    # put in: the same array bytes, or the same first ParseError message
+    lines = list(rows)
+    for at, line in inserts:
+        lines.insert(min(at, len(lines)), line)
+    try:
+        want = oracles.parse_matrix_per_line(lines, "m.csv")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            fio.parse_matrix(lines, "m.csv")
+        assert str(got.value) == str(exc)
+    else:
+        got = fio.parse_matrix(iter(lines), "m.csv")
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_format_matrix_prints_every_entry_as_a_float():
     # integer entries print as 1.0, as `float` reprs them; a vector is one row
     assert fio.format_matrix(np.array([[1, 0], [-2, 3]])) == "1.0,0.0\n-2.0,3.0\n"

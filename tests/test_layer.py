@@ -121,12 +121,13 @@ def test_facet_dual_rejects_origin_facet():
         rc.dual_synthesis(frame, poly.vertices[0])
 
 
-def test_reconstruct_batch_singular_facet_in_a_round():
+def test_reconstruct_batch_singular_facet_in_a_round(monkeypatch):
     # facet 0 of this hull, the edge from element 0 to element 1, passes
     # through the origin: its sub-frame operator has an exact zero
-    # eigenvalue. Every row whose outputs are all positive takes it in the
-    # first round; the stacked solve must not raise, and those rows settle
-    # later, as in the row-wise oracle.
+    # eigenvalue. The all-zero row overlaps no facet and takes it in its
+    # first ranked round; the stacked solve must not raise, and the rows
+    # settle or fail as in the row-wise oracle.
+    calls = _recording_rounds(monkeypatch)
     frame, _, _ = rc.normalize(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
     poly = rc.build_polytope(frame)
     assert poly.vertices[0] == (0, 1)
@@ -142,7 +143,7 @@ def test_reconstruct_batch_singular_facet_in_a_round():
     assert np.isnan(got[failed]).all()
     assert np.max(np.abs(got[~failed] - want[~failed])) <= 1e-12
     assert failed.any() and not failed.all()
-    assert (np.argmax(_facet_scores(poly, zs), axis=1) == 0).any()
+    assert calls and (calls[0][:, 0] == 0).any()
 
 
 def test_facet_dual_decomposition_identity(mb, tet, ico):
@@ -156,7 +157,7 @@ def test_facet_dual_decomposition_identity(mb, tet, ico):
                 assert np.max(np.abs(dual @ coeff - x)) <= 1e-10
 
 
-def test_reconstruct_skips_unapplied_rank_deficient_facet():
+def test_reconstruct_skips_unapplied_rank_deficient_facet(monkeypatch):
     # facet 0, the edge between elements 0 and 1, passes 1e-5 from the
     # origin and has no canonical dual; rows that never apply it invert
     angle = np.pi - 2e-5
@@ -170,14 +171,17 @@ def test_reconstruct_skips_unapplied_rank_deficient_facet():
     assert not failed.any() and np.max(np.abs(got - xs)) <= 1e-10
     # a row whose turn reaches facet 0 takes it as a candidate that does not
     # verify: the zero output inverts through facet 1 to another preimage,
-    # and an output without one fails after trying every facet
+    # and an output without one fails
     x = rc.reconstruct(poly, layer, np.zeros(3))
     assert np.array_equal(rc.forward(layer, x), np.zeros(3))
     with pytest.raises(ReconstructionFailed):
         rc.reconstruct(poly, layer, np.ones(3))
-    # the all-positive row picks facet 0 in the first round
+    # the all-positive row spans and fails at once; the zero row picks
+    # facet 0 in its first ranked round
+    calls = _recording_rounds(monkeypatch)
     got, failed = rc.reconstruct_batch(poly, layer, np.vstack([np.ones(3), np.zeros(3)]))
     assert failed.tolist() == [True, False]
+    assert calls[0].tolist() == [[0]]
     assert np.isnan(got[0]).all() and np.array_equal(got[1], x)
     with pytest.raises(NotAFrame):
         rc.dual_synthesis(frame, poly.vertices[0])
@@ -308,35 +312,133 @@ def test_reconstruct_batch_late_rounds_match_rowwise_oracle(monkeypatch, cap):
 
 
 def test_reconstruct_round_solves_each_distinct_facet_once(monkeypatch):
-    # many rows share each facet: inputs repeated 40 times, and outputs
-    # outside the image repeated 10 times, which try every facet over
-    # several rounds. Each round hands `spanning` one Gram matrix per
-    # distinct facet it tries (the facets all have three vertices, so one
-    # call), not one per (row, facet) pair.
+    # many rows share each facet: outputs outside the image with two
+    # positive entries, repeated 10 times, whose patterns do not span, so
+    # they try every facet over several ranked rounds. Each round hands
+    # `spanning` one Gram matrix per distinct facet it tries (the facets all
+    # have three vertices, so one call), not one per (row, facet) pair. The
+    # first `spanning` call is the pattern stage's, one per row.
     setup = build_setup(random_omnidirectional(3, 14, 811))
-    rounds, grams = [], []
-    try_facets, spanning = rc.layer._try_facets, rc.layer.spanning
-
-    def recording_round(poly, layer, zs, picks, verify_tol):
-        rounds.append(picks.copy())
-        return try_facets(poly, layer, zs, picks, verify_tol)
+    rounds, grams = _recording_rounds(monkeypatch), []
+    spanning = rc.layer.spanning
 
     def recording_spanning(ops):
         grams.append(len(ops))
         return spanning(ops)
 
-    monkeypatch.setattr(rc.layer, "_try_facets", recording_round)
     monkeypatch.setattr(rc.layer, "spanning", recording_spanning)
     rng = np.random.default_rng(84)
     xs = np.repeat(oracles.sample_ball(rng, 3, 6), 40, axis=0)
-    outside = np.repeat(np.abs(rng.standard_normal((2, 14))), 10, axis=0)
-    zs = np.vstack([rc.forward(setup.layer, xs), outside])
+    outside = np.zeros((2, 14))
+    outside[[0, 0, 1, 1], [2, 9, 4, 11]] = rng.uniform(0.5, 1.5, 4)
+    zs = np.vstack([rc.forward(setup.layer, xs), np.repeat(outside, 10, axis=0)])
     got, failed = rc.reconstruct_batch(setup.poly, setup.layer, zs)
     assert np.array_equal(failed, np.arange(len(zs)) >= len(xs))
     assert np.max(np.abs(got[:len(xs)] - xs)) <= 1e-12
     assert len(rounds) > 1
-    assert grams == [np.unique(picks).size for picks in rounds]
-    assert rounds[0].size == len(zs) and grams[0] <= 8
+    assert grams == [len(zs)] + [np.unique(picks).size for picks in rounds]
+    assert rounds[0].size == 20 and grams[1] <= 2
+
+
+def _recording_rounds(monkeypatch):
+    """Record the facets (rows, k) that each ranked round tries."""
+    calls = []
+    try_facets = rc.layer._try_facets
+
+    def recording(poly, layer, zs, picks, verify_tol):
+        calls.append(picks.copy())
+        return try_facets(poly, layer, zs, picks, verify_tol)
+
+    monkeypatch.setattr(rc.layer, "_try_facets", recording)
+    return calls
+
+
+def test_certified_in_ball_rows_skip_the_ranked_rounds(monkeypatch, mb, tet, ico):
+    # every in-ball row of a certified layer has a spanning positive pattern
+    # and a witness, its exit facet inside its closed active set: the
+    # pattern solve settles it, and it is at least as close to its input as
+    # the facet dual of the row-wise oracle
+    calls = _recording_rounds(monkeypatch)
+    rng = np.random.default_rng(85)
+    setups = [mb, tet, ico] + [build_setup(random_omnidirectional(n, m, seed))
+                               for n, m, seed in ((2, 12, 751), (3, 18, 752), (4, 14, 753))]
+    for setup in setups:
+        xs = oracles.sample_ball(rng, setup.frame.n, 300)
+        zs = rc.forward(setup.layer, xs)
+        got, failed = rc.reconstruct_batch(setup.poly, setup.layer, zs)
+        want, _ = oracles.reconstruct_rows(setup.poly, setup.layer, zs)
+        assert not failed.any()
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(got - xs)) <= max(np.max(np.abs(want - xs)), 1e-15)
+    assert calls == []
+
+
+def test_boundary_equality_pattern_inverts_through_the_rounds(monkeypatch, mb):
+    # x = (0, 1) puts two Mercedes-Benz coefficients exactly at the bias:
+    # the positive pattern {0} does not span, so a ranked round inverts it
+    calls = _recording_rounds(monkeypatch)
+    z = rc.forward(mb.layer, [0.0, 1.0])
+    assert rc.active_from_output(z).indices == (0,)
+    got, failed = rc.reconstruct_batch(mb.poly, mb.layer, z[None, :])
+    assert not failed[0] and np.max(np.abs(got[0] - [0.0, 1.0])) <= 1e-12
+    assert [picks.shape[0] for picks in calls] == [1]
+
+
+def test_spanning_pattern_without_preimage_fails_at_once(monkeypatch, tet):
+    # every entry positive: the pattern spans, its solve does not reproduce
+    # the output, so no input does, and the row fails without a ranked round
+    calls = _recording_rounds(monkeypatch)
+    rng = np.random.default_rng(86)
+    for setup in (tet, build_setup(random_omnidirectional(3, 18, 752))):
+        zs = rng.uniform(0.1, 2.0, (30, setup.frame.m))
+        got, failed = rc.reconstruct_batch(setup.poly, setup.layer, zs)
+        _, want_failed = oracles.reconstruct_rows(setup.poly, setup.layer, zs)
+        assert failed.all() and np.array_equal(failed, want_failed)
+        assert np.isnan(got).all()
+    assert calls == []
+
+
+def test_zero_output_rows_never_abort_a_batch(mb, tet):
+    # an all-zero row has an empty pattern, whose frame operator is zero;
+    # it goes to the ranked rounds, alone or among other rows, and fails
+    # or settles as in the row-wise oracle (x = 0 is a preimage under a
+    # positive bias)
+    rng = np.random.default_rng(87)
+    for setup in (mb, tet):
+        m = setup.frame.m
+        for bias in (setup.layer.bias, np.full(m, 0.25)):
+            layer = rc.ReLULayer(setup.frame, bias)
+            mixed = rc.forward(layer, oracles.sample_ball(rng, setup.frame.n, 20))
+            for zs in (np.zeros((3, m)), np.vstack([mixed[:10], np.zeros((2, m)), mixed[10:]])):
+                got, failed = rc.reconstruct_batch(setup.poly, layer, zs)
+                want, want_failed = oracles.reconstruct_rows(setup.poly, layer, zs)
+                assert np.array_equal(failed, want_failed)
+                assert np.isnan(got[failed]).all()
+                assert np.max(np.abs(got[~failed] - want[~failed]), initial=0.0) <= 1e-12
+            assert rc.reconstruct_batch(setup.poly, layer, np.zeros((1, m)))[1][0] == (bias[0] < 0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(0, 8), st.integers(0, 2 ** 31 - 1))
+def test_reconstruct_batch_matches_rowwise_oracle_on_random_layers(n, extra, seed):
+    # certified random layers: in-ball outputs, an all-zero row and outputs
+    # mostly outside the image, against the row-wise oracle. An in-ball row
+    # may also be farther than 1e-12 from the oracle if it is closer to its
+    # input: the oracle's facet dual is the worse conditioned solve (on
+    # n = 2, m = 13, seed 1815832229 it misses the input by 1.3e-10)
+    rng = np.random.default_rng(seed)
+    setup = build_setup(random_omnidirectional(n, n + 3 + extra, seed))
+    m = setup.frame.m
+    xs = oracles.sample_ball(rng, n, 40)
+    zs = np.vstack([rc.forward(setup.layer, xs), np.zeros((1, m)),
+                    np.abs(rng.standard_normal((5, m))) * (rng.random((5, m)) < 0.5)])
+    got, failed = rc.reconstruct_batch(setup.poly, setup.layer, zs)
+    want, want_failed = oracles.reconstruct_rows(setup.poly, setup.layer, zs)
+    assert np.array_equal(failed, want_failed)
+    assert not failed[:40].any() and np.isnan(got[failed]).all()
+    near = np.max(np.abs(got - want), axis=1) <= 1e-12
+    closer = np.max(np.abs(got[:40] - xs), axis=1) <= np.max(np.abs(want[:40] - xs), axis=1)
+    assert (near[:40] | closer).all() and (near[40:] | failed[40:]).all()
 
 
 def _facet_scores(poly, zs):
