@@ -277,11 +277,19 @@ def main(argv=None) -> int:
         return _emit_error(exc)
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """`warnings.showwarning` for the console script: one line, `warning:
+    <message>`, like the command's other messages, without a source line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def entry() -> None:
-    """The console script. A reader that closes standard output early (say,
-    `| head -1`) ends the command with exit 1 and nothing on standard error:
-    the rest of the output goes to the null device, where the interpreter's
-    final flush cannot fail again."""
+    """The console script. Warnings print as one `warning: <message>` line;
+    in-process callers of `main` still get them as warnings. A reader that
+    closes standard output early (say, `| head -1`) ends the command with
+    exit 1 and nothing on standard error: the rest of the output goes to the
+    null device, where the interpreter's final flush cannot fail again."""
+    warnings.showwarning = _print_warning
     try:
         code = main()
         sys.stdout.flush()

@@ -16,13 +16,14 @@ only its pivot: the first point after its apex, in that order, more than
 `tol` above it. A round takes every open ridge task (t1, t2) at once:
 equal pivots drop it (the ridge is buried, or final); otherwise the facet
 with the smaller pivot p gives way to the facet (ridge + p), which takes
-over the task. Its ridges through p wait in a sorted list of packed keys
-(`_ridge_keys`), each beside its index row, for their twin, now or in a
-later round; each pair is a task. A task's smaller pivot rises every round,
-so there are at most m rounds (O(log m) with high probability for a random
-order). The hull is the facets without a pivot. A round's planes come from
-one `make_planes` call: cofactor normals, with a stacked Householder QR for
-the thin simplices only.
+over the task. Its ridges through p wait for their twin, now or in a later
+round, as rows [packed key words (`_ridge_keys`) | owner facet | index row]
+of one table, sorted once per round; each pair is a task. A task's smaller
+pivot rises every round, so there are at most m rounds (O(log m) with high
+probability for a random order). The hull is the facets without a pivot.
+A round's planes come from one `make_planes` call: cofactor normals, with a
+stacked Householder QR for the thin simplices only. Its pivots come from one
+product, over the ranks from the round's first apex on.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _laplace(n: int):
     level r = 2..n-1: for the r-subsets S of the n columns, in
     `combinations` order, the (S, r) positions in level r-1 of the subsets
     S without S[t], the (S, r) columns S[t], and the (r,) signs
-    (-1)^(r-1+t) of expanding along row r."""
+    (-1)^(r-1+t) of expanding along row r; and the (n,) signs (-1)^j."""
     levels, prev = [], {s: i for i, s in enumerate(combinations(range(n), 1))}
     for r in range(2, n):
         subsets = list(combinations(range(n), r))
@@ -66,7 +67,9 @@ def _laplace(n: int):
             a.flags.writeable = False
         levels.append(level)
         prev = {s: i for i, s in enumerate(subsets)}
-    return tuple(levels)
+    alternating = (-1.0) ** np.arange(n)
+    alternating.flags.writeable = False
+    return tuple(levels), alternating
 
 
 def _cofactors(diffs: np.ndarray) -> np.ndarray:
@@ -76,10 +79,11 @@ def _cofactors(diffs: np.ndarray) -> np.ndarray:
     built level by level, by Laplace expansion along row r."""
     n = diffs.shape[2]
     minors = diffs[:, 0]
-    for row, (drop, cols, sign) in enumerate(_laplace(n), start=1):
+    levels, alternating = _laplace(n)
+    for row, (drop, cols, sign) in enumerate(levels, start=1):
         minors = np.einsum("ksr,ksr,r->ks", diffs[:, row, cols], minors[:, drop], sign)
     # level n-1 lists the column subsets without column n-1, ..., 0
-    return minors[:, ::-1] * (-1.0) ** np.arange(n)
+    return minors[:, ::-1] * alternating
 
 
 @cache
@@ -105,10 +109,14 @@ def _ridge_keys(ridges: np.ndarray, m: int) -> np.ndarray:
 
 
 def _key_order(keys: np.ndarray):
-    """Stable order of the keys (R, w), the keys in it, and whether each equals the next."""
+    """Stable order of the keys (R, w), and whether each key in it equals the next."""
+    if keys.shape[1] == 1:
+        order = keys[:, 0].argsort(kind="stable")
+        ranked = keys[order, 0]
+        return order, ranked[1:] == ranked[:-1]
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
-    return order, ranked, (ranked[1:] == ranked[:-1]).all(axis=1)
+    return order, (ranked[1:] == ranked[:-1]).all(axis=1)
 
 
 def ridge_pairs(verts: np.ndarray):
@@ -121,7 +129,7 @@ def ridge_pairs(verts: np.ndarray):
     """
     count, n = verts.shape
     ridges = verts[:, _opposite(n)].reshape(count * n, n - 1)
-    order, _, same = _key_order(_ridge_keys(ridges, int(verts.max(initial=0)) + 1))
+    order, same = _key_order(_ridge_keys(ridges, int(verts.max(initial=0)) + 1))
     if len(order) % 2 or not same[0::2].all() or same[1::2].any():
         raise DegenerateHull("hull is not closed: a ridge does not have exactly two facets")
     return order[0::2], order[1::2]
@@ -182,25 +190,27 @@ def make_planes(pts: np.ndarray, verts: np.ndarray, interior: np.ndarray):
     A simplex with volume at most 1e-14 raises DegenerateHull, as does a
     plane within 1e-13 of `interior`.
     """
-    sub = pts[verts]
+    sub = pts.take(verts, axis=0)
     diffs = sub[:, 1:] - sub[:, :1]
     cof = _cofactors(diffs)
     volume = np.sqrt(np.einsum("kj,kj->k", cof, cof))
     thin = volume < THIN * np.sqrt(np.einsum("kij,kij->ki", diffs, diffs)).prod(axis=1)
-    if thin.any():
+    any_thin = thin.any()
+    if any_thin:
         q, r = np.linalg.qr(np.swapaxes(diffs[thin], 1, 2), mode="complete")
         volume[thin] = np.abs(r.diagonal(axis1=1, axis2=2).prod(axis=1))
-    if (volume <= 1e-14).any():
+    if volume.min(initial=np.inf) <= 1e-14:
         raise DegenerateHull("facet simplex is degenerate")
     normals = cof / volume[:, None]
-    if thin.any():
+    if any_thin:
         normals[thin] = q[:, :, -1]
     dots = np.einsum("kvj,kj->kv", sub, normals)
-    side = normals @ interior - dots[:, 0]
-    if (np.abs(side) <= 1e-13).any():
+    outward = dots[:, 0] - normals @ interior
+    if np.abs(outward).min(initial=np.inf) <= 1e-13:
         raise DegenerateHull("hull is too flat to orient facets")
-    sign = np.where(side > 0, -1.0, 1.0)
-    return normals * sign[:, None], sign * dots.sum(axis=1) / sub.shape[1]
+    sign = np.sign(outward)
+    normals *= sign[:, None]
+    return normals, sign * dots.sum(axis=1) / sub.shape[1]
 
 
 def quickhull(points: np.ndarray, tol: float = TOL_HULL):
@@ -228,50 +238,52 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
     rest = np.delete(np.arange(m), chosen)
     scramble = (rest.astype(np.uint64) * np.uint64(SCRAMBLE)) & np.uint64(0xFFFFFFFF)
     perm = np.concatenate([chosen, rest[np.argsort(scramble, kind="stable")]])
-    ranked, rank = pts[perm].T, np.arange(m, dtype=np.int32)
+    ranked, rank = pts[perm].T, np.arange(m)
     interior = pts[chosen].mean(axis=0)
 
     # round 0 makes the seed simplex's facets, whose pivots come after rank n
     verts = np.sort(np.array(chosen)[_opposite(n + 1)], axis=1)
-    p, apex = np.full(n + 1, n, dtype=np.int32), np.full(n + 1, -1)
+    p, apex = np.full(n + 1, n), np.full(n + 1, -1)
     kept, ridge = np.empty(0, dtype=np.intp), verts[:0, 1:]
-    pivot, wait_f, wait_r, wait_k, made = p[:0], kept, ridge, _ridge_keys(ridge, m), []
+    w = _key_layout(m, n - 1).shape[1]  # a row of `wait`: [w key words | owner | ridge]
+    pivot, wait, made = p[:0], np.empty((0, w + n), dtype=np.int64), []
     while len(p):
         normals, offsets = make_planes(pts, verts, interior)
         made.append((verts, normals, offsets))
-        dists = normals @ ranked
+        # a facet's pivot ranks after its p (n in round 0); the search starts at
+        # the round's smallest p, which is no facet's pivot, so argmax 0 is none
+        start = p.min()
+        dists = normals @ ranked[:, start:]
         dists -= offsets[:, None]
-        above = (dists > tol) & (rank > p[:, None])
-        # ranks up to n belong to the seed simplex and are never above (p >=
-        # n), so an argmax of 0 means no pivot
-        new_pivot = above.argmax(axis=1).astype(np.int32)
-        new_pivot[new_pivot == 0] = m
+        above = (dists > tol) & (rank[start:] > p[:, None])
+        new_pivot = above.argmax(axis=1)
         # a new facet takes over its ridge task against the kept facet (none
         # in round 0); its ridges through the apex (all of a seed facet's)
         # wait for their twins, and each pair is a task
-        ids = np.arange(len(pivot), len(pivot) + len(p))
-        pivot = np.concatenate([pivot, new_pivot])
         through = verts != apex[:, None]
         ridges = verts[:, _opposite(n)][through]
-        order, wait_k, same = _key_order(np.concatenate([wait_k, _ridge_keys(ridges, m)]))
-        wait_f = np.concatenate([wait_f, ids[through.nonzero()[0]]])[order]
-        wait_r = np.concatenate([wait_r, ridges])[order]
-        if (same[1:] & same[:-1]).any():
+        wait = np.concatenate([wait, np.concatenate(
+            [_ridge_keys(ridges, m), through.nonzero()[0][:, None] + len(pivot), ridges], axis=1)])
+        order, same = _key_order(wait[:, :w])
+        wait, pair = wait.take(order, axis=0), same.nonzero()[0]
+        twin, owner = pair + 1, wait[:, w]
+        paired = np.zeros(len(wait), dtype=bool)
+        paired[pair] = paired[twin] = True
+        if np.count_nonzero(paired) < 2 * len(pair):  # pairs overlap: 3 equal keys
             raise DegenerateHull("hull is not closed: a ridge has more than two facets")
-        pair = np.flatnonzero(same)
-        lo = np.concatenate([ids[:len(kept)], wait_f[pair]])
-        hi = np.concatenate([kept, wait_f[pair + 1]])
-        ridge = np.concatenate([ridge, wait_r[pair]])
-        single = np.ones(len(order), dtype=bool)
-        single[pair] = single[pair + 1] = False
-        wait_f, wait_r, wait_k = wait_f[single], wait_r[single], wait_k[single]
+        lo = np.concatenate([np.arange(len(pivot), len(pivot) + len(kept)), owner[pair]])
+        hi = np.concatenate([kept, owner[twin]])
+        ridge = np.concatenate([ridge, wait[:, w + 1:].take(pair, axis=0)])
+        wait = wait.compress(~paired, axis=0)
+        pivot = np.concatenate([pivot, np.where(new_pivot, new_pivot + start, m)])
         # across each ridge the facet with the smaller pivot p gives way to
         # (ridge + p), and the other is kept; equal pivots drop the task
         p_lo, p_hi = pivot[lo], pivot[hi]
-        live = p_lo != p_hi
+        live = (p_lo != p_hi).nonzero()[0]
         p, kept = np.minimum(p_lo, p_hi)[live], np.where(p_hi < p_lo, lo, hi)[live]
-        ridge, apex = ridge[live], perm[p]
-        verts = np.sort(np.column_stack([ridge, apex]), axis=1)
+        ridge, apex = ridge.take(live, axis=0), perm[p]
+        verts = np.concatenate([ridge, apex[:, None]], axis=1)
+        verts.sort(axis=1)
 
     # the hull is every facet made that found no pivot
     final = pivot == m

@@ -567,6 +567,26 @@ def test_closed_stdout_exits_1_quietly(tmp_path):
     assert (proc.returncode, err) == (1, b"")
 
 
+def test_console_warning_is_one_line(tmp_path):
+    # the console script prints the inputs' ball warning as one line, like
+    # its other messages: no source path, no code line
+    weights = rc.random_sphere(3, 12, 5)
+    frame, _, _ = rc.normalize(weights)
+    bias = rc.pbe_ball(frame, rc.build_polytope(frame), 1.0).alpha_scaled - 1e-3
+    xs = np.vstack([oracles.sample_ball(np.random.default_rng(87), 3, 20), [[0.3, 3.8, 2.2]]])
+    (w, b, x), _ = _reconstruct_files(tmp_path, weights, bias, xs)
+    env = {**os.environ, "PYTHONPATH": str(Path(rc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from relucert.cli import entry; entry()",
+         "reconstruct", w, "--bias", b, "--inputs", x, "--force"],
+        capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert len(proc.stdout.splitlines()) == 1 + 21
+    assert proc.stderr.decode().splitlines() == [
+        "warning: input lies outside the declared ball",
+        "warning: 1 inputs could not be reconstructed"]
+
+
 def test_writer_count(monkeypatch):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert fio._writer_count(1) == 1

@@ -879,16 +879,45 @@ BIT_FRAMES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BIT_FRAMES))
-def test_quickhull_bit_identical_to_furthest_point_oracle(name):
+def _check_bit_identical(pts):
     # in general position the hull's simplices are unique, and each plane
     # comes from the same make_planes row, whatever the insertion order
-    frame, _, _ = rc.normalize(BIT_FRAMES[name])
-    got = hull.quickhull(frame.elements)
-    want = oracles.quickhull_furthest(frame.elements)
+    got = hull.quickhull(pts)
+    want = oracles.quickhull_furthest(pts)
     assert got[3] is None and want[3] is None
     for a, b in zip(got[:3], want[:3]):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(BIT_FRAMES))
+def test_quickhull_bit_identical_to_furthest_point_oracle(name):
+    frame, _, _ = rc.normalize(BIT_FRAMES[name])
+    _check_bit_identical(frame.elements)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_smallest_hulls_bit_identical_to_furthest_point_oracle(n):
+    # m = n + 1 .. n + 3: zero to two points after the seed simplex, so a
+    # round's first apex can be the last rank, and its pivot search has a
+    # single rank left
+    for m in range(n + 1, n + 4):
+        for seed in range(4):
+            frame, _, _ = rc.normalize(rc.random_sphere(n, m, seed))
+            _check_bit_identical(frame.elements)
+
+
+def test_quickhull_rounds_over_two_key_words():
+    # m > 4096 at n = 6: 13 bits per index, so the 5-index ridges take two
+    # key words and the waiting ridges sort by lexsort; the 16 outer points
+    # are the hull, and the 4,090 inner ones are halfway to their centroid
+    outer = rc.random_sphere(6, 16, 74)
+    weights = np.random.default_rng(75).dirichlet(np.ones(16), 4090)
+    centre = outer.mean(axis=0)
+    pts = np.vstack([outer, centre + 0.5 * (weights @ outer - centre)])
+    assert hull._key_layout(len(pts), 5).shape == (5, 2)
+    verts = _check_bit_identical(pts)[0]
+    assert set(np.unique(verts)) <= set(range(16))
 
 
 @pytest.mark.parametrize("name", ["cube3", "cube4", "cube5", "cell24", "ternary4x30"])
