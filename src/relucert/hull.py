@@ -22,8 +22,7 @@ of one table, sorted once per round; each pair is a task. A task's smaller
 pivot rises every round, so there are at most m rounds (O(log m) with high
 probability for a random order). The hull is the facets without a pivot.
 A round's planes come from one `make_planes` call: cofactor normals, with a
-stacked Householder QR for the thin simplices only. Its pivots come from one
-product, over the ranks from the round's first apex on.
+stacked Householder QR for the thin simplices only.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ def _laplace(n: int):
     level r = 2..n-1: for the r-subsets S of the n columns, in
     `combinations` order, the (S, r) positions in level r-1 of the subsets
     S without S[t], the (S, r) columns S[t], and the (r,) signs
-    (-1)^(r-1+t) of expanding along row r; and the (n,) signs (-1)^j."""
+    (-1)^(r-1+t) of expanding along row r."""
     levels, prev = [], {s: i for i, s in enumerate(combinations(range(n), 1))}
     for r in range(2, n):
         subsets = list(combinations(range(n), r))
@@ -67,9 +66,7 @@ def _laplace(n: int):
             a.flags.writeable = False
         levels.append(level)
         prev = {s: i for i, s in enumerate(subsets)}
-    alternating = (-1.0) ** np.arange(n)
-    alternating.flags.writeable = False
-    return tuple(levels), alternating
+    return tuple(levels)
 
 
 def _cofactors(diffs: np.ndarray) -> np.ndarray:
@@ -79,11 +76,10 @@ def _cofactors(diffs: np.ndarray) -> np.ndarray:
     built level by level, by Laplace expansion along row r."""
     n = diffs.shape[2]
     minors = diffs[:, 0]
-    levels, alternating = _laplace(n)
-    for row, (drop, cols, sign) in enumerate(levels, start=1):
+    for row, (drop, cols, sign) in enumerate(_laplace(n), start=1):
         minors = np.einsum("ksr,ksr,r->ks", diffs[:, row, cols], minors[:, drop], sign)
     # level n-1 lists the column subsets without column n-1, ..., 0
-    return minors[:, ::-1] * alternating
+    return minors[:, ::-1] * (-1.0) ** np.arange(n)
 
 
 @cache
@@ -110,10 +106,6 @@ def _ridge_keys(ridges: np.ndarray, m: int) -> np.ndarray:
 
 def _key_order(keys: np.ndarray):
     """Stable order of the keys (R, w), and whether each key in it equals the next."""
-    if keys.shape[1] == 1:
-        order = keys[:, 0].argsort(kind="stable")
-        ranked = keys[order, 0]
-        return order, ranked[1:] == ranked[:-1]
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
     return order, (ranked[1:] == ranked[:-1]).all(axis=1)
@@ -250,13 +242,13 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
     while len(p):
         normals, offsets = make_planes(pts, verts, interior)
         made.append((verts, normals, offsets))
-        # a facet's pivot ranks after its p (n in round 0); the search starts at
-        # the round's smallest p, which is no facet's pivot, so argmax 0 is none
-        start = p.min()
-        dists = normals @ ranked[:, start:]
+        dists = normals @ ranked
         dists -= offsets[:, None]
-        above = (dists > tol) & (rank[start:] > p[:, None])
+        above = (dists > tol) & (rank > p[:, None])
+        # ranks up to n belong to the seed simplex and are never above (p >=
+        # n), so an argmax of 0 means no pivot
         new_pivot = above.argmax(axis=1)
+        new_pivot[new_pivot == 0] = m
         # a new facet takes over its ridge task against the kept facet (none
         # in round 0); its ridges through the apex (all of a seed facet's)
         # wait for their twins, and each pair is a task
@@ -275,7 +267,7 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
         hi = np.concatenate([kept, owner[twin]])
         ridge = np.concatenate([ridge, wait[:, w + 1:].take(pair, axis=0)])
         wait = wait.compress(~paired, axis=0)
-        pivot = np.concatenate([pivot, np.where(new_pivot, new_pivot + start, m)])
+        pivot = np.concatenate([pivot, new_pivot])
         # across each ridge the facet with the smaller pivot p gives way to
         # (ridge + p), and the other is kept; equal pivots drop the task
         p_lo, p_hi = pivot[lo], pivot[hi]

@@ -898,9 +898,8 @@ def test_quickhull_bit_identical_to_furthest_point_oracle(name):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_smallest_hulls_bit_identical_to_furthest_point_oracle(n):
-    # m = n + 1 .. n + 3: zero to two points after the seed simplex, so a
-    # round's first apex can be the last rank, and its pivot search has a
-    # single rank left
+    # m = n + 1 .. n + 3: zero to two points after the seed simplex, so the
+    # last rank can be a round's apex and the waiting table can run empty
     for m in range(n + 1, n + 4):
         for seed in range(4):
             frame, _, _ = rc.normalize(rc.random_sphere(n, m, seed))
@@ -909,7 +908,7 @@ def test_smallest_hulls_bit_identical_to_furthest_point_oracle(n):
 
 def test_quickhull_rounds_over_two_key_words():
     # m > 4096 at n = 6: 13 bits per index, so the 5-index ridges take two
-    # key words and the waiting ridges sort by lexsort; the 16 outer points
+    # key words and the waiting ridges sort on both; the 16 outer points
     # are the hull, and the 4,090 inner ones are halfway to their centroid
     outer = rc.random_sphere(6, 16, 74)
     weights = np.random.default_rng(75).dirichlet(np.ones(16), 4090)
