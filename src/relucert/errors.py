@@ -29,10 +29,6 @@ class DegenerateHull(RelucertError):
     """The point set has no usable facet structure."""
 
 
-class AtOrigin(RelucertError):
-    """The query point is numerically zero; every facet cone contains it."""
-
-
 class OrphanVertex(RelucertError):
     """A frame element lies on no facet of the polytope."""
 

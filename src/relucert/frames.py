@@ -1,9 +1,10 @@
-"""Unit-norm frames and their analysis, synthesis and canonical dual operators.
+"""Unit-norm frames, and the one rank rule for their sub-frame operators.
 
 A frame here is a collection of m >= n row vectors spanning R^n. The layer
-weight matrix is the analysis operator of the frame made of its rows; its
-transpose is the synthesis operator, and their product is the frame operator
-whose extreme eigenvalues are the optimal frame bounds.
+weight matrix stacks them as rows; with V the rows of a sub-collection,
+V^T V is its frame operator, whose extreme eigenvalues are its optimal
+frame bounds. `spanning` decides from them whether the sub-collection spans
+R^n, and `operator_bounds` raises NotAFrame where it does not.
 """
 
 from __future__ import annotations
@@ -41,18 +42,6 @@ def as_vector(values, length: int | None, what: str = "vector") -> np.ndarray:
     return a
 
 
-def check_indices(subset, m: int) -> tuple[int, ...]:
-    """Validate an index subset: distinct, in range, returned sorted."""
-    idx = tuple(sorted(int(i) for i in subset))
-    if not idx:
-        raise ValueError("index subset is empty")
-    if idx[0] < 0 or idx[-1] >= m:
-        raise ValueError(f"index out of range for m={m}")
-    if len(set(idx)) != len(idx):
-        raise ValueError("index subset has repeated entries")
-    return idx
-
-
 @dataclass(frozen=True)
 class UnitFrame:
     """m unit-norm vectors in R^n stacked as rows, with m >= n."""
@@ -86,18 +75,6 @@ class UnitFrame:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class FrameBounds:
-    """Optimal two-sided energy bounds: extreme eigenvalues of the frame operator."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lower <= self.upper):
-            raise ValueError("frame bounds must satisfy 0 < lower <= upper")
-
-
 def normalize(weights, bias=None) -> tuple[UnitFrame, np.ndarray | None, np.ndarray]:
     """Rescale weight rows to the unit sphere, dividing the bias alike.
 
@@ -116,35 +93,6 @@ def normalize(weights, bias=None) -> tuple[UnitFrame, np.ndarray | None, np.ndar
         b = as_vector(bias, w.shape[0], "bias")
         rescaled = b / norms
     return frame, rescaled, norms
-
-
-def analysis(frame: UnitFrame, x) -> np.ndarray:
-    """Inner products of x with every frame element (the weight-matrix multiply)."""
-    v = as_vector(x, frame.n, "input")
-    return frame.elements @ v
-
-
-def synthesis(frame: UnitFrame, coeffs) -> np.ndarray:
-    """Linear combination of the frame elements; the adjoint of `analysis`."""
-    c = as_vector(coeffs, frame.m, "coefficients")
-    return frame.elements.T @ c
-
-
-def subframe_operator(frame: UnitFrame, subset=None) -> np.ndarray:
-    """Frame operator sum of outer products over `subset` (all rows when None)."""
-    if subset is None:
-        sub = frame.elements
-    else:
-        idx = check_indices(subset, frame.m)
-        sub = frame.elements[list(idx)]
-    return sub.T @ sub
-
-
-def frame_bounds(frame: UnitFrame, subset=None, tol_rank: float = TOL_RANK) -> FrameBounds:
-    """Optimal frame bounds of a sub-collection: the extreme eigenvalues of
-    its frame operator (see `operator_bounds`)."""
-    lower, upper = operator_bounds(subframe_operator(frame, subset), tol_rank)
-    return FrameBounds(float(lower), float(upper))
 
 
 def spanning(ops: np.ndarray, tol_rank: float = TOL_RANK):
@@ -168,33 +116,3 @@ def operator_bounds(ops: np.ndarray, tol_rank: float = TOL_RANK) -> tuple[np.nda
         low, high = lower.flat[bad[0]], upper.flat[bad[0]]
         raise NotAFrame(f"sub-collection is rank deficient (eigenvalue range [{low:.3e}, {high:.3e}])")
     return lower, upper
-
-
-def is_frame(frame: UnitFrame, subset=None, tol_rank: float = TOL_RANK) -> bool:
-    """True iff the sub-collection spans R^n: iff `frame_bounds` accepts it."""
-    try:
-        frame_bounds(frame, subset, tol_rank)
-    except NotAFrame:
-        return False
-    return True
-
-
-def dual_synthesis(frame: UnitFrame, subset=None, tol_rank: float = TOL_RANK) -> np.ndarray:
-    """Canonical dual synthesis matrix of a spanning sub-collection.
-
-    Column k is the inverse sub-frame operator applied to the k-th selected
-    element, so that for every x:  sum_k <x, x_{i_k}> * column_k == x.
-    The operator must pass Cholesky with every squared pivot above `tol_rank`
-    times its largest diagonal entry; otherwise NotAFrame is raised.
-    """
-    idx = check_indices(subset, frame.m) if subset is not None else tuple(range(frame.m))
-    sub = frame.elements[list(idx)]
-    op = sub.T @ sub
-    floor = tol_rank * max(float(np.max(np.diag(op))), np.finfo(float).tiny)
-    try:
-        lower = np.linalg.cholesky(op)
-    except np.linalg.LinAlgError:
-        raise NotAFrame("sub-frame operator is not positive definite") from None
-    if float(np.min(np.diag(lower))) ** 2 <= floor:
-        raise NotAFrame("sub-frame operator is not positive definite")
-    return np.linalg.solve(op, sub.T)

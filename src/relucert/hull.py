@@ -133,17 +133,17 @@ def _affine_basis(points: np.ndarray, tol: float):
     m, n = points.shape
     base = int(np.lexsort(points.T[::-1])[0])
     chosen = [base]
-    q = np.zeros((0, n))
-    for _ in range(n):
-        rel = points - points[base]
-        resid = rel - (rel @ q.T) @ q
+    rel = points - points[base]
+    q = np.zeros((n, n))
+    for k in range(n):
+        resid = rel - (rel @ q[:k].T) @ q[:k]
         dist = np.linalg.norm(resid, axis=1)
         far = int(np.argmax(dist))
         if dist[far] <= tol:
             break
         chosen.append(far)
-        q = np.vstack([q, resid[far] / dist[far]])
-    return chosen, q
+        q[k] = resid[far] / dist[far]
+    return chosen, q[:len(chosen) - 1]
 
 
 def _null_direction(q: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, FrameMismatch, ReconstructionFailed
 from .frames import UnitFrame, as_matrix, as_vector, spanning
 from .pbe import DOMAIN_BALL, BiasEstimate
-from .polytope import TOL_INTERIOR, Polytope, facet_groups
+from .polytope import TOL_INTERIOR, Polytope, exit_facets, facet_groups
 
 TOL_ACTIVE = 1e-12
 TOL_MARGIN = 1e-12
@@ -49,13 +49,6 @@ class ReLULayer:
         b = b.copy()
         b.flags.writeable = False
         object.__setattr__(self, "bias", b)
-
-
-@dataclass(frozen=True)
-class ActivePattern:
-    """Indices whose analysis coefficient clears the bias threshold."""
-
-    indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -90,21 +83,6 @@ def forward(layer: ReLULayer, x) -> np.ndarray:
         warnings.warn("input lies outside the declared ball", stacklevel=2)
     out = np.maximum(xs @ layer.frame.elements.T - layer.bias, 0.0)
     return out if batch else out[0]
-
-
-def active_set(layer: ReLULayer, x, tol: float = TOL_ACTIVE) -> ActivePattern:
-    """Indices with <x, x_i> >= bias_i, inclusive of boundary equalities."""
-    v = as_vector(x, layer.frame.n, "input")
-    coeff = layer.frame.elements @ v
-    idx = np.nonzero(coeff >= layer.bias - tol)[0]
-    return ActivePattern(tuple(int(i) for i in idx))
-
-
-def active_from_output(z) -> ActivePattern:
-    """Strictly positive output entries. A subset of the input's active set:
-    coefficients that sit exactly at the bias produce a zero output."""
-    zv = np.asarray(z, dtype=float)
-    return ActivePattern(tuple(int(i) for i in np.nonzero(zv > 0.0)[0]))
 
 
 def certify(layer: ReLULayer, estimate: BiasEstimate,
@@ -230,15 +208,12 @@ def _reconstruct_rows(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
     xs = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
     coeff = xs @ elements.T - bias
     verified = np.max(np.abs(np.maximum(coeff, 0.0) - zs), axis=1) <= verify_tol
-    # witness: the facet the ray through x exits by (largest <x, u_j> / d_j
-    # over offsets d_j > TOL_INTERIOR) lies in the closed active set of x, so
+    # witness: the facet the ray through x exits by (`exit_facets`) has an
+    # offset above TOL_INTERIOR and lies in the closed active set of x, so
     # its candidate is x and the ranked rounds would settle the row too
-    usable = poly.offsets > TOL_INTERIOR
-    reach = np.divide(poly.normals, poly.offsets[:, None],
-                      out=np.zeros_like(poly.normals), where=usable[:, None])
-    exits = np.argmax(xs @ reach.T, axis=1)
+    exits = exit_facets(poly, xs)
     active = coeff >= -TOL_ACTIVE
-    witness = usable[exits] & (active | ~poly.incidence[exits]).all(axis=1)
+    witness = (poly.offsets[exits] > TOL_INTERIOR) & (active | ~poly.incidence[exits]).all(axis=1)
     settled = spans & verified & witness
     xs[~settled] = np.nan
     # a spanning pattern that does not verify: every preimage would solve
@@ -326,11 +301,11 @@ def _frame_operators(elements: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return (masks.astype(float) @ outer).reshape(-1, n, n)
 
 
-def spanning_failures(layer: ReLULayer, poly: Polytope, samples: np.ndarray,
+def spanning_failures(layer: ReLULayer, samples: np.ndarray,
                       tol: float = TOL_ACTIVE) -> list[int]:
     """Sample indices where the active set fails to span the space: where
     the frame operator of the active elements fails the rank rule of
-    `spanning`. The test needs only the layer; `poly` is not read."""
+    `spanning`."""
     xs = np.asarray(samples, dtype=float)
     elements = layer.frame.elements
     active = xs @ elements.T >= layer.bias - tol  # (num_samples, m)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (NotConverged, NotNonnegOmnidirectional, NotOmnidirectional,
                      OrphanVertex, SolverFailed)
-from .frames import UnitFrame, operator_bounds, subframe_operator
+from .frames import UnitFrame, operator_bounds
 from .polytope import (Polytope, PositiveFacetReport, facet_groups, is_omnidirectional,
                        nonzero_2d)
 from .solvers import TOL_SOLVER, min_linear_capped_cones
@@ -181,6 +181,6 @@ def _stability(frame, poly, facet_indices, radius) -> StabilityReport:
         sub = frame.elements[verts]
         ops[rows] = sub.swapaxes(1, 2) @ sub
     lower, _ = operator_bounds(ops)
-    _, upper = operator_bounds(subframe_operator(frame))
+    _, upper = operator_bounds(frame.elements.T @ frame.elements)
     return StabilityReport(A0=float(lower.min()), B0=float(upper),
                            image_radius=float(radius) * float(np.sqrt(upper)))

@@ -21,14 +21,13 @@ from itertools import islice, takewhile
 import numpy as np
 
 from . import hull as _hull
-from .errors import AtOrigin, DegenerateHull, NotOmnidirectional
+from .errors import DegenerateHull
 from .frames import UnitFrame
 from .solvers import TOL_SOLVER, lp_feasible
 
 TOL_PLANE = 1e-9
 TOL_INTERIOR = 1e-9
 TOL_MERGE = 1e-9
-TOL_TIE = 1e-12
 TOL_DISTINCT = 1e-10
 MERGE_ENTRIES = 2 ** 14  # entries per (m x block) certificate product: bounds peak memory
 FACET_BLOCK = 512  # facets per `facet_groups` block: bounds its callers' stacked arrays
@@ -68,9 +67,6 @@ class Polytope:
         """Each facet's vertex indices, ascending: the rows of `incidence`."""
         cols = iter(nonzero_2d(self.incidence)[1].tolist())
         return tuple(tuple(islice(cols, k)) for k in self.incidence.sum(axis=1).tolist())
-
-    def facets_of_vertex(self, index: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.nonzero(self.incidence[:, index])[0])
 
 
 @dataclass(frozen=True)
@@ -278,25 +274,17 @@ def is_omnidirectional(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> bo
     return bool(np.min(poly.offsets) > tol_interior)
 
 
-def covering_facet(poly: Polytope, x, tol_interior: float = TOL_INTERIOR,
-                   tie_tol: float = TOL_TIE) -> int:
-    """Index of a facet whose cone contains x: the facet the ray through x
-    exits the polytope by. Ties within `tie_tol` go to the smallest index.
-    """
-    if not is_omnidirectional(poly, tol_interior):
-        raise NotOmnidirectional("covering queries need the origin strictly inside the hull")
-    v = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if norm <= 1e-12:
-        raise AtOrigin("direction is numerically zero")
-    v = v / norm
-    dots = poly.normals @ v
-    mask = dots > tol_interior
-    t = np.full(dots.shape, np.inf)
-    t[mask] = poly.offsets[mask] / dots[mask]
-    tmin = float(np.min(t))
-    candidates = np.nonzero(t <= tmin + tie_tol)[0]
-    return int(candidates[0])
+def exit_facets(poly: Polytope, xs: np.ndarray) -> np.ndarray:
+    """Index of the facet that the ray through each row of xs (N, n) leaves
+    the polytope by: the largest <x, u_j> / d_j over the facets whose
+    offset d_j is above TOL_INTERIOR, ties to the smallest index. When the
+    polytope is omnidirectional, x / max_j <x, u_j> / d_j is a hull point
+    on that facet's plane, so x lies in the facet's cone (at x = 0 every
+    cone holds x, and facet 0 is returned)."""
+    usable = poly.offsets > TOL_INTERIOR
+    reach = np.divide(poly.normals, poly.offsets[:, None],
+                      out=np.zeros_like(poly.normals), where=usable[:, None])
+    return np.argmax(xs @ reach.T, axis=1)
 
 
 def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> PositiveFacetReport:

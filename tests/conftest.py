@@ -8,6 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import relucert as rc
+from relucert.frames import spanning
+from relucert.layer import TOL_ACTIVE
 
 
 @dataclass(frozen=True)
@@ -59,3 +61,16 @@ def capped_cone(cols, c):
         (cols.T @ cols)[None], np.asarray(c, dtype=float)[None])
     assert not failed[0]
     return values[0], argmins[0], residuals[0], steps[0]
+
+
+def closed_active_set(layer, x, tol: float = TOL_ACTIVE) -> tuple[int, ...]:
+    """Indices with <x, x_i> >= bias_i - tol: the active set, boundary
+    equalities included."""
+    coeff = layer.frame.elements @ np.asarray(x, dtype=float)
+    return tuple(np.flatnonzero(coeff >= layer.bias - tol).tolist())
+
+
+def spans(frame, idx) -> bool:
+    """Whether the rows idx span the space, by the rank rule of `spanning`."""
+    sub = frame.elements[list(idx)]
+    return bool(spanning(sub.T @ sub)[0])

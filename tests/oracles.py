@@ -20,7 +20,7 @@ from relucert import hull
 from relucert.errors import (DegenerateHull, FrameMismatch, NotAFrame, NotConverged,
                              ParseError, ReconstructionFailed)
 from relucert.fixtures import random_sphere
-from relucert.frames import dual_synthesis
+from relucert.frames import operator_bounds
 from relucert.layer import VERIFY_TOL
 from relucert.pbe import DOMAIN_BALL
 from relucert.polytope import PositiveFacetReport
@@ -693,6 +693,16 @@ def sample_ball_positive(rng: np.random.Generator, n: int, count: int,
     return np.abs(sample_ball(rng, n, count, radius))
 
 
+def facet_dual(frame, idx) -> np.ndarray:
+    """Canonical dual synthesis matrix S^-1 V^T of the sub-frame V = the rows
+    idx, S = V^T V: for every x, facet_dual(frame, idx) @ (V x) == x. Raises
+    NotAFrame where S fails the rank rule of `frames.spanning`."""
+    sub = frame.elements[list(idx)]
+    op = sub.T @ sub
+    operator_bounds(op)
+    return np.linalg.solve(op, sub.T)
+
+
 def reconstruct_rowwise(poly, layer, z, verify_tol: float = VERIFY_TOL) -> np.ndarray:
     """The former one-row `layer.reconstruct`, kept as the reference for
     `reconstruct_batch`: it sorts the facets for the one output z with its
@@ -721,7 +731,7 @@ def reconstruct_rowwise(poly, layer, z, verify_tol: float = VERIFY_TOL) -> np.nd
     for j in order:
         idx = list(poly.vertices[j])
         try:
-            candidate = dual_synthesis(poly.frame, idx) @ (zv[idx] + layer.bias[idx])
+            candidate = facet_dual(poly.frame, idx) @ (zv[idx] + layer.bias[idx])
         except NotAFrame:  # a rank-deficient facet is a candidate that does not verify
             continue
         check = np.maximum(layer.frame.elements @ candidate - layer.bias, 0.0)

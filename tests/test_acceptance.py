@@ -95,11 +95,10 @@ def test_criterion_05_trivial_bias_always_spans():
     for rep in range(20):
         pts = random_omnidirectional(3, 30, 9100 + rep)
         frame, _, _ = rc.normalize(pts)
-        poly = rc.build_polytope(frame)
         for radius in (1.0, 2.0):
             layer = rc.ReLULayer(frame, np.full(30, -radius), radius)
             xs = oracles.sample_ball(rng, 3, 10_000, radius=radius)
-            total_failures += len(rc.spanning_failures(layer, poly, xs))
+            total_failures += len(rc.spanning_failures(layer, xs))
     ok = total_failures == 0
     announce(5, "bias -r keeps every active set spanning on the radius-r ball", ok,
              f"failures={total_failures}")
@@ -267,13 +266,12 @@ def test_criterion_10_monitor_determinism_and_oracle(tmp_path):
 
 def test_criterion_11_radius_scaling_audit():
     frame, _, _ = rc.normalize(rc.mercedes_benz())
-    poly = rc.build_polytope(frame)
     rng = np.random.default_rng(9800)
     xs = oracles.sample_ball(rng, 2, 10_000, radius=2.0)
     multiplied = rc.ReLULayer(frame, np.full(3, 2.0 * -0.5), 2.0)
     divided = rc.ReLULayer(frame, np.full(3, -0.5 / 2.0), 2.0)
-    good = len(rc.spanning_failures(multiplied, poly, xs))
-    bad = len(rc.spanning_failures(divided, poly, xs))
+    good = len(rc.spanning_failures(multiplied, xs))
+    bad = len(rc.spanning_failures(divided, xs))
     ok = good == 0 and bad >= 1
     announce(11, "bias scales by r (not 1/r) on the radius-r ball", ok,
              f"multiplied failures={good}, divided failures={bad}")

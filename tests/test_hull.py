@@ -9,12 +9,12 @@ import relucert as rc
 from relucert import hull, polytope
 from relucert import io as fio
 from relucert.cli import main
-from relucert.errors import (AtOrigin, DegenerateHull, NotNonnegOmnidirectional,
-                             NotOmnidirectional, RelucertError)
+from relucert.errors import DegenerateHull, NotNonnegOmnidirectional, RelucertError
+from relucert.polytope import exit_facets
 from relucert.solvers import TOL_SOLVER, lp_feasible
 
 import oracles
-from conftest import random_omnidirectional
+from conftest import random_omnidirectional, spans
 
 
 def facet_sets(poly):
@@ -253,18 +253,16 @@ def test_not_omnidirectional_when_accumulated_on_one_side():
     poly = rc.build_polytope(frame)
     assert poly.full_dimensional
     assert not rc.is_omnidirectional(poly)
-    with pytest.raises(NotOmnidirectional):
-        rc.covering_facet(poly, [1.0, 0.0])
 
 
 def test_covering_facet_examples(mb, tet):
-    down = rc.covering_facet(mb.poly, [0.0, -1.0])
+    down, up = exit_facets(mb.poly, np.array([[0.0, -1.0], [0.0, 0.5]]))
     assert mb.poly.vertices[down] == (1, 2)
-    # ray through vertex 0: tie between its two edges, smallest index wins
-    up = rc.covering_facet(mb.poly, [0.0, 0.5])
-    assert up == 0
-    assert 0 in mb.poly.vertices[up]
-    opposite = rc.covering_facet(tet.poly, -tet.frame.elements[3])
+    # the ray through vertex 0 exits by both of its edges: either will do
+    facets = triples(mb.poly.vertices, mb.poly.normals, mb.poly.offsets)
+    assert oracles.ray_exit_facets(mb.frame.elements, facets, np.array([0.0, 0.5])) == {0, 1}
+    assert up in (0, 1)
+    opposite = exit_facets(tet.poly, -tet.frame.elements[3:])[0]
     assert tet.poly.vertices[opposite] == (0, 1, 2)
 
 
@@ -273,11 +271,9 @@ def test_covering_facet_matches_ray_oracle(mb, tet, ico):
     for setup in (mb, tet, ico):
         poly = setup.poly
         facets = triples(poly.vertices, poly.normals, poly.offsets)
-        for _ in range(50):
-            x = rng.standard_normal(setup.frame.n)
-            j = rc.covering_facet(setup.poly, x)
-            allowed = oracles.ray_exit_facets(setup.frame.elements, facets, x)
-            assert j in allowed
+        xs = rng.standard_normal((50, setup.frame.n))
+        for x, j in zip(xs, exit_facets(poly, xs)):
+            assert j in oracles.ray_exit_facets(setup.frame.elements, facets, x)
 
 
 def test_covering_facet_exit_point_on_facet():
@@ -285,21 +281,14 @@ def test_covering_facet_exit_point_on_facet():
     pts = random_omnidirectional(3, 20, 77)
     frame, _, _ = rc.normalize(pts)
     poly = rc.build_polytope(frame)
-    for _ in range(10_000):
-        x = rng.standard_normal(3)
-        x /= np.linalg.norm(x)
-        j = rc.covering_facet(poly, x)
-        normal, offset = poly.normals[j], poly.offsets[j]
-        t = offset / float(normal @ x)
-        exit_point = t * x
-        # on the plane, and inside the polytope
-        assert abs(normal @ exit_point - offset) <= 1e-9
-        assert np.all(poly.normals @ exit_point <= poly.offsets + 1e-9)
-
-
-def test_covering_facet_at_origin(mb):
-    with pytest.raises(AtOrigin):
-        rc.covering_facet(mb.poly, [0.0, 1e-14])
+    xs = rng.standard_normal((10_000, 3))
+    xs /= np.linalg.norm(xs, axis=1)[:, None]
+    js = exit_facets(poly, xs)
+    normals, offsets = poly.normals[js], poly.offsets[js]
+    exit_points = (offsets / np.sum(normals * xs, axis=1))[:, None] * xs
+    # on the plane, and inside the polytope
+    assert np.max(np.abs(np.sum(normals * exit_points, axis=1) - offsets)) <= 1e-9
+    assert np.all(exit_points @ poly.normals.T <= poly.offsets + 1e-9)
 
 
 def test_offset_facets_span(mb, tet, ico):
@@ -307,7 +296,7 @@ def test_offset_facets_span(mb, tet, ico):
     for setup in (mb, tet, ico):
         for verts, offset in zip(setup.poly.vertices, setup.poly.offsets):
             if abs(offset) > 1e-9:
-                assert rc.is_frame(setup.frame, verts)
+                assert spans(setup.frame, verts)
 
 
 def test_omnidirectional_vertices_all_on_facets(mb, tet, ico):
@@ -1028,8 +1017,9 @@ def test_hull_fuzz(kind, n, seed):
     assert 2 * len(s) == len(verts) * n
     if not rc.is_omnidirectional(poly):
         return
-    for x in rng.standard_normal((5, n)):
-        cols = frame.elements[list(poly.vertices[rc.covering_facet(poly, x)])].T
+    xs = rng.standard_normal((5, n))
+    for x, j in zip(xs, exit_facets(poly, xs)):
+        cols = frame.elements[list(poly.vertices[j])].T
         assert oracles.in_cone(cols, (x / np.linalg.norm(x))[None, :], tol=1e-7)[0]
 
 

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 import relucert as rc
 from relucert.errors import (DimensionMismatch, FrameMismatch, NotAFrame,
                              ReconstructionFailed)
+from relucert.polytope import exit_facets
 
 import oracles
-from conftest import build_setup, random_omnidirectional
+from conftest import build_setup, closed_active_set, random_omnidirectional
 
 
 def test_forward_examples(mb):
@@ -50,10 +51,9 @@ def test_forward_warns_outside_ball(mb):
 
 
 def test_active_set_boundary_equalities(mb):
-    pattern = rc.active_set(mb.layer, [0.0, 1.0])
-    assert pattern.indices == (0, 1, 2)  # two exact equalities stay active
-    out = rc.active_from_output(rc.forward(mb.layer, [0.0, 1.0]))
-    assert out.indices == (0,)
+    # two exact equalities stay active, and their outputs are zero
+    assert closed_active_set(mb.layer, [0.0, 1.0]) == (0, 1, 2)
+    assert np.flatnonzero(rc.forward(mb.layer, [0.0, 1.0]) > 0.0).tolist() == [0]
 
 
 def test_active_set_trivial_bias(mb):
@@ -61,8 +61,7 @@ def test_active_set_trivial_bias(mb):
     layer = rc.ReLULayer(mb.frame, np.full(3, -2.0), 2.0)
     for _ in range(50):
         x = oracles.sample_ball(rng, 2, 1, radius=2.0)[0]
-        assert rc.active_set(layer, x).indices == (0, 1, 2)
-    assert rc.active_from_output(np.zeros(3)).indices == ()
+        assert closed_active_set(layer, x) == (0, 1, 2)
 
 
 def test_certify_examples(mb):
@@ -102,15 +101,15 @@ def test_certify_ignores_unconstrained_entries(ico):
 
 def test_facet_dual_shapes(mb, tet):
     assert mb.poly.num_facets == 3
-    assert all(rc.dual_synthesis(mb.frame, mb.poly.vertices[j]).shape == (2, 2)
+    assert all(oracles.facet_dual(mb.frame, mb.poly.vertices[j]).shape == (2, 2)
                for j in range(3))
     assert tet.poly.num_facets == 4
-    assert all(rc.dual_synthesis(tet.frame, tet.poly.vertices[j]).shape == (3, 3)
+    assert all(oracles.facet_dual(tet.frame, tet.poly.vertices[j]).shape == (3, 3)
                for j in range(4))
     basis, _, _ = rc.normalize(np.eye(3))
     poly = rc.build_polytope(basis)
     assert poly.num_facets == 1
-    assert np.allclose(rc.dual_synthesis(basis, poly.vertices[0]), np.eye(3), atol=1e-12)
+    assert np.allclose(oracles.facet_dual(basis, poly.vertices[0]), np.eye(3), atol=1e-12)
 
 
 def test_facet_dual_rejects_origin_facet():
@@ -118,7 +117,7 @@ def test_facet_dual_rejects_origin_facet():
     frame, _, _ = rc.normalize(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
     poly = rc.build_polytope(frame)
     with pytest.raises(NotAFrame):
-        rc.dual_synthesis(frame, poly.vertices[0])
+        oracles.facet_dual(frame, poly.vertices[0])
 
 
 def test_reconstruct_batch_singular_facet_in_a_round(monkeypatch):
@@ -150,7 +149,7 @@ def test_facet_dual_decomposition_identity(mb, tet, ico):
     rng = np.random.default_rng(72)
     for setup in (mb, tet, ico):
         for j, verts in enumerate(setup.poly.vertices):
-            dual = rc.dual_synthesis(setup.frame, verts)
+            dual = oracles.facet_dual(setup.frame, verts)
             for _ in range(10):
                 x = rng.standard_normal(setup.frame.n)
                 coeff = setup.frame.elements[list(verts)] @ x
@@ -184,7 +183,7 @@ def test_reconstruct_skips_unapplied_rank_deficient_facet(monkeypatch):
     assert calls[0].tolist() == [[0]]
     assert np.isnan(got[0]).all() and np.array_equal(got[1], x)
     with pytest.raises(NotAFrame):
-        rc.dual_synthesis(frame, poly.vertices[0])
+        oracles.facet_dual(frame, poly.vertices[0])
 
 
 def test_reconstruct_example(mb):
@@ -378,7 +377,7 @@ def test_boundary_equality_pattern_inverts_through_the_rounds(monkeypatch, mb):
     # the positive pattern {0} does not span, so a ranked round inverts it
     calls = _recording_rounds(monkeypatch)
     z = rc.forward(mb.layer, [0.0, 1.0])
-    assert rc.active_from_output(z).indices == (0,)
+    assert np.flatnonzero(z > 0.0).tolist() == [0]
     got, failed = rc.reconstruct_batch(mb.poly, mb.layer, z[None, :])
     assert not failed[0] and np.max(np.abs(got[0] - [0.0, 1.0])) <= 1e-12
     assert [picks.shape[0] for picks in calls] == [1]
@@ -452,7 +451,7 @@ def _facet_scores(poly, zs):
 def _verifies(poly, layer, z, j):
     idx = list(poly.vertices[j])
     try:
-        x = rc.dual_synthesis(poly.frame, idx) @ (z[idx] + layer.bias[idx])
+        x = oracles.facet_dual(poly.frame, idx) @ (z[idx] + layer.bias[idx])
     except NotAFrame:
         return False
     with warnings.catch_warnings():
@@ -465,13 +464,10 @@ def test_covering_facet_candidate_always_verifies(mb, tet, ico):
     rng = np.random.default_rng(74)
     for setup in (mb, tet, ico):
         xs = oracles.sample_ball(rng, setup.frame.n, 300)
-        for x in xs:
-            if np.linalg.norm(x) <= 1e-12:
-                continue
-            j = rc.covering_facet(setup.poly, x)
+        for x, j in zip(xs, exit_facets(setup.poly, xs)):
             z = rc.forward(setup.layer, x)
             idx = list(setup.poly.vertices[j])
-            xhat = rc.dual_synthesis(setup.frame, idx) @ (z[idx] + setup.layer.bias[idx])
+            xhat = oracles.facet_dual(setup.frame, idx) @ (z[idx] + setup.layer.bias[idx])
             assert np.max(np.abs(xhat - x)) <= 1e-9
             zhat = rc.forward(setup.layer, xhat)
             assert np.max(np.abs(zhat - z)) <= 1e-8
@@ -531,6 +527,6 @@ def test_strict_output_pattern_within_active_set(seed):
     layer = rc.ReLULayer(frame, rng.standard_normal(m), radius=2.0)
     x = rng.standard_normal(n)
     x *= rng.uniform(0.0, 2.0) / max(np.linalg.norm(x), 1e-12)
-    strict = set(rc.active_from_output(rc.forward(layer, x)).indices)
-    active = set(rc.active_set(layer, x).indices)
+    strict = set(np.flatnonzero(rc.forward(layer, x) > 0.0).tolist())
+    active = set(closed_active_set(layer, x))
     assert strict <= active

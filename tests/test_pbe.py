@@ -5,7 +5,7 @@ import relucert as rc
 from relucert.errors import NotNonnegOmnidirectional, NotOmnidirectional
 
 import oracles
-from conftest import random_omnidirectional
+from conftest import closed_active_set, random_omnidirectional, spans
 
 
 def test_alpha_x_fixture_values(mb, tet, ico):
@@ -70,7 +70,7 @@ def test_alpha_sphere_matches_arc_sweep_2d():
         if est.alpha_X[i] >= 0.0:
             continue
         best = 0.0
-        for j in poly.facets_of_vertex(i):
+        for j in np.flatnonzero(poly.incidence[:, i]):
             cols = frame.elements[list(poly.vertices[j])].T
             best = min(best, oracles.arc_sweep_min(cols, gram[i, list(poly.vertices[j])],
                                                    samples=400_000))
@@ -86,7 +86,7 @@ def test_alpha_sphere_below_sampled_facet_minima():
         est = rc.pbe_ball(frame, poly, 1.0)
         assert not np.isnan(est.alpha_S).all()
         for i in np.nonzero(~np.isnan(est.alpha_S))[0]:
-            for j in poly.facets_of_vertex(i):
+            for j in np.flatnonzero(poly.incidence[:, i]):
                 idx = list(poly.vertices[j])
                 cols = frame.elements[idx].T
                 sampled = oracles.cone_sample_min(cols, cols.T @ frame.elements[i],
@@ -154,7 +154,7 @@ def test_active_sets_span_on_ball_samples(mb, tet, ico):
     rng = np.random.default_rng(63)
     for setup in (mb, tet, ico):
         xs = oracles.sample_ball(rng, setup.frame.n, 10_000)
-        assert rc.spanning_failures(setup.layer, setup.poly, xs) == []
+        assert rc.spanning_failures(setup.layer, xs) == []
 
 
 def test_active_sets_span_random_frames():
@@ -164,7 +164,7 @@ def test_active_sets_span_random_frames():
     for n, m, seed in ((2, 10, 641), (3, 14, 642), (4, 12, 643)):
         setup = build_setup(random_omnidirectional(n, m, seed))
         xs = oracles.sample_ball(rng, n, 2000)
-        assert rc.spanning_failures(setup.layer, setup.poly, xs) == []
+        assert rc.spanning_failures(setup.layer, xs) == []
 
 
 def test_spanning_failures_exit_facet_through_origin():
@@ -175,16 +175,16 @@ def test_spanning_failures_exit_facet_through_origin():
     assert not rc.is_omnidirectional(poly)
     layer = rc.ReLULayer(frame, bias, 1.0)
     xs = np.array([[0.0, -1.0], [0.0, -0.5], [0.6, 0.8]])
-    assert [rc.active_set(layer, x).indices for x in xs[:2]] == [(0, 2), (0, 2)]
-    assert not rc.is_frame(frame, (0, 2))
-    assert rc.spanning_failures(layer, poly, xs) == [0, 1]
+    assert [closed_active_set(layer, x) for x in xs[:2]] == [(0, 2), (0, 2)]
+    assert not spans(frame, (0, 2))
+    assert rc.spanning_failures(layer, xs) == [0, 1]
 
 
 def test_spanning_failures_match_brute_force_rank_check():
     # uncertified biases on hulls with the origin inside and on their
     # absolute values, whose hulls miss it: many active sets fail to span,
     # and the stacked test must give the failures of a per-sample
-    # `is_frame` on each active set, the zero sample included
+    # rank test (`spans`) on each active set, the zero sample included
     rng = np.random.default_rng(65)
     omnidirectional, failures = [], 0
     for n, m, seed in ((2, 6, 651), (3, 9, 652), (3, 12, 653), (4, 10, 654)):
@@ -197,9 +197,9 @@ def test_spanning_failures_match_brute_force_rank_check():
                 layer = rc.ReLULayer(frame, bias)
                 xs = np.vstack([np.zeros(n), oracles.sample_ball(rng, n, 300)])
                 want = [s for s, x in enumerate(xs)
-                        if not ((active := rc.active_set(layer, x).indices)
-                                and rc.is_frame(frame, active))]
-                assert rc.spanning_failures(layer, poly, xs) == want
+                        if not ((active := closed_active_set(layer, x))
+                                and spans(frame, active))]
+                assert rc.spanning_failures(layer, xs) == want
                 failures += len(want)
     assert omnidirectional == [True, False] * 4
     assert failures > 1000
@@ -263,7 +263,7 @@ def test_positive_consistency_sampled(mb, ico):
             covered |= ok
         assert covered.all()
         for j in report.facet_indices:
-            assert rc.is_frame(setup.frame, setup.poly.vertices[j])
+            assert spans(setup.frame, setup.poly.vertices[j])
 
 
 def test_stability_mercedes(mb):

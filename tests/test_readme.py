@@ -28,3 +28,14 @@ def test_readme_library_example_runs():
     assert np.max(np.abs(scope["x_hat"] - x)) <= 1e-8
     assert not scope["failed"].any()
     assert np.max(np.abs(scope["X_hat"] - X)) <= 1e-8
+
+
+def test_readme_public_api_is_all():
+    # the module bullets under "### Public API" name exactly `relucert.__all__`
+    section = README.read_text(encoding="utf-8").split("\n### Public API\n", 1)[1]
+    bullets = section.split("\n\n- ", 1)[1].split("\n\n", 1)[0].split("\n- ")
+    names = [name for bullet in bullets
+             for name in re.findall(r"`(\w+)", bullet.split(": ", 1)[1])]
+    assert sorted(names) == sorted(rc.__all__)
+    for name in rc.__all__:
+        getattr(rc, name)
