@@ -8,6 +8,7 @@ line `epoch <k>`, then the m weight rows as CSV, then one bias row prefixed
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from typing import Callable, Iterable
@@ -90,11 +91,203 @@ def read_vector(path: str, length: int | None = None) -> np.ndarray:
     return v
 
 
+SLICE_FIELDS = 8192  # fields formatted at once: bounds a slice's arrays to about 2 MB
+_P10 = np.array([10 ** e for e in range(19)], np.int64)  # 10^0 .. 10^18
+_F10 = np.array([float(10 ** e) for e in range(21)])  # 10^0 .. 10^20, all exact doubles
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
+_MANTISSA = (1 << 52) - 1
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi + lo == a exactly, each of at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _word(text: str) -> np.uint32:
+    """The 4 bytes of text as one word, in memory order."""
+    return np.uint32(int.from_bytes(text.encode(), sys.byteorder))
+
+
+@functools.cache
+def _group_words() -> np.ndarray:
+    """The 4-byte text of every 4-digit group g at g + 10000 * v, for the
+    variants v = 0 zero-padded, 1 leading zeros blank, 2 the same but 0 as
+    "   0", 3 trailing zeros blank but 0 as "0   ", 4 trailing zeros blank.
+    Built on first use (about 1 ms), read-only."""
+    g = np.arange(10000, dtype=np.uint16)[:, None]
+    place = np.array([1000, 100, 10, 1], np.uint16)
+    lead = g < place
+    trail = g % (10 * place) == 0
+    units, first = lead.copy(), trail.copy()
+    units[:, 3] = False
+    first[:, 0] = False
+    blank = np.stack([np.zeros_like(lead), lead, units, first, trail])
+    digits = (g // place % 10 + ord("0")).astype(np.uint8)
+    table = np.where(blank, np.uint8(ord(" ")), digits).view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
+
+
+_F10_HI, _F10_LO = _halves(_F10)
+_BLANK = _word("    ")
+_POINT = _word("   .")
+_ZERO, _ZERO_FRACTION = _word("   0"), _word("0   ")  # 0.0 is "0" + point + "0"
+_MINUS = _word("   -") - _BLANK  # added to a separator word, it writes the sign
+
+
+def _repr_fields(values: np.ndarray) -> list[str]:
+    """`repr` of each value: the fields the exact path leaves open."""
+    return [repr(v) for v in values.tolist()]
+
+
+def _shortest(ax: np.ndarray):
+    """(Z, D, F, ok) for positive doubles 1e-4 <= ax < 1e16, not powers of
+    two: repr's digits as Z in [1e16, 1e17) (trailing zeros past the last
+    digit), its decimal point after digit D, and F = digits after the
+    point. Where ok is False the field is left to `repr`."""
+    k = np.clip(16 - np.floor(np.log10(ax)).astype(np.int64), 1, 20)
+    scale = _F10[k]
+    # y = ax * 10^k = hi + lo exactly (Dekker's two-product), split into
+    # an integer Y and a fraction f in [0, 1)
+    hi = ax * scale
+    ah, al = _halves(ax)
+    lo = ((ah * _F10_HI[k] - hi) + ah * _F10_LO[k] + al * _F10_HI[k]) + al * _F10_LO[k]
+    whole = np.floor(lo)
+    y = hi.astype(np.int64) + whole.astype(np.int64)
+    f = lo - whole
+    # half the gap to either neighbour, times 10^k: exact, h = hh + hf
+    h = ((ax.view(np.int64) >> 52) - 53 << 52).view(np.float64) * scale
+    hh = np.floor(h)
+    hf = h - hh
+    above = 1.0 - hf  # exact: hf is a multiple of 2^-47
+    # the integers strictly inside (y - h, y + h) are [low, high]
+    low = y - hh.astype(np.int64) + (f > hf)
+    high = y + hh.astype(np.int64) + (f > above)
+    ok = (y >= _P10[16]) & (high < _P10[17]) & (f != hf) & (f != above)
+    # the largest 10^j with a multiple in [low, high]; digits = 17 - j
+    j = np.zeros(ax.shape, np.int64)
+    rows = np.flatnonzero(ok)
+    for e in range(1, 17):
+        q = _P10[e]
+        rows = rows[high[rows] // q * q >= low[rows]]
+        if not rows.size:
+            break
+        j[rows] = e
+    # its multiple nearest y, with exact ties left to repr
+    q = _P10[j]
+    head = y // q
+    twice = 2 * (y - head * q) + (f >= 0.5)
+    exact = (f == 0.0) | (f == 0.5)
+    ok &= (twice != q) | ~exact
+    point = 17 - k
+    return (head + (twice > q) + ((twice == q) & ~exact)) * q, point, 17 - j - point, ok
+
+
+def _digit_words(z: np.ndarray, point: np.ndarray, ci: int, cf: int) -> np.ndarray:
+    """(N, ci + 1 + cf) words for the digits z and decimal points of
+    `_shortest`: ci integer groups (leading zeros blank, at least "0"),
+    the point, cf fraction groups (trailing zeros blank, at least "0")."""
+    groups = _group_words()
+    words = np.empty((z.size, ci + 1 + cf), np.uint32)
+    shift = np.minimum(17 - point, 17)
+    whole = z // _P10[shift]
+    frac = z - whole * _P10[shift]
+    lead = True  # all higher groups are zero: leading zeros blank
+    for i in range(ci):
+        q = _P10[4 * (ci - 1 - i)]
+        g = whole // q
+        whole = whole - g * q
+        words[:, i] = groups.take(g + 10000 * (2 if i == ci - 1 else 1) * lead)
+        lead = lead & (g == 0)
+    words[:, ci] = _POINT
+    # the fraction's first 8 digits in fa, the next 12 in fb
+    u = 9 - point
+    q = _P10[np.maximum(u, 0)]
+    fa = frac // q
+    fb = (frac - fa * q) * _P10[np.minimum(12 - u, 12)]
+    fa = fa * _P10[np.maximum(-u, 0)]
+    high, mid, top = fa // 10000, fb // 10000, fb // 100000000
+    parts = [high, fa - high * 10000, top, mid - top * 10000, fb - mid * 10000][:cf]
+    tail = True  # all lower groups are zero: trailing zeros blank
+    for i in range(cf - 1, -1, -1):
+        words[:, ci + 1 + i] = groups.take(parts[i] + 10000 * (3 if i == 0 else 4) * tail)
+        tail = tail & (parts[i] == 0)
+    return words
+
+
 def format_matrix(a) -> str:
     """CSV text of a matrix (a vector is one row), each field the shortest
-    repr of its float, so integer entries print as `1.0`."""
-    rows = np.atleast_2d(np.asarray(a, dtype=float)).tolist()
-    return "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    repr of its float, so integer entries print as `1.0`: byte for byte
+    `"".join(",".join(map(repr, row)) + "\\n" for row in rows)`.
+
+    The fields are formatted SLICE_FIELDS at a time with array operations.
+    Zeros are constants. Every x with 1e-4 <= |x| < 1e16 that is not a
+    power of two gets repr's digits from exact arithmetic, in `_shortest`:
+
+    - With k = 16 - floor(log10 |x|) <= 20, 10^k is an exact double, and
+      Dekker's two-product (Numer. Math. 18, 1971) holds y = |x| 10^k
+      exactly as an int64 Y in [1e16, 1e17) plus a fraction f in [0, 1).
+    - x is no power of two, so both its neighbours lie spacing(x) away: a
+      decimal reads back as x if its distance to |x| is below spacing(x) / 2
+      (at exactly that distance round-half-even decides). Scaled by 10^k,
+      this half gap H is exact: a power of two times 5^k < 2^53.
+    - Reading back is monotone in the digit count, and repr prints the
+      fewest digits that read back, nearest to x among those: the multiple
+      of 10^j nearest y, for the largest j with a multiple of 10^j strictly
+      within H of y, in 17 - j digits. The interval (y - H, y + H) is
+      symmetric about y, so the nearest multiple lies in it when any does.
+    - Every comparison is exact: on integers, and on f and H split into
+      integer and fraction parts. A field goes to `repr` when y is an exact
+      tie between two multiples, when y - H or y + H is an integer (so a
+      decimal may lie at distance exactly H), or when the float log10 put
+      y outside [1e16, 1e17).
+
+    So does every other field: nan, +-inf, powers of two and values outside
+    the window (`_repr_fields`). Each field's text is laid out in 4-byte
+    words (separator and sign, integer digit groups, point, fraction digit
+    groups) padded with spaces, and `bytes.translate` deletes the spaces.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    rows, cols = a.shape
+    if cols == 0:
+        return "\n" * rows
+    step = max(1, SLICE_FIELDS // cols)
+    return b"".join(_format_rows(a[start:start + step])
+                    for start in range(0, rows, step)).decode("ascii")
+
+
+def _format_rows(a: np.ndarray) -> bytes:
+    """CSV bytes of the rows of a, as `format_matrix` describes."""
+    x = a.ravel()
+    ax = np.abs(x)
+    fast = (ax >= 1e-4) & (ax < 1e16) & ((x.view(np.int64) & _MANTISSA) != 0)
+    at = np.flatnonzero(fast)
+    z, point, nfrac, ok = _shortest(ax[at])
+    slow = ~fast & (x != 0.0)
+    slow[at[~ok]] = True
+    at, z, point, nfrac = at[ok], z[ok], point[ok], nfrac[ok]
+    others = np.flatnonzero(slow)
+    texts = _repr_fields(x[others])
+    # words: separator and sign, integer groups, point, fraction groups
+    ci = -(-int(point.max(initial=1)) // 4)
+    cf = -(-int(nfrac.max(initial=1)) // 4)
+    digits = ci + 1 + cf
+    width = max(1 + digits, 1 - (-max(map(len, texts), default=0) // 4))
+    out = np.empty((x.size, width), np.uint32)
+    out[:, 1:1 + digits] = [_BLANK] * (ci - 1) + [_ZERO, _POINT, _ZERO_FRACTION] + [_BLANK] * (cf - 1)
+    out[:, 1 + digits:] = _BLANK
+    out[at, 1:1 + digits] = _digit_words(z, point, ci, cf)
+    if others.size:
+        text = "".join(t.ljust(4 * (width - 1)) for t in texts).encode()
+        out[others, 1:] = np.frombuffer(text, np.uint32).reshape(-1, width - 1)
+    sep = out.reshape(a.shape + (width,))[:, :, 0]
+    sep[:, 1:] = _word(",   ")
+    sep[:, 0] = _word("\n   ")
+    sep[0, 0] = _BLANK  # the slice's first row has none; its last "\n" is added below
+    out[:, 0] += (np.signbit(x) & ~slow).astype(np.uint32) * _MINUS
+    return out.tobytes().translate(None, b" ") + b"\n"
 
 
 def _writer_count(blocks: int) -> int:

@@ -776,3 +776,9 @@ def parse_matrix_per_line(lines, path: str = "<memory>") -> np.ndarray:
     if not np.isfinite(a).all():
         raise ParseError(f"{path}: non-finite entries")
     return a
+
+
+def format_matrix_repr(a) -> str:
+    """The former `io.format_matrix`: one `repr` per field."""
+    rows = np.atleast_2d(np.asarray(a, dtype=float)).tolist()
+    return "".join(",".join(map(repr, row)) + "\n" for row in rows)

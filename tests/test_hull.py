@@ -276,6 +276,16 @@ def test_covering_facet_matches_ray_oracle(mb, tet, ico):
             assert j in oracles.ray_exit_facets(setup.frame.elements, facets, x)
 
 
+def test_exit_facets_in_blocks_match_one_block(ico, monkeypatch):
+    # blocks of 3 of the 20 facets give the one-block argmax; at x = 0 every
+    # facet ties, and a later block never wins a tie
+    xs = np.vstack([np.random.default_rng(44).standard_normal((500, 3)), np.zeros((1, 3))])
+    whole = exit_facets(ico.poly, xs)
+    monkeypatch.setattr(polytope, "EXIT_BLOCK", 3)
+    assert np.array_equal(exit_facets(ico.poly, xs), whole)
+    assert whole[-1] == 0
+
+
 def test_covering_facet_exit_point_on_facet():
     rng = np.random.default_rng(43)
     pts = random_omnidirectional(3, 20, 77)

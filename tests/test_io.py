@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import relucert as rc
 from relucert import io as fio
@@ -77,6 +78,81 @@ def test_format_matrix_prints_every_entry_as_a_float():
     a = np.random.default_rng(5).standard_normal((4, 3)) * np.logspace(-20, 20, 3)
     want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in a)
     assert fio.format_matrix(a) == want
+
+
+FLOAT_MATRICES = hnp.arrays(
+    np.float64, st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(FLOAT_MATRICES)
+def test_format_matrix_matches_repr_on_any_floats(a):
+    # nan, +-inf, +-0.0 and subnormals included; empty shapes too
+    assert fio.format_matrix(a) == oracles.format_matrix_repr(a)
+
+
+def _edge_floats() -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(24)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+    # exponents from 2^-14 to 2^54: mostly inside the exact path's window
+    window = ((rng.integers(1009, 1078, 200_000).astype(np.uint64) << np.uint64(52))
+              | rng.integers(0, 2 ** 52, 200_000, dtype=np.uint64)).view(np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)]
+                      + [2.0 ** k for k in range(-1074, 1024)])
+    edges = np.array([1e-4, 1e16])
+    ints = np.arange(-2000.0, 2001.0)
+    scaled = rng.uniform(-1, 1, 20_000) * 10.0 ** rng.integers(-6, 18, 20_000)
+    decimals = np.array([float(f"{v:.{1 + i % 17}g}") for i, v in enumerate(scaled)])
+    return {
+        "bits": bits[np.isfinite(bits)],
+        "window": window,
+        "powers": np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]),
+        "edges": np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)]),
+        "ints": np.concatenate([2.0 ** 53 + ints, 2.0 ** 52 + ints, 2.0 ** 54 + 2 * ints]),
+        "decimals": decimals,
+        "fractions": np.arange(1, 20_000) / 20_000,  # no field has an integer digit
+    }
+
+
+def test_format_matrix_matches_repr_on_edge_floats():
+    # random bit patterns, every 10^k and 2^k and the window edges 1e-4 and
+    # 1e16 with their neighbours, integers around 2^53, decimals of 1 to 17
+    # digits, fractions below 1; both signs, in rows of 7 and in one column
+    floats = _edge_floats()
+    for name, v in floats.items():
+        v = np.concatenate([v, -v])
+        a = v[:v.size // 7 * 7].reshape(-1, 7)
+        assert fio.format_matrix(a) == oracles.format_matrix_repr(a), name
+    column = floats["fractions"][:, None]
+    assert fio.format_matrix(column) == oracles.format_matrix_repr(column)
+    for empty in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(0)):
+        assert fio.format_matrix(empty) == oracles.format_matrix_repr(empty)
+
+
+def test_format_matrix_leaves_few_fields_to_repr(monkeypatch):
+    # a block as `relucert reconstruct` writes it for a certified (3, 200)
+    # layer: ReLU outputs (about half 0.0), reconstructed inputs, and
+    # round-trip errors (about 1e-16, below the exact path's window)
+    frame, _, _ = rc.normalize(rc.random_sphere(3, 200, 5))
+    poly = rc.build_polytope(frame)
+    bias = rc.pbe_ball(frame, poly, 1.0).alpha_scaled - 1e-3
+    layer = rc.ReLULayer(frame, bias, 1.0)
+    x = oracles.sample_ball(np.random.default_rng(6), 3, 256, 0.9)
+    z = rc.forward(layer, x)
+    xhat, failed = rc.reconstruct_batch(poly, layer, z)
+    assert not failed.any()
+    block = np.hstack([z, xhat, np.max(np.abs(xhat - x), axis=1)[:, None]])
+    counted = []
+    repr_fields = fio._repr_fields
+
+    def counting(values):
+        counted.append(values.size)
+        return repr_fields(values)
+
+    monkeypatch.setattr(fio, "_repr_fields", counting)
+    assert fio.format_matrix(block) == oracles.format_matrix_repr(block)
+    assert 0 < sum(counted) < 0.02 * block.size
 
 
 def test_vector_row_or_column(tmp_path):
