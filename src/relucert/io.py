@@ -290,16 +290,27 @@ def _format_rows(a: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b" ") + b"\n"
 
 
+WRITER_BLOCKS = 16  # blocks per writer process: with fewer, a second process buys no time
+
+
 def _writer_count(blocks: int) -> int:
-    """Processes that format `blocks` blocks: one per CPU this process may
-    run on, at most one per block, and 1 where `os.fork` does not exist."""
+    """Processes that format `blocks` blocks: one per WRITER_BLOCKS blocks,
+    at most one per CPU this process may run on, at least 1, and 1 where
+    `os.fork` does not exist.
+
+    A forked writer costs its fork, its pipe and a free CPU. Timed alone
+    (2-core host, 256 x 204 blocks of about 9 ms each, median of 15), two
+    writers against one took 93 against 79 ms for 8 blocks, 279 against
+    258 ms for 24, and 232 against 353 ms for 32. With fewer blocks the
+    second process only made the command's time depend on whether the
+    other CPU was busy."""
     if not hasattr(os, "fork"):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, blocks))
+    return max(1, min(cpus, blocks // WRITER_BLOCKS))
 
 
 def _serve(fd: int, inherited: list[int], blocks: range,

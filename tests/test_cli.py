@@ -593,10 +593,14 @@ def test_writer_count(monkeypatch):
     assert fio._writer_count(10_000) == (cpus if hasattr(os, "fork") else 1)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    per = fio.WRITER_BLOCKS
     if hasattr(os, "fork"):
-        assert [fio._writer_count(b) for b in (1, 2, 5)] == [1, 2, 3]
+        # one writer per WRITER_BLOCKS blocks, at most one per CPU
+        assert ([fio._writer_count(b) for b in (1, 8, per - 1, per, 2 * per - 1, 2 * per,
+                                                 3 * per, 10 * per)]
+                == [1, 1, 1, 1, 1, 2, 3, 3])
     monkeypatch.delattr(os, "fork", raising=False)
-    assert fio._writer_count(5) == 1
+    assert fio._writer_count(10 * per) == 1
 
 
 @pytest.mark.parametrize("command", ["gen", "reconstruct"])
