@@ -91,7 +91,10 @@ def read_vector(path: str, length: int | None = None) -> np.ndarray:
     return v
 
 
-SLICE_FIELDS = 8192  # fields formatted at once: bounds a slice's arrays to about 2 MB
+# Fields formatted at once, at most. A 256-row (3, 200) reconstruct block goes
+# in four slices and peaks at 1.24 MB under tracemalloc, its text included;
+# fewer, larger slices save a little time, but two peak at 1.73 MB.
+SLICE_FIELDS = 16384
 _P10 = np.array([10 ** e for e in range(19)], np.int64)  # 10^0 .. 10^18
 _F10 = np.array([float(10 ** e) for e in range(21)])  # 10^0 .. 10^20, all exact doubles
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split into two 26-bit halves
@@ -105,25 +108,24 @@ def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _word(text: str) -> np.uint32:
-    """The 4 bytes of text as one word, in memory order."""
-    return np.uint32(int.from_bytes(text.encode(), sys.byteorder))
+def _half(text: str) -> np.uint16:
+    """The 2 bytes of text as one half-word, in memory order."""
+    return np.frombuffer(text.encode(), np.uint16)[0]
 
 
 @functools.cache
 def _group_words() -> np.ndarray:
     """The 4-byte text of every 4-digit group g at g + 10000 * v, for the
-    variants v = 0 zero-padded, 1 leading zeros blank, 2 the same but 0 as
-    "   0", 3 trailing zeros blank but 0 as "0   ", 4 trailing zeros blank.
-    Built on first use (about 1 ms), read-only."""
+    variants v = 0 zero-padded, 1 leading zeros blank, 2 trailing zeros
+    blank but 0 as "0   ", 3 trailing zeros blank. Built on first use
+    (about 1 ms), read-only."""
     g = np.arange(10000, dtype=np.uint16)[:, None]
     place = np.array([1000, 100, 10, 1], np.uint16)
     lead = g < place
     trail = g % (10 * place) == 0
-    units, first = lead.copy(), trail.copy()
-    units[:, 3] = False
+    first = trail.copy()
     first[:, 0] = False
-    blank = np.stack([np.zeros_like(lead), lead, units, first, trail])
+    blank = np.stack([np.zeros_like(lead), lead, first, trail])
     digits = (g // place % 10 + ord("0")).astype(np.uint8)
     table = np.where(blank, np.uint8(ord(" ")), digits).view(np.uint32).ravel()
     table.flags.writeable = False
@@ -131,10 +133,9 @@ def _group_words() -> np.ndarray:
 
 
 _F10_HI, _F10_LO = _halves(_F10)
-_BLANK = _word("    ")
-_POINT = _word("   .")
-_ZERO, _ZERO_FRACTION = _word("   0"), _word("0   ")  # 0.0 is "0" + point + "0"
-_MINUS = _word("   -") - _BLANK  # added to a separator word, it writes the sign
+_UNITS = np.frombuffer("".join(f"{d}." for d in range(10)).encode(), np.uint16)  # "0." .. "9."
+_BLANK = _half("  ")
+_MINUS = _half(" -") - _BLANK  # added to a separator half-word, it writes the sign
 
 
 def _repr_fields(values: np.ndarray) -> list[str]:
@@ -142,79 +143,127 @@ def _repr_fields(values: np.ndarray) -> list[str]:
     return [repr(v) for v in values.tolist()]
 
 
-def _shortest(ax: np.ndarray):
-    """(Z, D, F, ok) for positive doubles 1e-4 <= ax < 1e16, not powers of
-    two: repr's digits as Z in [1e16, 1e17) (trailing zeros past the last
-    digit), its decimal point after digit D, and F = digits after the
-    point. Where ok is False the field is left to `repr`."""
-    k = np.clip(16 - np.floor(np.log10(ax)).astype(np.int64), 1, 20)
+def _shortest(x: np.ndarray, at: np.ndarray):
+    """(Z, D, F, ok) for the doubles x[at], whose magnitudes are in
+    [1e-4, 1e16) and no powers of two: repr's digits as Z in [1e16, 1e17)
+    (trailing zeros past the last digit), its decimal point after digit D,
+    and F = digits after the point (D and F as int8). Where ok is False
+    the field is left to `repr`."""
+    ax = np.abs(x[at])
+    e = np.log10(ax)
+    k = np.clip(16 - np.floor(e, out=e), 1, 20).astype(np.int8)
+    del e
     scale = _F10[k]
     # y = ax * 10^k = hi + lo exactly (Dekker's two-product), split into
     # an integer Y and a fraction f in [0, 1)
     hi = ax * scale
     ah, al = _halves(ax)
-    lo = ((ah * _F10_HI[k] - hi) + ah * _F10_LO[k] + al * _F10_HI[k]) + al * _F10_LO[k]
-    whole = np.floor(lo)
-    y = hi.astype(np.int64) + whole.astype(np.int64)
-    f = lo - whole
+    th, tl = _F10_HI[k], _F10_LO[k]
+    f = ah * th
+    f -= hi
+    f += ah * tl
+    f += al * th
+    f += al * tl
+    del ah, al, th, tl
+    whole = np.floor(f)
+    f -= whole
+    y = hi.astype(np.int64)
+    y += whole.astype(np.int64)
+    del hi, whole
     # half the gap to either neighbour, times 10^k: exact, h = hh + hf
-    h = ((ax.view(np.int64) >> 52) - 53 << 52).view(np.float64) * scale
-    hh = np.floor(h)
-    hf = h - hh
+    hf = ((ax.view(np.int64) >> 52) - 53 << 52).view(np.float64)
+    hf *= scale
+    del ax, scale
+    hh = np.floor(hf)
+    hf -= hh
+    hh = hh.astype(np.int64)
     above = 1.0 - hf  # exact: hf is a multiple of 2^-47
     # the integers strictly inside (y - h, y + h) are [low, high]
-    low = y - hh.astype(np.int64) + (f > hf)
-    high = y + hh.astype(np.int64) + (f > above)
+    low = y - hh
+    low += f > hf
+    high = hh
+    high += y
+    high += f > above
     ok = (y >= _P10[16]) & (high < _P10[17]) & (f != hf) & (f != above)
-    # the largest 10^j with a multiple in [low, high]; digits = 17 - j
-    j = np.zeros(ax.shape, np.int64)
-    rows = np.flatnonzero(ok)
-    for e in range(1, 17):
+    del hf, above
+    # the largest 10^j with a multiple in [low, high]; digits = 17 - j.
+    # j > 0 for about half the fields, j > 1 for few: 10 is tried on all
+    tens = high // 10
+    tens *= 10
+    tens = (tens >= low) & ok
+    j = tens.astype(np.int8)
+    rows = np.flatnonzero(tens)
+    for e in range(2, 17):
         q = _P10[e]
         rows = rows[high[rows] // q * q >= low[rows]]
         if not rows.size:
             break
         j[rows] = e
+    del low, high, rows
     # its multiple nearest y, with exact ties left to repr
     q = _P10[j]
     head = y // q
-    twice = 2 * (y - head * q) + (f >= 0.5)
+    y -= head * q
+    y *= 2
+    y += f >= 0.5  # twice the distance of y above head * q, in units of q
     exact = (f == 0.0) | (f == 0.5)
-    ok &= (twice != q) | ~exact
+    del f
+    ok &= (y != q) | ~exact
+    head += (y > q) | ((y == q) & ~exact)
+    head *= q
     point = 17 - k
-    return (head + (twice > q) + ((twice == q) & ~exact)) * q, point, 17 - j - point, ok
+    return head, point, 17 - j - point, ok
 
 
-def _digit_words(z: np.ndarray, point: np.ndarray, ci: int, cf: int) -> np.ndarray:
-    """(N, ci + 1 + cf) words for the digits z and decimal points of
-    `_shortest`: ci integer groups (leading zeros blank, at least "0"),
-    the point, cf fraction groups (trailing zeros blank, at least "0")."""
+def _digit_words(out: np.ndarray, at: np.ndarray, z: np.ndarray, point: np.ndarray,
+                 ci: int, cf: int) -> None:
+    """Write the digits z and decimal points of `_shortest` into rows `at`
+    of the word array `out`: in the first ci words the integer digits
+    (leading zeros blank, at least the units digit) and the point, right
+    after the half-word that holds separator and sign; in the next cf
+    words the fraction groups (trailing zeros blank, at least "0").
+    z is overwritten."""
     groups = _group_words()
-    words = np.empty((z.size, ci + 1 + cf), np.uint32)
-    shift = np.minimum(17 - point, 17)
-    whole = z // _P10[shift]
-    frac = z - whole * _P10[shift]
+    half = out.view(np.uint16)
+    shift = _P10[np.minimum(17 - point, 17)]
+    whole = z // shift
+    shift *= whole
+    frac = z  # z becomes the fraction digits, in place
+    frac -= shift
+    del shift
+    rest = whole // 10
+    whole -= rest * 10
+    half[:, 2 * ci - 1][at] = _UNITS[whole]
+    del whole
+    pairs = groups.view(np.uint16).reshape(-1, 2)
     lead = True  # all higher groups are zero: leading zeros blank
-    for i in range(ci):
-        q = _P10[4 * (ci - 1 - i)]
-        g = whole // q
-        whole = whole - g * q
-        words[:, i] = groups.take(g + 10000 * (2 if i == ci - 1 else 1) * lead)
+    for i in range(ci - 1):
+        q = _P10[4 * (ci - 2 - i)]
+        g = rest // q
+        rest -= g * q
+        half[at, 1 + 2 * i:3 + 2 * i] = pairs[g + 10000 * lead]
         lead = lead & (g == 0)
-    words[:, ci] = _POINT
-    # the fraction's first 8 digits in fa, the next 12 in fb
+    # the fraction's first 8 digits in fa (groups 0, 1), the next 12 in
+    # frac (groups 2, 3, 4); each is cut into groups from its last one up
     u = 9 - point
     q = _P10[np.maximum(u, 0)]
     fa = frac // q
-    fb = (frac - fa * q) * _P10[np.minimum(12 - u, 12)]
-    fa = fa * _P10[np.maximum(-u, 0)]
-    high, mid, top = fa // 10000, fb // 10000, fb // 100000000
-    parts = [high, fa - high * 10000, top, mid - top * 10000, fb - mid * 10000][:cf]
+    q *= fa
+    frac -= q
+    frac *= _P10[np.minimum(12 - u, 12)]
+    fa *= _P10[np.maximum(-u, 0)]
+    del q, u
+    rest = frac // _P10[4 * (5 - cf)] if cf > 2 else fa // _P10[4 * (2 - cf)]
     tail = True  # all lower groups are zero: trailing zeros blank
     for i in range(cf - 1, -1, -1):
-        words[:, ci + 1 + i] = groups.take(parts[i] + 10000 * (3 if i == 0 else 4) * tail)
-        tail = tail & (parts[i] == 0)
-    return words
+        if i == 1 and cf > 2:
+            rest = fa
+        g = rest
+        if i not in (0, 2):  # below the first group of fa or frac
+            rest = g // 10000
+            g = g - rest * 10000
+        out[:, ci + i][at] = groups[g + tail * (20000 if i == 0 else 30000)]
+        tail = tail & (g == 0)
 
 
 def format_matrix(a) -> str:
@@ -222,9 +271,10 @@ def format_matrix(a) -> str:
     repr of its float, so integer entries print as `1.0`: byte for byte
     `"".join(",".join(map(repr, row)) + "\\n" for row in rows)`.
 
-    The fields are formatted SLICE_FIELDS at a time with array operations.
-    Zeros are constants. Every x with 1e-4 <= |x| < 1e16 that is not a
-    power of two gets repr's digits from exact arithmetic, in `_shortest`:
+    The fields are formatted at most SLICE_FIELDS at a time with array
+    operations. Zeros are constants. Every x with 1e-4 <= |x| < 1e16 that
+    is not a power of two gets repr's digits from exact arithmetic, in
+    `_shortest`:
 
     - With k = 16 - floor(log10 |x|) <= 20, 10^k is an exact double, and
       Dekker's two-product (Numer. Math. 18, 1971) holds y = |x| 10^k
@@ -245,49 +295,63 @@ def format_matrix(a) -> str:
       y outside [1e16, 1e17).
 
     So does every other field: nan, +-inf, powers of two and values outside
-    the window (`_repr_fields`). Each field's text is laid out in 4-byte
-    words (separator and sign, integer digit groups, point, fraction digit
-    groups) padded with spaces, and `bytes.translate` deletes the spaces.
+    the window (`_repr_fields`, once per distinct value). Each field's text
+    is laid out in 4-byte words padded with spaces, in a bytearray whose
+    `translate` deletes the spaces: separator, sign, integer digits and
+    point in the first words, fraction digit groups in the rest
+    (",-0." and five groups, 24 bytes, for a field below 1 with up to 20
+    fraction digits). The rows are cut into slices of equal size, and a
+    slice's arrays are freed as soon as they are dead, so the peak memory
+    is the text twice (its slices and their join) or the text so far and
+    one slice's arrays (see SLICE_FIELDS).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     rows, cols = a.shape
-    if cols == 0:
+    if not a.size:
         return "\n" * rows
-    step = max(1, SLICE_FIELDS // cols)
-    return b"".join(_format_rows(a[start:start + step])
-                    for start in range(0, rows, step)).decode("ascii")
+    count = -(-rows // max(1, SLICE_FIELDS // cols))
+    step = -(-rows // count)  # rows per slice, as even as the count allows
+    return "".join([*(_format_rows(a[start:start + step], start > 0).decode("ascii")
+                      for start in range(0, rows, step)), "\n"])
 
 
-def _format_rows(a: np.ndarray) -> bytes:
-    """CSV bytes of the rows of a, as `format_matrix` describes."""
+def _format_rows(a: np.ndarray, follows: bool) -> bytearray:
+    """CSV bytes of the rows of a, as `format_matrix` describes, without
+    the last row's newline and, unless the rows follow earlier ones,
+    without the newline before the first."""
     x = a.ravel()
     ax = np.abs(x)
     fast = (ax >= 1e-4) & (ax < 1e16) & ((x.view(np.int64) & _MANTISSA) != 0)
+    slow = ~fast & (ax != 0.0)
+    del ax
     at = np.flatnonzero(fast)
-    z, point, nfrac, ok = _shortest(ax[at])
-    slow = ~fast & (x != 0.0)
-    slow[at[~ok]] = True
-    at, z, point, nfrac = at[ok], z[ok], point[ok], nfrac[ok]
+    del fast
+    z, point, nfrac, ok = _shortest(x, at)
+    if not ok.all():
+        slow[at[~ok]] = True
+        at, z, point, nfrac = at[ok], z[ok], point[ok], nfrac[ok]
     others = np.flatnonzero(slow)
-    texts = _repr_fields(x[others])
-    # words: separator and sign, integer groups, point, fraction groups
-    ci = -(-int(point.max(initial=1)) // 4)
-    cf = -(-int(nfrac.max(initial=1)) // 4)
-    digits = ci + 1 + cf
-    width = max(1 + digits, 1 - (-max(map(len, texts), default=0) // 4))
-    out = np.empty((x.size, width), np.uint32)
-    out[:, 1:1 + digits] = [_BLANK] * (ci - 1) + [_ZERO, _POINT, _ZERO_FRACTION] + [_BLANK] * (cf - 1)
-    out[:, 1 + digits:] = _BLANK
-    out[at, 1:1 + digits] = _digit_words(z, point, ci, cf)
+    keys, inverse = np.unique(x[others].view(np.int64), return_inverse=True)
+    texts = _repr_fields(keys.view(np.float64))
+    # words: separator, sign, integer digits and point; fraction groups
+    ci = (int(point.max(initial=1)) + 6) // 4
+    cf = (int(nfrac.max(initial=1)) + 3) // 4
+    width = max(ci + cf, (max(map(len, texts), default=0) + 5) // 4)
+    # every field starts as ",0.0"; the first of each row starts with a newline
+    buf = bytearray((", ".ljust(4 * ci - 2) + "0." + "0".ljust(4 * (width - ci))).encode()) * x.size
+    out = np.frombuffer(buf, np.uint32).reshape(x.size, width)
+    _digit_words(out, at, z, point, ci, cf)
+    del at, z, point
+    half = out.view(np.uint16)
     if others.size:
-        text = "".join(t.ljust(4 * (width - 1)) for t in texts).encode()
-        out[others, 1:] = np.frombuffer(text, np.uint32).reshape(-1, width - 1)
-    sep = out.reshape(a.shape + (width,))[:, :, 0]
-    sep[:, 1:] = _word(",   ")
-    sep[:, 0] = _word("\n   ")
-    sep[0, 0] = _BLANK  # the slice's first row has none; its last "\n" is added below
-    out[:, 0] += (np.signbit(x) & ~slow).astype(np.uint32) * _MINUS
-    return out.tobytes().translate(None, b" ") + b"\n"
+        text = "".join(t.ljust(4 * width - 2) for t in texts).encode()
+        half[others, 1:] = np.frombuffer(text, np.uint16).reshape(-1, 2 * width - 1)[inverse]
+    first = half.reshape(a.shape + (2 * width,))[:, 0, 0]
+    first[:] = _half("\n ")
+    if not follows:
+        first[0] = _BLANK
+    half[:, 0] += (np.signbit(x) > slow) * _MINUS  # a sign on the exact fields
+    return buf.translate(None, b" ")
 
 
 WRITER_BLOCKS = 16  # blocks per writer process: with fewer, a second process buys no time

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,21 +130,53 @@ def test_format_matrix_matches_repr_on_edge_floats():
     assert fio.format_matrix(column) == oracles.format_matrix_repr(column)
     for empty in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(0)):
         assert fio.format_matrix(empty) == oracles.format_matrix_repr(empty)
+    # rows of 204 fields across two slice edges: about half 0.0, with -0.0
+    # and negative fields, and in every row the same fields left to repr,
+    # one of them longer than any exact field (the row grows a word)
+    rng = np.random.default_rng(25)
+    rows = 2 * (fio.SLICE_FIELDS // 204) + 1
+    a = rng.uniform(-2.0, 2.0, (rows, 204))
+    a[rng.random(a.shape) < 0.5] = 0.0
+    a[rng.random(a.shape) < 0.05] = -0.0
+    a[:, ::34] = [1e-17, 2.0 ** -60, np.nan, -np.inf, 1e300, -(2.0 ** -1000)]
+    assert fio.format_matrix(a) == oracles.format_matrix_repr(a)
 
 
-def test_format_matrix_leaves_few_fields_to_repr(monkeypatch):
-    # a block as `relucert reconstruct` writes it for a certified (3, 200)
-    # layer: ReLU outputs (about half 0.0), reconstructed inputs, and
-    # round-trip errors (about 1e-16, below the exact path's window)
-    frame, _, _ = rc.normalize(rc.random_sphere(3, 200, 5))
+def _reconstruct_block(n: int, m: int) -> np.ndarray:
+    """A 256-row block as `relucert reconstruct` writes it for a certified
+    (n, m) layer: ReLU outputs (about half 0.0), reconstructed inputs, and
+    round-trip errors (about 1e-16, below the exact path's window)."""
+    frame, _, _ = rc.normalize(rc.random_sphere(n, m, 5))
     poly = rc.build_polytope(frame)
     bias = rc.pbe_ball(frame, poly, 1.0).alpha_scaled - 1e-3
     layer = rc.ReLULayer(frame, bias, 1.0)
-    x = oracles.sample_ball(np.random.default_rng(6), 3, 256, 0.9)
+    x = oracles.sample_ball(np.random.default_rng(6), n, 256, 0.9)
     z = rc.forward(layer, x)
     xhat, failed = rc.reconstruct_batch(poly, layer, z)
     assert not failed.any()
-    block = np.hstack([z, xhat, np.max(np.abs(xhat - x), axis=1)[:, None]])
+    return np.hstack([z, xhat, np.max(np.abs(xhat - x), axis=1)[:, None]])
+
+
+@pytest.mark.parametrize("n, m, bound", [(3, 200, 1.62e6), (4, 60, 1.30e6)])
+def test_format_matrix_peak_memory(n, m, bound):
+    # the traced peak of formatting a reconstruct block, its text included:
+    # the bounds are the peaks measured with 8,192-field slices of 8-word
+    # rows, which larger slices of 6-word rows must not exceed
+    block = _reconstruct_block(n, m)
+    want = oracles.format_matrix_repr(block)
+    assert fio.format_matrix(block) == want  # builds the digit tables first
+    tracemalloc.start()
+    try:
+        got = fio.format_matrix(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= bound, peak
+
+
+def test_format_matrix_leaves_few_fields_to_repr(monkeypatch):
+    block = _reconstruct_block(3, 200)
     counted = []
     repr_fields = fio._repr_fields
 
