@@ -38,7 +38,9 @@ _EXIT_CODES = (
     (NotConverged, 4), (SolverFailed, 4),
     (ReconstructionFailed, 5),
 )
-RECONSTRUCT_BLOCK = 256  # input rows per forward/reconstruct_batch call: bounds peak memory
+# input rows per forward/reconstruct_batch call, at most: bounds peak memory.
+# A block holds whole formatter slices (`_block_rows`).
+RECONSTRUCT_BLOCK = 256
 
 
 def _exit_code(exc: Exception) -> int:
@@ -133,8 +135,8 @@ def _cmd_reconstruct(args) -> int:
     # leaves no partial output. Only the (N, n) inverses are kept: each
     # block's outputs are recomputed when it is written, which holds peak
     # memory to one block of outputs and its text per writer process.
-    blocks = [slice(start, start + RECONSTRUCT_BLOCK)
-              for start in range(0, inputs.shape[0], RECONSTRUCT_BLOCK)]
+    step = _block_rows(frame.m + frame.n + 1)
+    blocks = [slice(start, start + step) for start in range(0, inputs.shape[0], step)]
     xhat = np.empty_like(inputs)
     failed = 0
     for rows in blocks:
@@ -159,6 +161,16 @@ def _cmd_reconstruct(args) -> int:
     if failed:
         print(f"warning: {failed} inputs could not be reconstructed", file=sys.stderr)
     return 0
+
+
+def _block_rows(cols: int) -> int:
+    """Rows per reconstruct block of `cols` output fields: the most whole
+    `format_matrix` slices in RECONSTRUCT_BLOCK rows, or RECONSTRUCT_BLOCK
+    rows where one slice holds as many. A block then formats in full slices
+    only: a (3, 200) layer's 204 fields give 240 rows (3 slices of 80), a
+    (4, 60) layer's 65 give 252 (one slice)."""
+    per_slice = fio.slice_rows(cols)
+    return min(RECONSTRUCT_BLOCK, max(1, RECONSTRUCT_BLOCK // per_slice) * per_slice)
 
 
 def _cmd_monitor(args) -> int:

@@ -3,8 +3,36 @@
 A frame here is a collection of m >= n row vectors spanning R^n. The layer
 weight matrix stacks them as rows; with V the rows of a sub-collection,
 V^T V is its frame operator, whose extreme eigenvalues are its optimal
-frame bounds. `spanning` decides from them whether the sub-collection spans
-R^n, and `operator_bounds` raises NotAFrame where it does not.
+frame bounds. The rank rule: the sub-collection spans R^n when the smallest
+eigenvalue of its operator, as LAPACK's `eigvalsh` computes it, is at least
+TOL_RANK times the largest. `operator_bounds` computes the extreme
+eigenvalues and raises NotAFrame where the rule fails; `spanning` returns
+the rule's mask only, and decides most operators without an eigensolver.
+
+`spanning`'s Gershgorin filter. For a symmetric G, every eigenvalue lies
+in some disc [G_ii - r_i, G_ii + r_i], r_i = sum_{j != i} |G_ij|
+(S. Gershgorin, Izv. Akad. Nauk SSSR 1931), so all of them lie in [L, U],
+L = min_i (G_ii - r_i), U = max_i (G_ii + r_i). The filter accepts G when
+L >= TOL_GERSHGORIN * U = 1e-6 U, and the rule then accepts G too:
+
+- Exactly, lambda_min >= L >= 1e-6 U >= 1e-6 lambda_max > 0.
+- L and U are computed with an error of O(n eps U) against the bounds of
+  the symmetric matrix that `eigvalsh` reads (sums of n magnitudes, and a
+  G symmetric up to the rounding of its own products), and U <= n
+  lambda_max for a positive semi-definite G. So an accepted G has
+  lambda_min >= (1e-6 - d) lambda_max, with d = O(n^2 eps), about 1e-14
+  for n <= 6.
+- `eigvalsh` is backward stable: its values are the exact eigenvalues of
+  G + E with ||E|| = O(n eps lambda_max), so by Weyl's inequality each is
+  within d lambda_max of the exact one. The computed smallest is at least
+  (1e-6 - 2d) lambda_max and the computed largest at most (1 + d)
+  lambda_max: their ratio is about 1e-6, a thousand times TOL_RANK.
+
+An operator the filter does not accept (L <= 0 for every rank-deficient
+one, and the zero operator, for which U = 0) goes to `eigvalsh`, and its
+eigenvalues decide it as before. So the mask is the rule's on every
+operator, whichever path decides it. The filter needs no eigensolver:
+on reconstruction's pattern operators it decides nearly every row.
 """
 
 from __future__ import annotations
@@ -19,6 +47,9 @@ from .errors import DimensionMismatch, NotAFrame, ZeroRow
 TOL_UNIT = 1e-12
 TOL_ZERO_ROW = 1e-12
 TOL_RANK = 1e-9
+# the ratio at which Gershgorin's bounds accept an operator: a thousand times
+# TOL_RANK, a gap no rounding crosses (see the module docstring)
+TOL_GERSHGORIN = 1e-6
 
 
 def as_matrix(values, what: str = "matrix") -> np.ndarray:
@@ -95,23 +126,41 @@ def normalize(weights, bias=None) -> tuple[UnitFrame, np.ndarray | None, np.ndar
     return frame, rescaled, norms
 
 
-def spanning(ops: np.ndarray, tol_rank: float = TOL_RANK):
-    """Extreme eigenvalues (lower, upper) of a frame operator (n, n) or a
-    stack (..., n, n), by LAPACK's symmetric eigensolver, and the mask of
-    the operators whose vectors span R^n: those whose smallest eigenvalue is
-    at least `tol_rank` times their largest. Returns (spans, lower, upper).
+def _rank_rule(lower, upper, ratio: float):
+    """The rank rule on lower and upper bounds of the extreme eigenvalues:
+    lower >= ratio * upper, with upper taken as at least the smallest normal
+    double, so that the zero operator fails."""
+    return lower >= ratio * np.maximum(upper, np.finfo(float).tiny)
+
+
+def spanning(ops: np.ndarray) -> np.ndarray:
+    """The rank rule's mask for a frame operator (n, n) or a stack (..., n, n)
+    (a 0-d array for one operator): whether each one's vectors span R^n.
+    Gershgorin's bounds decide every operator they can (see the module
+    docstring); `eigvalsh` decides the rest."""
+    ops = np.asarray(ops, dtype=float)
+    n = ops.shape[-1]
+    flat = ops.reshape(-1, n, n)
+    diag = flat.diagonal(axis1=1, axis2=2)
+    radius = np.abs(flat).sum(axis=2)
+    radius -= np.abs(diag)
+    spans = _rank_rule((diag - radius).min(axis=1), (diag + radius).max(axis=1),
+                       TOL_GERSHGORIN)
+    rest = np.flatnonzero(~spans)
+    if rest.size:
+        eig = np.linalg.eigvalsh(flat[rest])
+        spans[rest] = _rank_rule(eig[:, 0], eig[:, -1], TOL_RANK)
+    return spans.reshape(ops.shape[:-2])
+
+
+def operator_bounds(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extreme eigenvalues of a frame operator (n, n) or a stack (F, n, n),
+    by LAPACK's `eigvalsh` for every operator. Raises NotAFrame for the
+    first that fails the rank rule.
     """
     eig = np.linalg.eigvalsh(ops)
     lower, upper = eig[..., 0], eig[..., -1]
-    return lower >= tol_rank * np.maximum(upper, np.finfo(float).tiny), lower, upper
-
-
-def operator_bounds(ops: np.ndarray, tol_rank: float = TOL_RANK) -> tuple[np.ndarray, np.ndarray]:
-    """Extreme eigenvalues of a frame operator (n, n) or a stack (F, n, n).
-    Raises NotAFrame for the first that fails `spanning`'s rank rule.
-    """
-    spans, lower, upper = spanning(ops, tol_rank)
-    bad = np.flatnonzero(~spans)
+    bad = np.flatnonzero(~_rank_rule(lower, upper, TOL_RANK))
     if bad.size:
         low, high = lower.flat[bad[0]], upper.flat[bad[0]]
         raise NotAFrame(f"sub-collection is rank deficient (eigenvalue range [{low:.3e}, {high:.3e}])")

@@ -91,9 +91,10 @@ def read_vector(path: str, length: int | None = None) -> np.ndarray:
     return v
 
 
-# Fields formatted at once, at most. A 256-row (3, 200) reconstruct block goes
-# in four slices and peaks at 1.24 MB under tracemalloc, its text included;
-# fewer, larger slices save a little time, but two peak at 1.73 MB.
+# Fields formatted at once, at most. A (3, 200) reconstruct block of 240 rows
+# goes in three slices and peaks at 1.31 MB under tracemalloc, its text
+# included (256 rows: four slices, 1.24 MB); fewer, larger slices save a
+# little time, but two slices of 128 rows peak at 1.73 MB.
 SLICE_FIELDS = 16384
 _P10 = np.array([10 ** e for e in range(19)], np.int64)  # 10^0 .. 10^18
 _F10 = np.array([float(10 ** e) for e in range(21)])  # 10^0 .. 10^20, all exact doubles
@@ -153,12 +154,12 @@ def _shortest(x: np.ndarray, at: np.ndarray):
     e = np.log10(ax)
     k = np.clip(16 - np.floor(e, out=e), 1, 20).astype(np.int8)
     del e
-    scale = _F10[k]
+    scale = _F10.take(k)
     # y = ax * 10^k = hi + lo exactly (Dekker's two-product), split into
     # an integer Y and a fraction f in [0, 1)
     hi = ax * scale
     ah, al = _halves(ax)
-    th, tl = _F10_HI[k], _F10_LO[k]
+    th, tl = _F10_HI.take(k), _F10_LO.take(k)
     f = ah * th
     f -= hi
     f += ah * tl
@@ -201,7 +202,7 @@ def _shortest(x: np.ndarray, at: np.ndarray):
         j[rows] = e
     del low, high, rows
     # its multiple nearest y, with exact ties left to repr
-    q = _P10[j]
+    q = _P10.take(j)
     head = y // q
     y -= head * q
     y *= 2
@@ -225,7 +226,7 @@ def _digit_words(out: np.ndarray, at: np.ndarray, z: np.ndarray, point: np.ndarr
     z is overwritten."""
     groups = _group_words()
     half = out.view(np.uint16)
-    shift = _P10[np.minimum(17 - point, 17)]
+    shift = _P10.take(np.minimum(17 - point, 17))
     whole = z // shift
     shift *= whole
     frac = z  # z becomes the fraction digits, in place
@@ -233,7 +234,7 @@ def _digit_words(out: np.ndarray, at: np.ndarray, z: np.ndarray, point: np.ndarr
     del shift
     rest = whole // 10
     whole -= rest * 10
-    half[:, 2 * ci - 1][at] = _UNITS[whole]
+    half[:, 2 * ci - 1][at] = _UNITS.take(whole)
     del whole
     pairs = groups.view(np.uint16).reshape(-1, 2)
     lead = True  # all higher groups are zero: leading zeros blank
@@ -241,17 +242,17 @@ def _digit_words(out: np.ndarray, at: np.ndarray, z: np.ndarray, point: np.ndarr
         q = _P10[4 * (ci - 2 - i)]
         g = rest // q
         rest -= g * q
-        half[at, 1 + 2 * i:3 + 2 * i] = pairs[g + 10000 * lead]
+        half[at, 1 + 2 * i:3 + 2 * i] = pairs.take(g + 10000 * lead, axis=0)
         lead = lead & (g == 0)
     # the fraction's first 8 digits in fa (groups 0, 1), the next 12 in
     # frac (groups 2, 3, 4); each is cut into groups from its last one up
     u = 9 - point
-    q = _P10[np.maximum(u, 0)]
+    q = _P10.take(np.maximum(u, 0))
     fa = frac // q
     q *= fa
     frac -= q
-    frac *= _P10[np.minimum(12 - u, 12)]
-    fa *= _P10[np.maximum(-u, 0)]
+    frac *= _P10.take(np.minimum(12 - u, 12))
+    fa *= _P10.take(np.maximum(-u, 0))
     del q, u
     rest = frac // _P10[4 * (5 - cf)] if cf > 2 else fa // _P10[4 * (2 - cf)]
     tail = True  # all lower groups are zero: trailing zeros blank
@@ -262,8 +263,14 @@ def _digit_words(out: np.ndarray, at: np.ndarray, z: np.ndarray, point: np.ndarr
         if i not in (0, 2):  # below the first group of fa or frac
             rest = g // 10000
             g = g - rest * 10000
-        out[:, ci + i][at] = groups[g + tail * (20000 if i == 0 else 30000)]
+        out[:, ci + i][at] = groups.take(g + tail * (20000 if i == 0 else 30000))
         tail = tail & (g == 0)
+
+
+def slice_rows(cols: int) -> int:
+    """Rows of `cols` fields that `format_matrix` formats at once, at most:
+    the whole rows in SLICE_FIELDS fields, and at least one."""
+    return max(1, SLICE_FIELDS // cols)
 
 
 def format_matrix(a) -> str:
@@ -309,7 +316,7 @@ def format_matrix(a) -> str:
     rows, cols = a.shape
     if not a.size:
         return "\n" * rows
-    count = -(-rows // max(1, SLICE_FIELDS // cols))
+    count = -(-rows // slice_rows(cols))
     step = -(-rows // count)  # rows per slice, as even as the count allows
     return "".join([*(_format_rows(a[start:start + step], start > 0).decode("ascii")
                       for start in range(0, rows, step)), "\n"])
@@ -354,7 +361,10 @@ def _format_rows(a: np.ndarray, follows: bool) -> bytearray:
     return buf.translate(None, b" ")
 
 
-WRITER_BLOCKS = 16  # blocks per writer process: with fewer, a second process buys no time
+# blocks per writer process: with fewer, a second process buys no time. The
+# second starts at 32 reconstruct blocks: 7,680 rows for a (3, 200) layer,
+# whose blocks hold 240 rows, and at most 8,192
+WRITER_BLOCKS = 16
 
 
 def _writer_count(blocks: int) -> int:
@@ -363,11 +373,13 @@ def _writer_count(blocks: int) -> int:
     `os.fork` does not exist.
 
     A forked writer costs its fork, its pipe and a free CPU. Timed alone
-    (2-core host, 256 x 204 blocks of about 9 ms each, median of 15), two
-    writers against one took 93 against 79 ms for 8 blocks, 279 against
-    258 ms for 24, and 232 against 353 ms for 32. With fewer blocks the
-    second process only made the command's time depend on whether the
-    other CPU was busy."""
+    (2-core host, 256 x 204 blocks of about 9 ms each with the former
+    8-word layout, median of 15), two writers against one took 93 against
+    79 ms for 8 blocks, 279 against 258 ms for 24, and 232 against 353 ms
+    for 32. With fewer blocks the second process only made the command's
+    time depend on whether the other CPU was busy. Reconstruct blocks now
+    hold whole formatter slices, 240 rows for a (3, 200) layer, so 32
+    blocks are 7,680 rows there and 8,064 for a (4, 60) layer."""
     if not hasattr(os, "fork"):
         return 1
     try:

@@ -202,7 +202,7 @@ def _reconstruct_rows(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
     # the sub-frame P, G_P x = sum_P (z_i + b_i) x_i; a G_P that fails the
     # rank rule is solved as the identity and its row left to the rounds
     gram = _frame_operators(elements, positive)
-    spans, _, _ = spanning(gram)
+    spans = spanning(gram)
     gram[~spans] = np.eye(layer.frame.n)
     rhs = ((zs + bias) * positive) @ elements
     xs = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
@@ -275,7 +275,7 @@ def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray, picks: np.ndar
     for group, verts in facet_groups(poly, facets):
         sub = layer.frame.elements[verts]  # (G, k, n)
         gram = sub.swapaxes(1, 2) @ sub
-        spans, _, _ = spanning(gram)
+        spans = spanning(gram)
         gram[~spans] = np.eye(layer.frame.n)
         dual = np.linalg.solve(gram, sub.swapaxes(1, 2))
         dual[~spans] = np.nan
@@ -309,5 +309,5 @@ def spanning_failures(layer: ReLULayer, samples: np.ndarray,
     xs = np.asarray(samples, dtype=float)
     elements = layer.frame.elements
     active = xs @ elements.T >= layer.bias - tol  # (num_samples, m)
-    spans, _, _ = spanning(_frame_operators(elements, active))
+    spans = spanning(_frame_operators(elements, active))
     return np.flatnonzero(~spans).tolist()

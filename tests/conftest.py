@@ -73,4 +73,17 @@ def closed_active_set(layer, x, tol: float = TOL_ACTIVE) -> tuple[int, ...]:
 def spans(frame, idx) -> bool:
     """Whether the rows idx span the space, by the rank rule of `spanning`."""
     sub = frame.elements[list(idx)]
-    return bool(spanning(sub.T @ sub)[0])
+    return bool(spanning(sub.T @ sub))
+
+
+def assert_same_text(got: str, want: str, what: str = "text") -> None:
+    """Assert got == want; on a mismatch, report the first differing line and
+    its index only (pytest's diff of two multi-megabyte strings takes
+    minutes)."""
+    if got == want:
+        return
+    a, b = got.split("\n"), want.split("\n")
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    first = [repr(lines[i]) if i < len(lines) else "no line" for lines in (a, b)]
+    raise AssertionError(f"{what}: line {i} differs: got {first[0]}, want {first[1]} "
+                         f"({len(a)} and {len(b)} lines)")

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import relucert as rc
-from relucert import fixtures, io as fio
+from relucert import cli, fixtures, io as fio
 from relucert.cli import main
 from relucert.reports import Report
 
 import oracles
+from conftest import assert_same_text
 
 
 def run(capsys, *argv):
@@ -601,6 +602,55 @@ def test_writer_count(monkeypatch):
                 == [1, 1, 1, 1, 1, 2, 3, 3])
     monkeypatch.delattr(os, "fork", raising=False)
     assert fio._writer_count(10 * per) == 1
+
+
+@pytest.mark.parametrize("n, m, slice_rows, block_rows", [(3, 200, 80, 240), (4, 60, 252, 252)])
+def test_reconstruct_blocks_hold_whole_slices(capsys, monkeypatch, tmp_path,
+                                              n, m, slice_rows, block_rows):
+    # blocks of the most whole formatter slices in 256 rows: each block of
+    # r rows formats in ceil(r / s) `_format_rows` calls, and the CSV is the
+    # repr oracle's byte for byte at every slice and block edge
+    cols = m + n + 1
+    s, b = fio.slice_rows(cols), cli._block_rows(cols)
+    assert (s, b) == (slice_rows, block_rows)
+    assert cli._block_rows(4) == cli._block_rows(2 * fio.SLICE_FIELDS) == cli.RECONSTRUCT_BLOCK
+    frame, _, _ = rc.normalize(rc.random_sphere(n, m, 5))
+    layer = rc.ReLULayer(frame, rc.pbe_ball(frame, rc.build_polytope(frame), 1.0).alpha_scaled
+                         - 1e-3)
+    xs = oracles.sample_ball(np.random.default_rng(89), n, 3 * b + 7, 0.9)
+    (tmp_path / "w.csv").write_text(fio.format_matrix(frame.elements))
+    (tmp_path / "b.csv").write_text(fio.format_matrix(layer.bias))
+    counts = sorted({1, s - 1, s, s + 1, b, b + 1, 3 * b + 7})
+    for rows in counts:
+        (tmp_path / f"x{rows}.csv").write_text(fio.format_matrix(xs[:rows]))
+    _writers(monkeypatch, 1)
+    blocks = []  # (rows, _format_rows calls) per format_matrix call
+    format_matrix, format_rows = fio.format_matrix, fio._format_rows
+
+    def counting_rows(a, follows):
+        blocks[-1][1] += 1
+        return format_rows(a, follows)
+
+    def recording(a):
+        blocks.append([len(a), 0])
+        return format_matrix(a)
+
+    monkeypatch.setattr(fio, "_format_rows", counting_rows)
+    monkeypatch.setattr(fio, "format_matrix", recording)
+    header = ",".join([f"z{i}" for i in range(m)] + [f"xhat{j}" for j in range(n)]
+                      + ["roundtrip_error"])
+    for rows in counts:
+        blocks.clear()
+        code, out, err = run(capsys, "reconstruct", str(tmp_path / "w.csv"), "--bias",
+                             str(tmp_path / "b.csv"), "--inputs", str(tmp_path / f"x{rows}.csv"))
+        assert (code, err) == (0, ""), rows
+        lines = out.split("\n")
+        values = np.array([[float(v) for v in line.split(",")] for line in lines[1:-1]])
+        assert_same_text(out, header + "\n" + oracles.format_matrix_repr(values), f"{rows} rows")
+        assert np.max(np.abs(values[:, :m] - rc.forward(layer, xs[:rows]))) <= 1e-12
+        assert np.max(np.abs(values[:, m:m + n] - xs[:rows])) <= 1e-12
+        sizes = [b] * (rows // b) + ([rows % b] if rows % b else [])
+        assert blocks == [[r, -(-r // s)] for r in sizes], rows
 
 
 @pytest.mark.parametrize("command", ["gen", "reconstruct"])

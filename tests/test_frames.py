@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import relucert as rc
 from relucert.errors import DimensionMismatch, NotAFrame, ZeroRow
-from relucert.frames import operator_bounds
+from relucert.frames import TOL_GERSHGORIN, TOL_RANK, operator_bounds, spanning
 
 import oracles
 from conftest import spans
@@ -115,6 +117,98 @@ def test_is_frame_examples(mb, tet):
     assert not spans(mb.frame, (1,))
     assert spans(tet.frame, (0, 1, 2))
     assert not spans(tet.frame, (0, 1))
+
+
+def eigen_rule(ops) -> np.ndarray:
+    """The rank rule on `np.linalg.eigvalsh`'s extreme eigenvalues, one
+    operator at a time."""
+    ops = np.asarray(ops, dtype=float)
+    flat = ops.reshape((-1,) + ops.shape[-2:])
+    want = [(e[0] >= TOL_RANK * max(e[-1], np.finfo(float).tiny))
+            for e in map(np.linalg.eigvalsh, flat)]
+    return np.array(want, dtype=bool).reshape(ops.shape[:-2])
+
+
+# stacks of frame operators V^T V of up to n + 2 vectors in R^n, n = 1..6:
+# fewer than n vectors, repeated vectors and vectors of very different
+# lengths give rank-deficient and ill-conditioned operators
+@st.composite
+def operator_stacks(draw):
+    n = draw(st.integers(1, 6))
+    count, k = draw(st.integers(1, 4)), draw(st.integers(0, n + 2))
+    v = draw(hnp.arrays(np.float64, (count, k, n), elements=st.floats(-1.0, 1.0)))
+    if k > 1 and draw(st.booleans()):
+        v[:, -1] = v[:, 0] * draw(st.sampled_from([1.0, -1.0, 1e-3]))
+    scale = draw(hnp.arrays(np.float64, (count, k, 1),
+                            elements=st.sampled_from([1.0, 1e-4, 1e-5, 1e3])))
+    v *= scale
+    return v.swapaxes(1, 2) @ v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(operator_stacks())
+def test_spanning_is_the_eigenvalue_rule(ops):
+    want = eigen_rule(ops)
+    assert np.array_equal(spanning(ops), want)
+    for op, one in zip(ops, want):
+        assert spanning(op).shape == () and bool(spanning(op)) == one
+
+
+def _rotated(eigenvalues, seed: int) -> np.ndarray:
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return (q * eigenvalues) @ q.T
+
+
+def test_spanning_pinned_operators():
+    for n in range(1, 7):
+        below, above = TOL_RANK * (1 - 1e-6), TOL_RANK * (1 + 1e-6)
+        cases = {  # name: (operators, the rule's mask where it is known exactly)
+            "zero": (np.zeros((1, n, n)), [False]),
+            "identity": (np.eye(n)[None], [True]),
+            "ratio 1e-9 (1 -+ 1e-6)": (np.stack([np.diag([1.0] * (n - 1) + [r])
+                                                 for r in (below, above)]),
+                                       [n == 1, True]),
+            "at the filter": (np.stack([np.diag([1.0] * (n - 1) + [r])
+                                        for r in (TOL_GERSHGORIN, TOL_GERSHGORIN * (1 - 1e-12))]),
+                              [True, True]),
+            "rotated": (np.stack([_rotated([1.0] * (n - 1) + [r], n)
+                                  for r in (below, above, 0.0, TOL_GERSHGORIN, 1e-3)]), None),
+        }
+        if n > 1:
+            v = np.random.default_rng(n).standard_normal((n + 2, n))
+            v[:, 0] = v[:, 1]  # rank n - 1
+            cases["rank-deficient"] = (np.stack([v.T @ v, v[:n - 1].T @ v[:n - 1]]),
+                                       [False, False])
+        for name, (ops, known) in cases.items():
+            got = spanning(ops)
+            assert np.array_equal(got, eigen_rule(ops)), (n, name)
+            if known is not None:
+                assert got.tolist() == known, (n, name)
+    # one unstacked (n, n) operator: a 0-d mask
+    got = spanning(np.diag([2.0, 1.0, 1e-12]))
+    assert got.shape == () and not got
+    assert spanning(np.eye(4)).shape == () and spanning(np.eye(4))
+
+
+def test_certified_block_pattern_stage_needs_no_eigensolver(monkeypatch):
+    # every pattern operator of an in-ball (3, 200) block passes the
+    # Gershgorin filter: no row reaches `eigvalsh`
+    frame, _, _ = rc.normalize(rc.random_sphere(3, 200, 5))
+    poly = rc.build_polytope(frame)
+    layer = rc.ReLULayer(frame, rc.pbe_ball(frame, poly, 1.0).alpha_scaled - 1e-3, 1.0)
+    z = rc.forward(layer, oracles.sample_ball(np.random.default_rng(7), 3, 240, 0.99))
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(ops):
+        rows.append(np.asarray(ops).reshape(-1, 3, 3).shape[0])
+        return eigvalsh(ops)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    _, failed = rc.reconstruct_batch(poly, layer, z)
+    assert not failed.any()
+    assert sum(rows) == 0, rows
 
 
 def test_dual_synthesis_orthonormal_self_dual():

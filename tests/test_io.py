@@ -7,11 +7,12 @@ from hypothesis.extra import numpy as hnp
 
 import relucert as rc
 from relucert import io as fio
-from relucert.cli import main
+from relucert.cli import _block_rows, main
 from relucert.errors import ParseError
 from relucert.reports import UNCONSTRAINED_SENTINEL, Report, render
 
 import oracles
+from conftest import assert_same_text
 
 
 def test_matrix_roundtrip(tmp_path):
@@ -91,7 +92,7 @@ FLOAT_MATRICES = hnp.arrays(
 @given(FLOAT_MATRICES)
 def test_format_matrix_matches_repr_on_any_floats(a):
     # nan, +-inf, +-0.0 and subnormals included; empty shapes too
-    assert fio.format_matrix(a) == oracles.format_matrix_repr(a)
+    assert_same_text(fio.format_matrix(a), oracles.format_matrix_repr(a))
 
 
 def _edge_floats() -> dict[str, np.ndarray]:
@@ -125,11 +126,11 @@ def test_format_matrix_matches_repr_on_edge_floats():
     for name, v in floats.items():
         v = np.concatenate([v, -v])
         a = v[:v.size // 7 * 7].reshape(-1, 7)
-        assert fio.format_matrix(a) == oracles.format_matrix_repr(a), name
+        assert_same_text(fio.format_matrix(a), oracles.format_matrix_repr(a), name)
     column = floats["fractions"][:, None]
-    assert fio.format_matrix(column) == oracles.format_matrix_repr(column)
+    assert_same_text(fio.format_matrix(column), oracles.format_matrix_repr(column), "column")
     for empty in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(0)):
-        assert fio.format_matrix(empty) == oracles.format_matrix_repr(empty)
+        assert_same_text(fio.format_matrix(empty), oracles.format_matrix_repr(empty), "empty")
     # rows of 204 fields across two slice edges: about half 0.0, with -0.0
     # and negative fields, and in every row the same fields left to repr,
     # one of them longer than any exact field (the row grows a word)
@@ -139,18 +140,19 @@ def test_format_matrix_matches_repr_on_edge_floats():
     a[rng.random(a.shape) < 0.5] = 0.0
     a[rng.random(a.shape) < 0.05] = -0.0
     a[:, ::34] = [1e-17, 2.0 ** -60, np.nan, -np.inf, 1e300, -(2.0 ** -1000)]
-    assert fio.format_matrix(a) == oracles.format_matrix_repr(a)
+    assert_same_text(fio.format_matrix(a), oracles.format_matrix_repr(a), "slices")
 
 
-def _reconstruct_block(n: int, m: int) -> np.ndarray:
-    """A 256-row block as `relucert reconstruct` writes it for a certified
-    (n, m) layer: ReLU outputs (about half 0.0), reconstructed inputs, and
-    round-trip errors (about 1e-16, below the exact path's window)."""
+def _reconstruct_block(n: int, m: int, rows: int = 256) -> np.ndarray:
+    """A block of `rows` rows as `relucert reconstruct` writes it for a
+    certified (n, m) layer: ReLU outputs (about half 0.0), reconstructed
+    inputs, and round-trip errors (about 1e-16, below the exact path's
+    window)."""
     frame, _, _ = rc.normalize(rc.random_sphere(n, m, 5))
     poly = rc.build_polytope(frame)
     bias = rc.pbe_ball(frame, poly, 1.0).alpha_scaled - 1e-3
     layer = rc.ReLULayer(frame, bias, 1.0)
-    x = oracles.sample_ball(np.random.default_rng(6), n, 256, 0.9)
+    x = oracles.sample_ball(np.random.default_rng(6), n, rows, 0.9)
     z = rc.forward(layer, x)
     xhat, failed = rc.reconstruct_batch(poly, layer, z)
     assert not failed.any()
@@ -159,20 +161,22 @@ def _reconstruct_block(n: int, m: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n, m, bound", [(3, 200, 1.62e6), (4, 60, 1.30e6)])
 def test_format_matrix_peak_memory(n, m, bound):
-    # the traced peak of formatting a reconstruct block, its text included:
-    # the bounds are the peaks measured with 8,192-field slices of 8-word
-    # rows, which larger slices of 6-word rows must not exceed
-    block = _reconstruct_block(n, m)
-    want = oracles.format_matrix_repr(block)
-    assert fio.format_matrix(block) == want  # builds the digit tables first
-    tracemalloc.start()
-    try:
-        got = fio.format_matrix(block)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == want
-    assert peak <= bound, peak
+    # the traced peak of formatting a reconstruct block, its text included,
+    # at 256 rows and at the command's block size (whole slices): the bounds
+    # are the peaks measured with 8,192-field slices of 8-word rows, which
+    # larger slices of 6-word rows must not exceed
+    for rows in (256, _block_rows(n + m + 1)):
+        block = _reconstruct_block(n, m, rows)
+        want = oracles.format_matrix_repr(block)
+        assert_same_text(fio.format_matrix(block), want)  # builds the digit tables first
+        tracemalloc.start()
+        try:
+            got = fio.format_matrix(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_text(got, want)
+        assert peak <= bound, (rows, peak)
 
 
 def test_format_matrix_leaves_few_fields_to_repr(monkeypatch):
@@ -185,7 +189,7 @@ def test_format_matrix_leaves_few_fields_to_repr(monkeypatch):
         return repr_fields(values)
 
     monkeypatch.setattr(fio, "_repr_fields", counting)
-    assert fio.format_matrix(block) == oracles.format_matrix_repr(block)
+    assert_same_text(fio.format_matrix(block), oracles.format_matrix_repr(block))
     assert 0 < sum(counted) < 0.02 * block.size
 
 

@@ -323,7 +323,9 @@ def test_reconstruct_round_solves_each_distinct_facet_once(monkeypatch):
 
     def recording_spanning(ops):
         grams.append(len(ops))
-        return spanning(ops)
+        spans = spanning(ops)
+        assert spans.shape == (len(ops),)  # the mask alone, one entry per operator
+        return spans
 
     monkeypatch.setattr(rc.layer, "spanning", recording_spanning)
     rng = np.random.default_rng(84)
