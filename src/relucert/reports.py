@@ -3,12 +3,24 @@
 Floats are printed with 17 significant digits, enough to reproduce every
 IEEE double bit-for-bit on re-parse; key order and formatting are fixed so
 identical runs emit byte-identical reports.
+
+Each list is written with no call per entry. `build_report` keeps the
+facet vertex lists and the alpha and margin lists in the form they come
+from, and `render` writes each by one format operation: the facet vertex
+lists (`IntLists`, the incidence table's flat columns) by one `%d`
+template per facet size; the alpha and margin lists (`Entries`, a float
+array with a code per entry for the `"unconstrained"` and `null` literals)
+by one `%.17g` format of their finite entries, placed among the literals
+by one template. Plain lists take the same paths: a list of floats by one
+`%.17g` template, of ints by one `%d` template, of floats, ints, bools,
+None and strings as `Entries`, of int lists as `IntLists`. So a parsed
+report, whose document is plain JSON, renders to the same text:
+`Report.from_text(t).to_text() == t`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -17,11 +29,12 @@ import numpy as np
 
 from .frames import TOL_RANK, TOL_UNIT, TOL_ZERO_ROW
 from .layer import TOL_ACTIVE, TOL_MARGIN, VERIFY_TOL
-from .polytope import TOL_INTERIOR, TOL_PLANE
+from .polytope import TOL_INTERIOR, TOL_PLANE, nonzero_2d
 from .solvers import TOL_SOLVER
 
 SCHEMA = "relucert-report/1"
 UNCONSTRAINED_SENTINEL = "unconstrained"
+_SENTINEL_JSON = encode_basestring_ascii(UNCONSTRAINED_SENTINEL)
 
 TOLERANCES = {
     "unit_row": TOL_UNIT,
@@ -36,19 +49,32 @@ TOLERANCES = {
 }
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite float reached the report writer")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
+@dataclass(frozen=True)
+class Entries:
+    """A list of floats with JSON literals in place of some entries, as the
+    alpha and margin lists come from their arrays: entry i is the float
+    `values[i]` where `codes[i]` is 0, else the JSON text
+    `literals[codes[i] - 1]`."""
+
+    values: np.ndarray  # float
+    codes: np.ndarray  # int
+    literals: tuple = ()
+
+
+@dataclass(frozen=True)
+class IntLists:
+    """A list of int lists held flat, as the facet vertex lists come from
+    the incidence table: list i is the next `lengths[i]` items of `flat`."""
+
+    lengths: list
+    flat: list
 
 
 def render(value) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    # floats, null and strings first: the items of the mixed (alpha) lists
+    """Deterministic JSON with 17-significant-digit floats. Takes JSON
+    values, numpy arrays and scalars, `Entries` and `IntLists`."""
     if type(value) is float:
-        return _fmt_float(value)
+        return _float_items([value + 0.0])  # + 0.0 normalizes -0.0
     if value is None:
         return "null"
     if isinstance(value, str):
@@ -60,35 +86,80 @@ def render(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
+        return _float_items([float(value) + 0.0])
     if isinstance(value, dict):
-        inner = ", ".join(f"{render(str(k))}: {render(v)}" for k, v in value.items())
+        inner = ", ".join([f"{encode_basestring_ascii(str(k))}: {render(v)}"
+                           for k, v in value.items()])
         return "{" + inner + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + _render_items(value) + "]"
+    if isinstance(value, Entries):
+        return "[" + _render_entries(value.values, value.codes, value.literals) + "]"
+    if isinstance(value, IntLists):
+        return "[" + _render_int_lists(value.lengths, value.flat) + "]"
     raise TypeError(f"cannot render {type(value).__name__} into a report")
 
 
+_SCALARS = frozenset({float, int, bool, str, type(None)})
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def _render_items(values) -> str:
-    """The items of a list, comma-separated. A list of Python floats, of
-    Python ints (not bools) or of lists of ints is rendered with no call per
+    """The items of a list, comma-separated. A list of floats, ints, bools,
+    None and strings, or of lists of ints, is rendered with no call per
     item; any other list item by item."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        if not all(map(math.isfinite, values)):
-            raise ValueError("non-finite float reached the report writer")
-        if 0.0 in values:
-            values = [v + 0.0 for v in values]  # normalize -0.0
-        return ", ".join(["%.17g"] * len(values)) % tuple(values)
-    if kinds == {int}:
-        return ", ".join(map(str, values))
-    if kinds <= {list, tuple} and set(map(type, chain.from_iterable(values))) <= {int}:
-        return repr(list(map(list, values)))[1:-1]  # int lists: their repr is their JSON
+    kinds = list(map(type, values))
+    kind_set = set(kinds)
+    if kind_set == {float}:
+        return _float_items([v + 0.0 for v in values] if 0.0 in values else values)
+    if kind_set <= {int}:
+        return ", ".join(["%d"] * len(values)) % tuple(values)
+    if kind_set <= _SCALARS:
+        literal = np.array([k is not float for k in kinds])
+        floats = np.array([0.0 if k is not float else v for v, k in zip(values, kinds)])
+        literals = tuple(str(v) if k is int else encode_basestring_ascii(v) if k is str
+                         else _LITERALS[v] for v, k in zip(values, kinds) if k is not float)
+        return _render_entries(floats, np.cumsum(literal) * literal, literals)
+    if kind_set <= {list, tuple}:
+        flat = list(chain.from_iterable(values))
+        if set(map(type, flat)) <= {int}:
+            return _render_int_lists(list(map(len, values)), flat)
     return ", ".join(map(render, values))
+
+
+def _render_entries(values: np.ndarray, codes: np.ndarray, literals: tuple) -> str:
+    """Floats and literals: one `%.17g` format of the floats, then one
+    template that holds the literals (`%` escaped), placed by their codes."""
+    floats = _float_items((values[codes == 0] + 0.0).tolist())  # + 0.0 normalizes -0.0
+    if not codes.any():
+        return floats
+    pieces = np.array(["%s", *(text.replace("%", "%%") for text in literals)], dtype=object)
+    return ", ".join(pieces[codes].tolist()) % tuple(floats.split(", ") if floats else ())
+
+
+def _float_items(floats: list) -> str:
+    """Floats, comma-separated, by one `%.17g` format. ValueError if one is
+    not finite: "%.17g" prints inf and nan, and no "n" for a finite float."""
+    text = ", ".join(["%.17g"] * len(floats)) % tuple(floats)
+    if "n" in text:
+        raise ValueError("non-finite float reached the report writer")
+    return text
+
+
+def _render_int_lists(lengths: list, flat: list) -> str:
+    """Int lists from their lengths and flat items: one `%d` template per
+    list length, one %-format over every item."""
+    templates = {k: "[" + ", ".join(["%d"] * k) + "]" for k in set(lengths)}
+    return ", ".join(map(templates.__getitem__, lengths)) % tuple(flat)
 
 
 @dataclass(frozen=True)
 class Report:
+    """A report document. From `build_report`, `facet_vertices` is an
+    `IntLists` and the alpha and margin lists are `Entries`, everything else
+    JSON values; parsed by `from_text`, the whole document is plain JSON
+    (`Report.from_text(r.to_text()).document` for a built report `r`)."""
+
     document: dict
 
     def to_text(self) -> str:
@@ -99,13 +170,19 @@ class Report:
         return cls(json.loads(text))
 
 
-def alpha_entries(values: np.ndarray, unconstrained: np.ndarray) -> list:
-    """Alpha array for the report: floats, the unconstrained sentinel, or
+def alpha_entries(values: np.ndarray, unconstrained: np.ndarray) -> Entries:
+    """Alpha list for the report: floats, the unconstrained sentinel, or
     null where an entry was not computed (NaN)."""
-    out = np.asarray(values, dtype=float).tolist()
-    for i in np.flatnonzero(unconstrained | np.isnan(values)).tolist():
-        out[i] = UNCONSTRAINED_SENTINEL if unconstrained[i] else None
-    return out
+    values = np.asarray(values, dtype=float)
+    return Entries(values, np.where(unconstrained, 1, 2 * np.isnan(values)),
+                   (_SENTINEL_JSON, "null"))
+
+
+def _margin_entries(margins: np.ndarray) -> Entries:
+    """Margin list for the report: floats, or null where a margin is
+    infinite (an unconstrained entry)."""
+    margins = np.asarray(margins, dtype=float)
+    return Entries(margins, np.isinf(margins).astype(int), ("null",))
 
 
 def build_report(*, command: str, version: str, domain: str, radius: float,
@@ -114,6 +191,7 @@ def build_report(*, command: str, version: str, domain: str, radius: float,
                  solver_tol: float) -> Report:
     """Assemble the full analysis document in its fixed field order."""
     free = estimate.unconstrained_mask
+    rows, cols = nonzero_2d(poly.incidence)
     doc = {
         "schema": SCHEMA,
         "tool": {"name": "relucert", "version": version},
@@ -132,7 +210,8 @@ def build_report(*, command: str, version: str, domain: str, radius: float,
             "full_dimensional": bool(poly.full_dimensional),
             "omnidirectional": bool(omnidirectional),
             "num_facets": poly.num_facets,
-            "facet_vertices": poly.vertices,
+            "facet_vertices": IntLists(np.bincount(rows, minlength=poly.num_facets).tolist(),
+                                       cols.tolist()),
             "nonneg": None if positive_report is None else {
                 "facet_indices": positive_report.facet_indices,
                 "vertex_indices": positive_report.vertex_indices,
@@ -154,8 +233,7 @@ def build_report(*, command: str, version: str, domain: str, radius: float,
         },
         "certificate": None if certificate is None else {
             "injective": bool(certificate.injective),
-            "margins": [None if math.isinf(v) else v
-                        for v in np.asarray(certificate.margins, dtype=float).tolist()],
+            "margins": _margin_entries(certificate.margins),
             "failing_indices": certificate.failing_indices,
             "estimate": certificate.estimate_ref,
         },

@@ -166,11 +166,17 @@ def test_reconstruct_force_skips_rank_deficient_facet(capsys, tmp_path):
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+# name: (weights, domain, rows whose bias is raised to +0.2)
 GOLDEN_FRAMES = {
-    "tetrahedron": rc.tetrahedron(),
-    "icosahedron": rc.icosahedron(),
-    "sphere5x30": rc.random_sphere(5, 30, 7),
-    "cube3": oracles.cube(3),
+    "tetrahedron": (rc.tetrahedron(), "ball", ()),
+    "icosahedron": (rc.icosahedron(), "ball", ()),
+    "sphere5x30": (rc.random_sphere(5, 30, 7), "ball", ()),
+    "cube3": (oracles.cube(3), "ball", ()),
+    # alpha lists mixing floats, "unconstrained" and null; rows 16 and 25
+    # fail and the unconstrained rows' margins are null
+    "sphere3x40plus": (rc.random_sphere(3, 40, 7), "ball+", (16, 25)),
+    # merged facets of 4, 5 and 6 vertices
+    "ternary4x30": (oracles.ternary(4, 30, 0), "ball", ()),
 }
 
 
@@ -178,13 +184,18 @@ GOLDEN_FRAMES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
 def test_report_matches_golden(name, command, tmp_path):
     # data/golden/<name>.<command>.txt were written by the stacked-SVD facet
-    # planes; the QR planes must leave every byte of these reports alone
-    weights = GOLDEN_FRAMES[name]
+    # planes (the first four frames) and by the per-entry report writer (the
+    # last two); every byte of these reports must stay the same
+    weights, domain, raised = GOLDEN_FRAMES[name]
     w, b, out = tmp_path / "w.csv", tmp_path / "b.csv", tmp_path / "out.txt"
     w.write_text(fio.format_matrix(weights))
-    b.write_text(fio.format_matrix(np.round(np.linspace(-0.6, 0.0, len(weights)), 3)[:, None]))
-    bias = ["--bias", str(b)] if command == "certify" else []
-    assert main([command, str(w), *bias, "--out", str(out)]) == 0
+    bias = np.round(np.linspace(-0.6, 0.0, len(weights)), 3)
+    bias[list(raised)] = 0.2
+    b.write_text(fio.format_matrix(bias[:, None]))
+    options = ["--bias", str(b)] if command == "certify" else []
+    if domain != "ball":
+        options += ["--domain", domain]
+    assert main([command, str(w), *options, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.{command}.txt").read_bytes()
 
 

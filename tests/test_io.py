@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import relucert as rc
-from relucert import io as fio
+from relucert import io as fio, reports
 from relucert.cli import _block_rows, main
 from relucert.errors import ParseError
-from relucert.reports import UNCONSTRAINED_SENTINEL, Report, render
+from relucert.reports import UNCONSTRAINED_SENTINEL, Entries, IntLists, Report, render
 
 import oracles
 from conftest import assert_same_text
@@ -249,6 +250,8 @@ RENDER_CASES = {
     "bool-and-int": [1, True, 0, False],
     "numpy-scalars": [np.float64(0.1), np.int64(-3), np.float32(2.5), np.float64(-0.0)],
     "numpy-array": np.array([[1.5, -0.0], [2.0, 3.0]]),
+    "numpy-floats": np.array([-0.0, 1e-17, 2e300, 0.5, -1.0 / 3.0]),
+    "numpy-ints": np.array([3, -1, 0]),
     "negative-zero": [-0.0, 0.0, -0.0, 1e-300, -1e-300],
     "empty": [[], (), {}, [[]], [(), []]],
     "tuples": ((0, 1, 2), (3,), ()),
@@ -257,6 +260,11 @@ RENDER_CASES = {
     "int-and-float": [1, 2.0, 3],
     "alpha": [UNCONSTRAINED_SENTINEL, None, 0.25, -0.0, None, UNCONSTRAINED_SENTINEL, 1e-17],
     "nested": {"a": [1.0 / 3.0, 2e300], "b": {"c": [None, "x\u00e9\"", [True, 2]]}},
+    "literals-with-percent": ["%d", "100%", "%.17g", 'a"b', "\\", "%%s", 0.5, None, 7],
+    "bools-among-numbers": [True, 1, 1.5, False, 0, -0.0],
+    "big-ints-among-floats": [2 ** 70, -2 ** 70, 0.25, None, 10 ** 20],
+    "int-lists-mixed-lengths": [[0, 1, 2], (3,), [], (4, 5, 6, 7), [8, 9]],
+    "empty-lists": [[], [[]], [[], []], ([],)],
 }
 
 
@@ -268,12 +276,23 @@ def test_render_matches_recursive_writer(name):
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_render_non_finite_raises_in_every_list(bad):
+    mixed = [UNCONSTRAINED_SENTINEL, None, 0.5, True, 3, "x", -0.0]
+    at_every_position = [mixed[:at] + [bad] + mixed[at:] for at in range(len(mixed) + 1)]
     for value in ([bad], [1.0, bad], [None, 1.0, bad], [[0.5, bad]], {"a": (bad,)},
-                  np.array([bad]), [np.float64(bad)]):
+                  np.array([bad]), [np.float64(bad)], *at_every_position):
         with pytest.raises(ValueError):
             oracles.render_recursive(value)
         with pytest.raises(ValueError):
             render(value)
+    for at in range(4):
+        values = np.full(4, 0.25)
+        values[at] = bad
+        with pytest.raises(ValueError):
+            render(Entries(values, np.zeros(4, dtype=int)))
+        # a literal's value is never printed, whatever it holds
+        codes = (np.arange(4) == at).astype(int)
+        assert render(Entries(values, codes, ("null",))) == "[" + ", ".join(
+            ["0.25"] * at + ["null"] + ["0.25"] * (3 - at)) + "]"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -282,6 +301,131 @@ def test_render_non_finite_raises_in_every_list(bad):
 def test_render_float_and_int_lists_match_recursive_writer(floats, ints):
     for value in (floats, ints, [floats, ints], [ints, ints], floats + [None]):
         assert render(value) == oracles.render_recursive(value)
+
+
+_SCALARS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e-17, 2e300, -2e300, 5e-324]),
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.text(st.sampled_from('ab%"\\\u00e9\n '), max_size=6),
+    st.just(UNCONSTRAINED_SENTINEL))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_SCALARS, max_size=40))
+def test_render_mixed_lists_match_recursive_writer(values):
+    # floats, ints, bools, None and strings: one %-format of the floats,
+    # the other items as literals; bools print as true/false, not as 1/0
+    assert render(values) == oracles.render_recursive(values)
+    assert render(tuple(values)) == oracles.render_recursive(values)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=7), max_size=12))
+def test_render_int_lists_match_recursive_writer(lists):
+    want = oracles.render_recursive(lists)
+    assert render(lists) == want
+    assert render(IntLists(list(map(len, lists)), [i for v in lists for i in v])) == want
+
+
+_LITERAL_TEXTS = ('"unconstrained"', "null", '"50%"', "true", '"%d%%"')
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                    st.sampled_from([-0.0, 1e-17, 2e300])),
+                          st.integers(0, len(_LITERAL_TEXTS))), max_size=30))
+def test_render_entries_match_recursive_writer(pairs):
+    values = np.array([v for v, _ in pairs], dtype=float)
+    codes = np.array([c for _, c in pairs], dtype=int)
+    want = [json.loads(_LITERAL_TEXTS[c - 1]) if c else v for v, c in pairs]
+    assert render(Entries(values, codes, _LITERAL_TEXTS)) == oracles.render_recursive(want)
+
+
+def _positive_report(m: int, seed: int):
+    """A ball+ certify report of random_sphere(3, m, seed) with two failing rows."""
+    frame, _, _ = rc.normalize(rc.random_sphere(3, m, seed))
+    poly = rc.build_polytope(frame)
+    pos = rc.positive_facets(poly)
+    est = rc.pbe_positive(frame, poly, pos, 1.0)
+    bias = np.where(est.unconstrained_mask, -0.5, est.alpha_scaled - 1e-3)
+    bias[np.flatnonzero(~est.unconstrained_mask)[:2]] += 0.2
+    layer = rc.ReLULayer(frame, bias, 1.0, "ball+")
+    return rc.build_report(
+        command="certify", version="0.1.0", domain="ball+", radius=1.0, frame=frame,
+        norms=np.ones(m), rescaled_bias=bias, poly=poly,
+        omnidirectional=rc.is_omnidirectional(poly), positive_report=pos, estimate=est,
+        stability_report=rc.stability_positive(frame, poly, pos, 1.0),
+        certificate=rc.certify(layer, est), solver_tol=1e-9)
+
+
+def test_report_lists_render_without_a_call_per_entry(monkeypatch):
+    report = _positive_report(200, 5)
+    calls = []
+    original = reports.render
+
+    def counting(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(reports, "render", counting)
+    text = report.to_text()
+
+    def nodes(doc: dict) -> int:  # the dict and each of its values, recursively
+        return 1 + sum(nodes(v) if isinstance(v, dict) else 1 for v in doc.values())
+
+    assert len(calls) == nodes(report.document) < 100
+    doc = json.loads(text)
+    alphas = doc["bias_estimate"]["alpha_S"] + doc["bias_estimate"]["alpha_X"]
+    assert {type(v) for v in alphas} == {str, type(None), float}
+    assert None in doc["certificate"]["margins"]
+    assert len(doc["certificate"]["failing_indices"]) == 2
+    assert len(doc["polytope"]["facet_vertices"]) == doc["polytope"]["num_facets"] > 300
+    assert text == oracles.render_recursive(doc) + "\n"
+    assert Report.from_text(text).to_text() == text
+
+
+_TYPED_LISTS = {
+    ("polytope", "facet_vertices"): IntLists,
+    **{("bias_estimate", key): Entries
+       for key in ("alpha_X", "alpha_S", "alpha_B", "alpha_scaled")},
+    ("certificate", "margins"): Entries,
+}
+
+
+def test_built_report_document_types():
+    # build_report's document: facet_vertices is an IntLists, the alpha and
+    # margin lists are Entries, every other value is JSON; the parsed text
+    # is plain JSON, holds the same entries and renders to the same text
+    report = _positive_report(60, 3)
+    text = report.to_text()
+    parsed = Report.from_text(text).document
+    assert json.loads(json.dumps(parsed)) == parsed
+    assert Report(parsed).to_text() == text
+
+    def json_types(v):
+        yield type(v)
+        if isinstance(v, (dict, list, tuple)):
+            for x in (v.values() if isinstance(v, dict) else v):
+                yield from json_types(x)
+
+    for section, fields in report.document.items():
+        for key, value in (fields.items() if isinstance(fields, dict) else [(None, fields)]):
+            if (section, key) in _TYPED_LISTS:
+                assert type(value) is _TYPED_LISTS[section, key]
+            else:
+                assert set(json_types(value)) <= {dict, list, tuple, float, int, bool, str,
+                                                   type(None)}, (section, key)
+    lists = report.document["polytope"]["facet_vertices"]
+    cut = np.cumsum([0] + lists.lengths).tolist()
+    assert [lists.flat[i:j] for i, j in zip(cut, cut[1:])] == \
+        parsed["polytope"]["facet_vertices"]
+    for (section, key), kind in _TYPED_LISTS.items():
+        if kind is Entries:
+            entries = report.document[section][key]
+            literals = [json.loads(t) for t in entries.literals]
+            assert [literals[c - 1] if c else v for v, c in
+                    zip(entries.values.tolist(), entries.codes.tolist())] == parsed[section][key]
 
 
 def test_rendered_reports_match_recursive_writer(capsys, tmp_path):
