@@ -134,7 +134,7 @@ def _cmd_reconstruct(args) -> int:
     # Every block is inverted before anything is written, so a refusal
     # leaves no partial output. Only the (N, n) inverses are kept: each
     # block's outputs are recomputed when it is written, which holds peak
-    # memory to one block of outputs and its text per writer process.
+    # memory to one block of outputs and its text.
     step = _block_rows(frame.m + frame.n + 1)
     blocks = [slice(start, start + step) for start in range(0, inputs.shape[0], step)]
     xhat = np.empty_like(inputs)
@@ -147,17 +147,13 @@ def _cmd_reconstruct(args) -> int:
     err = np.max(np.abs(xhat - inputs), axis=1)  # NaN on failed rows
     header = ([f"z{i}" for i in range(frame.m)]
               + [f"xhat{j}" for j in range(frame.n)] + ["roundtrip_error"])
-
-    def block_text(k: int) -> str:
-        rows = blocks[k]
-        with warnings.catch_warnings():  # the inputs' ball check warned above
-            warnings.simplefilter("ignore")
-            outputs = forward(layer, inputs[rows])
-        return fio.format_matrix(np.hstack([outputs, xhat[rows], err[rows, None]]))
-
     with _output(args.out) as handle:
         handle.write(",".join(header) + "\n")
-        fio.write_blocks(handle, len(blocks), block_text)
+        for rows in blocks:
+            with warnings.catch_warnings():  # the inputs' ball check warned above
+                warnings.simplefilter("ignore")
+                outputs = forward(layer, inputs[rows])
+            handle.write(fio.format_matrix(np.hstack([outputs, xhat[rows], err[rows, None]])))
     if failed:
         print(f"warning: {failed} inputs could not be reconstructed", file=sys.stderr)
     return 0

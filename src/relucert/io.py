@@ -9,9 +9,8 @@ line `epoch <k>`, then the m weight rows as CSV, then one bias row prefixed
 from __future__ import annotations
 
 import functools
-import os
 import sys
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -359,111 +358,6 @@ def _format_rows(a: np.ndarray, follows: bool) -> bytearray:
         first[0] = _BLANK
     half[:, 0] += (np.signbit(x) > slow) * _MINUS  # a sign on the exact fields
     return buf.translate(None, b" ")
-
-
-# blocks per writer process: with fewer, a second process buys no time. The
-# second starts at 32 reconstruct blocks: 7,680 rows for a (3, 200) layer,
-# whose blocks hold 240 rows, and at most 8,192
-WRITER_BLOCKS = 16
-
-
-def _writer_count(blocks: int) -> int:
-    """Processes that format `blocks` blocks: one per WRITER_BLOCKS blocks,
-    at most one per CPU this process may run on, at least 1, and 1 where
-    `os.fork` does not exist.
-
-    A forked writer costs its fork, its pipe and a free CPU. Timed alone
-    (2-core host, 256 x 204 blocks of about 9 ms each with the former
-    8-word layout, median of 15), two writers against one took 93 against
-    79 ms for 8 blocks, 279 against 258 ms for 24, and 232 against 353 ms
-    for 32. With fewer blocks the second process only made the command's
-    time depend on whether the other CPU was busy. Reconstruct blocks now
-    hold whole formatter slices, 240 rows for a (3, 200) layer, so 32
-    blocks are 7,680 rows there and 8,064 for a (4, 60) layer."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, blocks // WRITER_BLOCKS))
-
-
-def _serve(fd: int, inherited: list[int], blocks: range,
-           block_text: Callable[[int], str]) -> None:
-    """A forked writer: send each of `blocks` down pipe `fd` as one frame (an
-    8-byte big-endian length, then the UTF-8 text), and exit. It never
-    returns into the caller, whatever happens."""
-    code = 1
-    try:
-        for other in inherited:  # read ends: the parent's closing must break the pipes
-            os.close(other)
-        with open(fd, "wb") as pipe:
-            for k in blocks:
-                data = block_text(k).encode()
-                pipe.write(len(data).to_bytes(8, "big"))
-                pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _receive(pipe) -> str | None:
-    """The next frame from a writer, or None if it ended short."""
-    head = pipe.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "big")
-        data = pipe.read(size)
-        if len(data) == size:
-            return data.decode()
-    return None
-
-
-def write_blocks(handle, count: int, block_text: Callable[[int], str]) -> None:
-    """Write block_text(0), ..., block_text(count - 1) to `handle` in order,
-    formatted by P = `_writer_count(count)` processes.
-
-    Block k goes to worker k mod P. Worker 0 is this process; workers 1..P-1
-    are forked children (POSIX `fork`), each with its own pipe, that format
-    their blocks in order and send each one as a length-prefixed frame. This
-    process formats its own blocks and relays the children's frames as they
-    come, so every process holds about one block of text, and the output is
-    the serial loop's, byte for byte. A child that dies or sends a short
-    frame costs time, never bytes: its remaining blocks are formatted here.
-    On the way out every read end is closed, so a child blocked on a full
-    pipe gets EPIPE, and every child is reaped.
-    """
-    workers = _writer_count(count)
-    pipes = {}  # worker -> the read end of its pipe, while it delivers
-    pids = []
-    try:
-        for worker in range(1, min(workers, count)):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: this one formats those blocks
-                os.close(read_fd)
-                os.close(write_fd)
-                break
-            if pid == 0:
-                _serve(write_fd, [read_fd] + [p.fileno() for p in pipes.values()],
-                       range(worker, count, workers), block_text)
-            os.close(write_fd)
-            pids.append(pid)
-            pipes[worker] = open(read_fd, "rb")
-        for k in range(count):
-            text = None
-            pipe = pipes.get(k % workers)
-            if pipe is not None:
-                text = _receive(pipe)
-                if text is None:
-                    pipes.pop(k % workers).close()
-            handle.write(block_text(k) if text is None else text)
-    finally:
-        for pipe in pipes.values():
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
 
 
 def read_trace(path: str) -> list[tuple[int, np.ndarray, np.ndarray]]:

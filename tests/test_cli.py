@@ -1,7 +1,5 @@
-import contextlib
 import json
 import os
-import signal
 import subprocess
 import sys
 import warnings
@@ -397,9 +395,6 @@ def test_reconstruct_warns_once_for_an_outside_ball_row(capsys, tmp_path):
     assert [str(c.message) for c in caught] == ["input lies outside the declared ball"]
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the parallel writer forks")
-
-
 def _no_children():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -409,7 +404,7 @@ def _no_children():
 def wide_force_files(tmp_path):
     """An uncertified icosahedron layer and 1,100 ball inputs, some of which
     print `nan` under --force: five blocks of up to 256 rows, about 59 KB of
-    text each, so a writer with two blocks overfills a 64 KiB pipe."""
+    text each."""
     bias = np.array([-0.5, -0.3, 0.1, 0.2, 0.0, 0.2, 0.2, -0.7, -0.7, 0.0, 0.4, 0.2])
     xs = oracles.sample_ball(np.random.default_rng(87), 3, 1100)
     (w, b, x), (_, want_failed) = _reconstruct_files(tmp_path, rc.icosahedron(), bias, xs)
@@ -417,148 +412,55 @@ def wide_force_files(tmp_path):
     return ["reconstruct", w, "--bias", b, "--inputs", x, "--force"], int(want_failed.sum())
 
 
-def _writers(monkeypatch, count):
-    monkeypatch.setattr(fio, "_writer_count", lambda blocks: count)
-
-
-def _serial_csv(capsys, monkeypatch, argv):
-    _writers(monkeypatch, 1)
-    code, out, err = run(capsys, *argv)
-    assert code == 0
-    return out, err
-
-
-@needs_fork
-def test_parallel_writer_output_is_byte_identical(capsys, monkeypatch, tmp_path,
-                                                  wide_force_files):
+def test_reconstruct_output_is_byte_identical(capsys, tmp_path, wide_force_files):
+    # five blocks with `nan` rows: standard output, the --out file and the
+    # repr oracle's re-print of the parsed values agree byte for byte
     argv, failed = wide_force_files
-    want, want_err = _serial_csv(capsys, monkeypatch, argv)
-    _no_children()
-    assert len(want.splitlines()) == 1 + 1100 and "nan" in want
-    assert want_err == f"warning: {failed} inputs could not be reconstructed\n"
-    for count in (1, 2, 3, 9):  # 9: more writers than blocks
-        _writers(monkeypatch, count)
-        code, out, err = run(capsys, *argv)
-        _no_children()
-        assert (code, out, err) == (0, want, want_err)
-        path = tmp_path / f"out{count}.csv"
-        code, out, err = run(capsys, *argv, "--out", str(path))
-        _no_children()
-        assert (code, out, err) == (0, "", want_err)
-        assert path.read_bytes() == want.encode()
-
-
-@needs_fork
-@pytest.mark.parametrize("dies_at", [0, 1])
-def test_parallel_writer_survives_a_failing_child(capsys, monkeypatch, wide_force_files,
-                                                  dies_at):
-    # each child raises at its first or second block: the parent formats the
-    # blocks it did not deliver, and the output does not change
-    argv, _ = wide_force_files
-    want, want_err = _serial_csv(capsys, monkeypatch, argv)
-    parent = os.getpid()
-    calls = []
-    format_matrix = fio.format_matrix
-
-    def flaky(a):
-        if os.getpid() != parent:
-            calls.append(1)
-            if len(calls) > dies_at:
-                raise RuntimeError("writer failed")
-        return format_matrix(a)
-
-    monkeypatch.setattr(fio, "format_matrix", flaky)
-    for count in (2, 3):
-        _writers(monkeypatch, count)
-        code, out, err = run(capsys, *argv)
-        _no_children()
-        assert (code, out, err) == (0, want, want_err)
-
-
-@needs_fork
-def test_parallel_writer_survives_a_short_frame(capsys, monkeypatch, wide_force_files):
-    # a child that sends half of a frame and exits
-    argv, _ = wide_force_files
-    want, want_err = _serial_csv(capsys, monkeypatch, argv)
-
-    def short(fd, inherited, blocks, block_text):
-        data = block_text(blocks[0]).encode()
-        os.write(fd, len(data).to_bytes(8, "big") + data[:len(data) // 2])
-        os._exit(0)
-
-    monkeypatch.setattr(fio, "_serve", short)
-    _writers(monkeypatch, 2)
+    want_err = f"warning: {failed} inputs could not be reconstructed\n"
     code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, want_err)
+    header, values = _csv_rows(out)
+    body = out.partition("\n")[2]
+    assert header.startswith("z0,") and values.shape == (1100, 12 + 3 + 1)
+    assert np.isnan(values).any() and "nan" in body
+    assert_same_text(body, oracles.format_matrix_repr(values))
+    path = tmp_path / "out.csv"
+    code, printed, err = run(capsys, *argv, "--out", str(path))
+    assert (code, printed, err) == (0, "", want_err)
+    assert path.read_bytes() == out.encode()
     _no_children()
-    assert (code, out, err) == (0, want, want_err)
 
 
-@needs_fork
-def test_parallel_writer_without_a_spare_process(capsys, monkeypatch, wide_force_files):
-    # fork fails (EAGAIN): this process formats every block itself
-    argv, _ = wide_force_files
-    want, want_err = _serial_csv(capsys, monkeypatch, argv)
+def test_large_reconstruct_starts_no_process(capsys, monkeypatch, tmp_path):
+    # 8,300 rows of a certified tetrahedron layer are 33 blocks of 256: this
+    # process writes every one of them. A started process fails the test here
+    # (an AssertionError, which no caller swallows as it would an OSError).
+    xs = oracles.sample_ball(np.random.default_rng(90), 3, 8300)
+    bias = np.full(4, -1.0 / np.sqrt(3.0))
+    paths = [tmp_path / name for name in ("w.csv", "b.csv", "x.csv")]
+    for path, a in zip(paths, (rc.tetrahedron(), bias, xs)):
+        path.write_text(fio.format_matrix(a))
+    assert cli._block_rows(4 + 3 + 1) == 256 and -(-len(xs) // 256) == 33
 
     def no_fork():
-        raise BlockingIOError("fork: resource temporarily unavailable")
+        raise AssertionError("a process was started")
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    _writers(monkeypatch, 3)
-    code, out, err = run(capsys, *argv)
-    _no_children()
-    assert (code, out, err) == (0, want, want_err)
-
-
-@needs_fork
-def test_parallel_writer_parent_error_does_not_hang(capsys, monkeypatch, tmp_path,
-                                                    wide_force_files):
-    # the parent fails at its first block while the writer of blocks 1 and 4
-    # is blocked on its full pipe: closing the read ends lets it exit, and
-    # both writers are reaped
-    argv, _ = wide_force_files
-    parent = os.getpid()
-    format_matrix = fio.format_matrix
-
-    def failing_here(a):
-        if os.getpid() == parent:
-            raise RuntimeError("parent failed")
-        return format_matrix(a)
-
-    def timeout(signum, frame):
-        raise TimeoutError("the writer hung")
-
-    pids = []
-    fork = os.fork
-
-    def recorded_fork():
-        pid = fork()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(fio, "format_matrix", failing_here)
-    monkeypatch.setattr(os, "fork", recorded_fork)
-    _writers(monkeypatch, 3)
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(60)
-    try:
-        with pytest.raises(RuntimeError, match="parent failed"):
-            main([*argv, "--out", str(tmp_path / "out.csv")])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-        for pid in pids:  # a hung writer fails the test; it must not outlive it
-            with contextlib.suppress(ChildProcessError):
-                if os.waitpid(pid, os.WNOHANG) == (0, 0):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-    assert len(pids) == 2
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    w, b, x = map(str, paths)
+    code, out, err = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x)
+    assert (code, err) == (0, "")
+    _, values = _csv_rows(out)
+    body = out.partition("\n")[2]
+    assert values.shape == (8300, 8)
+    assert_same_text(body, oracles.format_matrix_repr(values))
+    assert np.max(np.abs(values[:, 4:7] - xs)) <= 1e-12
     _no_children()
 
 
 def test_closed_stdout_exits_1_quietly(tmp_path):
     # `relucert reconstruct ... | head -1`: the reader takes one line and
     # closes the pipe while about 160 KB are still to come. The console
-    # script exits 1 with nothing on standard error, and its writers with it.
+    # script exits 1 with nothing on standard error.
     xs = oracles.sample_ball(np.random.default_rng(89), 3, 1000)
     bias = np.full(4, -1.0 / np.sqrt(3.0))
     (w, b, x), _ = _reconstruct_files(tmp_path, rc.tetrahedron(), bias, xs)
@@ -599,22 +501,6 @@ def test_console_warning_is_one_line(tmp_path):
         "warning: 1 inputs could not be reconstructed"]
 
 
-def test_writer_count(monkeypatch):
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert fio._writer_count(1) == 1
-    assert fio._writer_count(10_000) == (cpus if hasattr(os, "fork") else 1)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    per = fio.WRITER_BLOCKS
-    if hasattr(os, "fork"):
-        # one writer per WRITER_BLOCKS blocks, at most one per CPU
-        assert ([fio._writer_count(b) for b in (1, 8, per - 1, per, 2 * per - 1, 2 * per,
-                                                 3 * per, 10 * per)]
-                == [1, 1, 1, 1, 1, 2, 3, 3])
-    monkeypatch.delattr(os, "fork", raising=False)
-    assert fio._writer_count(10 * per) == 1
-
-
 @pytest.mark.parametrize("n, m, slice_rows, block_rows", [(3, 200, 80, 240), (4, 60, 252, 252)])
 def test_reconstruct_blocks_hold_whole_slices(capsys, monkeypatch, tmp_path,
                                               n, m, slice_rows, block_rows):
@@ -634,7 +520,6 @@ def test_reconstruct_blocks_hold_whole_slices(capsys, monkeypatch, tmp_path,
     counts = sorted({1, s - 1, s, s + 1, b, b + 1, 3 * b + 7})
     for rows in counts:
         (tmp_path / f"x{rows}.csv").write_text(fio.format_matrix(xs[:rows]))
-    _writers(monkeypatch, 1)
     blocks = []  # (rows, _format_rows calls) per format_matrix call
     format_matrix, format_rows = fio.format_matrix, fio._format_rows
 
@@ -665,7 +550,7 @@ def test_reconstruct_blocks_hold_whole_slices(capsys, monkeypatch, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["gen", "reconstruct"])
-def test_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, command):
+def test_unwritable_out_exits_2(capsys, tmp_path, command):
     missing = str(tmp_path / "no-such-dir" / "out.csv")
     if command == "gen":
         argv = ["gen", "basis", "--n", "3"]
@@ -675,12 +560,6 @@ def test_unwritable_out_exits_2(capsys, monkeypatch, tmp_path, command):
         b.write_text("-0.5,-0.5,-0.5\n")
         x.write_text(fio.format_matrix(oracles.sample_ball(np.random.default_rng(88), 2, 600)))
         argv = ["reconstruct", str(w), "--bias", str(b), "--inputs", str(x)]
-
-    def no_fork():
-        raise AssertionError("a writer was started")
-
-    _writers(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", no_fork, raising=False)
     code, out, err = run(capsys, *argv, "--out", missing)
     assert code == 2 and out == ""
     doc = json.loads(err)
