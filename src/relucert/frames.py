@@ -33,6 +33,38 @@ one, and the zero operator, for which U = 0) goes to `eigvalsh`, and its
 eigenvalues decide it as before. So the mask is the rule's on every
 operator, whichever path decides it. The filter needs no eigensolver:
 on reconstruction's pattern operators it decides nearly every row.
+
+`smallest_lower_bound`'s screen. Of a stack of positive semi-definite
+operators S_f only the smallest `eigvalsh` value, A0, is wanted. Write u
+for the unit roundoff, s for the largest trace in the stack (s >= ||S_f||)
+and e = c n u s for the rounding terms below, c a small constant.
+
+- The k-th pivot of the LDL^T factorization (no pivoting) of S is
+  1 / (S_k^-1)_kk, S_k its leading k x k block, so it is at least
+  lambda_min(S_k) >= lambda_min(S) by Cauchy's interlacing theorem. A
+  computed factorization is the exact one of S + E with ||E|| <= e
+  wherever its pivots stayed positive (Higham, Accuracy and Stability of
+  Numerical Algorithms, 2002, Thm 10.3; the bound uses trace(S) <= s).
+  So the smallest computed pivot t over the stack has some f with
+  lambda_min(S_f) <= t + e; and where a factorization breaks down (a
+  pivot <= 0 first), its operator has lambda_min <= e.
+- Take t' = max(t, TOL_RANK s) + TOL_SCREEN s: then t' >= A0 + e, as
+  TOL_SCREEN s = 1e-10 s is far above any e for n in the hundreds. An
+  operator whose factorization of S_f - t' I gives positive pivots only
+  has lambda_min(S_f) > t' - e, and `eigvalsh`, backward stable, returns
+  at least t' - 2e for it. The operator with the smallest exact
+  eigenvalue gets at most A0 + e from `eigvalsh` (Weyl), below that, so
+  it is never dropped, and no dropped operator holds the smallest
+  computed value: `eigvalsh` on the rest, the same LAPACK routine on the
+  same matrices, returns A0 with its bits.
+- A dropped operator has a computed smallest eigenvalue above
+  TOL_RANK s + TOL_SCREEN s - 2e and a computed largest below s + e, so
+  it passes the rank rule: every failing operator stays, and NotAFrame
+  names the first of them, with the same eigenvalues in its message.
+
+The screen runs two factorizations, each n steps of whole-stack numpy
+calls in the (n, n, F) layout, where each step reads contiguous rows of F
+entries; it only pays for stacks of more than SCREEN_MIN operators.
 """
 
 from __future__ import annotations
@@ -50,6 +82,12 @@ TOL_RANK = 1e-9
 # the ratio at which Gershgorin's bounds accept an operator: a thousand times
 # TOL_RANK, a gap no rounding crosses (see the module docstring)
 TOL_GERSHGORIN = 1e-6
+# the screen's shift above the smallest pivot, per unit of the largest
+# operator trace: far above every rounding term (see the module docstring)
+TOL_SCREEN = 1e-10
+# stacks up to this size go to eigvalsh whole: below it the screen's fixed
+# cost of about 2n numpy calls (50-130 us) is more than their eigensolves
+SCREEN_MIN = 48
 
 
 def as_matrix(values, what: str = "matrix") -> np.ndarray:
@@ -165,3 +203,35 @@ def operator_bounds(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         low, high = lower.flat[bad[0]], upper.flat[bad[0]]
         raise NotAFrame(f"sub-collection is rank deficient (eigenvalue range [{low:.3e}, {high:.3e}])")
     return lower, upper
+
+
+def smallest_lower_bound(ops: np.ndarray) -> float:
+    """The smallest of `operator_bounds(ops)`'s lower bounds for a stack
+    (F, n, n) of positive semi-definite operators, bit for bit, raising the
+    same NotAFrame. An LDL^T screen drops the operators that cannot hold it
+    (see the module docstring); `eigvalsh` runs on the rest."""
+    ops = np.asarray(ops, dtype=float)
+    if len(ops) > SCREEN_MIN:
+        a = ops.transpose(1, 2, 0).copy()
+        scale = a.trace().max()
+        t = np.fmin.reduce(_ldl_pivots(a.copy()), axis=None)
+        diag = np.arange(a.shape[0])
+        a[diag, diag] -= np.fmax(t, TOL_RANK * scale) + TOL_SCREEN * scale
+        ops = ops[~(_ldl_pivots(a) > 0.0).all(axis=0)]
+    lower, _ = operator_bounds(ops)
+    return float(lower.min())
+
+
+def _ldl_pivots(a: np.ndarray) -> np.ndarray:
+    """The pivots (n, F) of the LDL^T factorizations, without pivoting, of an
+    (n, n, F) stack of symmetric matrices, read from their lower triangles;
+    `a` is overwritten, and its diagonal ends up holding the pivots. After a
+    pivot <= 0 an operator's later pivots are meaningless (NaN where one is
+    0)."""
+    n = a.shape[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(n - 1):
+            col = a[j + 1:, j]
+            a[j + 1:, j + 1:] -= (col / a[j, j])[:, None] * col
+    diag = np.arange(n)
+    return a[diag, diag]

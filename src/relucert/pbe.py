@@ -8,6 +8,15 @@ smallest over the cones intersected with the unit ball, which collapses to
 0 where alpha_X >= 0 and to alpha_S otherwise. A layer whose bias stays
 entrywise below the scaled alpha_B is injective on the ball of the given
 radius.
+
+Each solver runs only where a proven bound cannot decide its result, and
+every reported number keeps the bits a full solve gives. A cone program
+runs only if its lower bound from the lemma sum(d) <= 1 / |offset| does
+not exceed alpha_X, an upper bound on alpha_B, by TOL_PRUNE / offset^2
+(proof and margin in `_estimate`). A0 is the smallest facet operator
+eigenvalue from `frames.smallest_lower_bound`, whose LDL^T screen gives
+`eigvalsh` only the operators that could hold it (proof and margin in the
+`frames` module docstring).
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 
 from .errors import (NotConverged, NotNonnegOmnidirectional, NotOmnidirectional,
                      OrphanVertex, SolverFailed)
-from .frames import UnitFrame, operator_bounds
+from .frames import UnitFrame, operator_bounds, smallest_lower_bound
 from .polytope import (Polytope, PositiveFacetReport, facet_groups, is_omnidirectional,
                        nonzero_2d)
 from .solvers import TOL_SOLVER, min_linear_capped_cones
@@ -27,6 +36,9 @@ DOMAIN_BALL = "ball"
 DOMAIN_BALL_POSITIVE = "ball+"
 
 UNCONSTRAINED = np.inf  # sentinel for entries the estimate leaves arbitrary
+# a cone program runs unless its lower bound exceeds alpha_X by this over
+# offset^2: far above the rounding of either side (see `_estimate`)
+TOL_PRUNE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,20 +82,24 @@ class StabilityReport:
 
 def alpha_X(poly: Polytope) -> np.ndarray:
     """Smallest correlation of each element with the vertices of its facets."""
-    out = _facet_block_min(poly.frame, facet_groups(poly, range(poly.num_facets)))
+    out, _ = _facet_block_min(poly.frame, facet_groups(poly, range(poly.num_facets)))
     orphans = np.nonzero(np.isinf(out))[0]
     if orphans.size:
         raise OrphanVertex(int(orphans[0]))
     return out
 
 
-def _facet_block_min(frame: UnitFrame, groups) -> np.ndarray:
-    """alpha_X over the grouped facets only; +inf on elements of none of them."""
+def _facet_block_min(frame: UnitFrame, groups):
+    """alpha_X over the grouped facets only, +inf on elements of none of
+    them; and per group the (F_k, k) array whose entry (f, p) is the
+    smallest correlation of the facet's vertex p with its vertices."""
     gram = frame.elements @ frame.elements.T
     out = np.full(frame.m, np.inf)
+    mins = []
     for _, verts in groups:
-        np.minimum.at(out, verts, gram[verts[:, :, None], verts[:, None, :]].min(axis=2))
-    return out
+        mins.append(gram[verts[:, :, None], verts[:, None, :]].min(axis=2))
+        np.minimum.at(out, verts, mins[-1])
+    return out, mins
 
 
 def pbe_ball(frame: UnitFrame, poly: Polytope, radius: float = 1.0,
@@ -116,28 +132,63 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
     has <x_i, y> = g.d - <D d*, y> >= -eps * sum(d) - ||D d*||. Every vertex
     lies on the facet plane <normal, .> = offset, so
     sum(d) = <normal, y> / offset <= ||y|| / |offset| <= 1 / |offset|.
+
+    A program runs only where it can set alpha_B. With g_Fi the smallest
+    correlation of x_i with F's vertices, the same lemma bounds the
+    program's result below: <x_i, y> = sum_l d_l <x_i, x_l> >= min(0, g_Fi)
+    sum(d), and the solver's residual is at most max(tol, 0) unless the
+    program fails, so value - residual / |offset| >=
+    L_Fi = (min(0, g_Fi) - max(tol, 0)) / |offset|. And alpha_B[i] <=
+    alpha_X[i]: on the facet of the vertex x_l that sets alpha_X[i], the
+    solver's first step puts d on x_l alone (the largest descent, -g_Fi,
+    enters), giving value g_Fi = alpha_X[i], and each later step lowers
+    it. So the program (F, i) is skipped when L_Fi > alpha_X[i] +
+    TOL_PRUNE / offset^2: its result could not have been the minimum, and
+    alpha_S and alpha_B keep their bits. The facet that sets alpha_X[i] is
+    never skipped, as its L_Fi <= g_Fi = alpha_X[i]. Rounding moves the
+    two sides apart by about (TOL_PLANE + n eps + k^2 eps / |offset|) /
+    offset^2 at most: vertices lie on the plane only up to TOL_PLANE =
+    1e-9, c differs from the Gram entries by about n eps, and the passive
+    solves leave residuals of order k^2 eps / |offset|. As L_Fi <= 0 and
+    alpha_X >= -1, nothing is skipped where offset^2 < TOL_PRUNE; above
+    that, TOL_PRUNE = 1e-6, a thousand times TOL_PLANE, covers the sum. A
+    skipped program is not solved, so it cannot raise SolverFailed; each
+    element's first program in scan order always runs, so a scan in which
+    every program fails names the same first pair.
     """
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be finite and positive")
     facet_indices = np.asarray(facet_indices, dtype=int)
     groups = list(facet_groups(poly, facet_indices))
-    a_x = _facet_block_min(frame, groups)
+    a_x, mins = _facet_block_min(frame, groups)
     unconstrained = np.isinf(a_x)
     if domain == DOMAIN_BALL and unconstrained.any():
         raise OrphanVertex(int(np.nonzero(unconstrained)[0][0]))
     need = a_x < 0.0  # elements whose facets need cone programs
     a_b = np.where(need | unconstrained, UNCONSTRAINED, 0.0)  # need: minimum below
 
+    # one program per (facet, element on it that needs one): row r of the
+    # group's vertex array, facet position rows[r], element i, and g, the
+    # element's smallest correlation with the facet's vertices
+    programs = []
+    first = np.full(frame.m, len(facet_indices))  # each element's first facet
+    for (rows, verts), mins_k in zip(groups, mins):
+        r, p = nonzero_2d(need[verts])
+        i = verts[r, p]
+        np.minimum.at(first, i, rows[r])
+        programs.append((r, i, mins_k[r, p]))
     pts = frame.elements
     failures = []
-    for rows, verts in groups:
-        # one program per (facet, element on it that needs one); G and c
-        # are the products D^T D and D^T x_i of the facet's vertex columns
-        r, i = nonzero_2d(poly.incidence[facet_indices[rows]] & need)
+    for (rows, verts), (r, i, g) in zip(groups, programs):
+        offsets = np.abs(poly.offsets[facet_indices[rows[r]]])
+        skip = ((np.minimum(g, 0.0) - max(tol, 0.0)) / offsets
+                > a_x[i] + TOL_PRUNE / offsets ** 2) & (rows[r] != first[i])
+        run = np.flatnonzero(~skip)
+        r, i, offsets = r[run], i[run], offsets[run]
+        # G and c are the products D^T D and D^T x_i of the facet's vertex columns
         vx = pts[verts]
         values, _, residuals, steps, failed = min_linear_capped_cones(
             (vx @ vx.swapaxes(1, 2))[r], (vx[r] @ pts[i][:, :, None])[:, :, 0], tol)
-        offsets = np.abs(poly.offsets[facet_indices[rows[r]]])
         np.minimum.at(a_b, i, values - residuals / offsets)
         failures += zip(i[failed].tolist(), rows[r[failed]].tolist(),
                         steps[failed].tolist(), residuals[failed].tolist())
@@ -180,7 +231,7 @@ def _stability(frame, poly, facet_indices, radius) -> StabilityReport:
     for rows, verts in facet_groups(poly, facet_indices):
         sub = frame.elements[verts]
         ops[rows] = sub.swapaxes(1, 2) @ sub
-    lower, _ = operator_bounds(ops)
+    lower = smallest_lower_bound(ops)
     _, upper = operator_bounds(frame.elements.T @ frame.elements)
-    return StabilityReport(A0=float(lower.min()), B0=float(upper),
+    return StabilityReport(A0=lower, B0=float(upper),
                            image_radius=float(radius) * float(np.sqrt(upper)))

@@ -87,3 +87,33 @@ def assert_same_text(got: str, want: str, what: str = "text") -> None:
     first = [repr(lines[i]) if i < len(lines) else "no line" for lines in (a, b)]
     raise AssertionError(f"{what}: line {i} differs: got {first[0]}, want {first[1]} "
                          f"({len(a)} and {len(b)} lines)")
+
+
+# frames the pruned bias estimate and the A0 screen are checked on: fuzz
+# frames of three kinds at n = 3..6 (two omnidirectional draws each), the
+# 3- and 4-cube, the 24-cell, a ternary matrix and the icosahedron
+BOUND_FRAMES = ([f"{kind}-{n}-{seed}" for kind in ("random", "coplanar", "cross-polytope")
+                 for n in range(3, 7) for seed in (0, 2)]
+                + ["cube3", "cube4", "cell24", "ternary", "icosahedron"])
+
+
+def bound_frame(name: str) -> tuple[rc.UnitFrame, rc.Polytope]:
+    """The normalized frame and polytope of a BOUND_FRAMES entry."""
+    import oracles
+
+    named = {"cube3": lambda: oracles.cube(3), "cube4": lambda: oracles.cube(4),
+             "cell24": oracles.cell24, "ternary": lambda: oracles.ternary(4, 30, 0),
+             "icosahedron": rc.icosahedron}
+    if name in named:
+        weights = named[name]()
+    else:
+        kind, n, seed = name.rsplit("-", 2)
+        weights = oracles.fuzz_frame(kind, int(n), np.random.default_rng([int(seed), int(n), 29]))
+    frame, _, _ = rc.normalize(weights)
+    return frame, rc.build_polytope(frame)
+
+
+def facet_operators(frame, poly, facet_indices) -> np.ndarray:
+    """The frame operators V^T V of the facets, one stacked product each."""
+    subs = [frame.elements[poly.incidence[j]][None] for j in facet_indices]
+    return np.concatenate([sub.swapaxes(1, 2) @ sub for sub in subs])

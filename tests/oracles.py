@@ -5,7 +5,9 @@ polynomials, shifted power iterations, exhaustive supporting-hyperplane
 scans, dense angular sweeps and rejection sampling. Nothing shares code
 with the library paths it validates, except `quickhull_furthest`: the
 former hull, kept to check the new one bit for bit, shares its seed simplex
-and its plane routine.
+and its plane routine; and `full_scan_estimate`, the bias estimate with no
+program pruned, which solves every program with the library's solver so
+that the pruned estimate can be checked against it bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from relucert.frames import operator_bounds
 from relucert.layer import VERIFY_TOL
 from relucert.pbe import DOMAIN_BALL
 from relucert.polytope import PositiveFacetReport
-from relucert.solvers import lp_feasible
+from relucert.solvers import TOL_SOLVER, lp_feasible, min_linear_capped_cones
 
 
 def eig_closed_form(s: np.ndarray) -> np.ndarray:
@@ -653,6 +655,42 @@ def _passive_solve(gram: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.n
     s = np.zeros(c.shape[0])
     s[passive] = np.linalg.solve(gram[np.ix_(passive, passive)], -c[passive])
     return s
+
+
+def full_scan_estimate(frame, poly, facet_indices, tol: float = TOL_SOLVER):
+    """The bias estimate with no program pruned: every (facet, element)
+    program of the elements with alpha_X < 0, one facet at a time, by
+    `min_linear_capped_cones`, each result value - residual / |offset|,
+    minima per element. G and c are formed as stacked products, as the
+    library forms them. Returns (alpha_X, alpha_S, alpha_B, programs):
+    per program (facet position, element, G, c, result, failed, bound),
+    bound the lemma's lower bound (min(0, g) - max(tol, 0)) / |offset|,
+    g the element's smallest correlation with the facet's vertices."""
+    pts = frame.elements
+    gram = pts @ pts.T
+    facets = [np.flatnonzero(poly.incidence[j]) for j in facet_indices]
+    alpha_x = np.full(frame.m, np.inf)
+    for verts in facets:
+        for i in verts:
+            alpha_x[i] = min(alpha_x[i], gram[i, verts].min())
+    alpha_b = np.where((alpha_x < 0.0) | np.isinf(alpha_x), np.inf, 0.0)
+    programs = []
+    for pos, (j, verts) in enumerate(zip(facet_indices, facets)):
+        elements = [i for i in verts if alpha_x[i] < 0.0]
+        if not elements:
+            continue
+        vx = pts[verts][None]
+        G = np.repeat(vx @ vx.swapaxes(1, 2), len(elements), axis=0)
+        c = (np.repeat(vx, len(elements), axis=0) @ pts[elements][:, :, None])[:, :, 0]
+        values, _, residuals, _, failed = min_linear_capped_cones(G, c, tol)
+        offset = abs(poly.offsets[j])
+        for p, i in enumerate(elements):
+            result = values[p] - residuals[p] / offset
+            alpha_b[i] = min(alpha_b[i], result)
+            bound = (min(0.0, gram[i, verts].min()) - max(tol, 0.0)) / offset
+            programs.append((pos, int(i), G[p], c[p], result, bool(failed[p]), bound))
+    alpha_s = np.where(alpha_x < 0.0, alpha_b, np.nan)
+    return alpha_x, alpha_s, alpha_b, programs
 
 
 def cube(n: int) -> np.ndarray:

@@ -5,10 +5,12 @@ from hypothesis.extra import numpy as hnp
 
 import relucert as rc
 from relucert.errors import DimensionMismatch, NotAFrame, ZeroRow
-from relucert.frames import TOL_GERSHGORIN, TOL_RANK, operator_bounds, spanning
+from relucert import frames as frames_module
+from relucert.frames import (TOL_GERSHGORIN, TOL_RANK, operator_bounds, smallest_lower_bound,
+                             spanning)
 
 import oracles
-from conftest import spans
+from conftest import BOUND_FRAMES, bound_frame, facet_operators, spans
 
 
 def frame_operator(frame, subset=None):
@@ -209,6 +211,98 @@ def test_certified_block_pattern_stage_needs_no_eigensolver(monkeypatch):
     _, failed = rc.reconstruct_batch(poly, layer, z)
     assert not failed.any()
     assert sum(rows) == 0, rows
+
+
+def recording_candidates(monkeypatch):
+    """Patch the eigensolve behind `smallest_lower_bound` to record each
+    stack it gets; returns the list it appends to."""
+    stacks = []
+
+    def recording(ops):
+        stacks.append(np.array(ops))
+        return operator_bounds(ops)
+
+    monkeypatch.setattr(frames_module, "operator_bounds", recording)
+    return stacks
+
+
+def eigvalsh_min(ops) -> bytes:
+    return np.linalg.eigvalsh(ops)[:, 0].min().tobytes()
+
+
+@pytest.mark.parametrize("name", BOUND_FRAMES + ["cross-polytope-7"])
+def test_smallest_lower_bound_is_eigvalsh_minimum(name, monkeypatch):
+    # A0 bit for bit the smallest eigvalsh value over every facet operator,
+    # on both domains, with and without the screen; where all facets are
+    # congruent every one of them is a candidate
+    if name == "cross-polytope-7":
+        frame, _, _ = rc.normalize(np.vstack([np.eye(7), -np.eye(7)]))
+        poly = rc.build_polytope(frame)
+        assert poly.num_facets == 128 > frames_module.SCREEN_MIN
+    else:
+        frame, poly = bound_frame(name)
+    selections = [range(poly.num_facets)]
+    report = rc.positive_facets(poly)
+    if report.nonneg_omnidirectional:
+        selections.append(report.facet_indices)
+    stacks = recording_candidates(monkeypatch)
+    congruent = name in ("cube3", "cube4", "cell24", "cross-polytope-7")
+    for facets in selections:
+        ops = facet_operators(frame, poly, facets)
+        for screen_min in (0, frames_module.SCREEN_MIN):
+            monkeypatch.setattr(frames_module, "SCREEN_MIN", screen_min)
+            stacks.clear()
+            assert np.float64(smallest_lower_bound(ops)).tobytes() == eigvalsh_min(ops)
+            if congruent or len(ops) <= screen_min:
+                assert len(stacks[0]) == len(ops)
+    if rc.is_omnidirectional(poly):
+        ops = facet_operators(frame, poly, range(poly.num_facets))
+        assert np.float64(rc.stability(frame, poly).A0).tobytes() == eigvalsh_min(ops)
+
+
+def test_screen_drops_most_facet_operators(monkeypatch):
+    stacks = recording_candidates(monkeypatch)
+    for n, m in ((5, 30), (6, 16), (3, 200)):
+        frame, _, _ = rc.normalize(rc.random_sphere(n, m, 1))
+        poly = rc.build_polytope(frame)
+        ops = facet_operators(frame, poly, range(poly.num_facets))
+        stacks.clear()
+        assert np.float64(smallest_lower_bound(ops)).tobytes() == eigvalsh_min(ops)
+        assert len(stacks[0]) < 0.2 * len(ops), (n, m)
+
+
+@pytest.mark.parametrize("kinds", [("projected", "projected"),
+                                   ("zero-first-pivot", "zero-first-pivot"),
+                                   ("ratio 4e-10", "zero-first-pivot")])
+def test_screen_keeps_rank_deficient_operators(kinds, monkeypatch):
+    # operators that fail the rank rule put where the screen drops one,
+    # the second after the first: NotAFrame names the first with the
+    # message the eigensolve over every operator gives. The third case
+    # needs the shift's TOL_RANK floor: the singular second operator brings
+    # the smallest pivot to 0, and the first, whose eigenvalue ratio is
+    # 4e-10, must still be kept
+    frame, _, _ = rc.normalize(rc.random_sphere(5, 30, 1))
+    poly = rc.build_polytope(frame)
+    ops = facet_operators(frame, poly, range(poly.num_facets))
+    stacks = recording_candidates(monkeypatch)
+    smallest_lower_bound(ops)
+    kept = {op.tobytes() for op in stacks[0]}
+    dropped = [j for j, op in enumerate(ops) if op.tobytes() not in kept]
+    assert len(dropped) > 0.8 * len(ops)
+    first = dropped[len(dropped) // 2]
+    for j, kind in zip((first, dropped[-1]), kinds):
+        if kind == "ratio 4e-10":
+            ops[j] = _rotated([2.0, 1.5, 1.2, 1.0, 8e-10], j)
+        else:
+            sub = frame.elements[poly.incidence[j]].copy()
+            sub[:, 0 if kind == "zero-first-pivot" else -1] = 0.0
+            ops[j] = sub.T @ sub
+        with pytest.raises(NotAFrame) as want:
+            operator_bounds(ops)
+        with pytest.raises(NotAFrame) as got:
+            smallest_lower_bound(ops)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"{np.linalg.eigvalsh(ops[first])[-1]:.3e}])")
 
 
 def test_dual_synthesis_orthonormal_self_dual():

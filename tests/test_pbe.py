@@ -1,11 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import relucert as rc
 from relucert.errors import NotNonnegOmnidirectional, NotOmnidirectional
+from relucert.solvers import TOL_SOLVER
 
 import oracles
-from conftest import closed_active_set, random_omnidirectional, spans
+from conftest import (BOUND_FRAMES, bound_frame, closed_active_set, random_omnidirectional,
+                      spans)
 
 
 def test_alpha_x_fixture_values(mb, tet, ico):
@@ -113,6 +117,76 @@ def test_solver_failure_names_first_element_and_facet(tet):
             estimate(frame_, poly_, *extra, tol=-1.0)
         assert (err.value.index, err.value.facet) == (i, j)
         assert isinstance(err.value.__cause__, NotConverged)
+
+
+def estimate_cases(frame, poly):
+    """(estimate, extra arguments, facet positions) of each domain the frame
+    is certifiable on."""
+    cases = []
+    if rc.is_omnidirectional(poly):
+        cases.append((rc.pbe_ball, (), range(poly.num_facets)))
+    report = rc.positive_facets(poly)
+    if report.nonneg_omnidirectional:
+        cases.append((rc.pbe_positive, (report,), report.facet_indices))
+    return cases
+
+
+def recording_solver(monkeypatch):
+    """Patch the estimate's cone solver to record each program it solves, as
+    the bytes of its G and c; returns the list it appends to."""
+    from relucert import pbe as pbe_module
+
+    solved = []
+
+    def recording(G, c, tol=TOL_SOLVER):
+        solved.extend((g.tobytes(), v.tobytes()) for g, v in zip(G, c))
+        return rc.min_linear_capped_cones(G, c, tol)
+
+    monkeypatch.setattr(pbe_module, "min_linear_capped_cones", recording)
+    return solved
+
+
+@pytest.mark.parametrize("name", BOUND_FRAMES)
+def test_pruned_estimate_matches_full_scan(name, monkeypatch):
+    # alpha_S and alpha_B bit for bit those of a scan that solves every
+    # program; each skipped program's lemma bound exceeds the alpha_X entry
+    # it was compared with, its result exceeds alpha_B, it did not fail,
+    # and it is not its element's first program
+    frame, poly = bound_frame(name)
+    cases = estimate_cases(frame, poly)
+    assert cases
+    solved = recording_solver(monkeypatch)
+    for estimate, extra, facets in cases:
+        solved.clear()
+        est = estimate(frame, poly, *extra)
+        a_x, a_s, a_b, programs = oracles.full_scan_estimate(frame, poly, list(facets))
+        for got, want in ((est.alpha_X, a_x), (est.alpha_S, a_s), (est.alpha_B, a_b)):
+            assert got.tobytes() == want.tobytes()
+        # programs are known by their G and c only, and congruent facets
+        # repeat them: per (G, c), as many programs as were skipped must
+        # qualify for skipping
+        skipped = Counter((G.tobytes(), c.tobytes()) for _, _, G, c, *_ in programs)
+        skipped.subtract(solved)
+        assert min(skipped.values(), default=0) >= 0
+        first = {}
+        for pos, i, *_ in programs:
+            first.setdefault(i, pos)
+        for pos, i, G, c, result, failed, bound in programs:
+            if bound > a_x[i] and result > a_b[i] and not failed and pos != first[i]:
+                skipped[G.tobytes(), c.tobytes()] -= 1
+        assert max(skipped.values(), default=0) <= 0
+
+
+def test_pruning_skips_most_programs(monkeypatch):
+    # on benchmark-like frames most programs cannot set alpha_S
+    solved = recording_solver(monkeypatch)
+    for n, m in ((5, 30), (6, 16), (4, 60)):
+        frame, _, _ = rc.normalize(rc.random_sphere(n, m, 1))
+        poly = rc.build_polytope(frame)
+        solved.clear()
+        rc.pbe_ball(frame, poly)
+        programs = oracles.full_scan_estimate(frame, poly, range(poly.num_facets))[3]
+        assert 0 < len(solved) < 0.8 * len(programs), (n, m)
 
 
 def test_facet_blocks_leave_every_result_unchanged(monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import relucert as rc
 from relucert import solvers
@@ -198,6 +199,45 @@ def test_batched_cone_programs_failures():
     _, _, residuals, steps, failed = rc.min_linear_capped_cones(
         np.eye(2)[None], np.array([[-1.0, 0.0]]), tol=-1.0)
     assert failed[0] and steps[0] == 1 and residuals[0] == 0.0
+
+
+# a random facet: k unit vectors on the plane <u, .> = offset, and the
+# objective of one of them or of a random unit vector, as a program's
+# (G, c, offset)
+@st.composite
+def facet_programs(draw):
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(n, n + 3))
+    offset = draw(st.floats(0.02, 0.98))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    tangent = rng.standard_normal((k, n))
+    tangent -= np.outer(tangent @ u, u)
+    tangent /= np.linalg.norm(tangent, axis=1)[:, None]
+    vx = offset * u + np.sqrt(1.0 - offset * offset) * tangent
+    if draw(st.booleans()):
+        x = vx[draw(st.integers(0, k - 1))]
+    else:
+        x = rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+    return (vx @ vx.T)[None], (vx @ x)[None], offset
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(facet_programs())
+def test_argmin_weights_sum_to_at_most_one_over_offset(program):
+    # the lemma under both of the estimate's bounds: a point D d of the
+    # capped cone, its vertices on <u, .> = offset, has
+    # sum(d) = <u, D d> / offset <= 1 / offset; so the result is at least
+    # (min(0, min c) - residual) / offset, the bound that prunes programs
+    G, c, offset = program
+    values, argmins, residuals, _, failed = rc.min_linear_capped_cones(G, c)
+    assume(not failed[0])
+    assert argmins.min() >= 0.0
+    assert argmins.sum() <= (1.0 + 1e-12) / offset
+    result = values[0] - residuals[0] / offset
+    assert result >= (min(0.0, c.min()) - solvers.TOL_SOLVER) / offset - 1e-12
 
 
 def test_lp_feasible_simplex_examples():
