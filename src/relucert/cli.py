@@ -78,24 +78,21 @@ def _write_text(text: str, out_path: str | None) -> None:
         handle.write(text)
 
 
-def _certify(weights_path: str, bias_path: str | None, radius: float,
+def _analyze(weights: np.ndarray, bias: np.ndarray | None, radius: float,
              domain: str, tol: float):
-    """Shared pipeline: parse, normalize, hull, bias estimate, and (when a
-    bias is given, else None) the layer and its certificate."""
-    weights = fio.read_matrix(weights_path)
-    bias = fio.read_vector(bias_path, weights.shape[0]) if bias_path else None
+    """The pipeline on arrays: normalize, hull, the domain's bias estimate
+    and, when a bias is given (else None), the layer and its certificate.
+    Returns (poly, norms, positive, estimate, layer, certificate), with
+    `positive` the non-negative facet report on ball+ and None on the ball.
+    `pbe_ball` and `pbe_positive` check the domain's precondition and raise
+    NotOmnidirectional or NotNonnegOmnidirectional (exit 3)."""
     frame, rescaled, norms = normalize(weights, bias)
     poly = build_polytope(frame)
-    positive = None
     if domain == DOMAIN_BALL:
-        if not is_omnidirectional(poly):
-            raise NotOmnidirectional("frame is not omnidirectional; try --domain ball+")
+        positive = None
         estimate = pbe_ball(frame, poly, radius, tol=tol)
     else:
         positive = positive_facets(poly)
-        if not positive.nonneg_omnidirectional:
-            raise NotNonnegOmnidirectional(
-                "facet cones do not cover the non-negative orthant")
         estimate = pbe_positive(frame, poly, positive, radius, tol=tol)
     layer = certificate = None
     if rescaled is not None:
@@ -104,9 +101,16 @@ def _certify(weights_path: str, bias_path: str | None, radius: float,
     return poly, norms, positive, estimate, layer, certificate
 
 
+def _read_layer(args):
+    """The weights and, if given, the bias of a command's arguments."""
+    weights = fio.read_matrix(args.weights)
+    bias = fio.read_vector(args.bias, weights.shape[0]) if args.bias else None
+    return weights, bias
+
+
 def _cmd_report(args) -> int:
-    poly, norms, positive, estimate, layer, certificate = _certify(
-        args.weights, args.bias, args.radius, args.domain, args.tol)
+    poly, norms, positive, estimate, layer, certificate = _analyze(
+        *_read_layer(args), args.radius, args.domain, args.tol)
     if positive is None:
         stab = stability(poly.frame, poly, args.radius)
     else:
@@ -122,8 +126,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    poly, _, _, _, layer, certificate = _certify(
-        args.weights, args.bias, args.radius, DOMAIN_BALL, args.tol)
+    poly, _, _, _, layer, certificate = _analyze(
+        *_read_layer(args), args.radius, DOMAIN_BALL, args.tol)
     if not certificate.injective and not args.force:
         raise ReconstructionFailed(
             "layer is not certified injective; pass --force to try anyway")
@@ -178,15 +182,13 @@ def _cmd_monitor(args) -> int:
     first_error: Exception | None = None
     for epoch, weights, bias in epochs:
         try:
-            frame, rescaled, _ = normalize(weights, bias)
-            poly = build_polytope(frame)
-            if not is_omnidirectional(poly):
-                raise NotOmnidirectional(f"epoch {epoch}: frame is not omnidirectional")
-            estimate = pbe_ball(frame, poly, args.radius, tol=args.tol)
-            proportion = float(np.count_nonzero(rescaled <= estimate.alpha_scaled)) / frame.m
+            _, _, _, estimate, layer, _ = _analyze(
+                weights, bias, args.radius, DOMAIN_BALL, args.tol)
+            below = np.count_nonzero(layer.bias <= estimate.alpha_scaled)
+            proportion = float(below) / layer.frame.m
             lines.append(",".join([
                 str(epoch),
-                repr(float(np.mean(rescaled))),
+                repr(float(np.mean(layer.bias))),
                 repr(float(np.mean(estimate.alpha_scaled))),
                 repr(proportion),
                 "true",

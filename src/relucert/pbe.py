@@ -82,14 +82,14 @@ class StabilityReport:
 
 def alpha_X(poly: Polytope) -> np.ndarray:
     """Smallest correlation of each element with the vertices of its facets."""
-    out, _ = _facet_block_min(poly.frame, facet_groups(poly, range(poly.num_facets)))
+    out, _ = _facet_group_min(poly.frame, facet_groups(poly, range(poly.num_facets)))
     orphans = np.nonzero(np.isinf(out))[0]
     if orphans.size:
         raise OrphanVertex(int(orphans[0]))
     return out
 
 
-def _facet_block_min(frame: UnitFrame, groups):
+def _facet_group_min(frame: UnitFrame, groups):
     """alpha_X over the grouped facets only, +inf on elements of none of
     them; and per group the (F_k, k) array whose entry (f, p) is the
     smallest correlation of the facet's vertex p with its vertices."""
@@ -106,7 +106,8 @@ def pbe_ball(frame: UnitFrame, poly: Polytope, radius: float = 1.0,
              tol: float = TOL_SOLVER) -> BiasEstimate:
     """Upper bias on the ball of the given radius for an omnidirectional frame."""
     if not is_omnidirectional(poly):
-        raise NotOmnidirectional("bias estimation on the ball needs an omnidirectional frame")
+        raise NotOmnidirectional(
+            "bias estimation on the ball needs an omnidirectional frame; try --domain ball+")
     return _estimate(frame, poly, range(poly.num_facets), DOMAIN_BALL, radius, tol)
 
 
@@ -160,7 +161,7 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
         raise ValueError("radius must be finite and positive")
     facet_indices = np.asarray(facet_indices, dtype=int)
     groups = list(facet_groups(poly, facet_indices))
-    a_x, mins = _facet_block_min(frame, groups)
+    a_x, mins = _facet_group_min(frame, groups)
     unconstrained = np.isinf(a_x)
     if domain == DOMAIN_BALL and unconstrained.any():
         raise OrphanVertex(int(np.nonzero(unconstrained)[0][0]))

@@ -30,7 +30,6 @@ TOL_INTERIOR = 1e-9
 TOL_MERGE = 1e-9
 TOL_DISTINCT = 1e-10
 MERGE_ENTRIES = 2 ** 14  # entries per (m x block) certificate product: bounds peak memory
-FACET_BLOCK = 512  # facets per `facet_groups` block: bounds its callers' stacked arrays
 EXIT_BLOCK = 2048  # facets per `exit_facets` score block: bounds its (N, block) array
 # a facet with some coordinate below -TOL_OUTSIDE at every vertex misses the
 # orthant by more than lp_feasible's tolerance (proof in positive_facets)
@@ -166,16 +165,14 @@ def _direction(n: int) -> np.ndarray:
 
 
 def facet_groups(poly: Polytope, facet_indices):
-    """Per facet size k, in blocks of at most FACET_BLOCK facets: the
-    positions in `facet_indices` of the block's facets and their vertex
-    indices, ascending, as an (F_k, k) array. An index may repeat."""
+    """Per facet size k, ascending: the positions in `facet_indices` of its
+    facets with k vertices, ascending, and their vertex indices, ascending,
+    as an (F_k, k) array. An index may repeat."""
     incidence = poly.incidence[np.asarray(facet_indices, dtype=int)]
     sizes = incidence.sum(axis=1)
     for k in np.flatnonzero(np.bincount(sizes)).tolist():
-        size_k = np.flatnonzero(sizes == k)
-        for start in range(0, size_k.size, FACET_BLOCK):
-            rows = size_k[start:start + FACET_BLOCK]
-            yield rows, nonzero_2d(incidence[rows])[1].reshape(-1, k)
+        rows = np.flatnonzero(sizes == k)
+        yield rows, nonzero_2d(incidence[rows])[1].reshape(-1, k)
 
 
 def nonzero_2d(mask: np.ndarray):
@@ -305,8 +302,10 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
     whether their cones cover it.
 
     Facet j meets the orthant iff {c >= 0, sum c = 1, D c >= 0} is feasible,
-    where D has the facet vertices as columns. Two exact tests on the
-    incidence table decide most facets, and only the rest go to that LP:
+    where D has the facet vertices as columns; `lp_feasible` gets it in
+    standard form, [[1^T, 0], [D, -I]] (c, s) = (1, 0, ..., 0) with slacks
+    s >= 0. Two exact tests on the incidence table decide most facets, and
+    only the rest go to that LP:
 
     - Select: a vertex v of j lies in the closed orthant. Then c = e_v is a
       feasible point, and the LP would say True.
@@ -371,16 +370,18 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
     straddling = ~selected
     for coordinate in pts.T:
         straddling &= incidence[:, coordinate >= -TOL_OUTSIDE].any(axis=1)
+    n = poly.frame.n
     for j in np.flatnonzero(straddling):
+        # sum c = 1 and D c - s = 0, with slacks s >= 0
         cols = pts[incidence[j]].T
-        selected[j] = lp_feasible(
-            A_eq=np.ones((1, cols.shape[1])), b_eq=np.array([1.0]),
-            A_ineq=cols, b_ineq=np.zeros(cols.shape[0]))
+        ones = np.ones((1, cols.shape[1]))
+        selected[j] = lp_feasible(np.block([[ones, np.zeros((1, n))], [cols, -np.eye(n)]]),
+                                  np.eye(n + 1)[0])
     facets = np.flatnonzero(selected)
     vertex_union = np.flatnonzero(incidence[selected].any(axis=0))
 
     away_from_origin = bool(np.all(np.abs(poly.offsets[selected]) > tol_interior))
     nonneg = bool(facets.size) and away_from_origin and (
         is_omnidirectional(poly, tol_interior)
-        or all(lp_feasible(A_eq=pts.T, b_eq=e_k) for e_k in np.eye(poly.frame.n)))
+        or all(lp_feasible(pts.T, e_k) for e_k in np.eye(n)))
     return PositiveFacetReport(tuple(facets.tolist()), tuple(vertex_union.tolist()), nonneg)

@@ -2,8 +2,9 @@
 
 Two work horses live here: linear minimization over the capped cone
 {d >= 0, ||D d||_2 <= 1} (the bias estimation's per-facet programs, solved in
-batches) and a dense phase-1 simplex deciding LP feasibility. Problem sizes
-are tiny (tens of variables at most), so robustness beats asymptotics.
+batches) and a dense phase-1 simplex deciding whether {x >= 0 : A x = b}
+is non-empty. Problem sizes are tiny (tens of variables at most), so
+robustness beats asymptotics.
 
 The cone program is solved exactly. With c = D^T x, Moreau's decomposition
 (1962) gives min {<x, y> : y in K = cone(D), ||y|| <= 1} = -||P_K(-x)||, and
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConverged
+from .errors import NotConverged
 
 TOL_SOLVER = 1e-9
 # a free generator enters the active set only if it lowers the objective by
@@ -107,40 +108,21 @@ def _passive_solves(G: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.nda
     return np.where(passive, s, 0.0)
 
 
-def lp_feasible(A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,
-                tol: float = TOL_SOLVER) -> bool:
-    """Decide whether {x >= 0 : A_eq x = b_eq, A_ineq x >= b_ineq} is
-    non-empty, by phase-1 simplex.
+def lp_feasible(A, b, tol: float = TOL_SOLVER) -> bool:
+    """Decide whether {x >= 0 : A x = b} is non-empty, by phase-1 simplex.
 
-    Feasible means the artificial objective reaches zero within `tol`. The
+    A is (rows, columns) and b (rows,); a caller poses an inequality
+    G x >= h as G x - s = h with slack columns -I and s >= 0. Feasible
+    means the artificial objective reaches zero within `tol`. The
     smallest improving column enters (Bland); the largest pivot among the
     rows tied at the smallest ratio leaves. Entries and reduced costs up to
     `_TOL_PIVOT` count as zero: a pivot at that level would scale the
     tableau by its inverse and bury the objective in rounding. Raises
     NotConverged if `_MAX_PIVOTS` pivots reach no optimum.
     """
-    eq_a, eq_b = _as_system(A_eq, b_eq)
-    ge_a, ge_b = _as_system(A_ineq, b_ineq)
-    if eq_a is None and ge_a is None:
-        return True
-    n_x = eq_a.shape[1] if eq_a is not None else ge_a.shape[1]
-    if ge_a is not None and ge_a.shape[1] != n_x:
-        raise DimensionMismatch("equality and inequality systems disagree on the variable count")
-
-    blocks = []
-    rhs = []
-    n_ge = 0 if ge_a is None else ge_a.shape[0]
-    if eq_a is not None:
-        blocks.append(np.hstack([eq_a, np.zeros((eq_a.shape[0], n_ge))]))
-        rhs.append(eq_b)
-    if ge_a is not None:
-        blocks.append(np.hstack([ge_a, -np.eye(n_ge)]))
-        rhs.append(ge_b)
-    a = np.vstack(blocks)
-    b = np.concatenate(rhs)
-
-    neg = b < 0
-    a[neg] *= -1.0
+    a = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    a[b < 0] *= -1.0
     b = np.abs(b)
 
     n_rows, n_cols = a.shape
@@ -173,17 +155,3 @@ def lp_feasible(A_eq=None, b_eq=None, A_ineq=None, b_ineq=None,
         raise NotConverged(_MAX_PIVOTS, float(-cost[-1]))
     return bool(-cost[-1] <= tol)
 
-
-def _as_system(a, b):
-    if a is None and b is None:
-        return None, None
-    if a is None or b is None:
-        raise DimensionMismatch("matrix and right-hand side must be given together")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 1:
-        a = a[None, :]
-    b = b.reshape(-1)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch("system row counts disagree")
-    return a, b

@@ -367,6 +367,15 @@ def render_recursive(value) -> str:
     raise TypeError(f"cannot render {type(value).__name__} into a report")
 
 
+def with_slacks(a_eq, b_eq, a_ge, b_ge):
+    """{x >= 0 : a_eq x = b_eq, a_ge x >= b_ge} as `lp_feasible`'s standard
+    form (A, b) over (x, s), s >= 0 the slacks: A = [[a_eq, 0], [a_ge, -I]]."""
+    a_eq, a_ge = np.atleast_2d(a_eq), np.atleast_2d(a_ge)
+    zeros = np.zeros((a_eq.shape[0], a_ge.shape[0]))
+    return (np.vstack([np.hstack([a_eq, zeros]), np.hstack([a_ge, -np.eye(a_ge.shape[0])])]),
+            np.concatenate([np.ravel(b_eq), np.ravel(b_ge)]).astype(float))
+
+
 def positive_facets_lp(poly, tol_interior: float = 1e-9) -> PositiveFacetReport:
     """`positive_facets` with one phase-1 LP per facet, as the library
     selected facets before its vertex tests: facet j is selected iff
@@ -375,18 +384,13 @@ def positive_facets_lp(poly, tol_interior: float = 1e-9) -> PositiveFacetReport:
     selected = []
     for j, verts in enumerate(poly.vertices):
         cols = pts[list(verts)].T
-        k = cols.shape[1]
-        feasible = lp_feasible(
-            A_eq=np.ones((1, k)), b_eq=np.array([1.0]),
-            A_ineq=cols, b_ineq=np.zeros(cols.shape[0]))
-        if feasible:
+        if lp_feasible(*with_slacks(np.ones(cols.shape[1]), [1.0], cols, np.zeros(cols.shape[0]))):
             selected.append(j)
     vertex_union = sorted({v for j in selected for v in poly.vertices[j]})
 
     away_from_origin = all(abs(poly.offsets[j]) > tol_interior for j in selected)
     nonneg = bool(selected) and away_from_origin and all(
-        lp_feasible(A_eq=pts.T, b_eq=e_k)
-        for e_k in np.eye(poly.frame.n))
+        lp_feasible(pts.T, e_k) for e_k in np.eye(poly.frame.n))
     return PositiveFacetReport(tuple(selected), tuple(int(v) for v in vertex_union), nonneg)
 
 
@@ -655,6 +659,18 @@ def _passive_solve(gram: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.n
     s = np.zeros(c.shape[0])
     s[passive] = np.linalg.solve(gram[np.ix_(passive, passive)], -c[passive])
     return s
+
+
+def facet_groups(poly, facet_indices):
+    """`polytope.facet_groups` from the incidence rows, one facet at a time:
+    per facet size k, ascending, the positions in `facet_indices` of the
+    facets with k vertices and their vertex indices as (F_k, k) rows."""
+    by_size = {}
+    for pos, j in enumerate(facet_indices):
+        verts = np.flatnonzero(poly.incidence[j])
+        by_size.setdefault(len(verts), []).append((pos, verts))
+    return [(np.array([pos for pos, _ in group]), np.array([verts for _, verts in group]))
+            for _, group in sorted(by_size.items())]
 
 
 def full_scan_estimate(frame, poly, facet_indices, tol: float = TOL_SOLVER):

@@ -127,6 +127,38 @@ def test_pbe_ball_positive_on_snapped_frame(capsys, tmp_path, seed):
     assert doc["polytope"]["nonneg"]["nonneg_omnidirectional"] is True
 
 
+@pytest.mark.parametrize("domain", ["ball", "ball+"])
+def test_precondition_failure_matches_the_library(capsys, tmp_path, domain):
+    # the basis misses the ball's precondition (its flat hull misses the
+    # origin), the negated basis ball+'s (no facet meets the orthant):
+    # every command exits 3 with the error pbe_ball or pbe_positive raises
+    weights = np.eye(3) if domain == "ball" else -np.eye(3)
+    frame = rc.normalize(weights)[0]
+    poly = rc.build_polytope(frame)
+    with pytest.raises(rc.errors.RelucertError) as lib:
+        if domain == "ball":
+            rc.pbe_ball(frame, poly)
+        else:
+            rc.pbe_positive(frame, poly, rc.positive_facets(poly))
+    expected = {"error": type(lib.value).__name__, "exit_code": 3, "message": str(lib.value)}
+    assert expected["error"] == {"ball": "NotOmnidirectional",
+                                 "ball+": "NotNonnegOmnidirectional"}[domain]
+    if domain == "ball":
+        assert "try --domain ball+" in expected["message"]
+    w, b, x = tmp_path / "w.csv", tmp_path / "b.csv", tmp_path / "x.csv"
+    w.write_text(fio.format_matrix(weights))
+    b.write_text("0.0,0.0,0.0\n")
+    x.write_text("0.0,0.0,0.5\n")
+    commands = [["pbe", str(w), "--domain", domain],
+                ["certify", str(w), "--bias", str(b), "--domain", domain]]
+    if domain == "ball":
+        commands.append(["reconstruct", str(w), "--bias", str(b), "--inputs", str(x)])
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == expected
+
+
 def test_rank_deficient_facet_exits_3(capsys, tmp_path):
     # omnidirectional, but the edge between elements 0 and 1 passes 1e-5
     # from the origin: the stability bounds find its vertex set rank deficient
@@ -626,18 +658,27 @@ def test_monitor_rescaling_invariance(capsys, tmp_path):
 
 
 def test_monitor_skips_bad_epochs(capsys, tmp_path):
+    # a failing epoch is logged as one JSON line and skipped; one that
+    # fails pbe_ball's precondition carries the library's error and message
     trace = tmp_path / "trace.txt"
+    quadrant = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
     epochs = [
         (0, rc.mercedes_benz(), np.full(3, -0.6)),
         (1, np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), np.zeros(3)),  # degenerate
-        (2, rc.mercedes_benz(), np.full(3, -0.6)),
+        (2, quadrant, np.zeros(3)),  # not omnidirectional
+        (3, rc.mercedes_benz(), np.full(3, -0.6)),
     ]
     trace.write_text(fio.format_trace(epochs))
     code, out, err = run(capsys, "monitor", str(trace), "--radius", "1")
     assert code == 0
     lines = out.strip().splitlines()
-    assert [line.split(",")[0] for line in lines[1:]] == ["0", "2"]
-    assert json.loads(err.strip().splitlines()[0])["epoch"] == 1
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "3"]
+    logged = [json.loads(line) for line in err.strip().splitlines()]
+    assert [doc["epoch"] for doc in logged] == [1, 2]
+    frame = rc.normalize(quadrant)[0]
+    with pytest.raises(rc.errors.NotOmnidirectional) as lib:
+        rc.pbe_ball(frame, rc.build_polytope(frame))
+    assert logged[1] == {"epoch": 2, "error": "NotOmnidirectional", "message": str(lib.value)}
 
 
 def test_monitor_ragged_trace_is_a_parse_error(capsys, tmp_path):

@@ -461,17 +461,37 @@ def _decided_by_vertices(pts, verts):
                 or np.any(np.all(sub < -2.0 * TOL_SOLVER, axis=0)))
 
 
+def _facet_lp_columns(A):
+    """The vertex columns D of a facet LP, A = [[1^T, 0], [D, -I]], or
+    None for a coverage LP (A the frame's elements as columns)."""
+    n = A.shape[0] - 1
+    k = A.shape[1] - n
+    if (k >= 1 and np.array_equal(A[0], np.r_[np.ones(k), np.zeros(n)])
+            and np.array_equal(A[1:, k:], -np.eye(n))):
+        return A[1:, :k]
+    return None
+
+
+def _recording_lps(monkeypatch, record):
+    """Patch `positive_facets`' LP solver to call record(A, b) first."""
+    def recording(A, b, **kwargs):
+        record(np.array(A), np.array(b))
+        return lp_feasible(A, b, **kwargs)
+
+    monkeypatch.setattr(polytope, "lp_feasible", recording)
+
+
 @pytest.fixture
 def facet_lps(monkeypatch):
     """The vertex columns of every facet LP `positive_facets` runs."""
     calls = []
 
-    def counting(**kwargs):
-        if kwargs.get("A_ineq") is not None:
-            calls.append(np.array(kwargs["A_ineq"]))
-        return lp_feasible(**kwargs)
+    def record(A, b):
+        cols = _facet_lp_columns(A)
+        if cols is not None:
+            calls.append(cols)
 
-    monkeypatch.setattr(polytope, "lp_feasible", counting)
+    _recording_lps(monkeypatch, record)
     return calls
 
 
@@ -503,6 +523,36 @@ def test_positive_facets_reject_test_at_its_bound(scale, selected, facet_lps):
     assert (0 in report.facet_indices) is selected
     assert any(np.array_equal(cols, frame.elements[:2].T) for cols in facet_lps) is selected
     assert report == oracles.positive_facets_lp(poly)
+
+
+def test_positive_facets_poses_standard_form_lps(monkeypatch):
+    # each facet LP is [[1^T, 0], [D, -I]] x = (1, 0, ..., 0), D the facet's
+    # vertex columns, in facet order; each coverage LP is E x = e_k, E the
+    # elements as columns, in basis order
+    calls = []
+    _recording_lps(monkeypatch, lambda A, b: calls.append((A, b)))
+    facet_count = coverage_count = 0
+    for name in sorted(LP_ORACLE_CASES):
+        calls.clear()
+        frame, _, _ = rc.normalize(LP_ORACLE_CASES[name])
+        poly = rc.build_polytope(frame)
+        rc.positive_facets(poly)
+        pts, n = frame.elements, frame.n
+        straddling = [j for j, verts in enumerate(poly.vertices)
+                      if not _decided_by_vertices(pts, verts)]
+        facet_calls, coverage_calls = calls[:len(straddling)], calls[len(straddling):]
+        for (A, b), j in zip(facet_calls, straddling):
+            cols = pts[list(poly.vertices[j])].T
+            k = cols.shape[1]
+            assert np.array_equal(A[:1], np.hstack([np.ones((1, k)), np.zeros((1, n))])), name
+            assert np.array_equal(A[1:], np.hstack([cols, -np.eye(n)])), name
+            assert np.array_equal(b, np.eye(n + 1)[0]), name
+        assert len(coverage_calls) <= n, name
+        for (A, b), e_k in zip(coverage_calls, np.eye(n)):
+            assert np.array_equal(A, pts.T) and np.array_equal(b, e_k), name
+        facet_count += len(facet_calls)
+        coverage_count += len(coverage_calls)
+    assert facet_count > 0 and coverage_count > 0
 
 
 def _snapped_polytopes(n):
@@ -553,15 +603,14 @@ def test_positive_facets_on_snapped_frames_matches_linprog(n):
 @pytest.fixture
 def coverage_lps(monkeypatch):
     """The right-hand side e_k of every coverage LP `positive_facets` runs
-    (the LPs with an equality system only)."""
+    (the LPs that are not facet LPs)."""
     calls = []
 
-    def counting(**kwargs):
-        if kwargs.get("A_ineq") is None:
-            calls.append(np.array(kwargs["b_eq"]))
-        return lp_feasible(**kwargs)
+    def record(A, b):
+        if _facet_lp_columns(A) is None:
+            calls.append(b)
 
-    monkeypatch.setattr(polytope, "lp_feasible", counting)
+    _recording_lps(monkeypatch, record)
     return calls
 
 

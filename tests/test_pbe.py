@@ -189,31 +189,42 @@ def test_pruning_skips_most_programs(monkeypatch):
         assert 0 < len(solved) < 0.8 * len(programs), (n, m)
 
 
-def test_facet_blocks_leave_every_result_unchanged(monkeypatch):
-    # the facet-size groups are cut into blocks of FACET_BLOCK facets; the
-    # results are bit for bit those of one block per size, errors included
-    from relucert import polytope as polytope_module
+def test_facet_groups_match_incidence_reference():
+    # one group per facet size, ascending: the positions of its facets and
+    # their ascending (F_k, k) vertex arrays, for every facet, for repeated
+    # and unordered indices and for the ball+ subset, on hulls with one and
+    # with three facet sizes; with tol = -1 every
+    # cone program fails, and SolverFailed names the pair a scan by
+    # element, then by facet, meets first, on both domains
     from relucert.errors import SolverFailed
+    from relucert.polytope import facet_groups
 
-    def results(frame, poly, report):
-        ball, pos = rc.pbe_ball(frame, poly), rc.pbe_positive(frame, poly, report)
-        stab = rc.stability(frame, poly), rc.stability_positive(frame, poly, report)
-        with pytest.raises(SolverFailed) as err:
-            rc.pbe_ball(frame, poly, tol=-1.0)
-        return ([e.alpha_X for e in (ball, pos)] + [e.alpha_B for e in (ball, pos)]
-                + [np.array([s.A0, s.B0]) for s in stab]
-                + [rc.alpha_X(poly), np.array([err.value.index, err.value.facet])])
-
-    for points in (oracles.cell24(), random_omnidirectional(4, 24, 66)):
+    rng = np.random.default_rng(67)
+    sizes = set()
+    for points in (oracles.cell24(), random_omnidirectional(4, 24, 66), oracles.ternary(4, 30, 0)):
         frame, _, _ = rc.normalize(points)
         poly = rc.build_polytope(frame)
         report = rc.positive_facets(poly)
-        whole = results(frame, poly, report)
-        monkeypatch.setattr(polytope_module, "FACET_BLOCK", 3)
-        assert poly.num_facets > 3 * 3
-        for got, want in zip(results(frame, poly, report), whole):
-            assert np.array_equal(got, want)
-        monkeypatch.undo()
+        assert 0 < len(report.facet_indices) < poly.num_facets
+        mixed = rng.permutation(np.tile(np.arange(poly.num_facets), 2))[:poly.num_facets + 5]
+        for indices in (range(poly.num_facets), mixed, report.facet_indices):
+            got = list(facet_groups(poly, indices))
+            want = oracles.facet_groups(poly, indices)
+            assert len(got) == len(want)
+            for (rows, verts), (want_rows, want_verts) in zip(got, want):
+                assert np.array_equal(rows, want_rows)
+                assert np.array_equal(verts, want_verts)
+                assert np.all(np.diff(verts, axis=1) > 0)
+                sizes.add(verts.shape[1])
+        for facets, estimate in ((range(poly.num_facets), rc.pbe_ball),
+                                 (report.facet_indices, rc.pbe_positive)):
+            args = (frame, poly) if estimate is rc.pbe_ball else (frame, poly, report)
+            with pytest.raises(SolverFailed) as err:
+                estimate(*args, tol=-1.0)
+            programs = oracles.full_scan_estimate(frame, poly, facets, tol=-1.0)[3]
+            i, pos = min((i, pos) for pos, i, *_, failed, _ in programs if failed)
+            assert (err.value.index, err.value.facet) == (i, facets[pos])
+    assert sizes == {4, 5, 6}  # the ternary hull has facets of three sizes
 
 
 def test_radius_scaling_multiplies(mb):

@@ -242,20 +242,19 @@ def test_argmin_weights_sum_to_at_most_one_over_offset(program):
 
 def test_lp_feasible_simplex_examples():
     ones = np.ones((1, 2))
-    assert lp_feasible(A_eq=ones, b_eq=[1.0], A_ineq=np.eye(2), b_ineq=np.zeros(2))
-    assert not lp_feasible(A_eq=ones, b_eq=[1.0], A_ineq=-np.eye(2), b_ineq=np.zeros(2) + 1e-6)
+    assert lp_feasible(*oracles.with_slacks(ones, [1.0], np.eye(2), np.zeros(2)))
+    assert not lp_feasible(*oracles.with_slacks(ones, [1.0], -np.eye(2), np.zeros(2) + 1e-6))
 
 
 def test_lp_feasible_negated_identity_on_simplex():
     # sum c = 1 with -c >= 0 conflicts with c >= 0
-    assert not lp_feasible(A_eq=np.ones((1, 3)), b_eq=[1.0],
-                              A_ineq=-np.eye(3), b_ineq=np.zeros(3) + 1e-7)
+    assert not lp_feasible(*oracles.with_slacks(np.ones((1, 3)), [1.0],
+                                                -np.eye(3), np.zeros(3) + 1e-7))
 
 
 def test_lp_feasible_mercedes_bottom_edge(mb):
     cols = mb.frame.elements[[1, 2]].T
-    feasible = lp_feasible(A_eq=np.ones((1, 2)), b_eq=[1.0],
-                              A_ineq=cols, b_ineq=np.zeros(2))
+    feasible = lp_feasible(*oracles.with_slacks(np.ones((1, 2)), [1.0], cols, np.zeros(2)))
     assert not feasible
     # oracle: dense sweep over the segment parameter
     assert not oracles.edge_meets_quadrant(mb.frame.elements[1], mb.frame.elements[2])
@@ -265,12 +264,12 @@ def test_lp_feasible_free_variables():
     # x1 + x2 = 0 with x1 >= 1 needs a negative x2: infeasible for x >= 0
     a_eq = np.array([[1.0, 1.0]])
     a_in = np.array([[1.0, 0.0]])
-    assert not lp_feasible(A_eq=a_eq, b_eq=[0.0], A_ineq=a_in, b_ineq=[1.0])
+    assert not lp_feasible(*oracles.with_slacks(a_eq, [0.0], a_in, [1.0]))
 
 
 def test_lp_feasible_equalities_only():
-    assert lp_feasible(A_eq=np.array([[1.0, 1.0], [1.0, -1.0]]), b_eq=[1.0, 0.0])
-    assert not lp_feasible(A_eq=np.array([[1.0, 1.0], [2.0, 2.0]]), b_eq=[1.0, 3.0])
+    assert lp_feasible(np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0])
+    assert not lp_feasible(np.array([[1.0, 1.0], [2.0, 2.0]]), [1.0, 3.0])
 
 
 def test_lp_feasible_random_cross_check():
@@ -282,9 +281,9 @@ def test_lp_feasible_random_cross_check():
         a = rng.standard_normal((rows, cols))
         witness = rng.uniform(0.0, 2.0, size=cols)
         b = a @ witness
-        assert lp_feasible(A_eq=a, b_eq=b)
+        assert lp_feasible(a, b)
         bad = np.vstack([a, np.zeros((1, cols))])
-        assert not lp_feasible(A_eq=bad, b_eq=np.concatenate([b, [1.0]]))
+        assert not lp_feasible(bad, np.concatenate([b, [1.0]]))
 
 
 def test_lp_feasible_vertex_in_orthant_with_rounding_level_entries():
@@ -296,7 +295,7 @@ def test_lp_feasible_vertex_in_orthant_with_rounding_level_entries():
         [-3.1916339811866857e-09, -0.2017662891823482, 0.653644578298793, 0.729410124559687],
         [0.9658481883183992, -0.25192236875832613, -0.05940640904145922, 0.011969787218613885],
     ])
-    assert lp_feasible(A_eq=np.ones((1, 4)), b_eq=[1.0], A_ineq=V.T, b_ineq=np.zeros(4))
+    assert lp_feasible(*oracles.with_slacks(np.ones((1, 4)), [1.0], V.T, np.zeros(4)))
 
 
 @pytest.mark.parametrize("seed, k", [(21, 2), (35, 0)])
@@ -306,11 +305,11 @@ def test_lp_feasible_column_without_pivot_row_is_not_improving(seed, k):
     # which only rounding can make
     frame = rc.normalize(oracles.snapped(4, seed))[0]
     assert rc.is_omnidirectional(rc.build_polytope(frame))
-    assert lp_feasible(A_eq=frame.elements.T, b_eq=np.eye(4)[k])
+    assert lp_feasible(frame.elements.T, np.eye(4)[k])
 
 
 def test_lp_feasible_pivot_cap_raises_not_converged(monkeypatch):
     monkeypatch.setattr(solvers, "_MAX_PIVOTS", 1)
     with pytest.raises(NotConverged) as err:
-        lp_feasible(A_eq=np.array([[1.0, 1.0], [1.0, -1.0]]), b_eq=[1.0, 0.0])
+        lp_feasible(np.array([[1.0, 1.0], [1.0, -1.0]]), [1.0, 0.0])
     assert err.value.iterations == 1
