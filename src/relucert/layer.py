@@ -270,20 +270,17 @@ def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray, picks: np.ndar
     its dual set to NaN, so it verifies no row. Each (row, facet) pair
     then gathers its facet's dual: x = dual @ (z + b)_V."""
     width = picks.shape[1]
-    facets, which = np.unique(picks.ravel(), return_inverse=True)
-    candidates = np.empty((which.size, layer.frame.n))
-    for group, verts in facet_groups(poly, facets):
+    flat = picks.ravel()
+    candidates = np.empty((flat.size, layer.frame.n))
+    for group, verts in facet_groups(poly, np.unique(flat)):
         sub = layer.frame.elements[verts]  # (G, k, n)
         gram = sub.swapaxes(1, 2) @ sub
         spans = spanning(gram)
         gram[~spans] = np.eye(layer.frame.n)
         dual = np.linalg.solve(gram, sub.swapaxes(1, 2))
         dual[~spans] = np.nan
-        # slot[d]: the row of distinct facet d in this group, -1 if outside it
-        slot = np.full(facets.size, -1)
-        slot[group] = np.arange(group.size)
-        pairs = np.flatnonzero(slot[which] >= 0)
-        at = slot[which[pairs]]
+        pairs = np.flatnonzero(np.isin(flat, group))  # the pairs of this group's facets
+        at = np.searchsorted(group, flat[pairs])  # their facets' rows in the group
         rows = verts[at]
         coeff = zs[(pairs // width)[:, None], rows] + layer.bias[rows]
         candidates[pairs] = (dual[at] @ coeff[:, :, None])[:, :, 0]

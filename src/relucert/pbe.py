@@ -9,6 +9,8 @@ smallest over the cones intersected with the unit ball, which collapses to
 entrywise below the scaled alpha_B is injective on the ball of the given
 radius.
 
+The estimate and A0 read the polytope's per-size facet table, built once;
+the estimate passes over it twice: for alpha_X, then to prune and solve.
 Each solver runs only where a proven bound cannot decide its result, and
 every reported number keeps the bits a full solve gives. A cone program
 runs only if its lower bound from the lemma sum(d) <= 1 / |offset| does
@@ -82,7 +84,7 @@ class StabilityReport:
 
 def alpha_X(poly: Polytope) -> np.ndarray:
     """Smallest correlation of each element with the vertices of its facets."""
-    out, _ = _facet_group_min(poly.frame, facet_groups(poly, range(poly.num_facets)))
+    out, _, _ = _facet_group_min(poly.frame, poly.facets_by_size)
     orphans = np.nonzero(np.isinf(out))[0]
     if orphans.size:
         raise OrphanVertex(int(orphans[0]))
@@ -91,15 +93,18 @@ def alpha_X(poly: Polytope) -> np.ndarray:
 
 def _facet_group_min(frame: UnitFrame, groups):
     """alpha_X over the grouped facets only, +inf on elements of none of
-    them; and per group the (F_k, k) array whose entry (f, p) is the
-    smallest correlation of the facet's vertex p with its vertices."""
+    them; each element's first facet, its smallest grouped facet index; and
+    per group the (F_k, k) array whose entry (f, p) is the smallest
+    correlation of the facet's vertex p with its vertices."""
     gram = frame.elements @ frame.elements.T
     out = np.full(frame.m, np.inf)
+    first = np.full(frame.m, np.iinfo(int).max)
     mins = []
-    for _, verts in groups:
+    for facets, verts in groups:
         mins.append(gram[verts[:, :, None], verts[:, None, :]].min(axis=2))
-        np.minimum.at(out, verts, mins[-1])
-    return out, mins
+        np.minimum.at(out, verts.ravel(), mins[-1].ravel())  # 1-d: numpy's fast path
+        np.minimum.at(first, verts.ravel(), np.repeat(facets, verts.shape[1]))
+    return out, first, mins
 
 
 def pbe_ball(frame: UnitFrame, poly: Polytope, radius: float = 1.0,
@@ -159,31 +164,24 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
     """
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be finite and positive")
-    facet_indices = np.asarray(facet_indices, dtype=int)
     groups = list(facet_groups(poly, facet_indices))
-    a_x, mins = _facet_group_min(frame, groups)
+    a_x, first, mins = _facet_group_min(frame, groups)
     unconstrained = np.isinf(a_x)
     if domain == DOMAIN_BALL and unconstrained.any():
         raise OrphanVertex(int(np.nonzero(unconstrained)[0][0]))
     need = a_x < 0.0  # elements whose facets need cone programs
     a_b = np.where(need | unconstrained, UNCONSTRAINED, 0.0)  # need: minimum below
 
-    # one program per (facet, element on it that needs one): row r of the
-    # group's vertex array, facet position rows[r], element i, and g, the
-    # element's smallest correlation with the facet's vertices
-    programs = []
-    first = np.full(frame.m, len(facet_indices))  # each element's first facet
-    for (rows, verts), mins_k in zip(groups, mins):
-        r, p = nonzero_2d(need[verts])
-        i = verts[r, p]
-        np.minimum.at(first, i, rows[r])
-        programs.append((r, i, mins_k[r, p]))
     pts = frame.elements
     failures = []
-    for (rows, verts), (r, i, g) in zip(groups, programs):
-        offsets = np.abs(poly.offsets[facet_indices[rows[r]]])
+    for (facets, verts), mins_k in zip(groups, mins):
+        # one program per (facet, element on it that needs one): row r of the
+        # group, element i, and g, its smallest correlation with the vertices
+        r, p = nonzero_2d(need[verts])
+        i, g = verts[r, p], mins_k[r, p]
+        offsets = np.abs(poly.offsets[facets[r]])
         skip = ((np.minimum(g, 0.0) - max(tol, 0.0)) / offsets
-                > a_x[i] + TOL_PRUNE / offsets ** 2) & (rows[r] != first[i])
+                > a_x[i] + TOL_PRUNE / offsets ** 2) & (facets[r] != first[i])
         run = np.flatnonzero(~skip)
         r, i, offsets = r[run], i[run], offsets[run]
         # G and c are the products D^T D and D^T x_i of the facet's vertex columns
@@ -191,12 +189,12 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
         values, _, residuals, steps, failed = min_linear_capped_cones(
             (vx @ vx.swapaxes(1, 2))[r], (vx[r] @ pts[i][:, :, None])[:, :, 0], tol)
         np.minimum.at(a_b, i, values - residuals / offsets)
-        failures += zip(i[failed].tolist(), rows[r[failed]].tolist(),
+        failures += zip(i[failed].tolist(), facets[r[failed]].tolist(),
                         steps[failed].tolist(), residuals[failed].tolist())
     if failures:
         # the pair a scan by element, then by facet, would meet first
-        i, pos, steps, residual = min(failures)
-        raise SolverFailed(i, int(facet_indices[pos])) from NotConverged(steps, residual)
+        i, facet, steps, residual = min(failures)
+        raise SolverFailed(i, facet) from NotConverged(steps, residual)
     a_s = np.where(need, a_b, np.nan)
 
     return BiasEstimate(
@@ -228,10 +226,11 @@ def stability_positive(frame: UnitFrame, poly: Polytope, report: PositiveFacetRe
 
 
 def _stability(frame, poly, facet_indices, radius) -> StabilityReport:
+    # the operators in facet order, so that NotAFrame names the first failing one
     ops = np.empty((len(facet_indices), frame.n, frame.n))
-    for rows, verts in facet_groups(poly, facet_indices):
+    for facets, verts in facet_groups(poly, facet_indices):
         sub = frame.elements[verts]
-        ops[rows] = sub.swapaxes(1, 2) @ sub
+        ops[np.searchsorted(facet_indices, facets)] = sub.swapaxes(1, 2) @ sub
     lower = smallest_lower_bound(ops)
     _, upper = operator_bounds(frame.elements.T @ frame.elements)
     return StabilityReport(A0=lower, B0=float(upper),

@@ -44,8 +44,8 @@ class Polytope:
     interior, its offset `offsets[j]`, and `incidence[j]`, the elements on
     its plane. Every element satisfies <normal, x_i> <= offset, with
     equality exactly on the facet's vertices. Facets are in order of their
-    vertex tuples; the three arrays are stored as read-only copies. It
-    holds no per-facet cache: one polytope serves every layer bias.
+    vertex tuples; the three arrays are stored as read-only copies, and its
+    cached views hold no bias: one polytope serves every layer bias.
     """
 
     frame: UnitFrame
@@ -67,6 +67,19 @@ class Polytope:
         """Each facet's vertex indices, ascending: the rows of `incidence`."""
         cols = iter(nonzero_2d(self.incidence)[1].tolist())
         return tuple(tuple(islice(cols, k)) for k in self.incidence.sum(axis=1).tolist())
+
+    @cached_property
+    def facets_by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per facet size k, ascending: the indices of the facets with k
+        vertices and their (F_k, k) vertex array, ascending and read-only."""
+        rows, cols = nonzero_2d(self.incidence)
+        sizes = np.bincount(rows, minlength=self.num_facets)
+        table = []
+        for k in np.flatnonzero(np.bincount(sizes)).tolist():
+            facets = np.flatnonzero(sizes == k)
+            verts = cols[np.repeat(sizes == k, sizes)].reshape(-1, k)
+            table.append((_readonly(facets), _readonly(verts)))
+        return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -165,14 +178,17 @@ def _direction(n: int) -> np.ndarray:
 
 
 def facet_groups(poly: Polytope, facet_indices):
-    """Per facet size k, ascending: the positions in `facet_indices` of its
-    facets with k vertices, ascending, and their vertex indices, ascending,
-    as an (F_k, k) array. An index may repeat."""
-    incidence = poly.incidence[np.asarray(facet_indices, dtype=int)]
-    sizes = incidence.sum(axis=1)
-    for k in np.flatnonzero(np.bincount(sizes)).tolist():
-        rows = np.flatnonzero(sizes == k)
-        yield rows, nonzero_2d(incidence[rows])[1].reshape(-1, k)
+    """`poly.facets_by_size` cut down to `facet_indices`, an ascending set
+    without repeats; a size with none of them is left out."""
+    if len(facet_indices) == poly.num_facets:  # every facet: the table, not a copy
+        yield from poly.facets_by_size
+        return
+    chosen = np.zeros(poly.num_facets, dtype=bool)
+    chosen[np.asarray(facet_indices, dtype=int)] = True
+    for facets, verts in poly.facets_by_size:
+        keep = chosen[facets]
+        if keep.any():
+            yield facets[keep], verts[keep]
 
 
 def nonzero_2d(mask: np.ndarray):

@@ -663,13 +663,14 @@ def _passive_solve(gram: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.n
 
 def facet_groups(poly, facet_indices):
     """`polytope.facet_groups` from the incidence rows, one facet at a time:
-    per facet size k, ascending, the positions in `facet_indices` of the
-    facets with k vertices and their vertex indices as (F_k, k) rows."""
+    per facet size k, ascending, the indices of the facets in
+    `facet_indices` with k vertices and their vertex indices as (F_k, k)
+    rows."""
     by_size = {}
-    for pos, j in enumerate(facet_indices):
+    for j in facet_indices:
         verts = np.flatnonzero(poly.incidence[j])
-        by_size.setdefault(len(verts), []).append((pos, verts))
-    return [(np.array([pos for pos, _ in group]), np.array([verts for _, verts in group]))
+        by_size.setdefault(len(verts), []).append((j, verts))
+    return [(np.array([j for j, _ in group]), np.array([verts for _, verts in group]))
             for _, group in sorted(by_size.items())]
 
 

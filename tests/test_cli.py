@@ -259,6 +259,34 @@ def test_tol_and_radius_checked_before_input_is_read(capsys, tmp_path, argv):
         assert out == ""
 
 
+@pytest.mark.parametrize("domain", ["ball", "ball+"])
+def test_certify_builds_the_facet_table_once(domain, capsys, tmp_path, monkeypatch):
+    # the bias estimate and A0 of one command read one per-size facet table
+    table = rc.Polytope.__dict__["facets_by_size"]
+    builds = []
+
+    def counting(poly, build=table.func):
+        builds.append(poly.num_facets)
+        return build(poly)
+
+    monkeypatch.setattr(table, "func", counting)
+    frame, _, _ = rc.normalize(oracles.cell24())
+    poly = rc.build_polytope(frame)
+    if domain == "ball":
+        est = rc.pbe_ball(frame, poly)
+    else:
+        est = rc.pbe_positive(frame, poly, rc.positive_facets(poly))
+    w, b = tmp_path / "w.csv", tmp_path / "b.csv"
+    w.write_text(fio.format_matrix(frame.elements))
+    bias = np.where(est.unconstrained_mask, 0.0, est.alpha_scaled) - 1e-3
+    b.write_text(fio.format_matrix(bias[None]))
+    builds.clear()
+    code, out, _ = run(capsys, "certify", str(w), "--bias", str(b), "--domain", domain)
+    assert code == 0
+    assert Report.from_text(out).document["certificate"]["injective"] is True
+    assert len(builds) == 1
+
+
 def test_certify_report(capsys, tmp_path):
     w = tmp_path / "w.csv"
     b = tmp_path / "b.csv"

@@ -63,13 +63,13 @@ def test_unit_frame_rejects_bad_input():
         rc.UnitFrame(np.eye(3)[:2])  # m < n
 
 
-def test_frame_bounds_mercedes_full(mb):
+def test_operator_bounds_mercedes_full(mb):
     lower, upper = operator_bounds(frame_operator(mb.frame))
     assert lower == pytest.approx(1.5, abs=1e-12)
     assert upper == pytest.approx(1.5, abs=1e-12)
 
 
-def test_frame_bounds_mercedes_pair_vs_char_poly(mb):
+def test_operator_bounds_mercedes_pair_vs_char_poly(mb):
     s = frame_operator(mb.frame, (0, 1))
     lower, upper = operator_bounds(s)
     want = oracles.eig_closed_form(s)
@@ -79,12 +79,12 @@ def test_frame_bounds_mercedes_pair_vs_char_poly(mb):
     assert upper == pytest.approx(1.5, abs=1e-12)
 
 
-def test_frame_bounds_singleton_not_a_frame(mb):
+def test_operator_bounds_singleton_not_a_frame(mb):
     with pytest.raises(NotAFrame):
         operator_bounds(frame_operator(mb.frame, (0,)))
 
 
-def test_frame_bounds_eigen_oracles():
+def test_operator_bounds_eigen_oracles():
     rng = np.random.default_rng(31)
     for n in (1, 2, 3):
         for _ in range(20):
@@ -233,8 +233,9 @@ def eigvalsh_min(ops) -> bytes:
 @pytest.mark.parametrize("name", BOUND_FRAMES + ["cross-polytope-7"])
 def test_smallest_lower_bound_is_eigvalsh_minimum(name, monkeypatch):
     # A0 bit for bit the smallest eigvalsh value over every facet operator,
-    # on both domains, with and without the screen; where all facets are
-    # congruent every one of them is a candidate
+    # on both domains, with and without the screen, and through `stability`
+    # and `stability_positive`; where all facets are congruent every one of
+    # them is a candidate
     if name == "cross-polytope-7":
         frame, _, _ = rc.normalize(np.vstack([np.eye(7), -np.eye(7)]))
         poly = rc.build_polytope(frame)
@@ -258,6 +259,10 @@ def test_smallest_lower_bound_is_eigvalsh_minimum(name, monkeypatch):
     if rc.is_omnidirectional(poly):
         ops = facet_operators(frame, poly, range(poly.num_facets))
         assert np.float64(rc.stability(frame, poly).A0).tobytes() == eigvalsh_min(ops)
+    if report.nonneg_omnidirectional:
+        ops = facet_operators(frame, poly, report.facet_indices)
+        a0 = rc.stability_positive(frame, poly, report).A0
+        assert np.float64(a0).tobytes() == eigvalsh_min(ops)
 
 
 def test_screen_drops_most_facet_operators(monkeypatch):
@@ -305,26 +310,26 @@ def test_screen_keeps_rank_deficient_operators(kinds, monkeypatch):
         assert str(got.value).endswith(f"{np.linalg.eigvalsh(ops[first])[-1]:.3e}])")
 
 
-def test_dual_synthesis_orthonormal_self_dual():
+def test_facet_dual_orthonormal_self_dual():
     basis, _, _ = rc.normalize(np.eye(2))
     dual = oracles.facet_dual(basis, (0, 1))
     assert np.allclose(dual, np.eye(2), atol=1e-14)
 
 
-def test_dual_synthesis_reconstruction_pair(mb):
+def test_facet_dual_reconstruction_pair(mb):
     dual = oracles.facet_dual(mb.frame, (0, 1))
     x = np.array([0.2, -0.4])
     coeff = mb.frame.elements[[0, 1]] @ x
     assert np.max(np.abs(dual @ coeff - x)) <= 1e-12
 
 
-def test_dual_synthesis_tight_frame_scaling(mb):
+def test_facet_dual_tight_frame_scaling(mb):
     # the full frame operator is 1.5x identity, so duals are (2/3) elements
     dual = oracles.facet_dual(mb.frame, range(3))
     assert np.max(np.abs(dual - (2.0 / 3.0) * mb.frame.elements.T)) <= 1e-12
 
 
-def test_dual_synthesis_not_a_frame(mb):
+def test_facet_dual_not_a_frame(mb):
     with pytest.raises(NotAFrame):
         oracles.facet_dual(mb.frame, (2,))
     # rank-one pairs: an exactly singular operator, and a nearly singular

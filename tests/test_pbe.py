@@ -190,12 +190,12 @@ def test_pruning_skips_most_programs(monkeypatch):
 
 
 def test_facet_groups_match_incidence_reference():
-    # one group per facet size, ascending: the positions of its facets and
-    # their ascending (F_k, k) vertex arrays, for every facet, for repeated
-    # and unordered indices and for the ball+ subset, on hulls with one and
-    # with three facet sizes; with tol = -1 every
-    # cone program fails, and SolverFailed names the pair a scan by
-    # element, then by facet, meets first, on both domains
+    # one group per facet size, ascending: the indices of its facets and
+    # their ascending (F_k, k) vertex arrays, in the polytope's read-only
+    # table and for every facet, for the ball+ subset and for `np.unique`
+    # picks (one of a single facet), on hulls with one and with three facet
+    # sizes; with tol = -1 every cone program fails, and SolverFailed names
+    # the pair a scan by element, then by facet, meets first, on both domains
     from relucert.errors import SolverFailed
     from relucert.polytope import facet_groups
 
@@ -206,16 +206,20 @@ def test_facet_groups_match_incidence_reference():
         poly = rc.build_polytope(frame)
         report = rc.positive_facets(poly)
         assert 0 < len(report.facet_indices) < poly.num_facets
-        mixed = rng.permutation(np.tile(np.arange(poly.num_facets), 2))[:poly.num_facets + 5]
-        for indices in (range(poly.num_facets), mixed, report.facet_indices):
-            got = list(facet_groups(poly, indices))
+        every = range(poly.num_facets)
+        pick = np.unique(rng.integers(0, poly.num_facets, poly.num_facets // 2))
+        cases = [(every, poly.facets_by_size)] + [
+            (indices, list(facet_groups(poly, indices)))
+            for indices in (every, report.facet_indices, pick, pick[:1])]
+        for indices, got in cases:
             want = oracles.facet_groups(poly, indices)
             assert len(got) == len(want)
-            for (rows, verts), (want_rows, want_verts) in zip(got, want):
-                assert np.array_equal(rows, want_rows)
+            for (facets, verts), (want_facets, want_verts) in zip(got, want):
+                assert np.array_equal(facets, want_facets)
                 assert np.array_equal(verts, want_verts)
                 assert np.all(np.diff(verts, axis=1) > 0)
                 sizes.add(verts.shape[1])
+        assert not any(a.flags.writeable for group in poly.facets_by_size for a in group)
         for facets, estimate in ((range(poly.num_facets), rc.pbe_ball),
                                  (report.facet_indices, rc.pbe_positive)):
             args = (frame, poly) if estimate is rc.pbe_ball else (frame, poly, report)
