@@ -21,8 +21,12 @@ round, as rows [packed key words (`_ridge_keys`) | owner facet | index row]
 of one table, sorted once per round; each pair is a task. A task's smaller
 pivot rises every round, so there are at most m rounds (O(log m) with high
 probability for a random order). The hull is the facets without a pivot.
-A round's planes come from one `make_planes` call: cofactor normals, with a
-stacked Householder QR for the thin simplices only.
+A new facet's plane is a combination of its two parents' planes, which
+pass through its ridge (`_pencil_planes`). `make_planes` (cofactor normals,
+with a stacked Householder QR for the thin simplices only, and every
+DegenerateHull check) makes the seed simplex's planes, the rows where a
+pencil cancels, and, in one call, the planes of the final simplices: every
+plane `quickhull` returns is a `make_planes` plane.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ SCRAMBLE = 0x9E3779B1  # odd, so the hash permutes the indices below 2**32
 # a simplex whose volume is below this share of Hadamard's bound gets its
 # plane from the Householder QR, not from the cofactors (see make_planes)
 THIN = 1e-3
+# a pencil plane whose error bound grows past this multiple of its
+# make_planes ancestors' is taken from make_planes (see _pencil_planes)
+GROWTH = 64.0
 
 
 @cache
@@ -205,6 +212,62 @@ def make_planes(pts: np.ndarray, verts: np.ndarray, interior: np.ndarray):
     return normals, sign * dots.sum(axis=1) / sub.shape[1]
 
 
+def _pencil_planes(pts, verts, apex, a, b, interior):
+    """Plane rows (K, n+2), [unit normal | offset | growth], of the simplices
+    `pts[verts[i]]`, each a ridge and apex[i]: across that ridge the facet
+    with plane row a[i] gave way to it, and the facet with row b[i] was kept.
+
+    The new simplex lies in the pencil of its parents' planes a and b
+    (rotation about a ridge: Chand & Kapur, J. ACM 17, 1970). With x the
+    apex, alpha = a(x) > 0 (x is a's pivot) and beta = b(x), the plane
+
+        h = alpha b - beta a
+
+    vanishes on the ridge, where a and b do, and at x. Where beta <= 0 both
+    weights are >= 0, so h needs no orientation: as its normal has norm
+    |h| <= alpha + |beta|, the interior lies at least min(-a(i), -b(i))
+    below h / |h|, and so, by induction, at least as far as below the
+    nearest `make_planes` ancestor, which that function keeps above 1e-13.
+
+    Error. Call a plane's residual eps the largest |<u, v> - d| over its
+    simplex's vertices v. At a ridge vertex v, h(v) / |h| is (alpha b(v) -
+    beta a(v)) / |h|, at most (alpha eps_b + |beta| eps_a) / |h|; at x it
+    is the rounding of alpha and beta. Forming and scaling h adds at most
+    c u (alpha + |beta|) s / |h|, with u = 2^-53, c a small multiple of n
+    and s the largest |v| + |d|. The last column carries the growth
+
+        g = (alpha g_b + |beta| g_a) / |h|,   g = 1 for a `make_planes` row,
+
+    the same combination of the parents' growths. Since g >= 1 bounds
+    (alpha + |beta|) / |h|, induction gives eps <= g (eps_0 + k c u s),
+    where eps_0 is the largest residual of the facet's `make_planes`
+    ancestors and k <= m its pencil steps from them. On random_sphere(n, m,
+    7) at (5, 120), (6, 100), (6, 200) and (7, 100), g stays below 10.3 and
+    every pencil plane is within 1.0e-15 of its simplex's vertices.
+
+    Fallback. Where the pencil cancels, |h| is small against alpha +
+    |beta|: the normals nearly oppose, or beta > 0 and the weights differ
+    in sign. Those rows, the ones with beta > 0, alpha <= 0 or g > GROWTH,
+    come from `make_planes`, with all its DegenerateHull checks, and start
+    again at g = 1. The pencil planes only choose pivots: `quickhull`
+    returns `make_planes` planes.
+    """
+    n = pts.shape[1]
+    x = pts.take(apex, axis=0)
+    h_a = np.einsum("kj,kj->k", a[:, :n], x) - a[:, n]
+    h_b = np.einsum("kj,kj->k", b[:, :n], x) - b[:, n]
+    rows = h_a[:, None] * b
+    rows -= h_b[:, None] * a
+    norm = np.sqrt(np.einsum("kj,kj->k", rows[:, :n], rows[:, :n]))
+    cancel = ~((h_a > 0) & (h_b <= 0) & (rows[:, n + 1] <= GROWTH * norm))
+    norm[cancel] = 1.0
+    rows /= norm[:, None]
+    if cancel.any():
+        rows[cancel, :n], rows[cancel, n] = make_planes(pts, verts[cancel], interior)
+        rows[cancel, n + 1] = 1.0
+    return rows
+
+
 def quickhull(points: np.ndarray, tol: float = TOL_HULL):
     """Enumerate the hull facets of `points` (one point per row).
 
@@ -235,15 +298,21 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
 
     # round 0 makes the seed simplex's facets, whose pivots come after rank n
     verts = np.sort(np.array(chosen)[_opposite(n + 1)], axis=1)
+    planes = np.ones((n + 1, n + 2))  # plane rows: [unit normal | offset | growth]
+    planes[:, :n], planes[:, n] = make_planes(pts, verts, interior)
     p, apex = np.full(n + 1, n), np.full(n + 1, -1)
     kept, ridge = np.empty(0, dtype=np.intp), verts[:0, 1:]
     w = _key_layout(m, n - 1).shape[1]  # a row of `wait`: [w key words | owner | ridge]
     pivot, wait, made = p[:0], np.empty((0, w + n), dtype=np.int64), []
+    store = np.empty((0, n + 2))  # every facet's plane row, by facet id
     while len(p):
-        normals, offsets = make_planes(pts, verts, interior)
-        made.append((verts, normals, offsets))
-        dists = normals @ ranked
-        dists -= offsets[:, None]
+        made.append(verts)
+        first = len(pivot)  # this round's facets are first, first + 1, ...
+        if first + len(planes) > len(store):
+            store = np.resize(store, (2 * (first + len(planes)), n + 2))
+        store[first:first + len(planes)] = planes
+        dists = planes[:, :n] @ ranked
+        dists -= planes[:, n:n + 1]
         above = (dists > tol) & (rank > p[:, None])
         # ranks up to n belong to the seed simplex and are never above (p >=
         # n), so an argmax of 0 means no pivot
@@ -273,15 +342,17 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
         p_lo, p_hi = pivot[lo], pivot[hi]
         live = (p_lo != p_hi).nonzero()[0]
         p, kept = np.minimum(p_lo, p_hi)[live], np.where(p_hi < p_lo, lo, hi)[live]
+        gives = np.where(p_hi < p_lo, hi, lo)[live]
         ridge, apex = ridge.take(live, axis=0), perm[p]
         verts = np.concatenate([ridge, apex[:, None]], axis=1)
         verts.sort(axis=1)
+        planes = _pencil_planes(pts, verts, apex, store.take(gives, axis=0),
+                                store.take(kept, axis=0), interior)
 
-    # the hull is every facet made that found no pivot
-    final = pivot == m
-    verts, normals, offsets = (np.concatenate(a)[final] for a in zip(*made))
-    order = np.lexsort(verts.T[::-1])
-    return verts[order], normals[order], offsets[order], None
+    # the hull is every facet made that found no pivot, with planes from make_planes
+    verts = np.concatenate(made)[pivot == m]
+    verts = verts[np.lexsort(verts.T[::-1])]
+    return (verts, *make_planes(pts, verts, interior), None)
 
 
 def _flat(normal: np.ndarray, offset: float):

@@ -81,7 +81,9 @@ def forward(layer: ReLULayer, x) -> np.ndarray:
         xs = as_vector(x, layer.frame.n, "input")[None, :]
     if np.any(np.linalg.norm(xs, axis=1) > layer.radius + 1e-9):
         warnings.warn("input lies outside the declared ball", stacklevel=2)
-    out = np.maximum(xs @ layer.frame.elements.T - layer.bias, 0.0)
+    out = xs @ layer.frame.elements.T
+    out -= layer.bias
+    np.maximum(out, 0.0, out=out)
     return out if batch else out[0]
 
 

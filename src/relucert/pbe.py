@@ -227,10 +227,12 @@ def stability_positive(frame: UnitFrame, poly: Polytope, report: PositiveFacetRe
 
 def _stability(frame, poly, facet_indices, radius) -> StabilityReport:
     # the operators in facet order, so that NotAFrame names the first failing one
+    facet_indices = np.asarray(facet_indices)
     ops = np.empty((len(facet_indices), frame.n, frame.n))
     for facets, verts in facet_groups(poly, facet_indices):
         sub = frame.elements[verts]
         ops[np.searchsorted(facet_indices, facets)] = sub.swapaxes(1, 2) @ sub
+        del sub  # the last group's vertices are not kept through the screen
     lower = smallest_lower_bound(ops)
     _, upper = operator_bounds(frame.elements.T @ frame.elements)
     return StabilityReport(A0=lower, B0=float(upper),

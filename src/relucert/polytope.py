@@ -206,9 +206,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _merge_coplanar(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
                     pts: np.ndarray, tol_plane: float):
     """Merge quickhull's simplices (`verts`, `normals`, `offsets`, one row
-    each) that share a hyperplane into facets, and give each facet every
-    element on its plane. Returns the facet table (normals, offsets,
-    incidence), its rows in order of their vertex tuples.
+    each, in order of their vertex tuples) that share a hyperplane into
+    facets, and give each facet every element on its plane. Returns the
+    facet table (normals, offsets, incidence), its rows in order of their
+    vertex tuples.
 
     The simplices of one facet are connected through the ridges they share,
     so only ridge neighbours are compared: two are coplanar when their
@@ -223,46 +224,62 @@ def _merge_coplanar(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     the plane by more than `tol_plane`) fails, or when two facets get the
     same vertex set: points on two distinct hyperplanes at once are
     affinely degenerate, and such a facet is ill-defined.
+
+    Only what merges pays for the merge. When no ridge neighbours are
+    coplanar, every simplex is a facet with its own plane, and the
+    component labels and summed normals are skipped. When, moreover, each
+    facet's elements on its plane are exactly its simplex's vertices, its
+    vertex tuple is its row of `verts`. Those rows are all of length n and
+    already in lexicographic order, so padding changes none of them and the
+    stable sort of the padded tuples is the identity: the facets keep
+    quickhull's rows, and the sort is skipped. Equal vertex sets are then
+    equal, hence adjacent, rows of `verts`, so comparing adjacent rows
+    checks for them exactly as it does on the sorted padded tuples.
     """
     count, n = verts.shape
     s, t = _hull.ridge_pairs(verts)
     a, b = s // n, t // n
     same = ((np.max(np.abs(normals[a] - normals[b]), axis=1) <= TOL_MERGE)
             & (np.abs(offsets[a] - offsets[b]) <= TOL_MERGE))
-    root = _components(count, a[same], b[same])
-    roots, group = np.unique(root, return_inverse=True)
-    planes = normals[roots]
-    plane_offsets = offsets[roots]
-    summed = np.zeros_like(planes)
-    np.add.at(summed, group, normals)
-    merged = np.flatnonzero(np.bincount(group) > 1)
-    if merged.size:
+    merged = bool(same.any())
+    planes, plane_offsets = normals, offsets
+    if merged:
+        root = _components(count, a[same], b[same])
+        roots, group = np.unique(root, return_inverse=True)
+        planes = normals[roots]
+        plane_offsets = offsets[roots]
+        summed = np.zeros_like(planes)
+        np.add.at(summed, group, normals)
         union = np.zeros((len(roots), len(pts)), dtype=bool)
         union[group[:, None], verts] = True  # each component's vertices
-        for g in merged.tolist():
+        for g in np.flatnonzero(np.bincount(group) > 1).tolist():
             normal = summed[g] / np.linalg.norm(summed[g])
             planes[g] = normal
             plane_offsets[g] = float(np.mean(pts[union[g]] @ normal))
 
-    incidence = np.empty((len(roots), len(pts)), dtype=bool)
+    incidence = np.empty((len(planes), len(pts)), dtype=bool)
     block_len = max(MERGE_ENTRIES // len(pts), 1)
-    for start in range(0, len(roots), block_len):
+    for start in range(0, len(planes), block_len):
         block = slice(start, start + block_len)
         dots = pts @ planes[block].T
         if np.any(np.max(dots, axis=0) > plane_offsets[block] + tol_plane):
             raise DegenerateHull("hull facet certificate failed")
         incidence[block] = (np.abs(dots - plane_offsets[block]) <= tol_plane).T
-    # vertex-tuple order: one lexsort of the vertex lists padded with -1,
-    # so that a tuple sorts before every longer tuple it begins
-    rows, cols = nonzero_2d(incidence)
-    sizes = np.bincount(rows, minlength=len(incidence))
-    padded = np.full((len(sizes), sizes.max()), -1)
-    padded[rows, np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = cols
-    order = np.lexsort(padded.T[::-1])
-    padded = padded[order]
-    if np.any(np.all(padded[1:] == padded[:-1], axis=1)):
+    tuples = verts
+    if (merged or np.count_nonzero(incidence) != verts.size
+            or not incidence[np.arange(count)[:, None], verts].all()):
+        # vertex-tuple order: one lexsort of the vertex lists padded with -1,
+        # so that a tuple sorts before every longer tuple it begins
+        rows, cols = nonzero_2d(incidence)
+        sizes = np.bincount(rows, minlength=len(incidence))
+        tuples = np.full((len(sizes), sizes.max()), -1)
+        tuples[rows, np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = cols
+        order = np.lexsort(tuples.T[::-1])
+        tuples = tuples[order]
+        planes, plane_offsets, incidence = planes[order], plane_offsets[order], incidence[order]
+    if np.any(np.all(tuples[1:] == tuples[:-1], axis=1)):
         raise DegenerateHull("two facets have the same vertex set")
-    return planes[order], plane_offsets[order], incidence[order]
+    return planes, plane_offsets, incidence
 
 
 def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,7 +17,13 @@ PYTHONPATH at its `src`:
     PYTHONPATH=src python tests/hull_census.py fuzz 0 300 --against other.json
 
 prints the counts of this checkout and lists the frames lost and gained
-against the other's saved outcomes.
+against the other's saved outcomes; it exits 1 if a frame is lost (built
+there and raises here, or matched Qhull there and does not here). The
+outcomes of two small slices are kept in tests/data/census/, and CI checks
+every change against them:
+
+    PYTHONPATH=src python tests/hull_census.py fuzz 0 20 --against tests/data/census/fuzz-0-20.json
+    PYTHONPATH=src python tests/hull_census.py snapped 0 10 --against tests/data/census/snapped-0-10.json
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ def main(argv=None) -> int:
           f"{built} built, {matching} match Qhull")
     if args.save:
         args.save.write_text(json.dumps(got, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+    lost_any = False
     if args.against:
         old = json.loads(args.against.read_text(encoding="utf-8"))
         tests = (("built", lambda v: v != "raises"), ("match Qhull", lambda v: v == "qhull"))
@@ -91,7 +98,8 @@ def main(argv=None) -> int:
                 print(f"  lost   {k} ({old[k]} -> {got[k]})")
             for k in gained:
                 print(f"  gained {k} ({old[k]} -> {got[k]})")
-    return 0
+            lost_any = lost_any or bool(lost)
+    return 1 if lost_any else 0
 
 
 if __name__ == "__main__":

@@ -809,6 +809,58 @@ def test_merge_coplanar_rejects_open_hull():
         hull.ridge_pairs(np.array([[0]]))
 
 
+def test_near_duplicate_frame_with_an_open_hull_still_raises():
+    # one ridge of this frame's simplicial hull lies on four simplices; a
+    # count of ridge pairs (F n / 2 of them) would not see it, so closure is
+    # still decided by hull.ridge_pairs in the merge
+    weights = oracles.fuzz_frame("near-duplicate", 5, np.random.default_rng([34, 5, 1]))
+    frame, _, _ = rc.normalize(weights)
+    with pytest.raises(DegenerateHull, match="hull is not closed"):
+        rc.build_polytope(frame)
+
+
+@pytest.fixture
+def merge_calls(monkeypatch):
+    """How often `_merge_coplanar` labels components and sorts vertex tuples
+    (each sort starts from one `nonzero_2d` scan of the incidence)."""
+    calls = {"_components": 0, "nonzero_2d": 0}
+
+    def counting(name):
+        function = getattr(polytope, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(polytope, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["sphere-4x60", "sphere-5x30", "sphere-6x16"])
+def test_general_position_hull_keeps_quickhull_rows(name, merge_calls):
+    # no simplex has a coplanar neighbour or another element on its plane:
+    # each facet is quickhull's row, in quickhull's order, with no re-sort
+    frame, _, _ = rc.normalize(SCAN_FRAMES[name])
+    verts, normals, offsets, _ = hull.quickhull(frame.elements)
+    poly = rc.build_polytope(frame)
+    assert merge_calls == {"_components": 0, "nonzero_2d": 0}
+    assert poly.vertices == tuple(map(tuple, verts.tolist()))
+    assert poly.normals.tobytes() == normals.tobytes()
+    assert poly.offsets.tobytes() == offsets.tobytes()
+
+
+@pytest.mark.parametrize("name", ["cube3", "cube4", "cube5", "cell24"])
+def test_coplanar_hull_still_merges(name, merge_calls):
+    frame, _, _ = rc.normalize(SCAN_FRAMES[name])
+    simplices = len(hull.quickhull(frame.elements)[0])
+    poly = rc.build_polytope(frame)
+    assert merge_calls == {"_components": 1, "nonzero_2d": 1}
+    assert poly.num_facets < simplices
+    assert list(poly.vertices) == facet_sets(poly)
+
+
 def test_merge_coplanar_certificate_in_every_block():
     frame, _, _ = rc.normalize(rc.random_sphere(4, 60, 31))
     pts = frame.elements
@@ -983,25 +1035,32 @@ def test_coplanar_frames_merge_to_the_furthest_point_facets(name):
 
 @pytest.fixture
 def rounds(monkeypatch):
-    """The sizes of the `make_planes` calls of `hull.quickhull`: the seed
-    simplex, then one per round."""
-    calls = []
-    make_planes = hull.make_planes
+    """The facets each round of `hull.quickhull` makes after the seed round,
+    one `_pencil_planes` call per round (the last makes none), and under
+    "make_planes" the size of each `make_planes` call."""
+    calls = {"make_planes": [], "pencil": []}
+    make_planes, pencil_planes = hull.make_planes, hull._pencil_planes
 
     def counting(pts, verts, interior):
-        calls.append(len(verts))
+        calls["make_planes"].append(len(verts))
         return make_planes(pts, verts, interior)
 
+    def pencil(pts, verts, *args):
+        calls["pencil"].append(len(verts))
+        return pencil_planes(pts, verts, *args)
+
     monkeypatch.setattr(hull, "make_planes", counting)
+    monkeypatch.setattr(hull, "_pencil_planes", pencil)
     return calls
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_simplex_frames_need_no_round(n, rounds):
-    # m = n + 1: the seed simplex is the hull and no point is left to rank
+    # m = n + 1: the seed simplex is the hull and no point is left to rank;
+    # make_planes runs on the seed simplex and on the final simplices
     pts = np.vstack([np.eye(n), -np.ones((1, n)) / np.sqrt(n)])
     verts, normals, offsets, flat = hull.quickhull(pts)
-    assert flat is None and rounds == [n + 1]
+    assert flat is None and rounds == {"make_planes": [n + 1, n + 1], "pencil": [0]}
     assert np.array_equal(verts, list(combinations(range(n + 1), n)))
     assert np.all(pts @ normals.T <= offsets + 1e-12)
 
@@ -1012,10 +1071,77 @@ def test_rows_sorted_by_a_coordinate_take_few_rounds(rounds):
     frame, _, _ = rc.normalize(rc.random_sphere(3, 200, 66))
     pts = frame.elements[np.argsort(frame.elements[:, 2])]
     got = hull.quickhull(pts)
-    assert len(rounds) - 1 <= 40
+    assert len(rounds["pencil"]) - 1 <= 40
+    # in general position no pencil cancels: the seed and the final simplices
+    assert rounds["make_planes"] == [4, len(got[0])]
     want = oracles.quickhull_furthest(pts)
     for a, b in zip(got[:3], want[:3]):
         assert np.array_equal(a, b)
+
+
+def _final_planes(pts):
+    """`hull.make_planes` over the final simplices of `hull.quickhull`,
+    oriented by quickhull's interior point: (quickhull's result, planes)."""
+    got = hull.quickhull(pts)
+    interior = pts[hull._affine_basis(pts, hull.TOL_HULL)[0]].mean(axis=0)
+    return got, hull.make_planes(pts, got[0], interior)
+
+
+@pytest.mark.parametrize("name", sorted(BIT_FRAMES))
+def test_returned_planes_are_make_planes_of_the_final_simplices(name):
+    # the rounds' pencil planes only steer the search: every returned plane
+    # is the final make_planes call's, bit for bit
+    frame, _, _ = rc.normalize(BIT_FRAMES[name])
+    got, want = _final_planes(frame.elements)
+    for a, b in zip(got[1:3], want):
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["random", "near-duplicate", "coplanar", "cross-polytope"]),
+       st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
+def test_returned_planes_are_make_planes_on_fuzz_frames(kind, n, seed):
+    pts = rc.normalize(oracles.fuzz_frame(kind, n, np.random.default_rng(seed)))[0].elements
+    try:
+        got, want = _final_planes(pts)
+    except DegenerateHull:
+        return
+    if got[3] is None:
+        for a, b in zip(got[1:3], want):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_knife_edge_pencil_falls_back_to_make_planes(monkeypatch):
+    # twelve points on a flat ellipse (semi-axes 1 and 1e-6): at a thin end
+    # a facet of the upper chain and one of the lower meet with nearly
+    # opposite normals, and the next point beyond that end is about as far
+    # above one as below the other, so their pencil cancels (|h| is 1/170
+    # of alpha + |beta|) and the new facet's plane comes from make_planes
+    rng = np.random.default_rng(2)
+    pts = rng.standard_normal((12, 2))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts[:, 1] *= 1e-6
+    parents, fallback = {}, []
+    make_planes, pencil_planes = hull.make_planes, hull._pencil_planes
+
+    def pencil(pts, verts, apex, a, b, interior):
+        cos = np.einsum("kj,kj->k", a[:, :2], b[:, :2])
+        parents.update(zip(map(tuple, verts.tolist()), cos.tolist()))
+        return pencil_planes(pts, verts, apex, a, b, interior)
+
+    def recording(pts, verts, interior):
+        fallback.append(verts.tolist())
+        return make_planes(pts, verts, interior)
+
+    monkeypatch.setattr(hull, "_pencil_planes", pencil)
+    monkeypatch.setattr(hull, "make_planes", recording)
+    got = hull.quickhull(pts)
+    rows = [v for call in fallback[1:-1] for v in call]  # not the seed or the final call
+    assert rows and all(parents[tuple(v)] < -0.9999 for v in rows)
+    monkeypatch.undo()
+    want = oracles.quickhull_furthest(pts)
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == _final_planes(pts)[1][0].tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
