@@ -13,7 +13,7 @@ the round-synchronous ProcessRidge form of Blelloch, Gu, Shun & Sun,
 a seed simplex, points come in the order of a multiplicative hash of their
 index, a stand-in for a random order whatever the row order. A facet keeps
 only its pivot: the first point after its apex, in that order, more than
-`tol` above it. A round takes every open ridge task (t1, t2) at once:
+`TOL_PLANE` above it. A round takes every open ridge task (t1, t2) at once:
 equal pivots drop it (the ridge is buried, or final); otherwise the facet
 with the smaller pivot p gives way to the facet (ridge + p), which takes
 over the task. Its ridges through p wait for their twin, now or in a later
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateHull
 
-TOL_HULL = 1e-9
+TOL_PLANE = 1e-9  # a point within this of a facet's plane lies on it
 SCRAMBLE = 0x9E3779B1  # odd, so the hash permutes the indices below 2**32
 # a simplex whose volume is below this share of Hadamard's bound gets its
 # plane from the Householder QR, not from the cofactors (see make_planes)
@@ -178,7 +178,7 @@ def make_planes(pts: np.ndarray, verts: np.ndarray, interior: np.ndarray):
     expansion. Relative to |c|, the unit normal's error is then at most
     2 gamma_k n^(n/2) H/|c|. A simplex with |c| >= THIN H keeps that below
     6.7e-10 for n <= 6, so a unit-norm point's distance to the plane moves
-    by at most about TOL_HULL. A thinner simplex, where the bound grows as
+    by at most about TOL_PLANE. A thinner simplex, where the bound grows as
     H/|c|, gets the last column of Q in the complete Householder QR of A^T
     instead (one stacked QR over the thin rows), and its volume from
     |prod(diag R)|, since det(A A^T) = det(R^T R). This is the filtered
@@ -268,7 +268,7 @@ def _pencil_planes(pts, verts, apex, a, b, interior):
     return rows
 
 
-def quickhull(points: np.ndarray, tol: float = TOL_HULL):
+def quickhull(points: np.ndarray):
     """Enumerate the hull facets of `points` (one point per row).
 
     Returns (verts, normals, offsets, flat): one row per simplicial facet,
@@ -281,7 +281,7 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
     m, n = pts.shape
     if n == 1:
         return _hull_1d(pts)
-    chosen, q = _affine_basis(pts, tol)
+    chosen, q = _affine_basis(pts, TOL_PLANE)
     if len(chosen) == n:
         normal = _null_direction(q)
         return _flat(normal, float(np.mean(pts @ normal)))
@@ -313,7 +313,7 @@ def quickhull(points: np.ndarray, tol: float = TOL_HULL):
         store[first:first + len(planes)] = planes
         dists = planes[:, :n] @ ranked
         dists -= planes[:, n:n + 1]
-        above = (dists > tol) & (rank > p[:, None])
+        above = (dists > TOL_PLANE) & (rank > p[:, None])
         # ranks up to n belong to the seed simplex and are never above (p >=
         # n), so an argmax of 0 means no pivot
         new_pivot = above.argmax(axis=1)

@@ -87,9 +87,9 @@ def forward(layer: ReLULayer, x) -> np.ndarray:
     return out if batch else out[0]
 
 
-def certify(layer: ReLULayer, estimate: BiasEstimate,
-            tol: float = TOL_MARGIN) -> Certificate:
-    """Compare the layer bias entrywise against the scaled upper bias.
+def certify(layer: ReLULayer, estimate: BiasEstimate) -> Certificate:
+    """Compare the layer bias entrywise against the scaled upper bias: an
+    entry fails where its margin is below -TOL_MARGIN.
 
     The estimate must have been computed for the same frame, domain and
     radius (checked by fingerprint). Unconstrained entries never fail.
@@ -103,7 +103,7 @@ def certify(layer: ReLULayer, estimate: BiasEstimate,
         raise FrameMismatch("estimate radius does not match the layer radius")
     margins = estimate.alpha_scaled - layer.bias
     relevant = ~estimate.unconstrained_mask
-    failing = np.nonzero(relevant & (margins < -tol))[0]
+    failing = np.nonzero(relevant & (margins < -TOL_MARGIN))[0]
     return Certificate(
         injective=bool(failing.size == 0),
         margins=margins,
@@ -116,27 +116,25 @@ def certify(layer: ReLULayer, estimate: BiasEstimate,
     )
 
 
-def reconstruct(poly: Polytope, layer: ReLULayer, z,
-                verify_tol: float = VERIFY_TOL) -> np.ndarray:
+def reconstruct(poly: Polytope, layer: ReLULayer, z) -> np.ndarray:
     """Invert the layer at an output z of a certified layer: a batch of one
     (see `reconstruct_batch`). If the output has no verified preimage, it
     is not in the certified image and ReconstructionFailed is raised.
     """
     _check_layer(poly, layer)
     zv = as_vector(z, layer.frame.m, "output")
-    xs, failed = _reconstruct_rows(poly, layer, zv[None, :], verify_tol)
+    xs, failed = _reconstruct_rows(poly, layer, zv[None, :])
     if failed[0]:
         raise ReconstructionFailed("no facet left-inverse reproduces the given output")
     return xs[0]
 
 
-def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z,
-                      verify_tol: float = VERIFY_TOL) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z) -> tuple[np.ndarray, np.ndarray]:
     """Invert the layer at every row of an (N, m) output matrix Z, with the
     facets of `poly`, the polytope of the layer's frame.
 
     Returns (X, failed): X is (N, n), and `failed` is the (N,) boolean mask
-    of rows that no facet left-inverse reproduces within `verify_tol`, i.e.
+    of rows that no facet left-inverse reproduces within VERIFY_TOL, i.e.
     outputs outside the certified image; their rows of X are NaN.
 
     Every row is first solved from its strictly positive output pattern P:
@@ -176,7 +174,7 @@ def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z,
     """
     _check_layer(poly, layer)
     zs = _matrix(Z, layer.frame.m, "outputs")
-    return _reconstruct_rows(poly, layer, zs, verify_tol)
+    return _reconstruct_rows(poly, layer, zs)
 
 
 def _check_layer(poly: Polytope, layer: ReLULayer) -> None:
@@ -193,8 +191,8 @@ def _matrix(values, width: int, what: str) -> np.ndarray:
     return a
 
 
-def _reconstruct_rows(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
-                      verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _reconstruct_rows(poly: Polytope, layer: ReLULayer,
+                      zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(X, failed) for the outputs zs: the pattern stage, then the ranked
     facet rounds of `_ranked_rounds` for the rows it leaves open (see
     `reconstruct_batch`)."""
@@ -209,7 +207,7 @@ def _reconstruct_rows(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
     rhs = ((zs + bias) * positive) @ elements
     xs = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
     coeff = xs @ elements.T - bias
-    verified = np.max(np.abs(np.maximum(coeff, 0.0) - zs), axis=1) <= verify_tol
+    verified = np.max(np.abs(np.maximum(coeff, 0.0) - zs), axis=1) <= VERIFY_TOL
     # witness: the facet the ray through x exits by (`exit_facets`) has an
     # offset above TOL_INTERIOR and lies in the closed active set of x, so
     # its candidate is x and the ranked rounds would settle the row too
@@ -223,12 +221,12 @@ def _reconstruct_rows(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
     failed = spans & ~verified
     rest = np.flatnonzero(~settled & ~failed)
     if rest.size:
-        xs[rest], failed[rest] = _ranked_rounds(poly, layer, zs[rest], verify_tol)
+        xs[rest], failed[rest] = _ranked_rounds(poly, layer, zs[rest])
     return xs, failed
 
 
-def _ranked_rounds(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
-                   verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _ranked_rounds(poly: Polytope, layer: ReLULayer,
+                   zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(X, failed) for the outputs zs from the ranked facet rounds alone."""
     incidence = poly.incidence.astype(float)  # float: the product runs in BLAS
     # score[i, j]: row i's overlap with facet j, raised above every overlap
@@ -241,7 +239,7 @@ def _ranked_rounds(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
     picks = np.argmax(score, axis=1)[:, None]  # picks[k]: the facets rows[k] tries
     ranked, tried = None, 1
     while True:
-        candidates, verified = _try_facets(poly, layer, zs[rows], picks, verify_tol)
+        candidates, verified = _try_facets(poly, layer, zs[rows], picks)
         settled = verified.any(axis=1)
         first = np.argmax(verified, axis=1)  # the first verifying candidate in rank order
         xs[rows[settled]] = candidates[settled, first[settled]]
@@ -262,11 +260,11 @@ def _ranked_rounds(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
     return xs, failed
 
 
-def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray, picks: np.ndarray,
-                verify_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
+                picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Candidate inputs (R, k, n) for the outputs zs (R, m) from the facets
     picks (R, k), and whether each reproduces its output within
-    `verify_tol`. Each distinct facet is solved once, stacked by facet
+    VERIFY_TOL. Each distinct facet is solved once, stacked by facet
     size, with V its vertex rows: G = V^T V and dual = solve(G, V^T). A G
     that fails the rank rule of `spanning` is solved as the identity and
     its dual set to NaN, so it verifies no row. Each (row, facet) pair
@@ -288,7 +286,7 @@ def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray, picks: np.ndar
         candidates[pairs] = (dual[at] @ coeff[:, :, None])[:, :, 0]
     check = np.maximum(candidates @ layer.frame.elements.T - layer.bias, 0.0)
     miss = np.max(np.abs(check.reshape(len(zs), width, -1) - zs[:, None]), axis=2)
-    return candidates.reshape(len(zs), width, -1), miss <= verify_tol
+    return candidates.reshape(len(zs), width, -1), miss <= VERIFY_TOL
 
 
 def _frame_operators(elements: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -300,13 +298,12 @@ def _frame_operators(elements: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return (masks.astype(float) @ outer).reshape(-1, n, n)
 
 
-def spanning_failures(layer: ReLULayer, samples: np.ndarray,
-                      tol: float = TOL_ACTIVE) -> list[int]:
-    """Sample indices where the active set fails to span the space: where
-    the frame operator of the active elements fails the rank rule of
-    `spanning`."""
+def spanning_failures(layer: ReLULayer, samples: np.ndarray) -> list[int]:
+    """Sample indices where the active set (the elements whose coefficient
+    is at least bias - TOL_ACTIVE) fails to span the space: where the frame
+    operator of the active elements fails the rank rule of `spanning`."""
     xs = np.asarray(samples, dtype=float)
     elements = layer.frame.elements
-    active = xs @ elements.T >= layer.bias - tol  # (num_samples, m)
+    active = xs @ elements.T >= layer.bias - TOL_ACTIVE  # (num_samples, m)
     spans = spanning(_frame_operators(elements, active))
     return np.flatnonzero(~spans).tolist()

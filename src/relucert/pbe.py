@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NotConverged, NotNonnegOmnidirectional, NotOmnidirectional,
-                     OrphanVertex, SolverFailed)
+from .errors import (FrameMismatch, NotConverged, NotNonnegOmnidirectional,
+                     NotOmnidirectional, OrphanVertex, SolverFailed)
 from .frames import UnitFrame, operator_bounds, smallest_lower_bound
 from .polytope import (Polytope, PositiveFacetReport, facet_groups, is_omnidirectional,
                        nonzero_2d)
@@ -110,6 +110,7 @@ def _facet_group_min(frame: UnitFrame, groups):
 def pbe_ball(frame: UnitFrame, poly: Polytope, radius: float = 1.0,
              tol: float = TOL_SOLVER) -> BiasEstimate:
     """Upper bias on the ball of the given radius for an omnidirectional frame."""
+    _check_frame(frame, poly)
     if not is_omnidirectional(poly):
         raise NotOmnidirectional(
             "bias estimation on the ball needs an omnidirectional frame; try --domain ball+")
@@ -123,10 +124,17 @@ def pbe_positive(frame: UnitFrame, poly: Polytope, report: PositiveFacetReport,
     Only facets meeting the non-negative orthant take part; elements on none
     of them get an arbitrary (unconstrained) bias entry.
     """
+    _check_frame(frame, poly)
     if not report.nonneg_omnidirectional:
         raise NotNonnegOmnidirectional(
             "the selected facet cones do not cover the non-negative orthant")
     return _estimate(frame, poly, report.facet_indices, DOMAIN_BALL_POSITIVE, radius, tol)
+
+
+def _check_frame(frame: UnitFrame, poly: Polytope) -> None:
+    """Raise FrameMismatch unless `poly` is the polytope of `frame`."""
+    if frame is not poly.frame and frame.fingerprint() != poly.frame.fingerprint():
+        raise FrameMismatch("polytope was built for a different frame")
 
 
 def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
@@ -153,8 +161,8 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
     alpha_S and alpha_B keep their bits. The facet that sets alpha_X[i] is
     never skipped, as its L_Fi <= g_Fi = alpha_X[i]. Rounding moves the
     two sides apart by about (TOL_PLANE + n eps + k^2 eps / |offset|) /
-    offset^2 at most: vertices lie on the plane only up to TOL_PLANE =
-    1e-9, c differs from the Gram entries by about n eps, and the passive
+    offset^2 at most: vertices lie on the plane only up to `hull.TOL_PLANE`
+    = 1e-9, c differs from the Gram entries by about n eps, and the passive
     solves leave residuals of order k^2 eps / |offset|. As L_Fi <= 0 and
     alpha_X >= -1, nothing is skipped where offset^2 < TOL_PRUNE; above
     that, TOL_PRUNE = 1e-6, a thousand times TOL_PLANE, covers the sum. A
@@ -211,6 +219,7 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
 
 def stability(frame: UnitFrame, poly: Polytope, radius: float = 1.0) -> StabilityReport:
     """Energy bounds for layers certified on the ball (omnidirectional frames)."""
+    _check_frame(frame, poly)
     if not is_omnidirectional(poly):
         raise NotOmnidirectional("stability bounds need an omnidirectional frame")
     return _stability(frame, poly, range(poly.num_facets), radius)
@@ -219,6 +228,7 @@ def stability(frame: UnitFrame, poly: Polytope, radius: float = 1.0) -> Stabilit
 def stability_positive(frame: UnitFrame, poly: Polytope, report: PositiveFacetReport,
                        radius: float = 1.0) -> StabilityReport:
     """Energy bounds on the non-negative domain, restricted to the selected facets."""
+    _check_frame(frame, poly)
     if not report.nonneg_omnidirectional:
         raise NotNonnegOmnidirectional(
             "the selected facet cones do not cover the non-negative orthant")

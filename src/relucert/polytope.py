@@ -23,9 +23,9 @@ import numpy as np
 from . import hull as _hull
 from .errors import DegenerateHull
 from .frames import UnitFrame
+from .hull import TOL_PLANE
 from .solvers import TOL_SOLVER, lp_feasible
 
-TOL_PLANE = 1e-9
 TOL_INTERIOR = 1e-9
 TOL_MERGE = 1e-9
 TOL_DISTINCT = 1e-10
@@ -92,13 +92,13 @@ class PositiveFacetReport:
     nonneg_omnidirectional: bool
 
 
-def build_polytope(frame: UnitFrame, tol_plane: float = TOL_PLANE) -> Polytope:
+def build_polytope(frame: UnitFrame) -> Polytope:
     """Enumerate the facets of the convex hull of the frame elements.
 
     Quickhull's simplicial facets are merged into the facet table by
     `_merge_coplanar`: the simplicial hull is checked for closure,
     ridge-adjacent simplices on one hyperplane become one facet, and each
-    facet's vertex set is every element within `tol_plane` of its
+    facet's vertex set is every element within `TOL_PLANE` of its
     hyperplane. If the elements span only a hyperplane that misses the
     origin, the table has one flat facet holding every element; a
     hyperplane through the origin (or a lower-dimensional span) raises
@@ -106,25 +106,25 @@ def build_polytope(frame: UnitFrame, tol_plane: float = TOL_PLANE) -> Polytope:
     """
     pts = frame.elements
     _check_distinct(pts)
-    verts, normals, offsets, flat = _hull.quickhull(pts, tol=tol_plane)
+    verts, normals, offsets, flat = _hull.quickhull(pts)
     if flat is not None:
         normal, offset = flat
-        if abs(offset) <= tol_plane:
+        if abs(offset) <= TOL_PLANE:
             raise DegenerateHull("affine hull of the elements passes through the origin")
         if offset < 0:
             normal, offset = -normal, -offset
         return Polytope(frame, normal[None, :], np.array([offset]),
                         np.ones((1, frame.m), dtype=bool), False)
-    return Polytope(frame, *_merge_coplanar(verts, normals, offsets, pts, tol_plane), True)
+    return Polytope(frame, *_merge_coplanar(verts, normals, offsets, pts), True)
 
 
-def _check_distinct(pts: np.ndarray, tol: float = TOL_DISTINCT) -> None:
+def _check_distinct(pts: np.ndarray) -> None:
     """Raise ValueError for the first element i with a later element within
-    `tol`, naming the nearest such j (ties to the smallest).
+    tol = TOL_DISTINCT, naming the nearest such j (ties to the smallest).
 
     One sort finds the candidates. Every row is projected onto the fixed
     unit vector u of `_direction(n)`, and since |<u, a - b>| <= |a - b|, a
-    pair within `tol` has projections within `tol` of each other. So only
+    pair within tol has projections within tol of each other. So only
     pairs of rows whose sorted (stable) projections lie within
 
         window = tol + 4 (n + 4) eps (tol + 2 s)
@@ -144,7 +144,7 @@ def _check_distinct(pts: np.ndarray, tol: float = TOL_DISTINCT) -> None:
     order = np.argsort(proj, kind="stable")
     ranked = proj[order]
     s = float(np.max(np.abs(pts).sum(axis=1)))
-    window = tol + 4 * (n + 4) * 2.0 ** -53 * (tol + 2 * s)
+    window = TOL_DISTINCT + 4 * (n + 4) * 2.0 ** -53 * (TOL_DISTINCT + 2 * s)
     reach = np.searchsorted(ranked, ranked + window, side="right") - np.arange(1, m + 1)
     if not reach.any():
         return
@@ -153,12 +153,12 @@ def _check_distinct(pts: np.ndarray, tol: float = TOL_DISTINCT) -> None:
     q = p + 1 + np.arange(len(p)) - np.repeat(np.cumsum(reach) - reach, reach)
     i, j = np.minimum(order[p], order[q]), np.maximum(order[p], order[q])
     d = np.linalg.norm(pts[j] - pts[i], axis=1)
-    close = d <= tol
+    close = d <= TOL_DISTINCT
     if close.any():
         first = i[close].min()
         at = close & (i == first)
         nearest = j[at][np.lexsort((j[at], d[at]))[0]]
-        raise ValueError(f"elements {first} and {nearest} coincide within {tol}")
+        raise ValueError(f"elements {first} and {nearest} coincide within {TOL_DISTINCT}")
 
 
 @cache
@@ -204,7 +204,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _merge_coplanar(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
-                    pts: np.ndarray, tol_plane: float):
+                    pts: np.ndarray):
     """Merge quickhull's simplices (`verts`, `normals`, `offsets`, one row
     each, in order of their vertex tuples) that share a hyperplane into
     facets, and give each facet every element on its plane. Returns the
@@ -221,7 +221,7 @@ def _merge_coplanar(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     also checks closure: every ridge must belong to exactly two simplices,
     or the facet cones would not tile space. Raises
     DegenerateHull when closure or a facet certificate (no element above
-    the plane by more than `tol_plane`) fails, or when two facets get the
+    the plane by more than TOL_PLANE) fails, or when two facets get the
     same vertex set: points on two distinct hyperplanes at once are
     affinely degenerate, and such a facet is ill-defined.
 
@@ -262,9 +262,9 @@ def _merge_coplanar(verts: np.ndarray, normals: np.ndarray, offsets: np.ndarray,
     for start in range(0, len(planes), block_len):
         block = slice(start, start + block_len)
         dots = pts @ planes[block].T
-        if np.any(np.max(dots, axis=0) > plane_offsets[block] + tol_plane):
+        if np.any(np.max(dots, axis=0) > plane_offsets[block] + TOL_PLANE):
             raise DegenerateHull("hull facet certificate failed")
-        incidence[block] = (np.abs(dots - plane_offsets[block]) <= tol_plane).T
+        incidence[block] = (np.abs(dots - plane_offsets[block]) <= TOL_PLANE).T
     tuples = verts
     if (merged or np.count_nonzero(incidence) != verts.size
             or not incidence[np.arange(count)[:, None], verts].all()):
@@ -297,12 +297,12 @@ def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         label = nxt
 
 
-def is_omnidirectional(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> bool:
+def is_omnidirectional(poly: Polytope) -> bool:
     """True iff the origin lies strictly inside the polytope: the hull is
-    full-dimensional and every outward facet offset is positive."""
+    full-dimensional and every outward facet offset is above TOL_INTERIOR."""
     if not poly.full_dimensional:
         return False
-    return bool(np.min(poly.offsets) > tol_interior)
+    return bool(np.min(poly.offsets) > TOL_INTERIOR)
 
 
 def exit_facets(poly: Polytope, xs: np.ndarray) -> np.ndarray:
@@ -330,7 +330,7 @@ def exit_facets(poly: Polytope, xs: np.ndarray) -> np.ndarray:
     return best
 
 
-def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> PositiveFacetReport:
+def positive_facets(poly: Polytope) -> PositiveFacetReport:
     """Find the facets meeting the closed non-negative orthant and test
     whether their cones cover it.
 
@@ -381,7 +381,7 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
 
     Omnidirectional hulls need no LP. When `is_omnidirectional` holds (the
     hull is full-dimensional and every facet offset is above
-    `tol_interior`), the n LPs are skipped, as their answer is known. The
+    TOL_INTERIOR), the n LPs are skipped, as their answer is known. The
     origin is then strictly inside the hull, so some ball {|y| <= r},
     r > 0, lies in the hull, and every d != 0 is a positive multiple of its
     hull point r d / |d|: cone(frame) = R^n, and every e_k lies in it.
@@ -389,7 +389,7 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
     The verdict stays conservative: `nonneg_omnidirectional` is True only if
     some facet is selected, the orthant lies in cone(frame) (at the LP's 1e-9
     tolerance, or exactly for omnidirectional hulls), and every selected
-    offset is at least `tol_interior` away from zero. When the hull is
+    offset is more than TOL_INTERIOR away from zero. When the hull is
     full-dimensional and the selected offsets are all positive, the origin
     is strictly inside the hull (else the entry facet of a ray through a
     selected hull point would be selected with offset <= 0), so cone(frame)
@@ -413,8 +413,8 @@ def positive_facets(poly: Polytope, tol_interior: float = TOL_INTERIOR) -> Posit
     facets = np.flatnonzero(selected)
     vertex_union = np.flatnonzero(incidence[selected].any(axis=0))
 
-    away_from_origin = bool(np.all(np.abs(poly.offsets[selected]) > tol_interior))
+    away_from_origin = bool(np.all(np.abs(poly.offsets[selected]) > TOL_INTERIOR))
     nonneg = bool(facets.size) and away_from_origin and (
-        is_omnidirectional(poly, tol_interior)
+        is_omnidirectional(poly)
         or all(lp_feasible(pts.T, e_k) for e_k in np.eye(n)))
     return PositiveFacetReport(tuple(facets.tolist()), tuple(vertex_union.tolist()), nonneg)

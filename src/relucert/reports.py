@@ -11,9 +11,9 @@ lists (`IntLists`, the incidence table's flat columns) by one `%d`
 template per facet size; the alpha and margin lists (`Entries`, a float
 array with a code per entry for the `"unconstrained"` and `null` literals)
 by one `%.17g` format of their finite entries, placed among the literals
-by one template. Plain lists take the same paths: a list of floats by one
-`%.17g` template, of ints by one `%d` template, of floats, ints, bools,
-None and strings as `Entries`, of int lists as `IntLists`. So a parsed
+by one template. A plain list of floats is written by one `%.17g`
+template, a plain list of ints by one `%d` template, and any other list
+item by item, each item in the format those paths give it. So a parsed
 report, whose document is plain JSON, renders to the same text:
 `Report.from_text(t).to_text() == t`.
 """
@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .frames import TOL_RANK, TOL_UNIT, TOL_ZERO_ROW
+from .hull import TOL_PLANE
 from .layer import TOL_ACTIVE, TOL_MARGIN, VERIFY_TOL
-from .polytope import TOL_INTERIOR, TOL_PLANE, nonzero_2d
+from .polytope import TOL_INTERIOR, nonzero_2d
 from .solvers import TOL_SOLVER
 
 SCHEMA = "relucert-report/1"
@@ -100,30 +100,14 @@ def render(value) -> str:
     raise TypeError(f"cannot render {type(value).__name__} into a report")
 
 
-_SCALARS = frozenset({float, int, bool, str, type(None)})
-_LITERALS = {None: "null", True: "true", False: "false"}
-
-
 def _render_items(values) -> str:
-    """The items of a list, comma-separated. A list of floats, ints, bools,
-    None and strings, or of lists of ints, is rendered with no call per
-    item; any other list item by item."""
-    kinds = list(map(type, values))
-    kind_set = set(kinds)
+    """The items of a list, comma-separated. A list of floats or of ints is
+    rendered with no call per item; any other list item by item."""
+    kind_set = set(map(type, values))
     if kind_set == {float}:
         return _float_items([v + 0.0 for v in values] if 0.0 in values else values)
     if kind_set <= {int}:
         return ", ".join(["%d"] * len(values)) % tuple(values)
-    if kind_set <= _SCALARS:
-        literal = np.array([k is not float for k in kinds])
-        floats = np.array([0.0 if k is not float else v for v, k in zip(values, kinds)])
-        literals = tuple(str(v) if k is int else encode_basestring_ascii(v) if k is str
-                         else _LITERALS[v] for v, k in zip(values, kinds) if k is not float)
-        return _render_entries(floats, np.cumsum(literal) * literal, literals)
-    if kind_set <= {list, tuple}:
-        flat = list(chain.from_iterable(values))
-        if set(map(type, flat)) <= {int}:
-            return _render_int_lists(list(map(len, values)), flat)
     return ", ".join(map(render, values))
 
 

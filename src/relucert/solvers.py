@@ -108,12 +108,12 @@ def _passive_solves(G: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.nda
     return np.where(passive, s, 0.0)
 
 
-def lp_feasible(A, b, tol: float = TOL_SOLVER) -> bool:
+def lp_feasible(A, b) -> bool:
     """Decide whether {x >= 0 : A x = b} is non-empty, by phase-1 simplex.
 
     A is (rows, columns) and b (rows,); a caller poses an inequality
     G x >= h as G x - s = h with slack columns -I and s >= 0. Feasible
-    means the artificial objective reaches zero within `tol`. The
+    means the artificial objective reaches zero within TOL_SOLVER. The
     smallest improving column enters (Bland); the largest pivot among the
     rows tied at the smallest ratio leaves. Entries and reduced costs up to
     `_TOL_PIVOT` count as zero: a pivot at that level would scale the
@@ -153,5 +153,5 @@ def lp_feasible(A, b, tol: float = TOL_SOLVER) -> bool:
         cost -= cost[entering] * tableau[leaving]
     else:
         raise NotConverged(_MAX_PIVOTS, float(-cost[-1]))
-    return bool(-cost[-1] <= tol)
+    return bool(-cost[-1] <= TOL_SOLVER)
 

@@ -140,7 +140,7 @@ def _sorted_ridges_lexsort(verts: np.ndarray):
     return ridges, order, (ranked[1:] == ranked[:-1]).all(axis=1)
 
 
-def quickhull_furthest(points: np.ndarray, tol: float = hull.TOL_HULL):
+def quickhull_furthest(points: np.ndarray, tol: float = hull.TOL_PLANE):
     """The former `hull.quickhull`, furthest-point quickhull with one apex
     per step, as the reference for the round-based hull: same contract,
     same seed simplex and same `hull.make_planes`, so on general-position

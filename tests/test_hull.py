@@ -474,9 +474,9 @@ def _facet_lp_columns(A):
 
 def _recording_lps(monkeypatch, record):
     """Patch `positive_facets`' LP solver to call record(A, b) first."""
-    def recording(A, b, **kwargs):
+    def recording(A, b):
         record(np.array(A), np.array(b))
-        return lp_feasible(A, b, **kwargs)
+        return lp_feasible(A, b)
 
     monkeypatch.setattr(polytope, "lp_feasible", recording)
 
@@ -796,14 +796,14 @@ def test_merge_coplanar_rejects_open_hull():
     pts = frame.elements
     *raw, flat = hull.quickhull(pts)
     assert flat is None and len(raw[0]) == 4
-    assert len(polytope._merge_coplanar(*raw, pts, 1e-9)[1]) == 4
+    assert len(polytope._merge_coplanar(*raw, pts)[1]) == 4
     with pytest.raises(DegenerateHull, match="not closed"):
-        polytope._merge_coplanar(*(a[1:] for a in raw), pts, 1e-9)
+        polytope._merge_coplanar(*(a[1:] for a in raw), pts)
     # closed, but with repeated simplices: one simplex twice gives each of
     # its ridges three owners, the whole hull twice gives every ridge four
     for extra in (1, 4):
         with pytest.raises(DegenerateHull, match="not closed"):
-            polytope._merge_coplanar(*(np.concatenate([a, a[:extra]]) for a in raw), pts, 1e-9)
+            polytope._merge_coplanar(*(np.concatenate([a, a[:extra]]) for a in raw), pts)
     # one ridge with one owner and nothing to compare it with
     with pytest.raises(DegenerateHull, match="not closed"):
         hull.ridge_pairs(np.array([[0]]))
@@ -871,7 +871,7 @@ def test_merge_coplanar_certificate_in_every_block():
         lowered = offsets.copy()
         lowered[j] -= 1e-6
         with pytest.raises(DegenerateHull, match="certificate"):
-            polytope._merge_coplanar(verts, normals, lowered, pts, 1e-9)
+            polytope._merge_coplanar(verts, normals, lowered, pts)
 
 
 def _ternary(n, m, seed):
@@ -1026,7 +1026,7 @@ def test_coplanar_frames_merge_to_the_furthest_point_facets(name):
     frame, _, _ = rc.normalize(SCAN_FRAMES[name])
     pts = frame.elements
     *raw, _ = oracles.quickhull_furthest(pts)
-    want = polytope._merge_coplanar(*raw, pts, polytope.TOL_PLANE)
+    want = polytope._merge_coplanar(*raw, pts)
     poly = rc.build_polytope(frame)
     assert np.array_equal(poly.incidence, want[2])
     assert np.max(np.abs(poly.normals - want[0])) <= 1e-12
@@ -1083,7 +1083,7 @@ def _final_planes(pts):
     """`hull.make_planes` over the final simplices of `hull.quickhull`,
     oriented by quickhull's interior point: (quickhull's result, planes)."""
     got = hull.quickhull(pts)
-    interior = pts[hull._affine_basis(pts, hull.TOL_HULL)[0]].mean(axis=0)
+    interior = pts[hull._affine_basis(pts, hull.TOL_PLANE)[0]].mean(axis=0)
     return got, hull.make_planes(pts, got[0], interior)
 
 

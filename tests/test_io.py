@@ -314,8 +314,8 @@ _SCALARS = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(_SCALARS, max_size=40))
 def test_render_mixed_lists_match_recursive_writer(values):
-    # floats, ints, bools, None and strings: one %-format of the floats,
-    # the other items as literals; bools print as true/false, not as 1/0
+    # floats, ints, bools, None and strings in one list are rendered item
+    # by item; bools print as true/false, not as 1/0
     assert render(values) == oracles.render_recursive(values)
     assert render(tuple(values)) == oracles.render_recursive(values)
 

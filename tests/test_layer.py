@@ -346,9 +346,9 @@ def _recording_rounds(monkeypatch):
     calls = []
     try_facets = rc.layer._try_facets
 
-    def recording(poly, layer, zs, picks, verify_tol):
+    def recording(poly, layer, zs, picks):
         calls.append(picks.copy())
-        return try_facets(poly, layer, zs, picks, verify_tol)
+        return try_facets(poly, layer, zs, picks)
 
     monkeypatch.setattr(rc.layer, "_try_facets", recording)
     return calls

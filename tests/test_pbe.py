@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import relucert as rc
-from relucert.errors import NotNonnegOmnidirectional, NotOmnidirectional
+from relucert.errors import FrameMismatch, NotNonnegOmnidirectional, NotOmnidirectional
 from relucert.solvers import TOL_SOLVER
 
 import oracles
@@ -34,6 +34,29 @@ def test_pbe_requires_omnidirectional():
     with pytest.raises(NotOmnidirectional):
         rc.stability(frame, poly, 1.0)
 
+
+def test_estimates_refuse_a_polytope_of_another_frame():
+    # the polytope of another frame would raise alpha_B[4] from -0.3952 to
+    # -0.1939 and so certify a bias of -0.25 there, which the frame's own
+    # estimate rejects
+    frame, _, _ = rc.normalize(rc.random_sphere(3, 20, 3))
+    other = rc.build_polytope(rc.normalize(rc.random_sphere(3, 20, 103))[0])
+    own = rc.build_polytope(frame)
+    bias = np.full(frame.m, -1.0)
+    bias[4] = -0.25
+    estimate = rc.pbe_ball(frame, own, 1.0)
+    assert rc.certify(rc.ReLULayer(frame, bias), estimate).failing_indices == (4,)
+    positive = rc.positive_facets(other)
+    for call in (lambda: rc.pbe_ball(frame, other, 1.0),
+                 lambda: rc.pbe_positive(frame, other, positive, 1.0),
+                 lambda: rc.stability(frame, other, 1.0),
+                 lambda: rc.stability_positive(frame, other, positive, 1.0)):
+        with pytest.raises(FrameMismatch, match="polytope was built for a different frame"):
+            call()
+    # an equal frame that is another object passes the fingerprint check
+    twin, _, _ = rc.normalize(rc.random_sphere(3, 20, 3))
+    assert np.array_equal(rc.pbe_ball(twin, own, 1.0).alpha_B, estimate.alpha_B)
+    assert rc.stability(twin, own, 1.0) == rc.stability(frame, own, 1.0)
 
 def test_alpha_x_orphan_vertex(mb):
     from relucert.errors import OrphanVertex

@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -39,3 +40,18 @@ def test_readme_public_api_is_all():
     assert sorted(names) == sorted(rc.__all__)
     for name in rc.__all__:
         getattr(rc, name)
+
+
+def test_public_signatures_take_only_the_solver_tolerance():
+    # every other threshold is a module constant, recorded in the report's
+    # "tolerances" block: a tolerance option on a public callable would let
+    # a verdict rest on a value the report does not state
+    solver = {("pbe_ball", "tol"), ("pbe_positive", "tol"),
+              ("min_linear_capped_cones", "tol"), ("build_report", "solver_tol")}
+    found = set()
+    for name in rc.__all__:
+        obj = getattr(rc, name)
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+            continue
+        found |= {(name, p) for p in inspect.signature(obj).parameters if "tol" in p}
+    assert found == solver
