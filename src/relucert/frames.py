@@ -9,35 +9,11 @@ TOL_RANK times the largest. `operator_bounds` computes the extreme
 eigenvalues and raises NotAFrame where the rule fails; `spanning` returns
 the rule's mask only, and decides most operators without an eigensolver.
 
-`spanning`'s Gershgorin filter. For a symmetric G, every eigenvalue lies
-in some disc [G_ii - r_i, G_ii + r_i], r_i = sum_{j != i} |G_ij|
-(S. Gershgorin, Izv. Akad. Nauk SSSR 1931), so all of them lie in [L, U],
-L = min_i (G_ii - r_i), U = max_i (G_ii + r_i). The filter accepts G when
-L >= TOL_GERSHGORIN * U = 1e-6 U, and the rule then accepts G too:
-
-- Exactly, lambda_min >= L >= 1e-6 U >= 1e-6 lambda_max > 0.
-- L and U are computed with an error of O(n eps U) against the bounds of
-  the symmetric matrix that `eigvalsh` reads (sums of n magnitudes, and a
-  G symmetric up to the rounding of its own products), and U <= n
-  lambda_max for a positive semi-definite G. So an accepted G has
-  lambda_min >= (1e-6 - d) lambda_max, with d = O(n^2 eps), about 1e-14
-  for n <= 6.
-- `eigvalsh` is backward stable: its values are the exact eigenvalues of
-  G + E with ||E|| = O(n eps lambda_max), so by Weyl's inequality each is
-  within d lambda_max of the exact one. The computed smallest is at least
-  (1e-6 - 2d) lambda_max and the computed largest at most (1 + d)
-  lambda_max: their ratio is about 1e-6, a thousand times TOL_RANK.
-
-An operator the filter does not accept (L <= 0 for every rank-deficient
-one, and the zero operator, for which U = 0) goes to `eigvalsh`, and its
-eigenvalues decide it as before. So the mask is the rule's on every
-operator, whichever path decides it. The filter needs no eigensolver:
-on reconstruction's pattern operators it decides nearly every row.
-
-`smallest_lower_bound`'s screen. Of a stack of positive semi-definite
-operators S_f only the smallest `eigvalsh` value, A0, is wanted. Write u
-for the unit roundoff, s for the largest trace in the stack (s >= ||S_f||)
-and e = c n u s for the rounding terms below, c a small constant.
+The LDL^T screen. `spanning` and `smallest_lower_bound` both use it, and
+only to decide which operators need no `eigvalsh`. Write u for the unit
+roundoff, s for a bound on the traces of the positive semi-definite
+operators S_f at hand (so s >= ||S_f||) and e = c n u s for the rounding
+terms below, c a small constant.
 
 - The k-th pivot of the LDL^T factorization (no pivoting) of S is
   1 / (S_k^-1)_kk, S_k its leading k x k block, so it is at least
@@ -45,26 +21,40 @@ and e = c n u s for the rounding terms below, c a small constant.
   computed factorization is the exact one of S + E with ||E|| <= e
   wherever its pivots stayed positive (Higham, Accuracy and Stability of
   Numerical Algorithms, 2002, Thm 10.3; the bound uses trace(S) <= s).
-  So the smallest computed pivot t over the stack has some f with
+  So the smallest computed pivot t over a stack has some f with
   lambda_min(S_f) <= t + e; and where a factorization breaks down (a
   pivot <= 0 first), its operator has lambda_min <= e.
-- Take t' = max(t, TOL_RANK s) + TOL_SCREEN s: then t' >= A0 + e, as
-  TOL_SCREEN s = 1e-10 s is far above any e for n in the hundreds. An
-  operator whose factorization of S_f - t' I gives positive pivots only
-  has lambda_min(S_f) > t' - e, and `eigvalsh`, backward stable, returns
-  at least t' - 2e for it. The operator with the smallest exact
-  eigenvalue gets at most A0 + e from `eigvalsh` (Weyl), below that, so
-  it is never dropped, and no dropped operator holds the smallest
-  computed value: `eigvalsh` on the rest, the same LAPACK routine on the
-  same matrices, returns A0 with its bits.
-- A dropped operator has a computed smallest eigenvalue above
-  TOL_RANK s + TOL_SCREEN s - 2e and a computed largest below s + e, so
-  it passes the rank rule: every failing operator stays, and NotAFrame
-  names the first of them, with the same eigenvalues in its message.
+- Shift by t' >= TOL_RANK s + TOL_SCREEN s. An operator whose
+  factorization of S_f - t' I gives positive pivots only has
+  lambda_min(S_f) > t' - e, and `eigvalsh`, backward stable, returns at
+  least t' - 2e for it and at most s + e for its largest eigenvalue. As
+  TOL_SCREEN s = 1e-10 s is far above any e for n in the hundreds, the
+  operator passes the rank rule.
 
-The screen runs two factorizations, each n steps of whole-stack numpy
-calls in the (n, n, F) layout, where each step reads contiguous rows of F
-entries; it only pays for stacks of more than SCREEN_MIN operators.
+`spanning` shifts each operator by t' = (TOL_RANK + TOL_SCREEN) s_f, s_f
+its own trace floored at the smallest normal double. An operator with
+positive pivots spans, by the last bullet with s = s_f. Every other one
+(each rank-deficient operator, and the zero operator, whose shifted
+pivots are negative) goes to `eigvalsh`, and its eigenvalues decide it as
+before. So the mask is the rule's on every operator, whichever path
+decides it; on reconstruction's pattern operators the screen decides
+nearly every row.
+
+`smallest_lower_bound` wants only the smallest `eigvalsh` value A0 of a
+stack, with s its largest trace. It shifts every operator by
+t' = max(t, TOL_RANK s) + TOL_SCREEN s, so t' >= A0 + e. The operator
+with the smallest exact eigenvalue gets at most A0 + e from `eigvalsh`
+(Weyl), below the t' - 2e of every operator with positive shifted
+pivots, so it is never dropped, and no dropped operator holds the
+smallest computed value: `eigvalsh` on the rest, the same LAPACK routine
+on the same matrices, returns A0 with its bits. A dropped operator passes
+the rank rule, so every failing operator stays, and NotAFrame names the
+first of them, with the same eigenvalues in its message.
+
+The screen runs n steps of whole-stack numpy calls per factorization in
+the (n, n, F) layout, where each step reads contiguous rows of F entries.
+`smallest_lower_bound` runs two factorizations, and only for stacks of
+more than SCREEN_MIN operators.
 """
 
 from __future__ import annotations
@@ -79,11 +69,8 @@ from .errors import DimensionMismatch, NotAFrame, ZeroRow
 TOL_UNIT = 1e-12
 TOL_ZERO_ROW = 1e-12
 TOL_RANK = 1e-9
-# the ratio at which Gershgorin's bounds accept an operator: a thousand times
-# TOL_RANK, a gap no rounding crosses (see the module docstring)
-TOL_GERSHGORIN = 1e-6
-# the screen's shift above the smallest pivot, per unit of the largest
-# operator trace: far above every rounding term (see the module docstring)
+# the screen's shift above the rank rule, per unit of operator trace: far
+# above every rounding term (see the module docstring)
 TOL_SCREEN = 1e-10
 # stacks up to this size go to eigvalsh whole: below it the screen's fixed
 # cost of about 2n numpy calls (50-130 us) is more than their eigensolves
@@ -164,30 +151,29 @@ def normalize(weights, bias=None) -> tuple[UnitFrame, np.ndarray | None, np.ndar
     return frame, rescaled, norms
 
 
-def _rank_rule(lower, upper, ratio: float):
-    """The rank rule on lower and upper bounds of the extreme eigenvalues:
-    lower >= ratio * upper, with upper taken as at least the smallest normal
-    double, so that the zero operator fails."""
-    return lower >= ratio * np.maximum(upper, np.finfo(float).tiny)
+def _rank_rule(lower, upper):
+    """The rank rule on the extreme eigenvalues: lower >= TOL_RANK * upper,
+    with upper taken as at least the smallest normal double, so that the
+    zero operator fails."""
+    return lower >= TOL_RANK * np.maximum(upper, np.finfo(float).tiny)
 
 
 def spanning(ops: np.ndarray) -> np.ndarray:
     """The rank rule's mask for a frame operator (n, n) or a stack (..., n, n)
     (a 0-d array for one operator): whether each one's vectors span R^n.
-    Gershgorin's bounds decide every operator they can (see the module
-    docstring); `eigvalsh` decides the rest."""
+    The LDL^T screen, shifted by each operator's own trace, decides every
+    operator it can (see the module docstring); `eigvalsh` decides the
+    rest."""
     ops = np.asarray(ops, dtype=float)
     n = ops.shape[-1]
     flat = ops.reshape(-1, n, n)
-    diag = flat.diagonal(axis1=1, axis2=2)
-    radius = np.abs(flat).sum(axis=2)
-    radius -= np.abs(diag)
-    spans = _rank_rule((diag - radius).min(axis=1), (diag + radius).max(axis=1),
-                       TOL_GERSHGORIN)
+    a = flat.transpose(1, 2, 0).copy()
+    trace = np.maximum(a.trace(), np.finfo(float).tiny)
+    spans = _shifted_positive(a, (TOL_RANK + TOL_SCREEN) * trace)
     rest = np.flatnonzero(~spans)
     if rest.size:
         eig = np.linalg.eigvalsh(flat[rest])
-        spans[rest] = _rank_rule(eig[:, 0], eig[:, -1], TOL_RANK)
+        spans[rest] = _rank_rule(eig[:, 0], eig[:, -1])
     return spans.reshape(ops.shape[:-2])
 
 
@@ -198,7 +184,7 @@ def operator_bounds(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     eig = np.linalg.eigvalsh(ops)
     lower, upper = eig[..., 0], eig[..., -1]
-    bad = np.flatnonzero(~_rank_rule(lower, upper, TOL_RANK))
+    bad = np.flatnonzero(~_rank_rule(lower, upper))
     if bad.size:
         low, high = lower.flat[bad[0]], upper.flat[bad[0]]
         raise NotAFrame(f"sub-collection is rank deficient (eigenvalue range [{low:.3e}, {high:.3e}])")
@@ -215,11 +201,18 @@ def smallest_lower_bound(ops: np.ndarray) -> float:
         a = ops.transpose(1, 2, 0).copy()
         scale = a.trace().max()
         t = np.fmin.reduce(_ldl_pivots(a.copy()), axis=None)
-        diag = np.arange(a.shape[0])
-        a[diag, diag] -= np.fmax(t, TOL_RANK * scale) + TOL_SCREEN * scale
-        ops = ops[~(_ldl_pivots(a) > 0.0).all(axis=0)]
+        ops = ops[~_shifted_positive(a, np.fmax(t, TOL_RANK * scale) + TOL_SCREEN * scale)]
     lower, _ = operator_bounds(ops)
     return float(lower.min())
+
+
+def _shifted_positive(a: np.ndarray, shift) -> np.ndarray:
+    """Whether the LDL^T factorization of each S_f - shift_f I gives positive
+    pivots only, for an (n, n, F) stack `a` of the S_f (overwritten) and a
+    shift that is one number or one per operator (F,)."""
+    diag = np.arange(a.shape[0])
+    a[diag, diag] -= shift
+    return (_ldl_pivots(a) > 0.0).all(axis=0)
 
 
 def _ldl_pivots(a: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ sub-frame: for an input x in the cone of facet V,
 x = S_V^{-1} sum_{i in V} (z_i + b_i) x_i, with S_V the sub-frame operator.
 Reconstruction first applies the same formula to the whole strictly positive
 output pattern in place of V, and tries facets only where that pattern does
-not settle the output. Every pattern solve, every candidate of a
+not settle the output. A pattern and a facet are both masks of the elements,
+and one masked solve serves both: every pattern solve, every candidate of a
 reconstruction round and every spanning test is one stacked computation over
 such sub-frame operators.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import DimensionMismatch, FrameMismatch, ReconstructionFailed
 from .frames import UnitFrame, as_matrix, as_vector, spanning
 from .pbe import DOMAIN_BALL, BiasEstimate
-from .polytope import TOL_INTERIOR, Polytope, exit_facets, facet_groups
+from .polytope import TOL_INTERIOR, Polytope, exit_facets
 
 TOL_ACTIVE = 1e-12
 TOL_MARGIN = 1e-12
@@ -79,7 +80,7 @@ def forward(layer: ReLULayer, x) -> np.ndarray:
         xs = _matrix(x, layer.frame.n, "inputs")
     else:
         xs = as_vector(x, layer.frame.n, "input")[None, :]
-    if np.any(np.linalg.norm(xs, axis=1) > layer.radius + 1e-9):
+    if np.any(np.linalg.norm(xs, axis=1) > layer.radius * (1 + 1e-9)):
         warnings.warn("input lies outside the declared ball", stacklevel=2)
     out = xs @ layer.frame.elements.T
     out -= layer.bias
@@ -89,21 +90,23 @@ def forward(layer: ReLULayer, x) -> np.ndarray:
 
 def certify(layer: ReLULayer, estimate: BiasEstimate) -> Certificate:
     """Compare the layer bias entrywise against the scaled upper bias: an
-    entry fails where its margin is below -TOL_MARGIN.
+    entry fails where its margin is below -TOL_MARGIN times the radius, so
+    the verdict depends on bias / radius only, as alpha_scaled does.
 
-    The estimate must have been computed for the same frame, domain and
-    radius (checked by fingerprint). Unconstrained entries never fail.
+    The estimate must have been computed for the same frame (checked by
+    fingerprint), domain and radius (within 1e-12 times the radius).
+    Unconstrained entries never fail.
     """
     if estimate.frame_fingerprint != layer.frame.fingerprint():
         raise FrameMismatch("estimate was computed for a different frame")
     if estimate.domain != layer.domain:
         raise FrameMismatch(
             f"estimate domain {estimate.domain!r} does not match layer domain {layer.domain!r}")
-    if abs(estimate.radius - layer.radius) > 1e-12:
+    if abs(estimate.radius - layer.radius) > 1e-12 * layer.radius:
         raise FrameMismatch("estimate radius does not match the layer radius")
     margins = estimate.alpha_scaled - layer.bias
     relevant = ~estimate.unconstrained_mask
-    failing = np.nonzero(relevant & (margins < -TOL_MARGIN))[0]
+    failing = np.nonzero(relevant & (margins < -TOL_MARGIN * layer.radius))[0]
     return Certificate(
         injective=bool(failing.size == 0),
         margins=margins,
@@ -165,12 +168,14 @@ def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z) -> tuple[np.ndarray, 
     smallest index. In the first round every row takes its best facet; in
     each later round every unsettled row takes its next k untried facets
     in rank order, k = 2, 4, 8, ... (at most ROUND_CANDIDATES candidates in
-    a round, or one per row). One stacked solve gives the canonical duals
-    of a round's distinct facets, each (row, facet) pair applies its
-    facet's dual, and one forward product verifies them all. A row is
-    settled by its first candidate in rank order that verifies, and fails
-    once it has tried every facet. A facet whose vertex set does not span
-    the space has no left-inverse: it is a candidate that verifies no row.
+    a round, or one per row). Each (row, facet) pair is solved as a pattern
+    is, with the facet's vertex set as its mask: one product gives the
+    operators of a round's distinct facets and one `spanning` test checks
+    them, then one stacked solve and one forward product solve and verify
+    every pair. A row is settled by its first candidate in rank order that
+    verifies, and fails once it has tried every facet. A facet whose vertex
+    set does not span the space has no left-inverse: it is a candidate that
+    verifies no row.
     """
     _check_layer(poly, layer)
     zs = _matrix(Z, layer.frame.m, "outputs")
@@ -196,25 +201,19 @@ def _reconstruct_rows(poly: Polytope, layer: ReLULayer,
     """(X, failed) for the outputs zs: the pattern stage, then the ranked
     facet rounds of `_ranked_rounds` for the rows it leaves open (see
     `reconstruct_batch`)."""
-    elements, bias = layer.frame.elements, layer.bias
+    # every row from its strictly positive pattern P; a P that does not
+    # span verifies nothing, and its row is left to the rounds
     positive = zs > 0.0
-    # every row from its strictly positive pattern P: the canonical dual of
-    # the sub-frame P, G_P x = sum_P (z_i + b_i) x_i; a G_P that fails the
-    # rank rule is solved as the identity and its row left to the rounds
-    gram = _frame_operators(elements, positive)
+    gram = _frame_operators(layer.frame.elements, positive)
     spans = spanning(gram)
-    gram[~spans] = np.eye(layer.frame.n)
-    rhs = ((zs + bias) * positive) @ elements
-    xs = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-    coeff = xs @ elements.T - bias
-    verified = np.max(np.abs(np.maximum(coeff, 0.0) - zs), axis=1) <= VERIFY_TOL
+    xs, coeff, verified = _solve_masks(layer, zs, positive, gram, spans)
     # witness: the facet the ray through x exits by (`exit_facets`) has an
     # offset above TOL_INTERIOR and lies in the closed active set of x, so
     # its candidate is x and the ranked rounds would settle the row too
     exits = exit_facets(poly, xs)
     active = coeff >= -TOL_ACTIVE
     witness = (poly.offsets[exits] > TOL_INTERIOR) & (active | ~poly.incidence[exits]).all(axis=1)
-    settled = spans & verified & witness
+    settled = verified & witness
     xs[~settled] = np.nan
     # a spanning pattern that does not verify: every preimage would solve
     # the same full-rank system, so the output has none
@@ -264,29 +263,35 @@ def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
                 picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Candidate inputs (R, k, n) for the outputs zs (R, m) from the facets
     picks (R, k), and whether each reproduces its output within
-    VERIFY_TOL. Each distinct facet is solved once, stacked by facet
-    size, with V its vertex rows: G = V^T V and dual = solve(G, V^T). A G
-    that fails the rank rule of `spanning` is solved as the identity and
-    its dual set to NaN, so it verifies no row. Each (row, facet) pair
-    then gathers its facet's dual: x = dual @ (z + b)_V."""
-    width = picks.shape[1]
-    flat = picks.ravel()
-    candidates = np.empty((flat.size, layer.frame.n))
-    for group, verts in facet_groups(poly, np.unique(flat)):
-        sub = layer.frame.elements[verts]  # (G, k, n)
-        gram = sub.swapaxes(1, 2) @ sub
-        spans = spanning(gram)
-        gram[~spans] = np.eye(layer.frame.n)
-        dual = np.linalg.solve(gram, sub.swapaxes(1, 2))
-        dual[~spans] = np.nan
-        pairs = np.flatnonzero(np.isin(flat, group))  # the pairs of this group's facets
-        at = np.searchsorted(group, flat[pairs])  # their facets' rows in the group
-        rows = verts[at]
-        coeff = zs[(pairs // width)[:, None], rows] + layer.bias[rows]
-        candidates[pairs] = (dual[at] @ coeff[:, :, None])[:, :, 0]
-    check = np.maximum(candidates @ layer.frame.elements.T - layer.bias, 0.0)
-    miss = np.max(np.abs(check.reshape(len(zs), width, -1) - zs[:, None]), axis=2)
-    return candidates.reshape(len(zs), width, -1), miss <= VERIFY_TOL
+    VERIFY_TOL: each (row, facet) pair is the masked solve of the pattern
+    stage, with the facet's vertex set as the mask. The operators of the
+    distinct facets are built and tested by `spanning` once; a facet that
+    fails the rank rule verifies no row."""
+    facets, at = np.unique(picks, return_inverse=True)
+    at = at.reshape(picks.shape)  # its shape differs across numpy versions
+    gram = _frame_operators(layer.frame.elements, poly.incidence[facets])
+    spans = spanning(gram)
+    xs, _, verified = _solve_masks(layer, zs[:, None], poly.incidence[picks],
+                                   gram[at], spans[at])
+    return xs, verified
+
+
+def _solve_masks(layer: ReLULayer, zs: np.ndarray, masks: np.ndarray, gram: np.ndarray,
+                 spans: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical dual of each sub-frame V that the boolean masks (..., m)
+    pick, applied to its outputs zs (broadcast against the masks):
+    x = S_V^-1 sum_{i in V} (z_i + b_i) x_i, with S_V in gram (..., n, n)
+    (overwritten) and `spans` its `spanning` mask. Returns (X, X's
+    coefficients <x, x_i> - b_i, verified): a row is verified where its
+    sub-frame spans and max(0, coefficients) reproduces z within
+    VERIFY_TOL. A sub-frame that does not span is solved as the identity."""
+    elements, bias = layer.frame.elements, layer.bias
+    gram[~spans] = np.eye(layer.frame.n)
+    rhs = ((zs + bias) * masks) @ elements
+    xs = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    coeff = xs @ elements.T - bias
+    verified = np.max(np.abs(np.maximum(coeff, 0.0) - zs), axis=-1) <= VERIFY_TOL
+    return xs, coeff, verified & spans
 
 
 def _frame_operators(elements: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -301,8 +306,9 @@ def _frame_operators(elements: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def spanning_failures(layer: ReLULayer, samples: np.ndarray) -> list[int]:
     """Sample indices where the active set (the elements whose coefficient
     is at least bias - TOL_ACTIVE) fails to span the space: where the frame
-    operator of the active elements fails the rank rule of `spanning`."""
-    xs = np.asarray(samples, dtype=float)
+    operator of the active elements fails the rank rule of `spanning`. The
+    samples are an (N, n) matrix of finite inputs, as `forward` takes."""
+    xs = _matrix(samples, layer.frame.n, "samples")
     elements = layer.frame.elements
     active = xs @ elements.T >= layer.bias - TOL_ACTIVE  # (num_samples, m)
     spans = spanning(_frame_operators(elements, active))

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 import relucert as rc
 from relucert.errors import DimensionMismatch, NotAFrame, ZeroRow
 from relucert import frames as frames_module
-from relucert.frames import (TOL_GERSHGORIN, TOL_RANK, operator_bounds, smallest_lower_bound,
+from relucert.frames import (TOL_RANK, TOL_SCREEN, operator_bounds, smallest_lower_bound,
                              spanning)
 
 import oracles
@@ -165,17 +165,22 @@ def _rotated(eigenvalues, seed: int) -> np.ndarray:
 def test_spanning_pinned_operators():
     for n in range(1, 7):
         below, above = TOL_RANK * (1 - 1e-6), TOL_RANK * (1 + 1e-6)
+        # the last entry r at which the screen's shift (TOL_RANK + TOL_SCREEN)
+        # times the trace n - 1 + r reaches r (0 for n = 1)
+        shift = TOL_RANK + TOL_SCREEN
+        edge = shift * (n - 1) / (1 - shift)
         cases = {  # name: (operators, the rule's mask where it is known exactly)
             "zero": (np.zeros((1, n, n)), [False]),
             "identity": (np.eye(n)[None], [True]),
             "ratio 1e-9 (1 -+ 1e-6)": (np.stack([np.diag([1.0] * (n - 1) + [r])
                                                  for r in (below, above)]),
                                        [n == 1, True]),
-            "at the filter": (np.stack([np.diag([1.0] * (n - 1) + [r])
-                                        for r in (TOL_GERSHGORIN, TOL_GERSHGORIN * (1 - 1e-12))]),
-                              [True, True]),
+            "at the screen": (np.stack([scale * np.diag([1.0] * (n - 1) + [r])
+                                        for scale in (1e-100, 1.0, 1e100)
+                                        for r in (edge * (1 - 1e-6), edge * (1 + 1e-6))]),
+                              [n > 1] * 6),
             "rotated": (np.stack([_rotated([1.0] * (n - 1) + [r], n)
-                                  for r in (below, above, 0.0, TOL_GERSHGORIN, 1e-3)]), None),
+                                  for r in (below, above, 0.0, shift * n, 1e-3)]), None),
         }
         if n > 1:
             v = np.random.default_rng(n).standard_normal((n + 2, n))
@@ -195,7 +200,7 @@ def test_spanning_pinned_operators():
 
 def test_certified_block_pattern_stage_needs_no_eigensolver(monkeypatch):
     # every pattern operator of an in-ball (3, 200) block passes the
-    # Gershgorin filter: no row reaches `eigvalsh`
+    # LDL^T screen: no row reaches `eigvalsh`
     frame, _, _ = rc.normalize(rc.random_sphere(3, 200, 5))
     poly = rc.build_polytope(frame)
     layer = rc.ReLULayer(frame, rc.pbe_ball(frame, poly, 1.0).alpha_scaled - 1e-3, 1.0)

@@ -89,6 +89,49 @@ def test_certify_mismatches(mb, tet):
                    mb.estimate)
 
 
+def test_certify_margin_scales_with_the_radius():
+    # alpha_scaled + 0.9 r fails every entry at every radius r; at r = 1e-12
+    # that bias is positive entrywise and the layer sends two inputs to 0,
+    # while an absolute slack of 1e-12 would have certified it. A margin
+    # above -1e-12 r passes at every radius.
+    frame, _, _ = rc.normalize(rc.random_sphere(3, 20, 1))
+    poly = rc.build_polytope(frame)
+    for radius in (1e-12, 1.0, 1e6):
+        est = rc.pbe_ball(frame, poly, radius)
+        layer = rc.ReLULayer(frame, est.alpha_scaled + 0.9 * radius, radius)
+        cert = rc.certify(layer, est)
+        assert not cert.injective and cert.failing_indices == tuple(range(20))
+        assert rc.certify(rc.ReLULayer(frame, est.alpha_scaled + 0.5e-12 * radius, radius),
+                          est).injective
+        if radius == 1e-12:
+            assert layer.bias.min() > 0.0
+            zs = rc.forward(layer, np.array([[1e-13, 0.0, 0.0], [0.0, 2e-13, 0.0]]))
+            assert not zs.any()
+
+
+def test_ball_checks_are_relative_to_the_radius(tet):
+    # an input 500 radii outside a ball of radius 1e-12 draws the warning;
+    # inputs on a sphere of radius 1e9, some of whose norms round above it,
+    # do not
+    small = rc.ReLULayer(tet.frame, np.zeros(4), 1e-12)
+    with pytest.warns(UserWarning):
+        rc.forward(small, [5e-10, 0.0, 0.0])
+    x = np.random.default_rng(87).standard_normal((200, 3))
+    x *= 1e9 / np.linalg.norm(x, axis=1)[:, None]
+    assert np.linalg.norm(x, axis=1).max() > 1e9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc.forward(rc.ReLULayer(tet.frame, np.zeros(4), 1e9), x)
+    # certify matches radii within 1e-12 times the layer's: an estimate for
+    # radius 1e-13 does not serve radius 1e-12, one for 1e6 serves 1e6 + 1 ulp
+    est = rc.pbe_ball(tet.frame, tet.poly, 1e-13)
+    with pytest.raises(FrameMismatch):
+        rc.certify(rc.ReLULayer(tet.frame, est.alpha_scaled, 1e-12), est)
+    est = rc.pbe_ball(tet.frame, tet.poly, 1e6)
+    layer = rc.ReLULayer(tet.frame, est.alpha_scaled, np.nextafter(1e6, 2e6))
+    assert rc.certify(layer, est).injective
+
+
 def test_certify_ignores_unconstrained_entries(ico):
     report = rc.positive_facets(ico.poly)
     est = rc.pbe_positive(ico.frame, ico.poly, report, 1.0)
@@ -314,9 +357,9 @@ def test_reconstruct_round_solves_each_distinct_facet_once(monkeypatch):
     # many rows share each facet: outputs outside the image with two
     # positive entries, repeated 10 times, whose patterns do not span, so
     # they try every facet over several ranked rounds. Each round hands
-    # `spanning` one Gram matrix per distinct facet it tries (the facets all
-    # have three vertices, so one call), not one per (row, facet) pair. The
-    # first `spanning` call is the pattern stage's, one per row.
+    # `spanning` one Gram matrix per distinct facet it tries, in one call,
+    # not one per (row, facet) pair. The first `spanning` call is the
+    # pattern stage's, one per row.
     setup = build_setup(random_omnidirectional(3, 14, 811))
     rounds, grams = _recording_rounds(monkeypatch), []
     spanning = rc.layer.spanning
@@ -339,6 +382,34 @@ def test_reconstruct_round_solves_each_distinct_facet_once(monkeypatch):
     assert len(rounds) > 1
     assert grams == [len(zs)] + [np.unique(picks).size for picks in rounds]
     assert rounds[0].size == 20 and grams[1] <= 2
+
+
+@pytest.mark.parametrize("points", [oracles.cube(3), oracles.cube(4), oracles.cell24(),
+                                    oracles.ternary(4, 30, 0)],
+                         ids=["cube3", "cube4", "cell24", "ternary"])
+def test_ranked_rounds_on_merged_facets_match_rowwise_oracle(monkeypatch, points):
+    # facets of more than n vertices: every facet of a cube and of the
+    # 24-cell, some of the ternary frame's. At the certified bias and at
+    # that bias + 0.3, in-ball rows, rows at 0.7 x_i, a zero row and random
+    # positive rows run the rounds on them and give the row-wise oracle's
+    # outcome
+    calls = _recording_rounds(monkeypatch)
+    setup = build_setup(points)
+    poly, n, m = setup.poly, setup.frame.n, setup.frame.m
+    sizes = poly.incidence.sum(axis=1)
+    assert sizes.max() > n
+    rng = np.random.default_rng(88)
+    for lift in (0.0, 0.3):
+        layer = rc.ReLULayer(setup.frame, setup.layer.bias + lift)
+        xs = np.vstack([oracles.sample_ball(rng, n, 120), 0.7 * setup.frame.elements])
+        zs = np.vstack([rc.forward(layer, xs), np.zeros((1, m)),
+                        rng.uniform(0.0, 1.0, (10, m))])
+        got, failed = rc.reconstruct_batch(poly, layer, zs)
+        want, want_failed = oracles.reconstruct_rows(poly, layer, zs)
+        assert np.array_equal(failed, want_failed)
+        assert np.isnan(got[failed]).all()
+        assert np.max(np.abs(got[~failed] - want[~failed])) <= 1e-12
+    assert any((sizes[picks] > n).any() for picks in calls)
 
 
 def _recording_rounds(monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import relucert as rc
-from relucert.errors import FrameMismatch, NotNonnegOmnidirectional, NotOmnidirectional
+from relucert.errors import (DimensionMismatch, FrameMismatch, NotNonnegOmnidirectional,
+                             NotOmnidirectional)
 from relucert.solvers import TOL_SOLVER
 
 import oracles
@@ -315,6 +316,16 @@ def test_spanning_failures_match_brute_force_rank_check():
                 failures += len(want)
     assert omnidirectional == [True, False] * 4
     assert failures > 1000
+
+
+def test_spanning_failures_validates_its_samples(tet):
+    # as `forward` does: a non-finite row or a wrong width is a
+    # DimensionMismatch, not a spanning failure or numpy's own error
+    xs = oracles.sample_ball(np.random.default_rng(66), 3, 5)
+    xs[0, 1] = np.nan
+    for bad in (xs, np.zeros((4, 2)), np.zeros(3)):
+        with pytest.raises(DimensionMismatch):
+            rc.spanning_failures(tet.layer, bad)
 
 
 def test_pbe_positive_standard_basis():
