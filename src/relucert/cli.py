@@ -26,7 +26,7 @@ from .frames import normalize
 from .layer import ReLULayer, certify, forward, reconstruct_batch
 from .pbe import (DOMAIN_BALL, DOMAIN_BALL_POSITIVE, pbe_ball, pbe_positive,
                   stability, stability_positive)
-from .polytope import build_polytope, is_omnidirectional, positive_facets
+from .polytope import build_polytope, positive_facets
 from .reports import build_report
 from .solvers import TOL_SOLVER
 
@@ -116,11 +116,9 @@ def _cmd_report(args) -> int:
     else:
         stab = stability_positive(poly.frame, poly, positive, args.radius)
     report = build_report(
-        command=args.command, version=__version__, domain=args.domain, radius=args.radius,
-        frame=poly.frame, norms=norms, rescaled_bias=None if layer is None else layer.bias,
-        poly=poly, omnidirectional=is_omnidirectional(poly), positive_report=positive,
-        estimate=estimate, stability_report=stab, certificate=certificate,
-        solver_tol=args.tol)
+        command=args.command, norms=norms, rescaled_bias=None if layer is None else layer.bias,
+        poly=poly, positive_report=positive, estimate=estimate, stability_report=stab,
+        certificate=certificate)
     _write_text(report.to_text(), args.out)
     return 0
 

@@ -37,6 +37,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateHull
+from .frames import as_matrix
 
 TOL_PLANE = 1e-9  # a point within this of a facet's plane lies on it
 SCRAMBLE = 0x9E3779B1  # odd, so the hash permutes the indices below 2**32
@@ -276,8 +277,9 @@ def quickhull(points: np.ndarray):
     outward normal and `offsets` (F,) its offset, rows in order of their
     vertex tuples. When the points span a single hyperplane, F = 0 and
     `flat` is that (unit normal, offset) hyperplane; otherwise flat is None.
+    DimensionMismatch unless `points` is a non-empty finite 2-d array.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = as_matrix(points, "points")
     m, n = pts.shape
     if n == 1:
         return _hull_1d(pts)

@@ -362,26 +362,28 @@ def _format_rows(a: np.ndarray, follows: bool) -> bytearray:
 
 def read_trace(path: str) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Epoch blocks (epoch number, weight matrix, bias vector), shape-checked."""
-    lines = [ln for ln in _read_lines(path) if ln.strip()]
+    text = _read_lines(path)
+    linenos = [k for k, ln in enumerate(text, 1) if ln.strip()]  # as numbered in the file
+    lines = [text[k - 1] for k in linenos]
     epochs: list[tuple[int, np.ndarray, np.ndarray]] = []
     i = 0
     shape = None
     while i < len(lines):
         head = lines[i].split()
         if len(head) != 2 or head[0] != "epoch":
-            raise ParseError(f"{path}: expected 'epoch <k>' at line {i + 1}")
+            raise ParseError(f"{path}: expected 'epoch <k>' at line {linenos[i]}")
         try:
             epoch = int(head[1])
         except ValueError as exc:
-            raise ParseError(f"{path}: bad epoch number at line {i + 1}") from exc
+            raise ParseError(f"{path}: bad epoch number at line {linenos[i]}") from exc
         i += 1
         rows = []
         while i < len(lines) and not lines[i].startswith("bias,") and not lines[i].startswith("epoch "):
-            rows.append(_parse_row(lines[i], path, i + 1))
+            rows.append(_parse_row(lines[i], path, linenos[i]))
             i += 1
         if i >= len(lines) or not lines[i].startswith("bias,"):
             raise ParseError(f"{path}: epoch {epoch} has no bias row")
-        bias = _parse_row(lines[i][len("bias,"):], path, i + 1)
+        bias = _parse_row(lines[i][len("bias,"):], path, linenos[i])
         i += 1
         if not rows:
             raise ParseError(f"{path}: epoch {epoch} has no weight rows")

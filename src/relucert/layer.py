@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FrameMismatch, ReconstructionFailed
 from .frames import UnitFrame, as_matrix, as_vector, spanning
-from .pbe import DOMAIN_BALL, BiasEstimate
+from .pbe import DOMAIN_BALL, BiasEstimate, _check_frame
 from .polytope import TOL_INTERIOR, Polytope, exit_facets
 
 TOL_ACTIVE = 1e-12
@@ -185,8 +185,7 @@ def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z) -> tuple[np.ndarray, 
 def _check_layer(poly: Polytope, layer: ReLULayer) -> None:
     if layer.domain != DOMAIN_BALL:
         raise ValueError("reconstruction is defined for layers on the ball domain")
-    if poly.frame.fingerprint() != layer.frame.fingerprint():
-        raise FrameMismatch("polytope was built for a different frame")
+    _check_frame(layer.frame, poly)
 
 
 def _matrix(values, width: int, what: str) -> np.ndarray:

@@ -9,8 +9,10 @@ smallest over the cones intersected with the unit ball, which collapses to
 entrywise below the scaled alpha_B is injective on the ball of the given
 radius.
 
-The estimate and A0 read the polytope's per-size facet table, built once;
-the estimate passes over it twice: for alpha_X, then to prune and solve.
+The estimate and A0 read the domain's facets grouped by size
+(`polytope.facet_groups`): on the ball, the polytope's table, built once;
+the estimate passes over the groups twice: for alpha_X, then to prune and
+solve.
 Each solver runs only where a proven bound cannot decide its result, and
 every reported number keeps the bits a full solve gives. A cone program
 runs only if its lower bound from the lemma sum(d) <= 1 / |offset| does
@@ -52,7 +54,8 @@ class BiasEstimate:
     `UNCONSTRAINED` (+inf) and flagged in `unconstrained_mask`. `alpha_scaled`
     is `radius * alpha_B`: a point in the radius-r ball activates element i
     at threshold r * alpha_B_i exactly when its rescaling into the unit ball
-    does at alpha_B_i.
+    does at alpha_B_i. `tol` is the solver tolerance the cone programs ran
+    with.
     """
 
     domain: str
@@ -63,6 +66,7 @@ class BiasEstimate:
     alpha_scaled: np.ndarray
     unconstrained_mask: np.ndarray
     frame_fingerprint: str
+    tol: float
 
 
 @dataclass(frozen=True)
@@ -150,9 +154,9 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
     A program runs only where it can set alpha_B. With g_Fi the smallest
     correlation of x_i with F's vertices, the same lemma bounds the
     program's result below: <x_i, y> = sum_l d_l <x_i, x_l> >= min(0, g_Fi)
-    sum(d), and the solver's residual is at most max(tol, 0) unless the
-    program fails, so value - residual / |offset| >=
-    L_Fi = (min(0, g_Fi) - max(tol, 0)) / |offset|. And alpha_B[i] <=
+    sum(d), and the solver's residual is at most tol unless the program
+    fails, so value - residual / |offset| >=
+    L_Fi = (min(0, g_Fi) - tol) / |offset|. And alpha_B[i] <=
     alpha_X[i]: on the facet of the vertex x_l that sets alpha_X[i], the
     solver's first step puts d on x_l alone (the largest descent, -g_Fi,
     enters), giving value g_Fi = alpha_X[i], and each later step lowers
@@ -170,9 +174,10 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
     element's first program in scan order always runs, so a scan in which
     every program fails names the same first pair.
     """
-    if not 0.0 < radius < np.inf:
-        raise ValueError("radius must be finite and positive")
-    groups = list(facet_groups(poly, facet_indices))
+    _check_radius(radius)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("tol must be finite and at least 0")
+    groups = facet_groups(poly, facet_indices)
     a_x, first, mins = _facet_group_min(frame, groups)
     unconstrained = np.isinf(a_x)
     if domain == DOMAIN_BALL and unconstrained.any():
@@ -188,7 +193,7 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
         r, p = nonzero_2d(need[verts])
         i, g = verts[r, p], mins_k[r, p]
         offsets = np.abs(poly.offsets[facets[r]])
-        skip = ((np.minimum(g, 0.0) - max(tol, 0.0)) / offsets
+        skip = ((np.minimum(g, 0.0) - tol) / offsets
                 > a_x[i] + TOL_PRUNE / offsets ** 2) & (facets[r] != first[i])
         run = np.flatnonzero(~skip)
         r, i, offsets = r[run], i[run], offsets[run]
@@ -214,6 +219,7 @@ def _estimate(frame, poly, facet_indices, domain, radius, tol) -> BiasEstimate:
         alpha_scaled=float(radius) * a_b,
         unconstrained_mask=unconstrained,
         frame_fingerprint=frame.fingerprint(),
+        tol=float(tol),
     )
 
 
@@ -235,7 +241,13 @@ def stability_positive(frame: UnitFrame, poly: Polytope, report: PositiveFacetRe
     return _stability(frame, poly, report.facet_indices, radius)
 
 
+def _check_radius(radius) -> None:
+    if not 0.0 < radius < np.inf:
+        raise ValueError("radius must be finite and positive")
+
+
 def _stability(frame, poly, facet_indices, radius) -> StabilityReport:
+    _check_radius(radius)
     # the operators in facet order, so that NotAFrame names the first failing one
     facet_indices = np.asarray(facet_indices)
     ops = np.empty((len(facet_indices), frame.n, frame.n))

@@ -72,14 +72,7 @@ class Polytope:
     def facets_by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per facet size k, ascending: the indices of the facets with k
         vertices and their (F_k, k) vertex array, ascending and read-only."""
-        rows, cols = nonzero_2d(self.incidence)
-        sizes = np.bincount(rows, minlength=self.num_facets)
-        table = []
-        for k in np.flatnonzero(np.bincount(sizes)).tolist():
-            facets = np.flatnonzero(sizes == k)
-            verts = cols[np.repeat(sizes == k, sizes)].reshape(-1, k)
-            table.append((_readonly(facets), _readonly(verts)))
-        return tuple(table)
+        return _group_by_size(np.arange(self.num_facets), self.incidence)
 
 
 @dataclass(frozen=True)
@@ -178,17 +171,27 @@ def _direction(n: int) -> np.ndarray:
 
 
 def facet_groups(poly: Polytope, facet_indices):
-    """`poly.facets_by_size` cut down to `facet_indices`, an ascending set
-    without repeats; a size with none of them is left out."""
+    """The facets `facet_indices`, an ascending set without repeats, grouped
+    as `poly.facets_by_size` groups every facet; a size with none of them
+    is left out. A strict subset is grouped from its own incidence rows."""
     if len(facet_indices) == poly.num_facets:  # every facet: the table, not a copy
-        yield from poly.facets_by_size
-        return
-    chosen = np.zeros(poly.num_facets, dtype=bool)
-    chosen[np.asarray(facet_indices, dtype=int)] = True
-    for facets, verts in poly.facets_by_size:
-        keep = chosen[facets]
-        if keep.any():
-            yield facets[keep], verts[keep]
+        return poly.facets_by_size
+    facets = np.asarray(facet_indices, dtype=int)
+    return _group_by_size(facets, poly.incidence[facets])
+
+
+def _group_by_size(facets: np.ndarray, incidence: np.ndarray):
+    """Per facet size k, ascending: the entries of `facets` whose
+    `incidence` row has k vertices, and their (F_k, k) vertex array,
+    ascending and read-only."""
+    rows, cols = nonzero_2d(incidence)
+    sizes = np.bincount(rows, minlength=len(facets))
+    table = []
+    for k in np.flatnonzero(np.bincount(sizes)).tolist():
+        chosen = sizes == k
+        verts = cols[np.repeat(chosen, sizes)].reshape(-1, k)
+        table.append((_readonly(facets[chosen]), _readonly(verts)))
+    return tuple(table)
 
 
 def nonzero_2d(mask: np.ndarray):

@@ -26,10 +26,12 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from . import __version__
+from .errors import FrameMismatch
 from .frames import TOL_RANK, TOL_UNIT, TOL_ZERO_ROW
 from .hull import TOL_PLANE
 from .layer import TOL_ACTIVE, TOL_MARGIN, VERIFY_TOL
-from .polytope import TOL_INTERIOR, nonzero_2d
+from .polytope import TOL_INTERIOR, is_omnidirectional, nonzero_2d
 from .solvers import TOL_SOLVER
 
 SCHEMA = "relucert-report/1"
@@ -169,30 +171,34 @@ def _margin_entries(margins: np.ndarray) -> Entries:
     return Entries(margins, np.isinf(margins).astype(int), ("null",))
 
 
-def build_report(*, command: str, version: str, domain: str, radius: float,
-                 frame, norms, rescaled_bias, poly, omnidirectional: bool,
-                 positive_report, estimate, stability_report, certificate,
-                 solver_tol: float) -> Report:
-    """Assemble the full analysis document in its fixed field order."""
+def build_report(*, command: str, norms, rescaled_bias, poly, positive_report, estimate,
+                 stability_report, certificate) -> Report:
+    """Assemble the full analysis document in its fixed field order. The
+    header states the scope of the numbers below it: the domain, radius and
+    solver tolerance of `estimate`, the frame and omnidirectionality of
+    `poly`. FrameMismatch if `estimate` was computed for another frame."""
+    frame = poly.frame
+    if estimate.frame_fingerprint != frame.fingerprint():
+        raise FrameMismatch("estimate was computed for a different frame")
     free = estimate.unconstrained_mask
     rows, cols = nonzero_2d(poly.incidence)
     doc = {
         "schema": SCHEMA,
-        "tool": {"name": "relucert", "version": version},
+        "tool": {"name": "relucert", "version": __version__},
         "command": command,
-        "domain": domain,
-        "radius": float(radius),
+        "domain": estimate.domain,
+        "radius": estimate.radius,
         "input": {
             "rows": frame.m,
             "cols": frame.n,
-            "fingerprint": frame.fingerprint(),
+            "fingerprint": estimate.frame_fingerprint,
             "row_norms": np.asarray(norms, dtype=float).tolist(),
             "rescaled_bias": (None if rescaled_bias is None
                               else np.asarray(rescaled_bias, dtype=float).tolist()),
         },
         "polytope": {
             "full_dimensional": bool(poly.full_dimensional),
-            "omnidirectional": bool(omnidirectional),
+            "omnidirectional": is_omnidirectional(poly),
             "num_facets": poly.num_facets,
             "facet_vertices": IntLists(np.bincount(rows, minlength=poly.num_facets).tolist(),
                                        cols.tolist()),
@@ -221,7 +227,7 @@ def build_report(*, command: str, version: str, domain: str, radius: float,
             "failing_indices": certificate.failing_indices,
             "estimate": certificate.estimate_ref,
         },
-        "tolerances": dict(TOLERANCES) | {"solver": float(solver_tol)},
+        "tolerances": dict(TOLERANCES) | {"solver": estimate.tol},
     }
     return Report(doc)
 

@@ -100,6 +100,19 @@ def test_flat_great_circle_through_origin_degenerate():
         rc.build_polytope(frame)
 
 
+def test_quickhull_validates_its_points():
+    # a non-finite entry or a non-matrix is a DimensionMismatch, before any
+    # hull arithmetic
+    from relucert.errors import DimensionMismatch
+
+    points = rc.tetrahedron()
+    points[2, 1] = np.nan
+    for bad in (points, np.array([[1.0, np.inf], [0.0, 1.0], [-1.0, 0.0]]),
+                np.ones(3), np.empty((0, 3))):
+        with pytest.raises(DimensionMismatch, match="points"):
+            rc.quickhull(bad)
+
+
 def test_duplicate_points_rejected():
     frame = rc.UnitFrame(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):

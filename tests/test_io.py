@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -236,6 +237,19 @@ def test_trace_errors(tmp_path):
         fio.read_trace(str(path))
 
 
+def test_trace_errors_name_the_file_line(tmp_path):
+    # blank lines count: each message names the line as the file numbers it
+    path = tmp_path / "trace.txt"
+    cases = {"epoch 0\n1,0\n\n0,1\nbias,0,x\n": ":5: bad numeric field",
+             "epoch 0\n\n1,x\nbias,0\n": ":3: bad numeric field",
+             "epoch 0\n1,0\nbias,0\n\n\nepochs 1\n": "expected 'epoch <k>' at line 6",
+             "\nepoch 0\n1,0\nbias,0\n\nepoch one\n": "bad epoch number at line 6"}
+    for text, message in cases.items():
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            fio.read_trace(str(path))
+
+
 def test_render_fixed_format():
     assert render({"a": 1.0, "b": [True, None, "s"]}) == '{"a": 1, "b": [true, null, "s"]}'
     assert render(0.5) == "0.5"
@@ -352,11 +366,10 @@ def _positive_report(m: int, seed: int):
     bias[np.flatnonzero(~est.unconstrained_mask)[:2]] += 0.2
     layer = rc.ReLULayer(frame, bias, 1.0, "ball+")
     return rc.build_report(
-        command="certify", version="0.1.0", domain="ball+", radius=1.0, frame=frame,
-        norms=np.ones(m), rescaled_bias=bias, poly=poly,
-        omnidirectional=rc.is_omnidirectional(poly), positive_report=pos, estimate=est,
+        command="certify", norms=np.ones(m), rescaled_bias=bias, poly=poly,
+        positive_report=pos, estimate=est,
         stability_report=rc.stability_positive(frame, poly, pos, 1.0),
-        certificate=rc.certify(layer, est), solver_tol=1e-9)
+        certificate=rc.certify(layer, est))
 
 
 def test_report_lists_render_without_a_call_per_entry(monkeypatch):
@@ -445,11 +458,10 @@ def test_rendered_reports_match_recursive_writer(capsys, tmp_path):
 def test_report_roundtrip_is_lossless_and_stable(mb):
     cert = rc.certify(rc.ReLULayer(mb.frame, np.full(3, -0.6)), mb.estimate)
     report = rc.build_report(
-        command="certify", version="0.1.0", domain="ball", radius=1.0,
-        frame=mb.frame, norms=np.ones(3), rescaled_bias=np.full(3, -0.6),
-        poly=mb.poly, omnidirectional=True, positive_report=None,
+        command="certify", norms=np.ones(3), rescaled_bias=np.full(3, -0.6),
+        poly=mb.poly, positive_report=None,
         estimate=mb.estimate, stability_report=rc.stability(mb.frame, mb.poly, 1.0),
-        certificate=cert, solver_tol=1e-9)
+        certificate=cert)
     text = report.to_text()
     again = Report.from_text(text)
     assert again.to_text() == text  # byte-identical re-emission
@@ -457,14 +469,41 @@ def test_report_roundtrip_is_lossless_and_stable(mb):
     assert alpha == [float(v) for v in mb.estimate.alpha_B]  # exact floats back
 
 
+def test_report_header_is_read_from_the_results():
+    # domain, radius, solver tolerance, fingerprint, omnidirectionality and
+    # version come from the estimate, the polytope and the package; an
+    # estimate of another frame than the polytope's is refused
+    from relucert.errors import FrameMismatch
+
+    frame, _, _ = rc.normalize(rc.random_sphere(3, 20, 3))
+    poly = rc.build_polytope(frame)
+    pos = rc.positive_facets(poly)
+    est = rc.pbe_positive(frame, poly, pos, 2.0, tol=1e-8)
+    doc = Report.from_text(rc.build_report(
+        command="pbe", norms=np.ones(frame.m), rescaled_bias=None, poly=poly,
+        positive_report=pos, estimate=est, stability_report=None,
+        certificate=None).to_text()).document
+    assert doc["tool"]["version"] == rc.__version__
+    assert (doc["domain"], doc["radius"]) == ("ball+", 2.0)
+    assert doc["input"]["fingerprint"] == frame.fingerprint()
+    assert doc["polytope"]["omnidirectional"] is rc.is_omnidirectional(poly) is True
+    assert doc["tolerances"]["solver"] == 1e-8
+    scaled = doc["bias_estimate"]["alpha_scaled"]
+    assert [v for v in scaled if v != "unconstrained"] == est.alpha_scaled[
+        ~est.unconstrained_mask].tolist()
+    other = rc.build_polytope(rc.normalize(rc.random_sphere(3, 20, 103))[0])
+    with pytest.raises(FrameMismatch, match="estimate was computed for a different frame"):
+        rc.build_report(command="pbe", norms=np.ones(frame.m), rescaled_bias=None,
+                        poly=other, positive_report=rc.positive_facets(other), estimate=est,
+                        stability_report=None, certificate=None)
+
+
 def test_report_unconstrained_sentinel(ico):
     pos = rc.positive_facets(ico.poly)
     est = rc.pbe_positive(ico.frame, ico.poly, pos, 1.0)
     report = rc.build_report(
-        command="pbe", version="0.1.0", domain="ball+", radius=1.0,
-        frame=ico.frame, norms=np.ones(12), rescaled_bias=None, poly=ico.poly,
-        omnidirectional=True, positive_report=pos, estimate=est,
-        stability_report=None, certificate=None, solver_tol=1e-9)
+        command="pbe", norms=np.ones(12), rescaled_bias=None, poly=ico.poly,
+        positive_report=pos, estimate=est, stability_report=None, certificate=None)
     doc = Report.from_text(report.to_text()).document
     entries = doc["bias_estimate"]["alpha_B"]
     for i in range(12):

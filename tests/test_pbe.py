@@ -122,7 +122,16 @@ def test_alpha_sphere_below_sampled_facet_minima():
                 assert est.alpha_S[i] <= sampled + 1e-12, (n, i, j)
 
 
-def test_solver_failure_names_first_element_and_facet(tet):
+def _fail_every_cone_program(monkeypatch):
+    """Run the estimates' cone programs with tol = -1, which every program
+    fails (the estimates themselves take only a tol >= 0)."""
+    from relucert import pbe, solvers
+
+    monkeypatch.setattr(pbe, "min_linear_capped_cones",
+                        lambda G, c, tol: solvers.min_linear_capped_cones(G, c, -1.0))
+
+
+def test_solver_failure_names_first_element_and_facet(tet, monkeypatch):
     # with tol = -1 every cone program fails; the error names the first
     # element that needs one, then the first of its facets in scan order
     from relucert.errors import NotConverged, SolverFailed
@@ -137,8 +146,9 @@ def test_solver_failure_names_first_element_and_facet(tet):
         alpha_x = estimate(frame_, poly_, *extra).alpha_X
         i = int(np.flatnonzero(alpha_x < 0.0)[0])
         j = next(j for j in facets if poly_.incidence[j, i])
-        with pytest.raises(SolverFailed) as err:
-            estimate(frame_, poly_, *extra, tol=-1.0)
+        with monkeypatch.context() as patch, pytest.raises(SolverFailed) as err:
+            _fail_every_cone_program(patch)
+            estimate(frame_, poly_, *extra)
         assert (err.value.index, err.value.facet) == (i, j)
         assert isinstance(err.value.__cause__, NotConverged)
 
@@ -213,7 +223,7 @@ def test_pruning_skips_most_programs(monkeypatch):
         assert 0 < len(solved) < 0.8 * len(programs), (n, m)
 
 
-def test_facet_groups_match_incidence_reference():
+def test_facet_groups_match_incidence_reference(monkeypatch):
     # one group per facet size, ascending: the indices of its facets and
     # their ascending (F_k, k) vertex arrays, in the polytope's read-only
     # table and for every facet, for the ball+ subset and for `np.unique`
@@ -247,8 +257,9 @@ def test_facet_groups_match_incidence_reference():
         for facets, estimate in ((range(poly.num_facets), rc.pbe_ball),
                                  (report.facet_indices, rc.pbe_positive)):
             args = (frame, poly) if estimate is rc.pbe_ball else (frame, poly, report)
-            with pytest.raises(SolverFailed) as err:
-                estimate(*args, tol=-1.0)
+            with monkeypatch.context() as patch, pytest.raises(SolverFailed) as err:
+                _fail_every_cone_program(patch)
+                estimate(*args)
             programs = oracles.full_scan_estimate(frame, poly, facets, tol=-1.0)[3]
             i, pos = min((i, pos) for pos, i, *_, failed, _ in programs if failed)
             assert (err.value.index, err.value.facet) == (i, facets[pos])
@@ -261,6 +272,42 @@ def test_radius_scaling_multiplies(mb):
     assert np.allclose(est2.alpha_B, mb.estimate.alpha_B)
     with pytest.raises(ValueError):
         rc.pbe_ball(mb.frame, mb.poly, -1.0)
+
+
+def test_library_checks_radius_and_tol_as_the_cli_does(tet):
+    # the estimates and the stability bounds refuse the radii and solver
+    # tolerances that the CLI's --radius and --tol refuse, with ValueError
+    report = rc.positive_facets(tet.poly)
+    calls = {
+        "pbe_ball": lambda **kw: rc.pbe_ball(tet.frame, tet.poly, **kw),
+        "pbe_positive": lambda **kw: rc.pbe_positive(tet.frame, tet.poly, report, **kw),
+        "stability": lambda **kw: rc.stability(tet.frame, tet.poly, **kw),
+        "stability_positive": lambda **kw: rc.stability_positive(tet.frame, tet.poly, report,
+                                                                 **kw),
+    }
+    for name, call in calls.items():
+        for radius in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="radius must be finite and positive"):
+                call(radius=radius)
+        if name.startswith("pbe"):
+            for tol in (-1.0, -1e-300, np.inf, np.nan):
+                with pytest.raises(ValueError, match="tol must be finite and at least 0"):
+                    call(tol=tol)
+            assert call(tol=0.0).tol == 0.0
+            assert call(tol=1e-6).tol == 1e-6
+            assert call().tol == TOL_SOLVER
+
+
+def test_ball_plus_subset_builds_no_full_facet_table():
+    # a ball+ estimate and its A0 over a strict subset of the facets group
+    # the subset's own incidence rows: the polytope's table is not built
+    frame, _, _ = rc.normalize(oracles.cell24())
+    poly = rc.build_polytope(frame)
+    report = rc.positive_facets(poly)
+    assert 0 < len(report.facet_indices) < poly.num_facets
+    rc.pbe_positive(frame, poly, report)
+    rc.stability_positive(frame, poly, report)
+    assert "facets_by_size" not in poly.__dict__
 
 
 def test_active_sets_span_on_ball_samples(mb, tet, ico):
