@@ -69,7 +69,7 @@ class FrameMismatch(RelucertError):
 
 
 class ReconstructionFailed(RelucertError):
-    """No facet left-inverse reproduces the given output vector."""
+    """The given output vector has no verified preimage."""
 
 
 class UnknownName(RelucertError):

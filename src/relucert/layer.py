@@ -6,11 +6,13 @@ any output can be inverted exactly through the canonical dual of one facet
 sub-frame: for an input x in the cone of facet V,
 x = S_V^{-1} sum_{i in V} (z_i + b_i) x_i, with S_V the sub-frame operator.
 Reconstruction first applies the same formula to the whole strictly positive
-output pattern in place of V, and tries facets only where that pattern does
-not settle the output. A pattern and a facet are both masks of the elements,
-and one masked solve serves both: every pattern solve, every candidate of a
-reconstruction round and every spanning test is one stacked computation over
-such sub-frame operators.
+output pattern in place of V. Where the pattern spans, that solve is the
+only candidate: every preimage satisfies the same full-rank system, so the
+output settles if the solve verifies and has no preimage if it does not.
+Facets are tried only where the pattern does not span. A pattern and a
+facet are both masks of the elements, and one masked solve serves both:
+every pattern solve, every candidate of a reconstruction round and every
+spanning test is one stacked computation over such sub-frame operators.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, FrameMismatch, ReconstructionFailed
 from .frames import UnitFrame, as_matrix, as_vector, spanning
 from .pbe import DOMAIN_BALL, BiasEstimate, _check_frame
-from .polytope import TOL_INTERIOR, Polytope, exit_facets
+from .polytope import Polytope
 
 TOL_ACTIVE = 1e-12
 TOL_MARGIN = 1e-12
@@ -111,18 +113,21 @@ def certify(layer: ReLULayer, estimate: BiasEstimate) -> Certificate:
         injective=bool(failing.size == 0),
         margins=margins,
         failing_indices=tuple(int(i) for i in failing),
-        estimate_ref={
-            "domain": estimate.domain,
-            "radius": estimate.radius,
-            "fingerprint": estimate.frame_fingerprint,
-        },
+        estimate_ref=_estimate_ref(estimate),
     )
+
+
+def _estimate_ref(estimate: BiasEstimate) -> dict:
+    """The scope of an estimate that a certificate records."""
+    return {"domain": estimate.domain, "radius": estimate.radius,
+            "fingerprint": estimate.frame_fingerprint}
 
 
 def reconstruct(poly: Polytope, layer: ReLULayer, z) -> np.ndarray:
     """Invert the layer at an output z of a certified layer: a batch of one
-    (see `reconstruct_batch`). If the output has no verified preimage, it
-    is not in the certified image and ReconstructionFailed is raised.
+    (see `reconstruct_batch`). If the output has no verified preimage (its
+    spanning pattern's solve, or else a facet candidate), it is not in the
+    certified image and ReconstructionFailed is raised.
     """
     _check_layer(poly, layer)
     zv = as_vector(z, layer.frame.m, "output")
@@ -137,8 +142,8 @@ def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z) -> tuple[np.ndarray, 
     facets of `poly`, the polytope of the layer's frame.
 
     Returns (X, failed): X is (N, n), and `failed` is the (N,) boolean mask
-    of rows that no facet left-inverse reproduces within VERIFY_TOL, i.e.
-    outputs outside the certified image; their rows of X are NaN.
+    of rows with no verified preimage, i.e. outputs outside the certified
+    image; their rows of X are NaN.
 
     Every row is first solved from its strictly positive output pattern P:
     each i in P gives <x, x_i> = z_i + b_i, so where P spans the space, x
@@ -146,19 +151,15 @@ def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z) -> tuple[np.ndarray, 
     the canonical dual of the whole active sub-frame. The block takes one
     product of the pattern masks with the elements' outer products, one
     `spanning` test, one stacked solve and one forward product, which
-    verifies each solution and gives its closed active set. Then:
+    verifies each solution. Then:
 
-    - a verified row is settled if its witness holds: the facet that the
-      ray through the solution exits by (among the facets with an offset
-      above TOL_INTERIOR) has its vertex set inside the closed active set.
-      That facet's candidate is then the same solution, so the facet
-      rounds below would settle the row too;
-    - a row whose pattern spans but whose solution does not verify fails
-      at once: any preimage would solve the same full-rank system;
-    - the other rows, whose pattern does not span (boundary equalities
-      zero some active coefficients) or whose verified solution has no
-      witness, go to the ranked facet rounds, which decide them as if the
-      pattern stage did not exist.
+    - a row whose pattern spans is settled if its solution verifies (maps
+      forward to z within VERIFY_TOL) and fails at once if it does not:
+      every preimage in R^n solves the same full-rank system, so a
+      verified solution is the preimage, and without one there is none;
+    - a row whose pattern does not span (boundary equalities zero some
+      active coefficients, or the output is zero) goes to the ranked facet
+      rounds, which decide it as if the pattern stage did not exist.
 
     The rounds rank every facet for each of their rows, from one product
     of its strictly positive output pattern with the incidence matrix.
@@ -198,26 +199,18 @@ def _matrix(values, width: int, what: str) -> np.ndarray:
 def _reconstruct_rows(poly: Polytope, layer: ReLULayer,
                       zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(X, failed) for the outputs zs: the pattern stage, then the ranked
-    facet rounds of `_ranked_rounds` for the rows it leaves open (see
-    `reconstruct_batch`)."""
-    # every row from its strictly positive pattern P; a P that does not
-    # span verifies nothing, and its row is left to the rounds
+    facet rounds of `_ranked_rounds` for the rows whose pattern does not
+    span (see `reconstruct_batch`)."""
+    # every row from its strictly positive pattern P; where P spans, every
+    # preimage solves the same full-rank system, so the row settles if its
+    # solve verifies and has no preimage if it does not
     positive = zs > 0.0
     gram = _frame_operators(layer.frame.elements, positive)
     spans = spanning(gram)
-    xs, coeff, verified = _solve_masks(layer, zs, positive, gram, spans)
-    # witness: the facet the ray through x exits by (`exit_facets`) has an
-    # offset above TOL_INTERIOR and lies in the closed active set of x, so
-    # its candidate is x and the ranked rounds would settle the row too
-    exits = exit_facets(poly, xs)
-    active = coeff >= -TOL_ACTIVE
-    witness = (poly.offsets[exits] > TOL_INTERIOR) & (active | ~poly.incidence[exits]).all(axis=1)
-    settled = verified & witness
-    xs[~settled] = np.nan
-    # a spanning pattern that does not verify: every preimage would solve
-    # the same full-rank system, so the output has none
+    xs, verified = _solve_masks(layer, zs, positive, gram, spans)
+    xs[~verified] = np.nan
     failed = spans & ~verified
-    rest = np.flatnonzero(~settled & ~failed)
+    rest = np.flatnonzero(~spans)
     if rest.size:
         xs[rest], failed[rest] = _ranked_rounds(poly, layer, zs[rest])
     return xs, failed
@@ -225,7 +218,9 @@ def _reconstruct_rows(poly: Polytope, layer: ReLULayer,
 
 def _ranked_rounds(poly: Polytope, layer: ReLULayer,
                    zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X, failed) for the outputs zs from the ranked facet rounds alone."""
+    """(X, failed) for the outputs zs from the ranked facet rounds alone.
+    `_reconstruct_rows` hands it only the rows whose strictly positive
+    pattern does not span."""
     incidence = poly.incidence.astype(float)  # float: the product runs in BLAS
     # score[i, j]: row i's overlap with facet j, raised above every overlap
     # if facet j lies inside the pattern; ties rank the smaller index first
@@ -270,27 +265,27 @@ def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
     at = at.reshape(picks.shape)  # its shape differs across numpy versions
     gram = _frame_operators(layer.frame.elements, poly.incidence[facets])
     spans = spanning(gram)
-    xs, _, verified = _solve_masks(layer, zs[:, None], poly.incidence[picks],
-                                   gram[at], spans[at])
+    xs, verified = _solve_masks(layer, zs[:, None], poly.incidence[picks],
+                                gram[at], spans[at])
     return xs, verified
 
 
 def _solve_masks(layer: ReLULayer, zs: np.ndarray, masks: np.ndarray, gram: np.ndarray,
-                 spans: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The canonical dual of each sub-frame V that the boolean masks (..., m)
     pick, applied to its outputs zs (broadcast against the masks):
     x = S_V^-1 sum_{i in V} (z_i + b_i) x_i, with S_V in gram (..., n, n)
-    (overwritten) and `spans` its `spanning` mask. Returns (X, X's
-    coefficients <x, x_i> - b_i, verified): a row is verified where its
-    sub-frame spans and max(0, coefficients) reproduces z within
-    VERIFY_TOL. A sub-frame that does not span is solved as the identity."""
+    (overwritten) and `spans` its `spanning` mask. Returns (X, verified): a
+    row is verified where its sub-frame spans and max(0, <x, x_i> - b_i)
+    reproduces z within VERIFY_TOL. A sub-frame that does not span is solved
+    as the identity."""
     elements, bias = layer.frame.elements, layer.bias
     gram[~spans] = np.eye(layer.frame.n)
     rhs = ((zs + bias) * masks) @ elements
     xs = np.linalg.solve(gram, rhs[..., None])[..., 0]
     coeff = xs @ elements.T - bias
     verified = np.max(np.abs(np.maximum(coeff, 0.0) - zs), axis=-1) <= VERIFY_TOL
-    return xs, coeff, verified & spans
+    return xs, verified & spans
 
 
 def _frame_operators(elements: np.ndarray, masks: np.ndarray) -> np.ndarray:

@@ -30,7 +30,6 @@ TOL_INTERIOR = 1e-9
 TOL_MERGE = 1e-9
 TOL_DISTINCT = 1e-10
 MERGE_ENTRIES = 2 ** 14  # entries per (m x block) certificate product: bounds peak memory
-EXIT_BLOCK = 2048  # facets per `exit_facets` score block: bounds its (N, block) array
 # a facet with some coordinate below -TOL_OUTSIDE at every vertex misses the
 # orthant by more than lp_feasible's tolerance (proof in positive_facets)
 TOL_OUTSIDE = 2.0 * TOL_SOLVER
@@ -306,31 +305,6 @@ def is_omnidirectional(poly: Polytope) -> bool:
     if not poly.full_dimensional:
         return False
     return bool(np.min(poly.offsets) > TOL_INTERIOR)
-
-
-def exit_facets(poly: Polytope, xs: np.ndarray) -> np.ndarray:
-    """Index of the facet that the ray through each row of xs (N, n) leaves
-    the polytope by: the largest <x, u_j> / d_j over the facets whose
-    offset d_j is above TOL_INTERIOR, ties to the smallest index. When the
-    polytope is omnidirectional, x / max_j <x, u_j> / d_j is a hull point
-    on that facet's plane, so x lies in the facet's cone (at x = 0 every
-    cone holds x, and facet 0 is returned). The ratios are taken EXIT_BLOCK
-    facets at a time, and a later block wins only by a strictly larger
-    ratio, which keeps `np.argmax`'s first-index tie rule."""
-    usable = poly.offsets > TOL_INTERIOR
-    reach = np.divide(poly.normals, poly.offsets[:, None],
-                      out=np.zeros_like(poly.normals), where=usable[:, None])
-    rows = np.arange(xs.shape[0])
-    best = np.zeros(xs.shape[0], np.intp)
-    top = np.full(xs.shape[0], -np.inf)
-    for start in range(0, reach.shape[0], EXIT_BLOCK):
-        score = xs @ reach[start:start + EXIT_BLOCK].T
-        pick = np.argmax(score, axis=1)
-        value = score[rows, pick]
-        better = value > top
-        best[better] = pick[better] + start
-        top[better] = value[better]
-    return best
 
 
 def positive_facets(poly: Polytope) -> PositiveFacetReport:

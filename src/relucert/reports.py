@@ -30,7 +30,8 @@ from . import __version__
 from .errors import FrameMismatch
 from .frames import TOL_RANK, TOL_UNIT, TOL_ZERO_ROW
 from .hull import TOL_PLANE
-from .layer import TOL_ACTIVE, TOL_MARGIN, VERIFY_TOL
+from .layer import TOL_ACTIVE, TOL_MARGIN, VERIFY_TOL, _estimate_ref
+from .pbe import DOMAIN_BALL_POSITIVE
 from .polytope import TOL_INTERIOR, is_omnidirectional, nonzero_2d
 from .solvers import TOL_SOLVER
 
@@ -176,10 +177,19 @@ def build_report(*, command: str, norms, rescaled_bias, poly, positive_report, e
     """Assemble the full analysis document in its fixed field order. The
     header states the scope of the numbers below it: the domain, radius and
     solver tolerance of `estimate`, the frame and omnidirectionality of
-    `poly`. FrameMismatch if `estimate` was computed for another frame."""
+    `poly`. FrameMismatch if `estimate` was computed for another frame, if
+    `certificate` was made against another estimate (domain, radius or
+    frame), or if `positive_report` is given on the ball or missing on
+    ball+."""
     frame = poly.frame
     if estimate.frame_fingerprint != frame.fingerprint():
         raise FrameMismatch("estimate was computed for a different frame")
+    if certificate is not None and certificate.estimate_ref != _estimate_ref(estimate):
+        raise FrameMismatch("certificate was made against a different estimate")
+    positive = estimate.domain == DOMAIN_BALL_POSITIVE
+    if (positive_report is not None) != positive:
+        raise FrameMismatch(f"a {estimate.domain!r} estimate takes "
+                            f"{'a' if positive else 'no'} non-negative facet report")
     free = estimate.unconstrained_mask
     rows, cols = nonzero_2d(poly.incidence)
     doc = {

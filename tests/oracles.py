@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -758,20 +759,24 @@ def facet_dual(frame, idx) -> np.ndarray:
     return np.linalg.solve(op, sub.T)
 
 
-def reconstruct_rowwise(poly, layer, z, verify_tol: float = VERIFY_TOL) -> np.ndarray:
+def reconstruct_rowwise(poly, layer, z, verify_tol: float = VERIFY_TOL, dual=None) -> np.ndarray:
     """The former one-row `layer.reconstruct`, kept as the reference for
-    `reconstruct_batch`: it sorts the facets for the one output z with its
-    own `lexsort` and tries the candidates one at a time in that order, the
-    order whose rounds `reconstruct_batch` runs for a whole block. Each
-    candidate's canonical dual is computed afresh, not read from the
-    polytope's cache.
+    `reconstruct_batch`: it takes the strictly positive output pattern of
+    the one output z first, then sorts the facets with its own `lexsort`
+    and tries them one at a time in that order, the order whose rounds
+    `reconstruct_batch` runs for a whole block. Each canonical dual is
+    `facet_dual`'s, or `dual(idx)`'s for a vertex tuple idx if given (a
+    cache of `facet_dual`), never read from the library.
 
-    Looks for a facet whose vertex set lies inside the strictly positive
-    output pattern first; if none does (boundary equalities zero some active
+    If the pattern passes `facet_dual`'s `eigvalsh` rank rule, its canonical
+    dual gives the only candidate: every preimage solves the same full-rank
+    system. Else it looks for a facet whose vertex set lies inside the
+    pattern first; if none does (boundary equalities zero some active
     coefficients), every other facet is a fallback candidate, since its
-    remaining vertices all carry zero outputs. Every candidate is verified by
-    mapping it forward before it is accepted; if no candidate survives, the
-    output is not in the certified image and ReconstructionFailed is raised.
+    remaining vertices all carry zero outputs. Every candidate is verified
+    by mapping it forward before it is accepted; if no candidate survives,
+    the output is not in the certified image and ReconstructionFailed is
+    raised.
     """
     if layer.domain != DOMAIN_BALL:
         raise ValueError("reconstruction is defined for layers on the ball domain")
@@ -779,29 +784,42 @@ def reconstruct_rowwise(poly, layer, z, verify_tol: float = VERIFY_TOL) -> np.nd
         raise FrameMismatch("polytope was built for a different frame")
     zv = np.asarray(z, dtype=float)
     positive = zv > 0.0
-    overlap = (poly.incidence & positive).sum(axis=1)
-    sizes = poly.incidence.sum(axis=1)
-    outside = overlap < sizes  # facets not fully in the strict-positive pattern
-    order = np.lexsort((np.arange(len(sizes)), -overlap, outside))
-    for j in order:
-        idx = list(poly.vertices[j])
+
+    dual = dual or (lambda idx: facet_dual(poly.frame, idx))
+
+    def solve(idx):  # None where the sub-frame fails the rank rule
         try:
-            candidate = facet_dual(poly.frame, idx) @ (zv[idx] + layer.bias[idx])
-        except NotAFrame:  # a rank-deficient facet is a candidate that does not verify
+            return dual(idx) @ (zv[list(idx)] + layer.bias[list(idx)])
+        except NotAFrame:
+            return None
+
+    x = solve(tuple(np.flatnonzero(positive).tolist()))
+    if x is not None:  # the pattern spans: its solve is the only candidate
+        candidates = [x]
+    else:
+        overlap = (poly.incidence & positive).sum(axis=1)
+        sizes = poly.incidence.sum(axis=1)
+        outside = overlap < sizes  # facets not fully in the strict-positive pattern
+        order = np.lexsort((np.arange(len(sizes)), -overlap, outside))
+        candidates = (solve(poly.vertices[j]) for j in order)
+    for x in candidates:
+        if x is None:
             continue
-        check = np.maximum(layer.frame.elements @ candidate - layer.bias, 0.0)
+        check = np.maximum(layer.frame.elements @ x - layer.bias, 0.0)
         if float(np.max(np.abs(check - zv))) <= verify_tol:
-            return candidate
+            return x
     raise ReconstructionFailed("no facet left-inverse reproduces the given output")
 
 
 def reconstruct_rows(poly, layer, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`reconstruct_rowwise` over the rows of zs: (X with NaN rows, failed mask)."""
+    """`reconstruct_rowwise` over the rows of zs: (X with NaN rows, failed
+    mask). Each sub-frame's canonical dual is computed once for all rows."""
     xs = np.full((zs.shape[0], layer.frame.n), np.nan)
     failed = np.zeros(zs.shape[0], dtype=bool)
+    dual = cache(lambda idx: facet_dual(poly.frame, idx))
     for i, z in enumerate(zs):
         try:
-            xs[i] = reconstruct_rowwise(poly, layer, z)
+            xs[i] = reconstruct_rowwise(poly, layer, z, dual=dual)
         except ReconstructionFailed:
             failed[i] = True
     return xs, failed

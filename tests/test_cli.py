@@ -397,32 +397,48 @@ def _csv_rows(text):
     return lines[0], np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
 
 
+def _forced_layer():
+    """An uncertified layer, random_sphere(3, 20, 1) at alpha_scaled + 0.4:
+    (weights, bias). Some outputs of ball inputs have no verified preimage."""
+    weights = rc.random_sphere(3, 20, 1)
+    frame, _, _ = rc.normalize(weights)
+    return weights, rc.pbe_ball(frame, rc.build_polytope(frame), 1.0).alpha_scaled + 0.4
+
+
 def test_reconstruct_force_marks_failed_rows(capsys, tmp_path):
-    # an uncertified icosahedron layer (biases above its zero threshold):
-    # some outputs of ball inputs have no facet left-inverse at all
-    bias = np.array([-0.5, -0.3, 0.1, 0.2, 0.0, 0.2, 0.2, -0.7, -0.7, 0.0, 0.4, 0.2])
     xs = oracles.sample_ball(np.random.default_rng(84), 3, 600)
-    (w, b, x), (want, want_failed) = _reconstruct_files(tmp_path, rc.icosahedron(), bias, xs)
-    assert 0 < want_failed.sum() < len(xs)
+    (w, b, x), (want, want_failed) = _reconstruct_files(tmp_path, *_forced_layer(), xs)
+    assert want_failed.sum() == 6
     code, out, err = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x, "--force")
     assert code == 0
     header, rows = _csv_rows(out)
     assert header.split(",")[-4:] == ["xhat0", "xhat1", "xhat2", "roundtrip_error"]
-    assert rows.shape == (600, 12 + 3 + 1)
-    assert np.array_equal(np.isnan(rows[:, 12:]).any(axis=1), want_failed)
-    assert np.isnan(rows[want_failed, 12:]).all()
-    assert np.max(np.abs(rows[~want_failed, 12:15] - want[~want_failed])) <= 1e-12
+    assert rows.shape == (600, 20 + 3 + 1)
+    assert np.array_equal(np.isnan(rows[:, 20:]).any(axis=1), want_failed)
+    assert np.isnan(rows[want_failed, 20:]).all()
+    assert np.max(np.abs(rows[~want_failed, 20:23] - want[~want_failed])) <= 1e-12
     assert err == f"warning: {want_failed.sum()} inputs could not be reconstructed\n"
 
 
-def test_reconstruct_refusal_writes_no_file(capsys, tmp_path):
-    # a certified layer; the last of 300 inputs lies outside the ball and
-    # cannot be inverted, after a first block of 256 rows that can
+def _certified_layer():
+    """A certified layer, random_sphere(3, 12, 5) at alpha_scaled - 1e-3:
+    (weights, bias)."""
     weights = rc.random_sphere(3, 12, 5)
     frame, _, _ = rc.normalize(weights)
-    bias = rc.pbe_ball(frame, rc.build_polytope(frame), 1.0).alpha_scaled - 1e-3
-    xs = np.vstack([oracles.sample_ball(np.random.default_rng(85), 3, 299), [[0.3, 3.8, 2.2]]])
-    (w, b, x), (want, want_failed) = _reconstruct_files(tmp_path, weights, bias, xs)
+    return weights, rc.pbe_ball(frame, rc.build_polytope(frame), 1.0).alpha_scaled - 1e-3
+
+
+# an input far outside the ball of `_certified_layer` whose output has no
+# verified preimage: its positive pattern {2, 9} does not span, and no facet
+# candidate reproduces the output
+LOST = [4.930248079440492, -11.42922479877076, 58.199457666239105]
+
+
+def test_reconstruct_refusal_writes_no_file(capsys, tmp_path):
+    # the last of 300 inputs cannot be inverted, after a first block of 256
+    # rows that can
+    xs = np.vstack([oracles.sample_ball(np.random.default_rng(85), 3, 299), [LOST]])
+    (w, b, x), (want, want_failed) = _reconstruct_files(tmp_path, *_certified_layer(), xs)
     assert np.flatnonzero(want_failed).tolist() == [299]
     out = tmp_path / "out.csv"
     with pytest.warns(UserWarning, match="outside the declared ball"):
@@ -443,13 +459,24 @@ def test_reconstruct_refusal_writes_no_file(capsys, tmp_path):
     assert err == "warning: 1 inputs could not be reconstructed\n"
 
 
+def test_outside_ball_row_with_a_spanning_pattern_inverts(capsys, tmp_path):
+    # (0.3, 3.8, 2.2) lies outside the ball, but its positive pattern spans
+    # and its solve verifies: that solve is its only preimage in R^n, so the
+    # command inverts it, with no --force, and prints no `nan`
+    xs = np.vstack([oracles.sample_ball(np.random.default_rng(85), 3, 299), [[0.3, 3.8, 2.2]]])
+    (w, b, x), (want, want_failed) = _reconstruct_files(tmp_path, *_certified_layer(), xs)
+    assert not want_failed.any()
+    with pytest.warns(UserWarning, match="outside the declared ball"):
+        code, out, err = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x)
+    assert (code, err) == (0, "") and "nan" not in out
+    _, rows = _csv_rows(out)
+    assert np.max(np.abs(rows[:, 12:15] - xs)) <= 1e-12 and np.max(rows[:, -1]) <= 1e-12
+
+
 def test_reconstruct_warns_once_for_an_outside_ball_row(capsys, tmp_path):
     # the inputs' ball check warns; recomputing the outputs to write them does not
-    weights = rc.random_sphere(3, 12, 5)
-    frame, _, _ = rc.normalize(weights)
-    bias = rc.pbe_ball(frame, rc.build_polytope(frame), 1.0).alpha_scaled - 1e-3
     xs = np.vstack([oracles.sample_ball(np.random.default_rng(86), 3, 20), [[0.3, 3.8, 2.2]]])
-    (w, b, x), _ = _reconstruct_files(tmp_path, weights, bias, xs)
+    (w, b, x), _ = _reconstruct_files(tmp_path, *_certified_layer(), xs)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, _ = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x, "--force")
@@ -464,12 +491,11 @@ def _no_children():
 
 @pytest.fixture
 def wide_force_files(tmp_path):
-    """An uncertified icosahedron layer and 1,100 ball inputs, some of which
-    print `nan` under --force: five blocks of up to 256 rows, about 59 KB of
-    text each."""
-    bias = np.array([-0.5, -0.3, 0.1, 0.2, 0.0, 0.2, 0.2, -0.7, -0.7, 0.0, 0.4, 0.2])
+    """The uncertified layer of `_forced_layer` and 1,100 ball inputs, some
+    of which print `nan` under --force: five blocks of up to 256 rows, about
+    94 KB of text each."""
     xs = oracles.sample_ball(np.random.default_rng(87), 3, 1100)
-    (w, b, x), (_, want_failed) = _reconstruct_files(tmp_path, rc.icosahedron(), bias, xs)
+    (w, b, x), (_, want_failed) = _reconstruct_files(tmp_path, *_forced_layer(), xs)
     assert 0 < want_failed.sum() < len(xs)
     return ["reconstruct", w, "--bias", b, "--inputs", x, "--force"], int(want_failed.sum())
 
@@ -483,7 +509,7 @@ def test_reconstruct_output_is_byte_identical(capsys, tmp_path, wide_force_files
     assert (code, err) == (0, want_err)
     header, values = _csv_rows(out)
     body = out.partition("\n")[2]
-    assert header.startswith("z0,") and values.shape == (1100, 12 + 3 + 1)
+    assert header.startswith("z0,") and values.shape == (1100, 20 + 3 + 1)
     assert np.isnan(values).any() and "nan" in body
     assert_same_text(body, oracles.format_matrix_repr(values))
     path = tmp_path / "out.csv"
@@ -546,11 +572,8 @@ def test_closed_stdout_exits_1_quietly(tmp_path):
 def test_console_warning_is_one_line(tmp_path):
     # the console script prints the inputs' ball warning as one line, like
     # its other messages: no source path, no code line
-    weights = rc.random_sphere(3, 12, 5)
-    frame, _, _ = rc.normalize(weights)
-    bias = rc.pbe_ball(frame, rc.build_polytope(frame), 1.0).alpha_scaled - 1e-3
-    xs = np.vstack([oracles.sample_ball(np.random.default_rng(87), 3, 20), [[0.3, 3.8, 2.2]]])
-    (w, b, x), _ = _reconstruct_files(tmp_path, weights, bias, xs)
+    xs = np.vstack([oracles.sample_ball(np.random.default_rng(87), 3, 20), [LOST]])
+    (w, b, x), _ = _reconstruct_files(tmp_path, *_certified_layer(), xs)
     env = {**os.environ, "PYTHONPATH": str(Path(rc.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", "from relucert.cli import entry; entry()",

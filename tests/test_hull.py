@@ -10,7 +10,6 @@ from relucert import hull, polytope
 from relucert import io as fio
 from relucert.cli import main
 from relucert.errors import DegenerateHull, NotNonnegOmnidirectional, RelucertError
-from relucert.polytope import exit_facets
 from relucert.solvers import TOL_SOLVER, lp_feasible
 
 import oracles
@@ -266,52 +265,6 @@ def test_not_omnidirectional_when_accumulated_on_one_side():
     poly = rc.build_polytope(frame)
     assert poly.full_dimensional
     assert not rc.is_omnidirectional(poly)
-
-
-def test_covering_facet_examples(mb, tet):
-    down, up = exit_facets(mb.poly, np.array([[0.0, -1.0], [0.0, 0.5]]))
-    assert mb.poly.vertices[down] == (1, 2)
-    # the ray through vertex 0 exits by both of its edges: either will do
-    facets = triples(mb.poly.vertices, mb.poly.normals, mb.poly.offsets)
-    assert oracles.ray_exit_facets(mb.frame.elements, facets, np.array([0.0, 0.5])) == {0, 1}
-    assert up in (0, 1)
-    opposite = exit_facets(tet.poly, -tet.frame.elements[3:])[0]
-    assert tet.poly.vertices[opposite] == (0, 1, 2)
-
-
-def test_covering_facet_matches_ray_oracle(mb, tet, ico):
-    rng = np.random.default_rng(42)
-    for setup in (mb, tet, ico):
-        poly = setup.poly
-        facets = triples(poly.vertices, poly.normals, poly.offsets)
-        xs = rng.standard_normal((50, setup.frame.n))
-        for x, j in zip(xs, exit_facets(poly, xs)):
-            assert j in oracles.ray_exit_facets(setup.frame.elements, facets, x)
-
-
-def test_exit_facets_in_blocks_match_one_block(ico, monkeypatch):
-    # blocks of 3 of the 20 facets give the one-block argmax; at x = 0 every
-    # facet ties, and a later block never wins a tie
-    xs = np.vstack([np.random.default_rng(44).standard_normal((500, 3)), np.zeros((1, 3))])
-    whole = exit_facets(ico.poly, xs)
-    monkeypatch.setattr(polytope, "EXIT_BLOCK", 3)
-    assert np.array_equal(exit_facets(ico.poly, xs), whole)
-    assert whole[-1] == 0
-
-
-def test_covering_facet_exit_point_on_facet():
-    rng = np.random.default_rng(43)
-    pts = random_omnidirectional(3, 20, 77)
-    frame, _, _ = rc.normalize(pts)
-    poly = rc.build_polytope(frame)
-    xs = rng.standard_normal((10_000, 3))
-    xs /= np.linalg.norm(xs, axis=1)[:, None]
-    js = exit_facets(poly, xs)
-    normals, offsets = poly.normals[js], poly.offsets[js]
-    exit_points = (offsets / np.sum(normals * xs, axis=1))[:, None] * xs
-    # on the plane, and inside the polytope
-    assert np.max(np.abs(np.sum(normals * exit_points, axis=1) - offsets)) <= 1e-9
-    assert np.all(exit_points @ poly.normals.T <= poly.offsets + 1e-9)
 
 
 def test_offset_facets_span(mb, tet, ico):
@@ -1215,8 +1168,9 @@ def test_hull_fuzz(kind, n, seed):
     assert 2 * len(s) == len(verts) * n
     if not rc.is_omnidirectional(poly):
         return
-    xs = rng.standard_normal((5, n))
-    for x, j in zip(xs, exit_facets(poly, xs)):
+    facets = triples(poly.vertices, poly.normals, poly.offsets)
+    for x in rng.standard_normal((5, n)):
+        j = min(oracles.ray_exit_facets(frame.elements, facets, x))
         cols = frame.elements[list(poly.vertices[j])].T
         assert oracles.in_cone(cols, (x / np.linalg.norm(x))[None, :], tol=1e-7)[0]
 

@@ -498,6 +498,39 @@ def test_report_header_is_read_from_the_results():
                         stability_report=None, certificate=None)
 
 
+def test_report_refuses_parts_of_another_analysis():
+    # a certificate made against an estimate of another radius, domain or
+    # frame, a non-negative facet report on the ball, and none on ball+
+    from relucert.errors import FrameMismatch
+
+    frame, _, _ = rc.normalize(rc.random_sphere(3, 20, 3))
+    poly = rc.build_polytope(frame)
+    pos = rc.positive_facets(poly)
+    ball, positive = rc.pbe_ball(frame, poly, 1.0), rc.pbe_positive(frame, poly, pos, 1.0)
+    other = rc.normalize(rc.random_sphere(3, 20, 103))[0]
+    certificates = [
+        rc.certify(rc.ReLULayer(frame, np.full(20, -0.9), 2.0), rc.pbe_ball(frame, poly, 2.0)),
+        rc.certify(rc.ReLULayer(frame, np.full(20, -0.9), 1.0, "ball+"), positive),
+        rc.certify(rc.ReLULayer(other, np.full(20, -0.9)),
+                   rc.pbe_ball(other, rc.build_polytope(other), 1.0)),
+    ]
+
+    def build(estimate, positive_report, certificate=None):
+        return rc.build_report(
+            command="certify", norms=np.ones(frame.m), rescaled_bias=None, poly=poly,
+            positive_report=positive_report, estimate=estimate, stability_report=None,
+            certificate=certificate)
+
+    build(ball, None, rc.certify(rc.ReLULayer(frame, np.full(20, -0.9)), ball))
+    for certificate in certificates:
+        with pytest.raises(FrameMismatch, match="certificate was made against a different"):
+            build(ball, None, certificate)
+    with pytest.raises(FrameMismatch, match="'ball' estimate takes no non-negative"):
+        build(ball, pos)
+    with pytest.raises(FrameMismatch, match="'ball\\+' estimate takes a non-negative"):
+        build(positive, None)
+
+
 def test_report_unconstrained_sentinel(ico):
     pos = rc.positive_facets(ico.poly)
     est = rc.pbe_positive(ico.frame, ico.poly, pos, 1.0)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import relucert as rc
 from relucert.errors import (DimensionMismatch, FrameMismatch, NotAFrame,
                              ReconstructionFailed)
-from relucert.polytope import exit_facets
+from relucert.frames import spanning
+from relucert.layer import VERIFY_TOL
 
 import oracles
 from conftest import build_setup, closed_active_set, random_omnidirectional
@@ -427,9 +428,8 @@ def _recording_rounds(monkeypatch):
 
 def test_certified_in_ball_rows_skip_the_ranked_rounds(monkeypatch, mb, tet, ico):
     # every in-ball row of a certified layer has a spanning positive pattern
-    # and a witness, its exit facet inside its closed active set: the
-    # pattern solve settles it, and it is at least as close to its input as
-    # the facet dual of the row-wise oracle
+    # whose solve verifies: the pattern solve settles it, and it is at
+    # least as close to its input as the row-wise oracle's
     calls = _recording_rounds(monkeypatch)
     rng = np.random.default_rng(85)
     setups = [mb, tet, ico] + [build_setup(random_omnidirectional(n, m, seed))
@@ -513,6 +513,31 @@ def test_reconstruct_batch_matches_rowwise_oracle_on_random_layers(n, extra, see
     assert (near[:40] | closer).all() and (near[40:] | failed[40:]).all()
 
 
+@pytest.mark.parametrize("n, m, seed, lift, lost", [(5, 60, 1, 0.45, 1), (4, 60, 1, 0.3, 1),
+                                                    (6, 100, 7, 0.6, 7), (6, 200, 7, 0.6, 16)])
+def test_forced_layers_settle_every_verified_spanning_pattern(n, m, seed, lift, lost):
+    # uncertified layers (alpha_scaled + lift), 256 ball inputs: every row
+    # whose positive pattern spans settles within VERIFY_TOL of its input,
+    # the only preimage in R^n (the oracle's facet_dual solve may differ by
+    # up to 5.8e-11 on an ill-conditioned pattern at (6, 100)); the `lost`
+    # failed rows, as in the row-wise oracle, all have patterns that do not
+    # span, and the other such rows settle through the same facet as there
+    frame, _, _ = rc.normalize(rc.random_sphere(n, m, seed))
+    poly = rc.build_polytope(frame)
+    layer = rc.ReLULayer(frame, rc.pbe_ball(frame, poly, 1.0).alpha_scaled + lift)
+    xs = oracles.sample_ball(np.random.default_rng(0), n, 256)
+    zs = rc.forward(layer, xs)
+    got, failed = rc.reconstruct_batch(poly, layer, zs)
+    want, want_failed = oracles.reconstruct_rows(poly, layer, zs)
+    assert failed.sum() == lost and np.array_equal(failed, want_failed)
+    assert np.isnan(got[failed]).all()
+    spans = spanning(rc.layer._frame_operators(frame.elements, zs > 0.0))
+    assert not (spans & failed).any()
+    assert np.max(np.abs(got[spans] - xs[spans])) <= VERIFY_TOL
+    rounds = ~spans & ~failed
+    assert np.max(np.abs(got[rounds] - want[rounds]), initial=0.0) <= 1e-12
+
+
 def _facet_scores(poly, zs):
     """The first-round ranking of `reconstruct_batch`: overlap of each
     row's positive pattern with each facet, facets inside it first."""
@@ -533,17 +558,20 @@ def _verifies(poly, layer, z, j):
 
 
 def test_covering_facet_candidate_always_verifies(mb, tet, ico):
-    # the facet cone containing x yields a left-inverse that passes the gate
+    # every facet cone containing x yields a left-inverse that passes the gate
     rng = np.random.default_rng(74)
     for setup in (mb, tet, ico):
-        xs = oracles.sample_ball(rng, setup.frame.n, 300)
-        for x, j in zip(xs, exit_facets(setup.poly, xs)):
+        poly = setup.poly
+        facets = list(zip(poly.vertices, poly.normals, poly.offsets))
+        for x in oracles.sample_ball(rng, setup.frame.n, 300):
+            exits = oracles.ray_exit_facets(setup.frame.elements, facets, x)
+            assert exits
             z = rc.forward(setup.layer, x)
-            idx = list(setup.poly.vertices[j])
-            xhat = oracles.facet_dual(setup.frame, idx) @ (z[idx] + setup.layer.bias[idx])
-            assert np.max(np.abs(xhat - x)) <= 1e-9
-            zhat = rc.forward(setup.layer, xhat)
-            assert np.max(np.abs(zhat - z)) <= 1e-8
+            for j in exits:
+                idx = list(poly.vertices[j])
+                xhat = oracles.facet_dual(setup.frame, idx) @ (z[idx] + setup.layer.bias[idx])
+                assert np.max(np.abs(xhat - x)) <= 1e-9
+                assert np.max(np.abs(rc.forward(setup.layer, xhat) - z)) <= 1e-8
 
 
 def test_roundtrip_random_layers():
