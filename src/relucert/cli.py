@@ -124,12 +124,12 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    poly, _, _, _, layer, certificate = _analyze(
+    _, _, _, _, layer, certificate = _analyze(
         *_read_layer(args), args.radius, DOMAIN_BALL, args.tol)
     if not certificate.injective and not args.force:
         raise ReconstructionFailed(
             "layer is not certified injective; pass --force to try anyway")
-    frame = poly.frame
+    frame = layer.frame
     inputs = fio.read_matrix(args.inputs)
     if inputs.shape[1] != frame.n:
         raise ParseError(f"inputs have {inputs.shape[1]} columns, expected {frame.n}")
@@ -142,9 +142,9 @@ def _cmd_reconstruct(args) -> int:
     xhat = np.empty_like(inputs)
     failed = 0
     for rows in blocks:
-        xhat[rows], lost = reconstruct_batch(poly, layer, forward(layer, inputs[rows]))
+        xhat[rows], lost = reconstruct_batch(layer, forward(layer, inputs[rows]))
         if lost.any() and not args.force:
-            raise ReconstructionFailed("no facet left-inverse reproduces the given output")
+            raise ReconstructionFailed("output has no unique verified preimage")
         failed += int(np.count_nonzero(lost))
     err = np.max(np.abs(xhat - inputs), axis=1)  # NaN on failed rows
     header = ([f"z{i}" for i in range(frame.m)]

@@ -69,7 +69,7 @@ class FrameMismatch(RelucertError):
 
 
 class ReconstructionFailed(RelucertError):
-    """The given output vector has no verified preimage."""
+    """Reconstruction refused, or an output with no unique verified preimage."""
 
 
 class UnknownName(RelucertError):

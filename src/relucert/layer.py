@@ -2,17 +2,14 @@
 
 The layer clips the analysis coefficients at a per-element bias. If the bias
 stays below a verified upper bias, the layer is injective on its ball, and
-any output can be inverted exactly through the canonical dual of one facet
-sub-frame: for an input x in the cone of facet V,
-x = S_V^{-1} sum_{i in V} (z_i + b_i) x_i, with S_V the sub-frame operator.
-Reconstruction first applies the same formula to the whole strictly positive
-output pattern in place of V. Where the pattern spans, that solve is the
-only candidate: every preimage satisfies the same full-rank system, so the
-output settles if the solve verifies and has no preimage if it does not.
-Facets are tried only where the pattern does not span. A pattern and a
-facet are both masks of the elements, and one masked solve serves both:
-every pattern solve, every candidate of a reconstruction round and every
-spanning test is one stacked computation over such sub-frame operators.
+any output of an input inside it can be inverted exactly through the
+canonical dual of its active sub-frame: x = S_P^{-1} sum_{i in P}
+(z_i + b_i) x_i, with P the strictly positive output pattern and S_P its
+sub-frame operator. Reconstruction reads no polytope. An output settles iff
+its preimage set is one point: where P spans, iff that solve verifies;
+where it does not, iff the least-norm preimage, from a least-distance
+program, verifies and its active constraints pin it down. Each stage is one
+stacked computation over the rows of a block.
 """
 
 from __future__ import annotations
@@ -23,17 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, FrameMismatch, ReconstructionFailed
-from .frames import UnitFrame, as_matrix, as_vector, spanning
-from .pbe import DOMAIN_BALL, BiasEstimate, _check_frame
-from .polytope import Polytope
+from .frames import TOL_RANK, UnitFrame, as_matrix, as_vector, spanning
+from .pbe import DOMAIN_BALL, BiasEstimate
+from .solvers import TOL_SOLVER, min_linear_capped_cones
 
 TOL_ACTIVE = 1e-12
 TOL_MARGIN = 1e-12
 VERIFY_TOL = 1e-8
-# a reconstruction round tries at most this many candidates, or one per row:
-# the cap bounds the round's (candidates, m) check array; lower caps made
-# blocks with failing rows slower, higher ones mainly raised peak memory
-ROUND_CANDIDATES = 4096
+# the preimage stage takes rows in groups of at most this many entries of
+# their (rows, m, m) Gram matrices (16 MB): it bounds the stage's memory
+PREIMAGE_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -123,70 +119,61 @@ def _estimate_ref(estimate: BiasEstimate) -> dict:
             "fingerprint": estimate.frame_fingerprint}
 
 
-def reconstruct(poly: Polytope, layer: ReLULayer, z) -> np.ndarray:
-    """Invert the layer at an output z of a certified layer: a batch of one
-    (see `reconstruct_batch`). If the output has no verified preimage (its
-    spanning pattern's solve, or else a facet candidate), it is not in the
-    certified image and ReconstructionFailed is raised.
+def reconstruct(layer: ReLULayer, z) -> np.ndarray:
+    """Invert the layer at one output z: a batch of one (see
+    `reconstruct_batch`). ReconstructionFailed if the output has no unique
+    verified preimage.
     """
-    _check_layer(poly, layer)
+    _check_layer(layer)
     zv = as_vector(z, layer.frame.m, "output")
-    xs, failed = _reconstruct_rows(poly, layer, zv[None, :])
+    xs, failed = _reconstruct_rows(layer, zv[None, :])
     if failed[0]:
-        raise ReconstructionFailed("no facet left-inverse reproduces the given output")
+        raise ReconstructionFailed("output has no unique verified preimage")
     return xs[0]
 
 
-def reconstruct_batch(poly: Polytope, layer: ReLULayer, Z) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the layer at every row of an (N, m) output matrix Z, with the
-    facets of `poly`, the polytope of the layer's frame.
+def reconstruct_batch(layer: ReLULayer, Z) -> tuple[np.ndarray, np.ndarray]:
+    """Invert the layer at every row of an (N, m) output matrix Z.
 
     Returns (X, failed): X is (N, n), and `failed` is the (N,) boolean mask
-    of rows with no verified preimage, i.e. outputs outside the certified
-    image; their rows of X are NaN.
+    of rows with no unique verified preimage; their rows of X are NaN.
 
-    Every row is first solved from its strictly positive output pattern P:
-    each i in P gives <x, x_i> = z_i + b_i, so where P spans the space, x
-    is the one solution of (sum_P x_i x_i^T) x = sum_P (z_i + b_i) x_i,
-    the canonical dual of the whole active sub-frame. The block takes one
-    product of the pattern masks with the elements' outer products, one
-    `spanning` test, one stacked solve and one forward product, which
-    verifies each solution. Then:
+    A row z settles iff its preimage set, for P its strictly positive
+    pattern and S_P = sum_P x_i x_i^T,
+    Q = {x : <x, x_i> = z_i + b_i for i in P, <x, x_j> <= b_j otherwise},
+    is one point, found and checked in floats:
 
-    - a row whose pattern spans is settled if its solution verifies (maps
-      forward to z within VERIFY_TOL) and fails at once if it does not:
-      every preimage in R^n solves the same full-rank system, so a
-      verified solution is the preimage, and without one there is none;
-    - a row whose pattern does not span (boundary equalities zero some
-      active coefficients, or the output is zero) goes to the ranked facet
-      rounds, which decide it as if the pattern stage did not exist.
+    - Where P spans, Q holds at most the solution of S_P x =
+      sum_P (z_i + b_i) x_i, the canonical dual of the active sub-frame, and
+      the row settles iff it verifies (maps forward to z within
+      VERIFY_TOL). The block takes one product of the pattern masks with
+      the elements' outer products, one `spanning` test, one stacked solve
+      and one forward product.
+    - Where P does not span (boundary equalities zero some active
+      coefficients, or the output is zero), `_preimage_points` takes the
+      least-norm point x* of Q. The row settles iff x* verifies and the
+      constraints active at x* (j not in P, <x*, x_j> >= b_j - VERIFY_TOL),
+      projected onto null(S_P), positively span it: Q's tangent cone at x*
+      is {0}, so x* is the only point of the convex set Q; otherwise Q
+      holds a segment from x*. At co-rank 1 that reads: the interval Q of
+      the null line has both ends at x*.
 
-    The rounds rank every facet for each of their rows, from one product
-    of its strictly positive output pattern with the incidence matrix.
-    Facets whose vertex set lies inside the pattern come first, largest
-    first; the others follow by decreasing overlap with the pattern, since
-    their remaining vertices all carry zero outputs. Ties go to the
-    smallest index. In the first round every row takes its best facet; in
-    each later round every unsettled row takes its next k untried facets
-    in rank order, k = 2, 4, 8, ... (at most ROUND_CANDIDATES candidates in
-    a round, or one per row). Each (row, facet) pair is solved as a pattern
-    is, with the facet's vertex set as its mask: one product gives the
-    operators of a round's distinct facets and one `spanning` test checks
-    them, then one stacked solve and one forward product solve and verify
-    every pair. A row is settled by its first candidate in rank order that
-    verifies, and fails once it has tried every facet. A facet whose vertex
-    set does not span the space has no left-inverse: it is a candidate that
-    verifies no row.
+    On a certified layer every input x with |x| < r settles: Q is convex,
+    holds x, and each of its points has the output z, so another point x'
+    would put points of the segment from x to x' near x, inside the ball,
+    at the output z, against the certified injectivity on the ball. So
+    Q = {x}, x* = x, and the active constraints at x positively span the
+    null space (Farkas). VERIFY_TOL absorbs the rounding; the tests check
+    that such rows settle within 1e-12 of their inputs.
     """
-    _check_layer(poly, layer)
+    _check_layer(layer)
     zs = _matrix(Z, layer.frame.m, "outputs")
-    return _reconstruct_rows(poly, layer, zs)
+    return _reconstruct_rows(layer, zs)
 
 
-def _check_layer(poly: Polytope, layer: ReLULayer) -> None:
+def _check_layer(layer: ReLULayer) -> None:
     if layer.domain != DOMAIN_BALL:
         raise ValueError("reconstruction is defined for layers on the ball domain")
-    _check_frame(layer.frame, poly)
 
 
 def _matrix(values, width: int, what: str) -> np.ndarray:
@@ -196,96 +183,92 @@ def _matrix(values, width: int, what: str) -> np.ndarray:
     return a
 
 
-def _reconstruct_rows(poly: Polytope, layer: ReLULayer,
-                      zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X, failed) for the outputs zs: the pattern stage, then the ranked
-    facet rounds of `_ranked_rounds` for the rows whose pattern does not
-    span (see `reconstruct_batch`)."""
-    # every row from its strictly positive pattern P; where P spans, every
-    # preimage solves the same full-rank system, so the row settles if its
-    # solve verifies and has no preimage if it does not
-    positive = zs > 0.0
-    gram = _frame_operators(layer.frame.elements, positive)
-    spans = spanning(gram)
-    xs, verified = _solve_masks(layer, zs, positive, gram, spans)
-    xs[~verified] = np.nan
-    failed = spans & ~verified
-    rest = np.flatnonzero(~spans)
-    if rest.size:
-        xs[rest], failed[rest] = _ranked_rounds(poly, layer, zs[rest])
-    return xs, failed
-
-
-def _ranked_rounds(poly: Polytope, layer: ReLULayer,
-                   zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X, failed) for the outputs zs from the ranked facet rounds alone.
-    `_reconstruct_rows` hands it only the rows whose strictly positive
-    pattern does not span."""
-    incidence = poly.incidence.astype(float)  # float: the product runs in BLAS
-    # score[i, j]: row i's overlap with facet j, raised above every overlap
-    # if facet j lies inside the pattern; ties rank the smaller index first
-    score = (zs > 0.0).astype(float) @ incidence.T
-    np.add(score, zs.shape[1] + 1.0, out=score, where=score == incidence.sum(axis=1))
-
-    xs = np.full((zs.shape[0], layer.frame.n), np.nan)
-    rows = np.arange(zs.shape[0])  # unsettled rows
-    picks = np.argmax(score, axis=1)[:, None]  # picks[k]: the facets rows[k] tries
-    ranked, tried = None, 1
-    while True:
-        candidates, verified = _try_facets(poly, layer, zs[rows], picks)
-        settled = verified.any(axis=1)
-        first = np.argmax(verified, axis=1)  # the first verifying candidate in rank order
-        xs[rows[settled]] = candidates[settled, first[settled]]
-        rows = rows[~settled]
-        if not rows.size or tried >= poly.num_facets:
-            break
-        # the next ranked facets, twice as many as last round; a stable sort
-        # of the negated scores keeps argmax's tie order
-        if ranked is None:
-            ranked = np.argsort(-score[rows], axis=1, kind="stable")
-        else:
-            ranked = ranked[~settled]
-        width = min(2 * picks.shape[1], max(1, ROUND_CANDIDATES // rows.size))
-        picks = ranked[:, tried:tried + width]
-        tried += width
-    failed = np.zeros(zs.shape[0], dtype=bool)
-    failed[rows] = True  # every facet tried
-    return xs, failed
-
-
-def _try_facets(poly: Polytope, layer: ReLULayer, zs: np.ndarray,
-                picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate inputs (R, k, n) for the outputs zs (R, m) from the facets
-    picks (R, k), and whether each reproduces its output within
-    VERIFY_TOL: each (row, facet) pair is the masked solve of the pattern
-    stage, with the facet's vertex set as the mask. The operators of the
-    distinct facets are built and tested by `spanning` once; a facet that
-    fails the rank rule verifies no row."""
-    facets, at = np.unique(picks, return_inverse=True)
-    at = at.reshape(picks.shape)  # its shape differs across numpy versions
-    gram = _frame_operators(layer.frame.elements, poly.incidence[facets])
-    spans = spanning(gram)
-    xs, verified = _solve_masks(layer, zs[:, None], poly.incidence[picks],
-                                gram[at], spans[at])
-    return xs, verified
-
-
-def _solve_masks(layer: ReLULayer, zs: np.ndarray, masks: np.ndarray, gram: np.ndarray,
-                 spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical dual of each sub-frame V that the boolean masks (..., m)
-    pick, applied to its outputs zs (broadcast against the masks):
-    x = S_V^-1 sum_{i in V} (z_i + b_i) x_i, with S_V in gram (..., n, n)
-    (overwritten) and `spans` its `spanning` mask. Returns (X, verified): a
-    row is verified where its sub-frame spans and max(0, <x, x_i> - b_i)
-    reproduces z within VERIFY_TOL. A sub-frame that does not span is solved
-    as the identity."""
+def _reconstruct_rows(layer: ReLULayer, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X, failed) for the outputs zs: the pattern solve, then
+    `_preimage_points` for the rows whose pattern does not span, in groups
+    of at most PREIMAGE_ENTRIES // m^2 rows (see `reconstruct_batch`)."""
     elements, bias = layer.frame.elements, layer.bias
-    gram[~spans] = np.eye(layer.frame.n)
-    rhs = ((zs + bias) * masks) @ elements
-    xs = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    coeff = xs @ elements.T - bias
-    verified = np.max(np.abs(np.maximum(coeff, 0.0) - zs), axis=-1) <= VERIFY_TOL
-    return xs, verified & spans
+    positive = zs > 0.0
+    gram = _frame_operators(elements, positive)
+    spans = spanning(gram)
+    gram[~spans] = np.eye(layer.frame.n)  # rows that do not span: solved, then replaced
+    xs = np.linalg.solve(gram, (((zs + bias) * positive) @ elements)[:, :, None])[:, :, 0]
+    failed = ~(_verified(layer, xs, zs) & spans)
+    xs[failed] = np.nan
+    rest = np.flatnonzero(~spans)
+    step = max(1, PREIMAGE_ENTRIES // layer.frame.m ** 2)
+    for start in range(0, rest.size, step):
+        rows = rest[start:start + step]
+        xs[rows], failed[rows] = _preimage_points(layer, zs[rows])
+    return xs, failed
+
+
+def _verified(layer: ReLULayer, xs: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """Whether max(0, <x, x_i> - b_i) reproduces z within VERIFY_TOL, per
+    row of xs (N, n) and zs (N, m); False on a row with NaN."""
+    coeff = xs @ layer.frame.elements.T - layer.bias
+    return np.max(np.abs(np.maximum(coeff, 0.0) - zs), axis=1) <= VERIFY_TOL
+
+
+def _preimage_points(layer: ReLULayer, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X, failed) for outputs zs (R, m) whose strictly positive pattern P
+    does not span: X holds the least-norm point x* of each preimage set Q,
+    and a row fails unless Q = {x*} (see `reconstruct_batch`).
+
+    With S_P^+ the pseudo-inverse (relative cut-off TOL_RANK), x0 is the
+    least-norm solution of the equalities and N = I - S_P^+ S_P projects
+    onto null(S_P); every x = x0 + y with y in null(S_P) solves them. The
+    inequalities read <g_j, y> <= h_j with g_j = N x_j, h_j = b_j - <x0, x_j>.
+    The least-norm y is a least-distance program, solved as the NNLS
+    min_{u >= 0} |E u - e| with E's columns -(g_j, h_j) and e the last unit
+    vector of R^(n+1) (Lawson and Hanson, Solving Least Squares Problems,
+    1974, ch. 23): with p = E u*, y* = -p[:n] / (p[n] - 1), and p[n] = 1
+    means that Q is empty (x* is then NaN or fails to verify).
+
+    With A the active constraints at x*, the g_j (j in A) positively span
+    null(S_P) iff P and A together span R^n (`spanning`) and -s, s the sum
+    of those g_j, lies in their cone: then sum_A (1 + d_j) g_j = 0 for the
+    cone's weights d. The cone projection of -s leaves w = -s - P_K(-s), and
+    membership means |w| <= TOL_SOLVER sum_A |g_j|; else w is a direction
+    along which Q leaves x*. Both NNLS are the batched Lawson-Hanson of
+    `solvers`. Neither needs to converge for the verdict to hold: x* is
+    verified, and a small w is itself the weights' witness.
+    """
+    elements, bias, n = layer.frame.elements, layer.bias, layer.frame.n
+    positive = zs > 0.0
+    ops = _frame_operators(elements, positive)
+    inverse = np.linalg.pinv(ops, rcond=TOL_RANK, hermitian=True)
+    x0 = (inverse @ (((zs + bias) * positive) @ elements)[:, :, None])[:, :, 0]
+    normals = elements @ (np.eye(n) - inverse @ ops)  # row j: N x_j (N is symmetric)
+    normals[positive] = 0.0  # the equalities: N x_i = 0 up to rounding
+    slack = np.where(positive, 0.0, bias - x0 @ elements.T)
+    last = np.broadcast_to(np.eye(n + 1)[n], (len(zs), n + 1))
+    p = _cone_projections(-np.concatenate([normals, slack[:, :, None]], axis=2), last)
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaN where Q is empty
+        xs = x0 - p[:, :n] / (p[:, n:] - 1.0)
+        coeff = xs @ elements.T - bias
+        verified = _verified(layer, xs, zs)
+    active = ~positive & (coeff >= -VERIFY_TOL)
+    unique = verified & spanning(_frame_operators(elements, positive | active))
+    rows = np.flatnonzero(unique)
+    generators = normals[rows] * active[rows, :, None]
+    target = -generators.sum(axis=1)
+    w = target - _cone_projections(generators, target)
+    scale = np.linalg.norm(generators, axis=2).sum(axis=1)
+    unique[rows] = np.linalg.norm(w, axis=1) <= TOL_SOLVER * scale
+    xs[~unique] = np.nan
+    return xs, ~unique
+
+
+def _cone_projections(generators: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The projection of each target (R, d) onto the cone of its generator
+    rows (R, k, d), zero rows allowed, by `solvers.min_linear_capped_cones`:
+    the capped-cone program of x = -t has the value -|P_K(t)| and its
+    argmin along P_K(t) (Moreau's decomposition)."""
+    gram = generators @ generators.swapaxes(1, 2)
+    values, argmins, _, _, _ = min_linear_capped_cones(
+        gram, -(generators @ targets[:, :, None])[:, :, 0])
+    return -values[:, None] * (argmins[:, None, :] @ generators)[:, 0, :]
 
 
 def _frame_operators(elements: np.ndarray, masks: np.ndarray) -> np.ndarray:

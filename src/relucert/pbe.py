@@ -79,11 +79,13 @@ class StabilityReport:
     bounds the forward image of the radius-r ball whenever the bias is
     non-negative. For any bias b, r * sqrt(B0) + ||max(-b, 0)|| bounds it,
     since 0 <= max(Wx - b, 0) <= max(Wx, 0) + max(-b, 0) entrywise.
+    `radius` is the r the bounds were computed for.
     """
 
     A0: float
     B0: float
     image_radius: float
+    radius: float
 
 
 def alpha_X(poly: Polytope) -> np.ndarray:
@@ -258,4 +260,5 @@ def _stability(frame, poly, facet_indices, radius) -> StabilityReport:
     lower = smallest_lower_bound(ops)
     _, upper = operator_bounds(frame.elements.T @ frame.elements)
     return StabilityReport(A0=lower, B0=float(upper),
-                           image_radius=float(radius) * float(np.sqrt(upper)))
+                           image_radius=float(radius) * float(np.sqrt(upper)),
+                           radius=float(radius))

@@ -178,12 +178,16 @@ def build_report(*, command: str, norms, rescaled_bias, poly, positive_report, e
     header states the scope of the numbers below it: the domain, radius and
     solver tolerance of `estimate`, the frame and omnidirectionality of
     `poly`. FrameMismatch if `estimate` was computed for another frame, if
-    `certificate` was made against another estimate (domain, radius or
-    frame), or if `positive_report` is given on the ball or missing on
-    ball+."""
+    `stability_report` was computed for another radius (within 1e-12 times
+    the radius, as `layer.certify` compares radii), if `certificate` was
+    made against another estimate (domain, radius or frame), or if
+    `positive_report` is given on the ball or missing on ball+."""
     frame = poly.frame
     if estimate.frame_fingerprint != frame.fingerprint():
         raise FrameMismatch("estimate was computed for a different frame")
+    if (stability_report is not None
+            and abs(stability_report.radius - estimate.radius) > 1e-12 * estimate.radius):
+        raise FrameMismatch("stability report was computed for a different radius")
     if certificate is not None and certificate.estimate_ref != _estimate_ref(estimate):
         raise FrameMismatch("certificate was made against a different estimate")
     positive = estimate.domain == DOMAIN_BALL_POSITIVE

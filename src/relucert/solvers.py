@@ -102,9 +102,16 @@ def min_linear_capped_cones(G: np.ndarray, c: np.ndarray, tol: float = TOL_SOLVE
 def _passive_solves(G: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndarray:
     """Unconstrained minimizers over each program's passive generators, zero
     elsewhere, by one stacked solve with the non-passive rows and columns
-    set to the identity. G must be a copy: it is overwritten."""
+    set to the identity. Where a passive block is singular to working
+    precision (linearly dependent generators, as a preimage set's
+    constraints can be), the stack takes least-squares solutions instead.
+    G must be a copy: it is overwritten."""
     np.copyto(G, np.eye(G.shape[-1]), where=~(passive[:, :, None] & passive[:, None, :]))
-    s = np.linalg.solve(G, np.where(passive, -c, 0.0)[:, :, None])[:, :, 0]
+    rhs = np.where(passive, -c, 0.0)[:, :, None]
+    try:
+        s = np.linalg.solve(G, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        s = (np.linalg.pinv(G, hermitian=True) @ rhs)[:, :, 0]
     return np.where(passive, s, 0.0)
 
 

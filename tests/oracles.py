@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force: closed-form characteristic
 polynomials, shifted power iterations, exhaustive supporting-hyperplane
-scans, dense angular sweeps and rejection sampling. Nothing shares code
+scans, exact vertex enumeration in fractions, dense angular sweeps and
+rejection sampling. Nothing shares code
 with the library paths it validates, except `quickhull_furthest`: the
 former hull, kept to check the new one bit for bit, shares its seed simplex
 and its plane routine; and `full_scan_estimate`, the bias estimate with no
@@ -14,14 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cache
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
 from relucert import hull
-from relucert.errors import (DegenerateHull, FrameMismatch, NotAFrame, NotConverged,
-                             ParseError, ReconstructionFailed)
+from relucert.errors import DegenerateHull, NotAFrame, NotConverged, ParseError
 from relucert.fixtures import random_sphere
 from relucert.frames import operator_bounds
 from relucert.layer import VERIFY_TOL
@@ -759,69 +759,169 @@ def facet_dual(frame, idx) -> np.ndarray:
     return np.linalg.solve(op, sub.T)
 
 
-def reconstruct_rowwise(poly, layer, z, verify_tol: float = VERIFY_TOL, dual=None) -> np.ndarray:
-    """The former one-row `layer.reconstruct`, kept as the reference for
-    `reconstruct_batch`: it takes the strictly positive output pattern of
-    the one output z first, then sorts the facets with its own `lexsort`
-    and tries them one at a time in that order, the order whose rounds
-    `reconstruct_batch` runs for a whole block. Each canonical dual is
-    `facet_dual`'s, or `dual(idx)`'s for a vertex tuple idx if given (a
-    cache of `facet_dual`), never read from the library.
+def preimage_vertices(layer, z) -> list[tuple[Fraction, ...]]:
+    """The vertices of the preimage set Q = {x : max(0, <x, x_i> - b_i) = z_i
+    for every i} of one output z, exactly: every entry of the frame, the bias
+    and z is read as the Fraction of its float. With P the strictly positive
+    pattern, Q is {<x, x_i> = z_i + b_i for i in P, <x, x_j> <= b_j
+    otherwise} if no entry of z is negative, else empty. Each vertex solves
+    a basis of the equalities and n - rank of the inequalities taken as
+    equalities; every combination is solved (C(m, n) at most: meant for
+    n <= 3) and kept if it lies in Q. Where the frame positively spans R^n,
+    as a certified layer's does, Q is bounded: it is one point iff it has
+    one vertex, and empty iff it has none.
+    """
+    elements = [[Fraction(v) for v in row] for row in layer.frame.elements.tolist()]
+    bias = [Fraction(v) for v in layer.bias.tolist()]
+    zf = [Fraction(v) for v in np.asarray(z, dtype=float).tolist()]
+    if min(zf) < 0:
+        return []
+    equal = [i for i, v in enumerate(zf) if v > 0]
+    level = [v + b for v, b in zip(zf, bias)]
+    basis = []
+    for i in equal:
+        if _rank([elements[k] for k in basis + [i]]) > len(basis):
+            basis.append(i)
+    found = set()
+    for extra in combinations([j for j, v in enumerate(zf) if v == 0],
+                              layer.frame.n - len(basis)):
+        rows = basis + list(extra)
+        x = _solve_exact([elements[k] for k in rows], [level[k] for k in rows])
+        if x is not None and is_preimage(layer, z, x):
+            found.add(x)
+    return sorted(found)
 
-    If the pattern passes `facet_dual`'s `eigvalsh` rank rule, its canonical
-    dual gives the only candidate: every preimage solves the same full-rank
-    system. Else it looks for a facet whose vertex set lies inside the
-    pattern first; if none does (boundary equalities zero some active
-    coefficients), every other facet is a fallback candidate, since its
-    remaining vertices all carry zero outputs. Every candidate is verified
-    by mapping it forward before it is accepted; if no candidate survives,
-    the output is not in the certified image and ReconstructionFailed is
-    raised.
+
+def is_preimage(layer, z, x) -> bool:
+    """Whether max(0, <x, x_i> - b_i) == z_i for every i, exactly, for a
+    point x of Fractions (or floats, read exactly)."""
+    x = [Fraction(v) for v in x]
+    for row, b, v in zip(layer.frame.elements.tolist(), layer.bias.tolist(),
+                         np.asarray(z, dtype=float).tolist()):
+        coeff = sum(Fraction(a) * c for a, c in zip(row, x)) - Fraction(b)
+        if max(coeff, Fraction(0)) != Fraction(v):
+            return False
+    return True
+
+
+def _pinned(layer, z, x) -> bool:
+    """Whether the elements tight at a preimage x of z (Fractions), the
+    strictly positive pattern and the elements with <x, x_j> == b_j
+    exactly, pass `facet_dual`'s rank rule."""
+    tight = [i for i, (row, b, v) in enumerate(zip(layer.frame.elements.tolist(),
+                                                   layer.bias.tolist(), z.tolist()))
+             if v > 0 or sum(Fraction(a) * c for a, c in zip(row, x)) == Fraction(b)]
+    try:
+        facet_dual(layer.frame, tight)
+    except NotAFrame:
+        return False
+    return True
+
+
+def _rank(rows) -> int:
+    """Rank of a list of Fraction rows, by exact elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _solve_exact(rows, rhs):
+    """The solution of the square Fraction system rows @ x = rhs, by
+    Gauss-Jordan elimination, or None if it is singular."""
+    a = [list(r) + [v] for r, v in zip(rows, rhs)]
+    n = len(a)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [u - f * v for u, v in zip(a[r], a[col])]
+    return tuple(a[r][n] / a[r][r] for r in range(n))
+
+
+def two_preimages(layer, z, vertices, x=None):
+    """Two distinct points of the preimage set of z, confirmed exactly by
+    `is_preimage`, from its vertices (two or more). Given an input x inside
+    the ball, both lie in the ball: p is a convex combination of the
+    vertices fitted to x (scipy's NNLS; weights read exactly and scaled to
+    sum 1), and q moves from p towards another vertex, by a step halved
+    until q is in the ball too."""
+    from scipy.optimize import nnls
+
+    assert len(vertices) >= 2
+    if x is None:
+        p, q = vertices[:2]
+    else:
+        pts = np.array(vertices, dtype=float)
+        fit = np.vstack([pts.T, np.ones(len(pts))])
+        weights = [Fraction(w) for w in nnls(fit, np.append(x, 1.0))[0].tolist()]
+        total = sum(weights)
+        p = tuple(sum(w * v[k] for w, v in zip(weights, vertices)) / total
+                  for k in range(len(x)))
+        far = next(v for v in vertices if v != p)
+        limit, step = Fraction(layer.radius) ** 2, Fraction(1)
+        assert sum(c * c for c in p) < limit
+        while True:
+            q = tuple(a + step * (b - a) for a, b in zip(p, far))
+            if sum(c * c for c in q) <= limit:
+                break
+            step /= 2
+    assert p != q and is_preimage(layer, z, p) and is_preimage(layer, z, q)
+    return p, q
+
+
+def reconstruct_rows(layer, zs: np.ndarray, inputs=None) -> tuple[np.ndarray, np.ndarray]:
+    """The preimage rule row by row, the reference for `reconstruct_batch`:
+    (X with NaN rows, failed mask). A row settles iff its preimage set is
+    one point. Nothing is read from the library but the layer.
+
+    - A row whose strictly positive pattern passes `facet_dual`'s `eigvalsh`
+      rank rule has at most one preimage, its canonical dual's solution, and
+      settles iff that maps forward to z within VERIFY_TOL. It is decided in
+      floats: more than n equalities read exactly are, in general, not
+      consistent.
+    - Any other row is decided exactly: it settles iff `preimage_vertices`
+      finds one vertex and the elements tight at it (its pattern and the
+      inequalities that hold with equality) pass the same rank rule, and X
+      holds that vertex in floats. A vertex that only a rank-deficient set
+      pins down, as the rows of two near-duplicate elements do, is a
+      preimage no float solve resolves; the pattern stage leaves such
+      patterns undecided too. For every row with two or more vertices
+      `two_preimages` exhibits two distinct preimages, in the ball where
+      `inputs` gives the row's input inside it.
     """
     if layer.domain != DOMAIN_BALL:
         raise ValueError("reconstruction is defined for layers on the ball domain")
-    if poly.frame.fingerprint() != layer.frame.fingerprint():
-        raise FrameMismatch("polytope was built for a different frame")
-    zv = np.asarray(z, dtype=float)
-    positive = zv > 0.0
-
-    dual = dual or (lambda idx: facet_dual(poly.frame, idx))
-
-    def solve(idx):  # None where the sub-frame fails the rank rule
-        try:
-            return dual(idx) @ (zv[list(idx)] + layer.bias[list(idx)])
-        except NotAFrame:
-            return None
-
-    x = solve(tuple(np.flatnonzero(positive).tolist()))
-    if x is not None:  # the pattern spans: its solve is the only candidate
-        candidates = [x]
-    else:
-        overlap = (poly.incidence & positive).sum(axis=1)
-        sizes = poly.incidence.sum(axis=1)
-        outside = overlap < sizes  # facets not fully in the strict-positive pattern
-        order = np.lexsort((np.arange(len(sizes)), -overlap, outside))
-        candidates = (solve(poly.vertices[j]) for j in order)
-    for x in candidates:
-        if x is None:
-            continue
-        check = np.maximum(layer.frame.elements @ x - layer.bias, 0.0)
-        if float(np.max(np.abs(check - zv))) <= verify_tol:
-            return x
-    raise ReconstructionFailed("no facet left-inverse reproduces the given output")
-
-
-def reconstruct_rows(poly, layer, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`reconstruct_rowwise` over the rows of zs: (X with NaN rows, failed
-    mask). Each sub-frame's canonical dual is computed once for all rows."""
     xs = np.full((zs.shape[0], layer.frame.n), np.nan)
-    failed = np.zeros(zs.shape[0], dtype=bool)
-    dual = cache(lambda idx: facet_dual(poly.frame, idx))
+    failed = np.ones(zs.shape[0], dtype=bool)
+    elements, bias = layer.frame.elements, layer.bias
     for i, z in enumerate(zs):
+        pattern = np.flatnonzero(z > 0.0)
         try:
-            xs[i] = reconstruct_rowwise(poly, layer, z, dual=dual)
-        except ReconstructionFailed:
-            failed[i] = True
+            x = facet_dual(layer.frame, pattern) @ (z[pattern] + bias[pattern])
+        except NotAFrame:
+            vertices = preimage_vertices(layer, z)
+            if len(vertices) == 1 and _pinned(layer, z, vertices[0]):
+                xs[i], failed[i] = np.array(vertices[0], dtype=float), False
+            elif len(vertices) > 1:
+                x = None if inputs is None else inputs[i]
+                inside = x is not None and np.linalg.norm(x) < layer.radius
+                two_preimages(layer, z, vertices, x if inside else None)
+            continue
+        if np.max(np.abs(np.maximum(elements @ x - bias, 0.0) - z)) <= VERIFY_TOL:
+            xs[i], failed[i] = x, False
     return xs, failed
 
 

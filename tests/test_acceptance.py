@@ -119,7 +119,7 @@ def test_criterion_06_reconstruction_roundtrip():
     for setup in setups:
         xs = oracles.sample_ball(rng, setup.frame.n, 1000)
         for x in xs:
-            xhat = rc.reconstruct(setup.poly, setup.layer, rc.forward(setup.layer, x))
+            xhat = rc.reconstruct(setup.layer, rc.forward(setup.layer, x))
             worst = max(worst, float(np.max(np.abs(xhat - x))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 60.0

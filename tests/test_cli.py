@@ -175,26 +175,6 @@ def test_rank_deficient_facet_exits_3(capsys, tmp_path):
         assert (payload["error"], payload["exit_code"]) == ("NotAFrame", 3)
 
 
-def test_reconstruct_force_skips_rank_deficient_facet(capsys, tmp_path):
-    # the frame of test_rank_deficient_facet_exits_3: facet 0 has no
-    # canonical dual. The second input's zero output tries it, goes on and
-    # inverts through facet 1 to (0.5, 0.5), another preimage of zero, and
-    # the first row is not lost with it
-    angle = np.pi - 2e-5
-    weights = np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)], [0.0, -1.0]])
-    xs = np.array([[0.8, -0.3], [0.0, 0.9]])
-    (w, b, x), (want, want_failed) = _reconstruct_files(
-        tmp_path, weights, np.array([0.5, 0.5, -0.5]), xs)
-    assert not want_failed.any()
-    code, out, err = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x, "--force")
-    assert (code, err) == (0, "")
-    _, rows = _csv_rows(out)
-    assert np.max(np.abs(rows[:, 3:5] - want)) <= 1e-12
-    assert np.max(np.abs(rows[0, 3:5] - xs[0])) <= 1e-10 and rows[0, -1] <= 1e-10
-    assert np.array_equal(rows[1, :3], np.zeros(3))
-    assert rows[1, 3:] == pytest.approx([0.5, 0.5, 0.5], abs=1e-10)
-
-
 GOLDEN = Path(__file__).parent / "data" / "golden"
 # name: (weights, domain, rows whose bias is raised to +0.2)
 GOLDEN_FRAMES = {
@@ -379,8 +359,9 @@ def test_reconstruct_refuses_uncertified(capsys, tmp_path):
 
 
 def _reconstruct_files(tmp_path, weights, bias, xs):
-    """Write the layer and inputs, and return the row-wise oracle's
-    (xhat, failed) for the layer the CLI builds from them."""
+    """Write the layer and inputs, and return `reconstruct_batch`'s
+    (xhat, failed) for the layer the CLI builds from them (`test_layer.py`
+    checks it against the row-wise preimage oracle)."""
     paths = [tmp_path / name for name in ("w.csv", "b.csv", "x.csv")]
     for path, a in zip(paths, (weights, bias, xs)):
         path.write_text(fio.format_matrix(a))
@@ -389,7 +370,7 @@ def _reconstruct_files(tmp_path, weights, bias, xs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # inputs outside the ball
         zs = np.array([rc.forward(layer, x) for x in xs])
-    return [str(p) for p in paths], oracles.reconstruct_rows(rc.build_polytope(frame), layer, zs)
+    return [str(p) for p in paths], rc.reconstruct_batch(layer, zs)
 
 
 def _csv_rows(text):
@@ -399,21 +380,27 @@ def _csv_rows(text):
 
 def _forced_layer():
     """An uncertified layer, random_sphere(3, 20, 1) at alpha_scaled + 0.4:
-    (weights, bias). Some outputs of ball inputs have no verified preimage."""
+    (weights, bias). Some outputs of ball inputs have more than one
+    preimage."""
     weights = rc.random_sphere(3, 20, 1)
     frame, _, _ = rc.normalize(weights)
     return weights, rc.pbe_ball(frame, rc.build_polytope(frame), 1.0).alpha_scaled + 0.4
 
 
 def test_reconstruct_force_marks_failed_rows(capsys, tmp_path):
+    # every in-ball row whose positive pattern has rank below 3 lies inside
+    # a preimage set of more than one point: 102 of 600 rows fail
     xs = oracles.sample_ball(np.random.default_rng(84), 3, 600)
-    (w, b, x), (want, want_failed) = _reconstruct_files(tmp_path, *_forced_layer(), xs)
-    assert want_failed.sum() == 6
+    weights, bias = _forced_layer()
+    (w, b, x), (want, want_failed) = _reconstruct_files(tmp_path, weights, bias, xs)
     code, out, err = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x, "--force")
     assert code == 0
     header, rows = _csv_rows(out)
     assert header.split(",")[-4:] == ["xhat0", "xhat1", "xhat2", "roundtrip_error"]
     assert rows.shape == (600, 20 + 3 + 1)
+    low = [np.linalg.matrix_rank(np.vstack([weights[z > 0.0], np.zeros(3)])) < 3
+           for z in rows[:, :20]]
+    assert want_failed.sum() == 102 and np.array_equal(want_failed, low)
     assert np.array_equal(np.isnan(rows[:, 20:]).any(axis=1), want_failed)
     assert np.isnan(rows[want_failed, 20:]).all()
     assert np.max(np.abs(rows[~want_failed, 20:23] - want[~want_failed])) <= 1e-12
@@ -429,8 +416,8 @@ def _certified_layer():
 
 
 # an input far outside the ball of `_certified_layer` whose output has no
-# verified preimage: its positive pattern {2, 9} does not span, and no facet
-# candidate reproduces the output
+# unique preimage: its positive pattern {2, 9} does not span, and the input
+# lies inside its preimage set, not at a vertex
 LOST = [4.930248079440492, -11.42922479877076, 58.199457666239105]
 
 
@@ -445,7 +432,8 @@ def test_reconstruct_refusal_writes_no_file(capsys, tmp_path):
         code, _, err = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x,
                            "--out", str(out))
     assert code == 5
-    assert json.loads(err)["error"] == "ReconstructionFailed"
+    assert json.loads(err) == {"error": "ReconstructionFailed", "exit_code": 5,
+                               "message": "output has no unique verified preimage"}
     assert not out.exists()
     with pytest.warns(UserWarning, match="outside the declared ball"):
         code, _, err = run(capsys, "reconstruct", w, "--bias", b, "--inputs", x,

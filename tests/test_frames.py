@@ -213,7 +213,7 @@ def test_certified_block_pattern_stage_needs_no_eigensolver(monkeypatch):
         return eigvalsh(ops)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    _, failed = rc.reconstruct_batch(poly, layer, z)
+    _, failed = rc.reconstruct_batch(layer, z)
     assert not failed.any()
     assert sum(rows) == 0, rows
 

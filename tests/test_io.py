@@ -156,7 +156,7 @@ def _reconstruct_block(n: int, m: int, rows: int = 256) -> np.ndarray:
     layer = rc.ReLULayer(frame, bias, 1.0)
     x = oracles.sample_ball(np.random.default_rng(6), n, rows, 0.9)
     z = rc.forward(layer, x)
-    xhat, failed = rc.reconstruct_batch(poly, layer, z)
+    xhat, failed = rc.reconstruct_batch(layer, z)
     assert not failed.any()
     return np.hstack([z, xhat, np.max(np.abs(xhat - x), axis=1)[:, None]])
 
@@ -529,6 +529,30 @@ def test_report_refuses_parts_of_another_analysis():
         build(ball, pos)
     with pytest.raises(FrameMismatch, match="'ball\\+' estimate takes a non-negative"):
         build(positive, None)
+
+
+def test_report_refuses_a_stability_report_of_another_radius():
+    # a radius-1 report would otherwise print the image radius of the
+    # radius-5 ball; the radius-1 bounds, or a radius within 1e-12 times
+    # the radius, are taken
+    from relucert.errors import FrameMismatch
+
+    frame, _, _ = rc.normalize(rc.random_sphere(3, 20, 3))
+    poly = rc.build_polytope(frame)
+    est = rc.pbe_ball(frame, poly, 1.0)
+
+    def build(radius):
+        return rc.build_report(
+            command="pbe", norms=np.ones(frame.m), rescaled_bias=None, poly=poly,
+            positive_report=None, estimate=est,
+            stability_report=rc.stability(frame, poly, radius), certificate=None)
+
+    assert rc.stability(frame, poly, 5.0).radius == 5.0
+    with pytest.raises(FrameMismatch, match="stability report was computed for a different radius"):
+        build(5.0)
+    for radius in (1.0, 1.0 + 1e-13):
+        doc = Report.from_text(build(radius).to_text()).document
+        assert doc["stability"]["image_radius"] == rc.stability(frame, poly, radius).image_radius
 
 
 def test_report_unconstrained_sentinel(ico):

@@ -164,31 +164,6 @@ def test_facet_dual_rejects_origin_facet():
         oracles.facet_dual(frame, poly.vertices[0])
 
 
-def test_reconstruct_batch_singular_facet_in_a_round(monkeypatch):
-    # facet 0 of this hull, the edge from element 0 to element 1, passes
-    # through the origin: its sub-frame operator has an exact zero
-    # eigenvalue. The all-zero row overlaps no facet and takes it in its
-    # first ranked round; the stacked solve must not raise, and the rows
-    # settle or fail as in the row-wise oracle.
-    calls = _recording_rounds(monkeypatch)
-    frame, _, _ = rc.normalize(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
-    poly = rc.build_polytope(frame)
-    assert poly.vertices[0] == (0, 1)
-    sub = frame.elements[list(poly.vertices[0])]
-    assert np.linalg.eigvalsh(sub.T @ sub)[0] == 0.0
-    layer = rc.ReLULayer(frame, np.full(3, -0.5))
-    rng = np.random.default_rng(82)
-    zs = np.vstack([rc.forward(layer, oracles.sample_ball(rng, 2, 200)),
-                    np.zeros((1, 3)), np.abs(rng.standard_normal((10, 3)))])
-    got, failed = rc.reconstruct_batch(poly, layer, zs)
-    want, want_failed = oracles.reconstruct_rows(poly, layer, zs)
-    assert np.array_equal(failed, want_failed)
-    assert np.isnan(got[failed]).all()
-    assert np.max(np.abs(got[~failed] - want[~failed])) <= 1e-12
-    assert failed.any() and not failed.all()
-    assert calls and (calls[0][:, 0] == 0).any()
-
-
 def test_facet_dual_decomposition_identity(mb, tet, ico):
     rng = np.random.default_rng(72)
     for setup in (mb, tet, ico):
@@ -200,40 +175,10 @@ def test_facet_dual_decomposition_identity(mb, tet, ico):
                 assert np.max(np.abs(dual @ coeff - x)) <= 1e-10
 
 
-def test_reconstruct_skips_unapplied_rank_deficient_facet(monkeypatch):
-    # facet 0, the edge between elements 0 and 1, passes 1e-5 from the
-    # origin and has no canonical dual; rows that never apply it invert
-    angle = np.pi - 2e-5
-    frame, _, _ = rc.normalize(np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)],
-                                         [0.0, -1.0]]))
-    poly = rc.build_polytope(frame)
-    assert poly.vertices[0] == (0, 1)
-    layer = rc.ReLULayer(frame, np.array([0.5, 0.5, -0.5]))
-    xs = np.array([[0.8, -0.3], [-0.7, -0.2], [0.6, 0.1]])
-    got, failed = rc.reconstruct_batch(poly, layer, rc.forward(layer, xs))
-    assert not failed.any() and np.max(np.abs(got - xs)) <= 1e-10
-    # a row whose turn reaches facet 0 takes it as a candidate that does not
-    # verify: the zero output inverts through facet 1 to another preimage,
-    # and an output without one fails
-    x = rc.reconstruct(poly, layer, np.zeros(3))
-    assert np.array_equal(rc.forward(layer, x), np.zeros(3))
-    with pytest.raises(ReconstructionFailed):
-        rc.reconstruct(poly, layer, np.ones(3))
-    # the all-positive row spans and fails at once; the zero row picks
-    # facet 0 in its first ranked round
-    calls = _recording_rounds(monkeypatch)
-    got, failed = rc.reconstruct_batch(poly, layer, np.vstack([np.ones(3), np.zeros(3)]))
-    assert failed.tolist() == [True, False]
-    assert calls[0].tolist() == [[0]]
-    assert np.isnan(got[0]).all() and np.array_equal(got[1], x)
-    with pytest.raises(NotAFrame):
-        oracles.facet_dual(frame, poly.vertices[0])
-
-
 def test_reconstruct_example(mb):
     z = rc.forward(mb.layer, [0.0, 0.5])
     assert np.allclose(z, [1.0, 0.25, 0.25])
-    xhat = rc.reconstruct(mb.poly, mb.layer, z)
+    xhat = rc.reconstruct(mb.layer, z)
     assert np.max(np.abs(xhat - [0.0, 0.5])) <= 1e-10
 
 
@@ -241,35 +186,36 @@ def test_reconstruct_tetrahedron_roundtrip(tet):
     rng = np.random.default_rng(73)
     xs = oracles.sample_ball(rng, 3, 100)
     for x in xs:
-        xhat = rc.reconstruct(tet.poly, tet.layer, rc.forward(tet.layer, x))
+        xhat = rc.reconstruct(tet.layer, rc.forward(tet.layer, x))
         assert np.max(np.abs(xhat - x)) <= 1e-8
 
 
 def test_reconstruct_zero_output_has_no_preimage(mb):
     # with bias -r every coefficient of a ball point clears the threshold
-    # somewhere, so the all-zero output cannot come from the ball; the
-    # verification gate must refuse every facet candidate
+    # somewhere, so the all-zero output cannot come from the ball; its
+    # preimage set is empty, and the least-distance program finds no point
     layer = rc.ReLULayer(mb.frame, np.full(3, -1.0), 1.0)
-    with pytest.raises(ReconstructionFailed):
-        rc.reconstruct(mb.poly, layer, np.zeros(3))
+    with pytest.raises(ReconstructionFailed, match="output has no unique verified preimage"):
+        rc.reconstruct(layer, np.zeros(3))
+    assert oracles.preimage_vertices(layer, np.zeros(3)) == []
     zs = np.vstack([np.zeros(3), rc.forward(layer, [0.0, 0.5])])
-    xs, failed = rc.reconstruct_batch(mb.poly, layer, zs)
+    xs, failed = rc.reconstruct_batch(layer, zs)
     assert failed.tolist() == [True, False]
     assert np.isnan(xs[0]).all() and np.max(np.abs(xs[1] - [0.0, 0.5])) <= 1e-10
 
 
 def test_reconstruct_mismatches(mb, tet):
-    with pytest.raises(FrameMismatch):
-        rc.reconstruct(mb.poly, tet.layer, np.zeros(4))
-    with pytest.raises(FrameMismatch):
-        rc.reconstruct_batch(mb.poly, tet.layer, np.zeros((2, 4)))
     positive_layer = rc.ReLULayer(mb.frame, mb.layer.bias, 1.0, rc.DOMAIN_BALL_POSITIVE)
     with pytest.raises(ValueError):
-        rc.reconstruct(mb.poly, positive_layer, np.zeros(3))
+        rc.reconstruct(positive_layer, np.zeros(3))
+    with pytest.raises(ValueError):
+        rc.reconstruct_batch(positive_layer, np.zeros((1, 3)))
     with pytest.raises(DimensionMismatch):
-        rc.reconstruct_batch(mb.poly, mb.layer, np.zeros((2, 4)))
+        rc.reconstruct(tet.layer, np.zeros(3))
     with pytest.raises(DimensionMismatch):
-        rc.reconstruct(mb.poly, mb.layer, np.zeros((1, 3)))
+        rc.reconstruct_batch(mb.layer, np.zeros((2, 4)))
+    with pytest.raises(DimensionMismatch):
+        rc.reconstruct(mb.layer, np.zeros((1, 3)))
 
 
 def _boundary_outputs(setup, xs):
@@ -280,191 +226,180 @@ def _boundary_outputs(setup, xs):
     return np.where(np.abs(coeff) <= 1e-12, 0.0, np.maximum(coeff, 0.0))
 
 
-def _has_inside_facet(poly, zs):
-    inside = (zs[:, None, :] > 0.0) | ~poly.incidence[None, :, :]
-    return inside.all(axis=2).any(axis=1)
+def _pattern_spans(layer, zs):
+    return spanning(rc.layer._frame_operators(layer.frame.elements, zs > 0.0))
+
+
+def _recording_preimage_rows(monkeypatch):
+    """Record the rows (R, m) that each call of the preimage stage gets."""
+    calls = []
+    preimage_points = rc.layer._preimage_points
+
+    def recording(layer, zs):
+        calls.append(zs.copy())
+        return preimage_points(layer, zs)
+
+    monkeypatch.setattr(rc.layer, "_preimage_points", recording)
+    return calls
+
+
+def _vertex_inputs(setup, rng, count):
+    """Per facet of the first `count`, the input that puts a random number
+    (one to all) of its vertices' coefficients at their bias and lifts the
+    others by up to 0.1; those of norm below 0.99."""
+    elements, bias = setup.frame.elements, setup.layer.bias
+    xs = []
+    for idx in map(list, setup.poly.vertices[:count]):
+        lift = rng.uniform(0.0, 0.1, len(idx))
+        lift[:rng.integers(1, len(idx) + 1)] = 0.0
+        xs.append(np.linalg.lstsq(elements[idx], bias[idx] + lift, rcond=None)[0])
+    return np.array([x for x in xs if np.linalg.norm(x) < 0.99])
 
 
 def test_reconstruct_batch_matches_rowwise_oracle(mb, tet):
+    # certified layers at inputs with coefficients at the bias: random
+    # layers at `_vertex_inputs`, inside the ball, where many patterns do not
+    # span, each preimage set is the input alone and the row settles within
+    # 1e-12 of it; so do Mercedes-Benz at each element and the tetrahedron
+    # at each edge midpoint direction, on the sphere. In-ball, zero and
+    # mostly-outside rows follow the row-wise oracle, in blocks of every
+    # size.
     rng = np.random.default_rng(79)
-    # Mercedes-Benz at each element, tetrahedron at each edge midpoint
-    # direction: two coefficients sit exactly at the bias, so no facet lies
-    # inside the positive pattern and only a later round inverts them
     mids = [tet.frame.elements[i] + tet.frame.elements[j]
             for i in range(4) for j in range(i + 1, 4)]
     mids = np.array(mids) / np.linalg.norm(mids, axis=1)[:, None]
-    cases = [(mb, _boundary_outputs(mb, mb.frame.elements)),
-             (tet, _boundary_outputs(tet, mids))]
-    for setup, zs in cases:
-        assert not _has_inside_facet(setup.poly, zs).any()
+    cases = [(mb, mb.frame.elements), (tet, mids)]
     for n, m, seed in ((2, 7, 791), (2, 12, 751), (3, 18, 752), (4, 14, 753)):
-        cases.append((build_setup(random_omnidirectional(n, m, seed)), None))
-    for setup, boundary in cases:
+        setup = build_setup(random_omnidirectional(n, m, seed))
+        cases.append((setup, _vertex_inputs(setup, rng, 30)))
+    lost = 0  # boundary rows whose pattern does not span
+    for setup, inputs in cases:
         n, m = setup.frame.n, setup.frame.m
-        parts = [rc.forward(setup.layer, oracles.sample_ball(rng, n, 300)),
-                 np.zeros((1, m)),                      # outside the image
-                 np.abs(rng.standard_normal((20, m)))]  # mostly outside
-        if boundary is not None:
-            parts.insert(1, boundary)
-        zs = rng.permutation(np.vstack(parts))
-        want, want_failed = oracles.reconstruct_rows(setup.poly, setup.layer, zs)
-        blocks = [rc.reconstruct_batch(setup.poly, setup.layer, block)
-                  for block in np.split(zs, [1, 8, 263])]
+        boundary = _boundary_outputs(setup, inputs)
+        got, failed = rc.reconstruct_batch(setup.layer, boundary)
+        assert not failed.any() and np.max(np.abs(got - inputs)) <= 1e-12
+        lost += int((~_pattern_spans(setup.layer, boundary)).sum())
+        if n > 3:
+            continue
+        zs = rng.permutation(np.vstack([
+            rc.forward(setup.layer, oracles.sample_ball(rng, n, 100)),
+            np.zeros((1, m)),                     # outside the image
+            np.abs(rng.standard_normal((10, m))) * (rng.random((10, m)) < 0.5)]))
+        want, want_failed = oracles.reconstruct_rows(setup.layer, zs)
+        blocks = [rc.reconstruct_batch(setup.layer, block) for block in np.split(zs, [1, 8, 63])]
         got = np.vstack([xs for xs, _ in blocks])
         failed = np.concatenate([f for _, f in blocks])
         assert np.array_equal(failed, want_failed)
         assert np.isnan(got[failed]).all()
         assert np.max(np.abs(got[~failed] - want[~failed])) <= 1e-12
         assert failed.any() and not failed.all()
+    assert lost >= 15
 
 
-@pytest.mark.parametrize("cap", [None, 7])
-def test_reconstruct_batch_late_rounds_match_rowwise_oracle(monkeypatch, cap):
-    # an uncertified bias, and per facet an input with one facet vertex's
-    # coefficient exactly at its bias: that facet still inverts the output,
-    # but where another facet ranks above it the row settles in a later
-    # round, where each row tries its next 2, 4, 8, ... ranked facets at
-    # once; rows outside the image fail after every facet. With cap 7 a
-    # round holds at most 7 candidates (or one per row), so the widths stop
-    # doubling.
-    if cap is not None:
-        monkeypatch.setattr(rc.layer, "ROUND_CANDIDATES", cap)
-    rng = np.random.default_rng(81)
-    setup = build_setup(random_omnidirectional(3, 14, 811))
-    poly, elements = setup.poly, setup.frame.elements
-    layer = rc.ReLULayer(setup.frame, setup.layer.bias + 0.35)
-    boundary = []
-    for idx in map(list, poly.vertices):
-        lift = rng.uniform(0.05, 0.2, len(idx))
-        lift[0] = 0.0
-        x = np.linalg.lstsq(elements[idx], layer.bias[idx] + lift, rcond=None)[0]
-        coeff = elements @ x - layer.bias
-        boundary.append(np.where(np.arange(len(coeff)) == idx[0], 0.0, np.maximum(coeff, 0.0)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        inside = rc.forward(layer, oracles.sample_ball(rng, 3, 60))
-    zs = rng.permutation(np.vstack([inside, boundary, np.abs(rng.standard_normal((10, 14)))]))
-    want, want_failed = oracles.reconstruct_rows(poly, layer, zs)
-    got, failed = rc.reconstruct_batch(poly, layer, zs)
+def test_exact_boundary_rows_match_the_vertex_oracle():
+    # the cross-polytope {+-e_i} at bias 0 (certified: its alpha_B is 0)
+    # and dyadic inputs: every coefficient is exact, so the exact preimage
+    # set of each output is the preimage set the library decides. Inputs
+    # with zero coordinates sit on cone boundaries, and x = 0 gives the
+    # zero output, whose preimage set {0} is one point.
+    frame, _, _ = rc.normalize(np.vstack([np.eye(3), -np.eye(3)]))
+    layer = rc.ReLULayer(frame, np.zeros(6))
+    rng = np.random.default_rng(83)
+    xs = rng.integers(-4, 5, (200, 3)) / 8.0
+    xs = xs[np.linalg.norm(xs, axis=1) < 1.0]
+    zs = rc.forward(layer, xs)
+    want, want_failed = oracles.reconstruct_rows(layer, zs, xs)
+    got, failed = rc.reconstruct_batch(layer, zs)
+    assert not _pattern_spans(layer, zs).all() and not failed.any() and not want_failed.any()
+    assert np.array_equal(got, xs) and np.array_equal(want, xs)
+    # at bias 1/8 an input with a coordinate in [-1/8, 1/8] can move along
+    # it: the rows whose pattern does not span are ambiguous
+    lifted = rc.ReLULayer(frame, np.full(6, 0.125))
+    zs = rc.forward(lifted, xs)
+    want, want_failed = oracles.reconstruct_rows(lifted, zs, xs)
+    got, failed = rc.reconstruct_batch(lifted, zs)
     assert np.array_equal(failed, want_failed)
-    assert np.isnan(got[failed]).all()
-    assert np.max(np.abs(got[~failed] - want[~failed])) <= 1e-12
-    first = np.argmax(_facet_scores(poly, zs), axis=1)
-    late = [i for i in np.flatnonzero(~failed) if not _verifies(poly, layer, zs[i], first[i])]
-    assert failed.any() and late
+    assert np.array_equal(failed, ~_pattern_spans(lifted, zs)) and failed.any()
+    assert np.array_equal(got[~failed], xs[~failed])
 
 
-def test_reconstruct_round_solves_each_distinct_facet_once(monkeypatch):
-    # many rows share each facet: outputs outside the image with two
-    # positive entries, repeated 10 times, whose patterns do not span, so
-    # they try every facet over several ranked rounds. Each round hands
-    # `spanning` one Gram matrix per distinct facet it tries, in one call,
-    # not one per (row, facet) pair. The first `spanning` call is the
-    # pattern stage's, one per row.
-    setup = build_setup(random_omnidirectional(3, 14, 811))
-    rounds, grams = _recording_rounds(monkeypatch), []
-    spanning = rc.layer.spanning
-
-    def recording_spanning(ops):
-        grams.append(len(ops))
-        spans = spanning(ops)
-        assert spans.shape == (len(ops),)  # the mask alone, one entry per operator
-        return spans
-
-    monkeypatch.setattr(rc.layer, "spanning", recording_spanning)
-    rng = np.random.default_rng(84)
-    xs = np.repeat(oracles.sample_ball(rng, 3, 6), 40, axis=0)
-    outside = np.zeros((2, 14))
-    outside[[0, 0, 1, 1], [2, 9, 4, 11]] = rng.uniform(0.5, 1.5, 4)
-    zs = np.vstack([rc.forward(setup.layer, xs), np.repeat(outside, 10, axis=0)])
-    got, failed = rc.reconstruct_batch(setup.poly, setup.layer, zs)
-    assert np.array_equal(failed, np.arange(len(zs)) >= len(xs))
-    assert np.max(np.abs(got[:len(xs)] - xs)) <= 1e-12
-    assert len(rounds) > 1
-    assert grams == [len(zs)] + [np.unique(picks).size for picks in rounds]
-    assert rounds[0].size == 20 and grams[1] <= 2
-
-
-@pytest.mark.parametrize("points", [oracles.cube(3), oracles.cube(4), oracles.cell24(),
-                                    oracles.ternary(4, 30, 0)],
-                         ids=["cube3", "cube4", "cell24", "ternary"])
-def test_ranked_rounds_on_merged_facets_match_rowwise_oracle(monkeypatch, points):
-    # facets of more than n vertices: every facet of a cube and of the
-    # 24-cell, some of the ternary frame's. At the certified bias and at
-    # that bias + 0.3, in-ball rows, rows at 0.7 x_i, a zero row and random
-    # positive rows run the rounds on them and give the row-wise oracle's
-    # outcome
-    calls = _recording_rounds(monkeypatch)
-    setup = build_setup(points)
-    poly, n, m = setup.poly, setup.frame.n, setup.frame.m
-    sizes = poly.incidence.sum(axis=1)
-    assert sizes.max() > n
-    rng = np.random.default_rng(88)
-    for lift in (0.0, 0.3):
-        layer = rc.ReLULayer(setup.frame, setup.layer.bias + lift)
-        xs = np.vstack([oracles.sample_ball(rng, n, 120), 0.7 * setup.frame.elements])
-        zs = np.vstack([rc.forward(layer, xs), np.zeros((1, m)),
-                        rng.uniform(0.0, 1.0, (10, m))])
-        got, failed = rc.reconstruct_batch(poly, layer, zs)
-        want, want_failed = oracles.reconstruct_rows(poly, layer, zs)
-        assert np.array_equal(failed, want_failed)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(["random", "near-duplicate", "coplanar", "cross-polytope"]),
+       st.integers(2, 3), st.integers(0, 2 ** 31 - 1))
+def test_reconstruct_batch_matches_vertex_oracle_on_fuzz_frames(kind, n, seed):
+    # certified and forced (alpha_scaled + 0.2) layers of fuzz frames with
+    # n <= 3: in-ball rows, a zero row and sparse positive rows. No row the
+    # library fails has one exact preimage, and every row the oracle calls
+    # ambiguous comes with two distinct preimages, in the ball for the
+    # in-ball rows. A row the library settles has every exact vertex within
+    # 1e-9 of its x: one, or none where the data sit within rounding of a
+    # boundary (a cross-polytope jittered by 1e-12 at bias -1e-12 has an
+    # empty exact preimage of zero, and x = 0 verifies within VERIFY_TOL)
+    rng = np.random.default_rng(seed)
+    frame, _, _ = rc.normalize(oracles.fuzz_frame(kind, n, rng))
+    try:
+        poly = rc.build_polytope(frame)
+        alpha = rc.pbe_ball(frame, poly, 1.0).alpha_scaled
+    except (ValueError, rc.RelucertError):
+        return
+    xs = oracles.sample_ball(rng, n, 40)
+    sparse = np.abs(rng.standard_normal((4, frame.m))) * (rng.random((4, frame.m)) < 1.5 / frame.m)
+    for lift in (0.0, 0.2):
+        layer = rc.ReLULayer(frame, alpha + lift)
+        zs = np.vstack([rc.forward(layer, xs), np.zeros((1, frame.m)), sparse])
+        inputs = np.vstack([xs, np.full((5, n), np.nan)])
+        want, want_failed = oracles.reconstruct_rows(layer, zs, inputs)
+        got, failed = rc.reconstruct_batch(layer, zs)
+        assert want_failed[failed].all()
         assert np.isnan(got[failed]).all()
-        assert np.max(np.abs(got[~failed] - want[~failed])) <= 1e-12
-    assert any((sizes[picks] > n).any() for picks in calls)
+        assert np.max(np.abs(got[~want_failed] - want[~want_failed]), initial=0.0) <= 1e-9
+        for i in np.flatnonzero(want_failed & ~failed):
+            vertices = np.array(oracles.preimage_vertices(layer, zs[i]), dtype=float).reshape(-1, n)
+            assert np.max(np.abs(vertices - got[i]), initial=0.0) <= 1e-9
 
 
-def _recording_rounds(monkeypatch):
-    """Record the facets (rows, k) that each ranked round tries."""
-    calls = []
-    try_facets = rc.layer._try_facets
-
-    def recording(poly, layer, zs, picks):
-        calls.append(picks.copy())
-        return try_facets(poly, layer, zs, picks)
-
-    monkeypatch.setattr(rc.layer, "_try_facets", recording)
-    return calls
-
-
-def test_certified_in_ball_rows_skip_the_ranked_rounds(monkeypatch, mb, tet, ico):
+def test_certified_in_ball_rows_settle_in_the_pattern_stage(monkeypatch, mb, tet, ico):
     # every in-ball row of a certified layer has a spanning positive pattern
     # whose solve verifies: the pattern solve settles it, and it is at
-    # least as close to its input as the row-wise oracle's
-    calls = _recording_rounds(monkeypatch)
+    # least as close to its input as the row-wise oracle's facet dual
+    calls = _recording_preimage_rows(monkeypatch)
     rng = np.random.default_rng(85)
     setups = [mb, tet, ico] + [build_setup(random_omnidirectional(n, m, seed))
                                for n, m, seed in ((2, 12, 751), (3, 18, 752), (4, 14, 753))]
     for setup in setups:
         xs = oracles.sample_ball(rng, setup.frame.n, 300)
         zs = rc.forward(setup.layer, xs)
-        got, failed = rc.reconstruct_batch(setup.poly, setup.layer, zs)
-        want, _ = oracles.reconstruct_rows(setup.poly, setup.layer, zs)
+        got, failed = rc.reconstruct_batch(setup.layer, zs)
+        want, _ = oracles.reconstruct_rows(setup.layer, zs)
         assert not failed.any()
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.max(np.abs(got - xs)) <= max(np.max(np.abs(want - xs)), 1e-15)
     assert calls == []
 
 
-def test_boundary_equality_pattern_inverts_through_the_rounds(monkeypatch, mb):
+def test_boundary_equality_pattern_settles_by_its_preimage_set(monkeypatch, mb):
     # x = (0, 1) puts two Mercedes-Benz coefficients exactly at the bias:
-    # the positive pattern {0} does not span, so a ranked round inverts it
-    calls = _recording_rounds(monkeypatch)
+    # the positive pattern {0} does not span, its null line meets the two
+    # boundary constraints from both sides, and the preimage stage settles
+    # the row at x
+    calls = _recording_preimage_rows(monkeypatch)
     z = rc.forward(mb.layer, [0.0, 1.0])
     assert np.flatnonzero(z > 0.0).tolist() == [0]
-    got, failed = rc.reconstruct_batch(mb.poly, mb.layer, z[None, :])
+    got, failed = rc.reconstruct_batch(mb.layer, z[None, :])
     assert not failed[0] and np.max(np.abs(got[0] - [0.0, 1.0])) <= 1e-12
-    assert [picks.shape[0] for picks in calls] == [1]
+    assert [rows.shape[0] for rows in calls] == [1]
 
 
 def test_spanning_pattern_without_preimage_fails_at_once(monkeypatch, tet):
     # every entry positive: the pattern spans, its solve does not reproduce
-    # the output, so no input does, and the row fails without a ranked round
-    calls = _recording_rounds(monkeypatch)
+    # the output, so no input does, and the row fails without the preimage
+    # stage
+    calls = _recording_preimage_rows(monkeypatch)
     rng = np.random.default_rng(86)
     for setup in (tet, build_setup(random_omnidirectional(3, 18, 752))):
         zs = rng.uniform(0.1, 2.0, (30, setup.frame.m))
-        got, failed = rc.reconstruct_batch(setup.poly, setup.layer, zs)
-        _, want_failed = oracles.reconstruct_rows(setup.poly, setup.layer, zs)
+        got, failed = rc.reconstruct_batch(setup.layer, zs)
+        _, want_failed = oracles.reconstruct_rows(setup.layer, zs)
         assert failed.all() and np.array_equal(failed, want_failed)
         assert np.isnan(got).all()
     assert calls == []
@@ -472,9 +407,9 @@ def test_spanning_pattern_without_preimage_fails_at_once(monkeypatch, tet):
 
 def test_zero_output_rows_never_abort_a_batch(mb, tet):
     # an all-zero row has an empty pattern, whose frame operator is zero;
-    # it goes to the ranked rounds, alone or among other rows, and fails
-    # or settles as in the row-wise oracle (x = 0 is a preimage under a
-    # positive bias)
+    # it goes to the preimage stage, alone or among other rows, and fails
+    # as in the row-wise oracle: at the certified bias its preimage set is
+    # empty, and under a positive bias it holds a ball around x = 0
     rng = np.random.default_rng(87)
     for setup in (mb, tet):
         m = setup.frame.m
@@ -482,16 +417,16 @@ def test_zero_output_rows_never_abort_a_batch(mb, tet):
             layer = rc.ReLULayer(setup.frame, bias)
             mixed = rc.forward(layer, oracles.sample_ball(rng, setup.frame.n, 20))
             for zs in (np.zeros((3, m)), np.vstack([mixed[:10], np.zeros((2, m)), mixed[10:]])):
-                got, failed = rc.reconstruct_batch(setup.poly, layer, zs)
-                want, want_failed = oracles.reconstruct_rows(setup.poly, layer, zs)
+                got, failed = rc.reconstruct_batch(layer, zs)
+                want, want_failed = oracles.reconstruct_rows(layer, zs)
                 assert np.array_equal(failed, want_failed)
                 assert np.isnan(got[failed]).all()
                 assert np.max(np.abs(got[~failed] - want[~failed]), initial=0.0) <= 1e-12
-            assert rc.reconstruct_batch(setup.poly, layer, np.zeros((1, m)))[1][0] == (bias[0] < 0)
+            assert rc.reconstruct_batch(layer, np.zeros((1, m)))[1][0]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.integers(2, 4), st.integers(0, 8), st.integers(0, 2 ** 31 - 1))
+@given(st.integers(2, 3), st.integers(0, 8), st.integers(0, 2 ** 31 - 1))
 def test_reconstruct_batch_matches_rowwise_oracle_on_random_layers(n, extra, seed):
     # certified random layers: in-ball outputs, an all-zero row and outputs
     # mostly outside the image, against the row-wise oracle. An in-ball row
@@ -504,8 +439,8 @@ def test_reconstruct_batch_matches_rowwise_oracle_on_random_layers(n, extra, see
     xs = oracles.sample_ball(rng, n, 40)
     zs = np.vstack([rc.forward(setup.layer, xs), np.zeros((1, m)),
                     np.abs(rng.standard_normal((5, m))) * (rng.random((5, m)) < 0.5)])
-    got, failed = rc.reconstruct_batch(setup.poly, setup.layer, zs)
-    want, want_failed = oracles.reconstruct_rows(setup.poly, setup.layer, zs)
+    got, failed = rc.reconstruct_batch(setup.layer, zs)
+    want, want_failed = oracles.reconstruct_rows(setup.layer, zs)
     assert np.array_equal(failed, want_failed)
     assert not failed[:40].any() and np.isnan(got[failed]).all()
     near = np.max(np.abs(got - want), axis=1) <= 1e-12
@@ -513,48 +448,34 @@ def test_reconstruct_batch_matches_rowwise_oracle_on_random_layers(n, extra, see
     assert (near[:40] | closer).all() and (near[40:] | failed[40:]).all()
 
 
-@pytest.mark.parametrize("n, m, seed, lift, lost", [(5, 60, 1, 0.45, 1), (4, 60, 1, 0.3, 1),
-                                                    (6, 100, 7, 0.6, 7), (6, 200, 7, 0.6, 16)])
-def test_forced_layers_settle_every_verified_spanning_pattern(n, m, seed, lift, lost):
+@pytest.mark.parametrize("n, m, seed, lift, lost", [(5, 60, 1, 0.45, 3), (4, 60, 1, 0.3, 9),
+                                                    (6, 100, 7, 0.6, 20), (6, 200, 7, 0.6, 66)])
+def test_forced_layers_fail_every_row_whose_pattern_does_not_span(n, m, seed, lift, lost):
     # uncertified layers (alpha_scaled + lift), 256 ball inputs: every row
     # whose positive pattern spans settles within VERIFY_TOL of its input,
-    # the only preimage in R^n (the oracle's facet_dual solve may differ by
-    # up to 5.8e-11 on an ill-conditioned pattern at (6, 100)); the `lost`
-    # failed rows, as in the row-wise oracle, all have patterns that do not
-    # span, and the other such rows settle through the same facet as there
+    # the only preimage in R^n. Every other row fails: its input lies
+    # strictly inside its preimage set, so a step along the pattern's null
+    # space that stays inside the ball and short of every other constraint
+    # gives a second preimage
     frame, _, _ = rc.normalize(rc.random_sphere(n, m, seed))
-    poly = rc.build_polytope(frame)
-    layer = rc.ReLULayer(frame, rc.pbe_ball(frame, poly, 1.0).alpha_scaled + lift)
+    layer = rc.ReLULayer(frame, rc.pbe_ball(frame, rc.build_polytope(frame), 1.0).alpha_scaled
+                         + lift)
     xs = oracles.sample_ball(np.random.default_rng(0), n, 256)
     zs = rc.forward(layer, xs)
-    got, failed = rc.reconstruct_batch(poly, layer, zs)
-    want, want_failed = oracles.reconstruct_rows(poly, layer, zs)
-    assert failed.sum() == lost and np.array_equal(failed, want_failed)
+    got, failed = rc.reconstruct_batch(layer, zs)
+    assert failed.sum() == lost and np.array_equal(failed, ~_pattern_spans(layer, zs))
     assert np.isnan(got[failed]).all()
-    spans = spanning(rc.layer._frame_operators(frame.elements, zs > 0.0))
-    assert not (spans & failed).any()
-    assert np.max(np.abs(got[spans] - xs[spans])) <= VERIFY_TOL
-    rounds = ~spans & ~failed
-    assert np.max(np.abs(got[rounds] - want[rounds]), initial=0.0) <= 1e-12
-
-
-def _facet_scores(poly, zs):
-    """The first-round ranking of `reconstruct_batch`: overlap of each
-    row's positive pattern with each facet, facets inside it first."""
-    incidence = poly.incidence.astype(float)
-    score = (zs > 0.0).astype(float) @ incidence.T
-    return score + (zs.shape[1] + 1.0) * (score == incidence.sum(axis=1))
-
-
-def _verifies(poly, layer, z, j):
-    idx = list(poly.vertices[j])
-    try:
-        x = oracles.facet_dual(poly.frame, idx) @ (z[idx] + layer.bias[idx])
-    except NotAFrame:
-        return False
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return np.max(np.abs(rc.forward(layer, x) - z)) <= 1e-8
+    assert np.max(np.abs(got[~failed] - xs[~failed])) <= VERIFY_TOL
+    for x, z in zip(xs[failed], zs[failed]):
+        pattern = frame.elements[z > 0.0]
+        direction = np.linalg.svd(np.vstack([pattern, np.zeros((1, n))]))[2][-1]
+        slack = layer.bias[z == 0.0] - frame.elements[z == 0.0] @ x
+        assert slack.min() > 0.0
+        step = 0.5 * min(np.min(slack / np.abs(frame.elements[z == 0.0] @ direction)),
+                         1.0 - np.linalg.norm(x))
+        other = x + step * direction
+        assert step > 1e-6 and np.linalg.norm(other) < 1.0
+        assert np.max(np.abs(rc.forward(layer, other) - z)) <= 1e-12
 
 
 def test_covering_facet_candidate_always_verifies(mb, tet, ico):
@@ -581,7 +502,7 @@ def test_roundtrip_random_layers():
         xs = oracles.sample_ball(rng, n, 200)
         worst = 0.0
         for x in xs:
-            xhat = rc.reconstruct(setup.poly, setup.layer, rc.forward(setup.layer, x))
+            xhat = rc.reconstruct(setup.layer, rc.forward(setup.layer, x))
             worst = max(worst, float(np.max(np.abs(xhat - x))))
         assert worst <= 1e-8
 

@@ -130,6 +130,32 @@ def test_capped_cone_matches_scipy_nnls():
         assert steps <= 3 * cols.shape[1]
 
 
+def test_capped_cone_with_dependent_generators_does_not_raise(monkeypatch):
+    # the least-distance program of the zero output of a cross-polytope of
+    # R^2 jittered by 1e-12, at its certified bias (also about -1e-12): four
+    # generators in R^3, each three of them dependent up to 1e-12. A
+    # passive block turns singular in the stacked solve, which once raised
+    # LinAlgError for the whole stack; the stack now takes least-squares
+    # solutions and ends within the solver's dual tolerance, at a feasible
+    # point (the geometry lives at 1e-12, below what that tolerance sees)
+    fallbacks = []
+    pinv = np.linalg.pinv
+
+    def recording(*args, **kwargs):
+        fallbacks.append(args[0].shape)
+        return pinv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", recording)
+    elements = np.array([[1.0, 6.148519238107574e-13], [1.5803256479864993e-12, 1.0],
+                         [-1.0, -1.612257141499005e-12], [-8.006416556280629e-13, -1.0]])
+    bias = np.array([-1.4154935794388203e-12, -3.192582789485504e-12,
+                     -3.192582789485504e-12, -1.4154935794388203e-12])
+    cols = -np.hstack([elements, bias[:, None]]).T
+    value, argmin, residual, _ = capped_cone(cols, -cols.T @ [0.0, 0.0, 1.0])
+    assert fallbacks and residual <= 1e-9 and -1.0 < value <= 0.0
+    assert np.min(argmin) >= 0.0 and np.linalg.norm(cols @ argmin) <= 1.0 + 1e-12
+
+
 def _polytope_programs(points):
     """Every (facet, element on it) cone program of the frame's polytope,
     posed from the frame's Gram matrix and grouped by facet size k:
