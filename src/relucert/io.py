@@ -3,7 +3,9 @@
 Matrix files are plain CSV: one row per line, comma-separated decimal
 fields, no header. A trace file concatenates epoch blocks, each being one
 line `epoch <k>`, then the m weight rows as CSV, then one bias row prefixed
-`bias,`.
+`bias,`. Both parse with `parse_matrix`, so in a trace as in a matrix file
+a bad field or a row of the wrong width is named by its file line, blank
+lines counted.
 """
 
 from __future__ import annotations
@@ -35,11 +37,12 @@ def _parse_row(line: str, path: str, lineno: int) -> list[float]:
         raise ParseError(f"{path}:{lineno}: bad numeric field: {exc}") from exc
 
 
-def parse_matrix(lines: Iterable[str], path: str = "<memory>") -> np.ndarray:
+def parse_matrix(lines: Iterable[str], path: str = "<memory>", *, first_line: int = 1) -> np.ndarray:
     """The matrix of CSV `lines`, blank lines skipped. Every line's comma
     count is checked against the first's, and all fields go to one
     `np.array(fields, dtype=float)`, which parses each `str` as `float()`
-    does. On a mismatch, the first bad line in file order is named."""
+    does. On a mismatch, the first bad line in file order is named, with
+    `lines[0]` as line `first_line` of the file."""
     lines = list(lines)
     rows = [line for line in lines if line.strip()]
     if not rows:
@@ -50,18 +53,18 @@ def parse_matrix(lines: Iterable[str], path: str = "<memory>") -> np.ndarray:
             raise ValueError("ragged rows")
         a = np.array(",".join(rows).split(","), dtype=float).reshape(len(rows), commas + 1)
     except ValueError:
-        _check_rows(lines, path)  # raises the first line's ParseError
+        _check_rows(lines, path, first_line)  # raises the first line's ParseError
         raise
     if not np.isfinite(a).all():
         raise ParseError(f"{path}: non-finite entries")
     return a
 
 
-def _check_rows(lines: list[str], path: str) -> None:
+def _check_rows(lines: list[str], path: str, first_line: int) -> None:
     """Parse `lines` one by one and raise the ParseError of the first line
     with a bad field or a width other than the first row's."""
     width = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=first_line):
         if not line.strip():
             continue
         row = _parse_row(line, path, lineno)
@@ -361,44 +364,40 @@ def _format_rows(a: np.ndarray, follows: bool) -> bytearray:
 
 
 def read_trace(path: str) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Epoch blocks (epoch number, weight matrix, bias vector), shape-checked."""
+    """Epoch blocks (epoch number, weight matrix, bias vector), shape-checked.
+    Each block's weight lines and its bias row go through `parse_matrix`."""
     text = _read_lines(path)
-    linenos = [k for k, ln in enumerate(text, 1) if ln.strip()]  # as numbered in the file
-    lines = [text[k - 1] for k in linenos]
     epochs: list[tuple[int, np.ndarray, np.ndarray]] = []
     i = 0
-    shape = None
-    while i < len(lines):
-        head = lines[i].split()
+    while i < len(text):
+        if not text[i].strip():
+            i += 1
+            continue
+        head = text[i].split()
         if len(head) != 2 or head[0] != "epoch":
-            raise ParseError(f"{path}: expected 'epoch <k>' at line {linenos[i]}")
+            raise ParseError(f"{path}: expected 'epoch <k>' at line {i + 1}")
         try:
             epoch = int(head[1])
         except ValueError as exc:
-            raise ParseError(f"{path}: bad epoch number at line {linenos[i]}") from exc
-        i += 1
-        rows = []
-        while i < len(lines) and not lines[i].startswith("bias,") and not lines[i].startswith("epoch "):
-            rows.append(_parse_row(lines[i], path, linenos[i]))
+            raise ParseError(f"{path}: bad epoch number at line {i + 1}") from exc
+        start = i = i + 1
+        while i < len(text) and not text[i].startswith(("bias,", "epoch ")):
             i += 1
-        if i >= len(lines) or not lines[i].startswith("bias,"):
+        if i == len(text) or not text[i].startswith("bias,"):
             raise ParseError(f"{path}: epoch {epoch} has no bias row")
-        bias = _parse_row(lines[i][len("bias,"):], path, linenos[i])
-        i += 1
-        if not rows:
+        if not any(line.strip() for line in text[start:i]):
             raise ParseError(f"{path}: epoch {epoch} has no weight rows")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ParseError(f"{path}: epoch {epoch} weight rows are ragged")
-        weights = np.array(rows, dtype=float)
+        bias_row = text[i][len("bias,"):]
+        if not bias_row.strip():
+            raise ParseError(f"{path}:{i + 1}: epoch {epoch} has an empty bias row")
+        weights = parse_matrix(text[start:i], path, first_line=start + 1)
+        bias = parse_matrix([bias_row], path, first_line=i + 1)[0]
+        i += 1
         if len(bias) != weights.shape[0]:
             raise ParseError(f"{path}: epoch {epoch} bias length {len(bias)} != m={weights.shape[0]}")
-        if shape is None:
-            shape = weights.shape
-        elif weights.shape != shape:
-            raise ParseError(f"{path}: epoch {epoch} shape {weights.shape} != {shape}")
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-            raise ParseError(f"{path}: epoch {epoch} has non-finite entries")
-        epochs.append((epoch, weights, np.array(bias, dtype=float)))
+        if epochs and weights.shape != epochs[0][1].shape:
+            raise ParseError(f"{path}: epoch {epoch} shape {weights.shape} != {epochs[0][1].shape}")
+        epochs.append((epoch, weights, bias))
     if not epochs:
         raise ParseError(f"{path}: empty trace")
     return epochs

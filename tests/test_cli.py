@@ -728,7 +728,8 @@ def test_monitor_ragged_trace_is_a_parse_error(capsys, tmp_path):
     code, out, err = run(capsys, "monitor", str(trace))
     assert code == 2 and out == ""
     doc = json.loads(err)
-    assert doc["error"] == "ParseError" and "ragged" in doc["message"]
+    assert doc["error"] == "ParseError"
+    assert doc["message"] == f"{trace}:3: expected 2 fields, got 3"
 
 
 def test_monitor_all_epochs_fail(capsys, tmp_path):

@@ -250,6 +250,56 @@ def test_trace_errors_name_the_file_line(tmp_path):
             fio.read_trace(str(path))
 
 
+TRACE_FLOATS = st.one_of(
+    st.floats(-1e3, 1e3), st.just(-0.0),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.floats(1e299, 1e301), st.floats(-1e301, -1e299))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_read_trace_matches_format_trace_and_names_bad_lines(tmp_path_factory, data):
+    # 1-4 epochs of one shape with blank lines put in: the same epochs back,
+    # byte for byte; a bad field or a short weight row is named by its
+    # line as the file numbers it
+    m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    epochs = [(data.draw(st.integers(-5, 1000)),
+               data.draw(hnp.arrays(np.float64, (m, n), elements=TRACE_FLOATS)),
+               data.draw(hnp.arrays(np.float64, m, elements=TRACE_FLOATS)))
+              for _ in range(data.draw(st.integers(1, 4)))]
+    lines = fio.format_trace(epochs).splitlines()
+    for at, blank in data.draw(st.lists(st.tuples(st.integers(0, len(lines)),
+                                                  st.sampled_from(["", "  ", "\t"])), max_size=6)):
+        lines.insert(at, blank)
+    path = tmp_path_factory.getbasetemp() / "trace.txt"
+
+    def read(lines):
+        path.write_text("\n".join(lines) + "\n")
+        return fio.read_trace(str(path))
+
+    parsed = read(lines)
+    assert len(parsed) == len(epochs)
+    for (k0, w0, b0), (k1, w1, b1) in zip(epochs, parsed):
+        assert k0 == k1 and w1.shape == (m, n) and b1.shape == (m,)
+        assert w0.tobytes() == w1.tobytes() and b0.tobytes() == b1.tobytes()
+    rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("epoch ")]
+    at = data.draw(st.sampled_from(rows))
+    prefix = "bias," if lines[at].startswith("bias,") else ""
+    fields = lines[at][len(prefix):].split(",")
+    fields[data.draw(st.integers(0, len(fields) - 1))] = "x"
+    with pytest.raises(ParseError, match=re.escape(f"{path}:{at + 1}: bad numeric field")):
+        read(lines[:at] + [prefix + ",".join(fields)] + lines[at + 1:])
+    # the first weight row of a block sets its width, as in a matrix file
+    later = [i for i in rows if not lines[i].startswith("bias,")
+             and not [line for line in lines[:i] if line.strip()][-1].startswith("epoch ")]
+    if n > 1 and later:
+        at = data.draw(st.sampled_from(later))
+        fields = lines[at].split(",")
+        del fields[data.draw(st.integers(0, n - 1))]
+        with pytest.raises(ParseError, match=re.escape(f"{path}:{at + 1}: expected {n} fields, got {n - 1}")):
+            read(lines[:at] + [",".join(fields)] + lines[at + 1:])
+
+
 def test_render_fixed_format():
     assert render({"a": 1.0, "b": [True, None, "s"]}) == '{"a": 1, "b": [true, null, "s"]}'
     assert render(0.5) == "0.5"
